@@ -1,165 +1,69 @@
 """Hot numeric kernels: per-measurement information accumulation and the
 Gauss-Newton refinement loop used by every fusion call.
 
-Each kernel exists twice: a plain-numpy reference (``*_py``) and, when numba
-is importable and ``HRCN_PURE_NUMPY`` is unset, an ``@njit``-compiled version
-bound to the public name.  Set ``HRCN_PURE_NUMPY=1`` to force the numpy path
-(useful for debugging and for the benchmark in ``benchmarks/``).
+Both are plain numpy, vectorized over the M stacked (range, bearing) rows
+through one chained-Jacobian helper.
 """
 
 import math
-import os
 
 import numpy as np
 
-_PURE_NUMPY = os.environ.get("HRCN_PURE_NUMPY", "0") not in ("", "0")
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA and not _PURE_NUMPY
+# The kernels never use numba; perfbench/run.py reports this flag on every run.
+USING_NUMBA = False
 
 
-def _range_bearing_py(state, rx, ry):
-    """Range and four-quadrant bearing of a CV state seen from (rx, ry)."""
-    dx = state[0] - rx
-    dy = state[2] - ry
-    return math.hypot(dx, dy), math.atan2(dy, dx)
-
-
-def _chain_jacobian_py(state_fuse, dt_back, rx, ry, out):
-    """2x4 Jacobian of the (range, bearing) measurement at time t_fuse - dt_back
-    with respect to the fusion-time state.
+def _chain_jacobian(state_fuse, dt_back, radar_xy):
+    """(M, 2, 4) Jacobians of the (range, bearing) measurements taken
+    dt_back (M,) seconds before the fusion time, with respect to the
+    fusion-time state, plus the (M,) ranges and four-quadrant bearings.
 
     The state is propagated backward by dt_back before measuring, so the
     position partials pick up a -dt_back coupling into the velocity columns.
-    Writes into ``out`` and returns the range at the measurement time.
     """
-    x = state_fuse[0] - dt_back * state_fuse[1]
-    y = state_fuse[2] - dt_back * state_fuse[3]
-    dx = x - rx
-    dy = y - ry
+    dx = state_fuse[0] - dt_back * state_fuse[1] - radar_xy[:, 0]
+    dy = state_fuse[2] - dt_back * state_fuse[3] - radar_xy[:, 1]
     r2 = dx * dx + dy * dy
-    r = math.sqrt(r2)
-    out[0, 0] = dx / r
-    out[0, 2] = dy / r
-    out[1, 0] = -dy / r2
-    out[1, 2] = dx / r2
-    out[0, 1] = -dt_back * out[0, 0]
-    out[0, 3] = -dt_back * out[0, 2]
-    out[1, 1] = -dt_back * out[1, 0]
-    out[1, 3] = -dt_back * out[1, 2]
-    return r
+    r = np.sqrt(r2)
+    H = np.empty((dx.shape[0], 2, 4))
+    H[:, 0, 0] = dx / r
+    H[:, 0, 2] = dy / r
+    H[:, 1, 0] = -dy / r2
+    H[:, 1, 2] = dx / r2
+    H[:, :, 1] = -dt_back[:, None] * H[:, :, 0]
+    H[:, :, 3] = -dt_back[:, None] * H[:, :, 2]
+    return H, r, np.arctan2(dy, dx)
 
 
-def _fim_accumulate_py(state_fuse, t_fuse, times, radar_xy, winv):
+def fim_accumulate(state_fuse, t_fuse, times, radar_xy, winv):
     """Sum of H^T diag(winv_m) H over measurements.
 
     times: (M,) measurement times; radar_xy: (M, 2) radar positions;
     winv: (M, 2) inverse variances of (range, bearing).  H is the chained
     Jacobian with respect to the fusion-time state.
     """
-    J = np.zeros((4, 4))
-    H = np.zeros((2, 4))
-    for m in range(times.shape[0]):
-        _chain_jacobian_py(state_fuse, t_fuse - times[m],
-                           radar_xy[m, 0], radar_xy[m, 1], H)
-        for a in range(4):
-            for b in range(4):
-                J[a, b] += (winv[m, 0] * H[0, a] * H[0, b]
-                            + winv[m, 1] * H[1, a] * H[1, b])
-    return J
+    H, _, _ = _chain_jacobian(state_fuse, t_fuse - times, radar_xy)
+    return np.einsum("mk,mka,mkb->ab", winv, H, H)
 
 
-def _gauss_newton_py(y, times, radar_xy, winv, t_fuse, s0, tol, max_iter):
+def gauss_newton(y, times, radar_xy, winv, t_fuse, s0, tol, max_iter):
     """Weighted Gauss-Newton on stacked (range, bearing) measurements.
 
     Returns (state, iterations, last_step_norm, converged_flag).  Bearing
     residuals are wrapped to (-pi, pi] before weighting.
     """
-    s = s0.copy()
-    H = np.zeros((2, 4))
+    dt_back = t_fuse - times
+    s = np.array(s0, dtype=float)
     step_norm = np.inf
     for it in range(max_iter):
-        JtWJ = np.zeros((4, 4))
-        JtWr = np.zeros(4)
-        for m in range(times.shape[0]):
-            dt = t_fuse - times[m]
-            rx = radar_xy[m, 0]
-            ry = radar_xy[m, 1]
-            r = _chain_jacobian_py(s, dt, rx, ry, H)
-            x = s[0] - dt * s[1]
-            yy = s[2] - dt * s[3]
-            th = math.atan2(yy - ry, x - rx)
-            res_r = y[m, 0] - r
-            res_t = y[m, 1] - th
-            res_t = (res_t + math.pi) % (2.0 * math.pi) - math.pi
-            for a in range(4):
-                JtWr[a] += winv[m, 0] * H[0, a] * res_r + winv[m, 1] * H[1, a] * res_t
-                for b in range(4):
-                    JtWJ[a, b] += (winv[m, 0] * H[0, a] * H[0, b]
-                                   + winv[m, 1] * H[1, a] * H[1, b])
-        step = np.linalg.solve(JtWJ, JtWr)
+        H, r, th = _chain_jacobian(s, dt_back, radar_xy)
+        res = y - np.stack([r, th], axis=1)
+        res[:, 1] = (res[:, 1] + math.pi) % (2.0 * math.pi) - math.pi
+        WH = winv[:, :, None] * H
+        step = np.linalg.solve(np.einsum("mka,mkb->ab", WH, H),
+                               np.einsum("mka,mk->a", WH, res))
         s = s + step
-        step_norm = math.sqrt(step[0] ** 2 + step[1] ** 2 + step[2] ** 2 + step[3] ** 2)
+        step_norm = math.sqrt(float(step @ step))
         if step_norm < tol:
             return s, it + 1, step_norm, 1
     return s, max_iter, step_norm, 0
-
-
-if USING_NUMBA:
-    _chain_jacobian = numba.njit(cache=True)(_chain_jacobian_py)
-
-    @numba.njit(cache=True)
-    def fim_accumulate(state_fuse, t_fuse, times, radar_xy, winv):
-        J = np.zeros((4, 4))
-        H = np.zeros((2, 4))
-        for m in range(times.shape[0]):
-            _chain_jacobian(state_fuse, t_fuse - times[m],
-                            radar_xy[m, 0], radar_xy[m, 1], H)
-            for a in range(4):
-                for b in range(4):
-                    J[a, b] += (winv[m, 0] * H[0, a] * H[0, b]
-                                + winv[m, 1] * H[1, a] * H[1, b])
-        return J
-
-    @numba.njit(cache=True)
-    def gauss_newton(y, times, radar_xy, winv, t_fuse, s0, tol, max_iter):
-        s = s0.copy()
-        H = np.zeros((2, 4))
-        step_norm = np.inf
-        for it in range(max_iter):
-            JtWJ = np.zeros((4, 4))
-            JtWr = np.zeros(4)
-            for m in range(times.shape[0]):
-                dt = t_fuse - times[m]
-                rx = radar_xy[m, 0]
-                ry = radar_xy[m, 1]
-                r = _chain_jacobian(s, dt, rx, ry, H)
-                x = s[0] - dt * s[1]
-                yy = s[2] - dt * s[3]
-                th = math.atan2(yy - ry, x - rx)
-                res_r = y[m, 0] - r
-                res_t = y[m, 1] - th
-                res_t = (res_t + math.pi) % (2.0 * math.pi) - math.pi
-                for a in range(4):
-                    JtWr[a] += (winv[m, 0] * H[0, a] * res_r
-                                + winv[m, 1] * H[1, a] * res_t)
-                    for b in range(4):
-                        JtWJ[a, b] += (winv[m, 0] * H[0, a] * H[0, b]
-                                       + winv[m, 1] * H[1, a] * H[1, b])
-            step = np.linalg.solve(JtWJ, JtWr)
-            s = s + step
-            step_norm = math.sqrt(step[0] ** 2 + step[1] ** 2
-                                  + step[2] ** 2 + step[3] ** 2)
-            if step_norm < tol:
-                return s, it + 1, step_norm, 1
-        return s, max_iter, step_norm, 0
-
-else:
-    fim_accumulate = _fim_accumulate_py
-    gauss_newton = _gauss_newton_py

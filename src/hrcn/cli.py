@@ -14,12 +14,15 @@ import sys
 import numpy as np
 
 from .allocator import (AllocationLayout, AllocatorConfig, InfeasibleError,
-                        adam_solve, baseline_uniform, compute_kernels,
-                        objective_g, project, assemble_constraints)
-from .harness import (compare_allocations, plan_allocations, save_result)
+                        PlanningPrior, adam_solve, assemble_constraints,
+                        baseline_uniform, bayesian_B, compute_kernels,
+                        objective_g, project)
+from .fusion import prior_information
+from .harness import compare_allocations, plan_allocations, save_result
+from .kinematics import process_noise_cov, transition_matrix
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
                        load_scenario)
-from .tracker import run_tracking
+from .tracker import TrackInit, run_tracking
 
 
 def _default_outdir() -> str:
@@ -41,14 +44,6 @@ def _load(args) -> tuple:
 
 def _planning_priors(scenario, schedule, cfg, k):
     """Planning priors chained through uniform allocations up to interval k."""
-    from .harness import plan_allocations as _plan  # avoid cycle at import
-    # reuse the planner for the chain, then rebuild interval-k priors
-    from .allocator import PlanningPrior, interference_denominators, \
-        resource_product
-    from .fusion import prior_information
-    from .kinematics import process_noise_cov, transition_matrix
-    from .tracker import TrackInit
-
     initc = TrackInit()
     grid = scenario.grid
     F = transition_matrix(grid.interval_length)
@@ -69,13 +64,8 @@ def _planning_priors(scenario, schedule, cfg, k):
         z = baseline_uniform(scenario, schedule, kk)
         kernels = compute_kernels(scenario, schedule, kk,
                                   [p.state for p in priors])
-        denoms = interference_denominators(scenario, layout, z)
-        for q in range(scenario.n_targets):
-            B = priors[q].info.copy()
-            for i in range(scenario.n_radars):
-                B += (resource_product(scenario, layout, z, i, q) / denoms[i]
-                      * kernels[q, i])
-            infos[q] = 0.5 * (B + B.T)
+        infos = bayesian_B(z, kernels, [p.info for p in priors], scenario,
+                           layout)
     raise AssertionError("unreachable")
 
 

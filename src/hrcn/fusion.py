@@ -1,13 +1,12 @@
 """Composite measurement construction: iterative least-squares MLE over the
-stacked interval measurements, its Fisher information, and the recursive
-Bayesian information form used by the allocator."""
+stacked interval measurements, its Fisher information, and the one-step
+predicted information that seeds the Bayesian recursion."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .kinematics import transition_matrix
 
 
 class FusionError(RuntimeError):
@@ -112,23 +111,3 @@ def prior_information(prev_info: np.ndarray, F: np.ndarray,
     pred_cov = Gamma + F @ prev_inv @ F.T
     out, _ = _inv_psd(pred_cov, jitter)
     return 0.5 * (out + out.T)
-
-
-def bayesian_fim(prev_info: np.ndarray, kernels: list[np.ndarray],
-                 scales: np.ndarray, F: np.ndarray, Gamma: np.ndarray,
-                 jitter: float = 0.0) -> np.ndarray:
-    """Recursive Bayesian information for one target and one interval.
-
-    kernels: per-radar 4x4 information kernels D_i; scales: per-radar factors
-    P_i T_i / (sum_j |alpha^c|^2 P_c^j + sigma_r^2).  The prior term is the
-    predicted information computed from prev_info through (F, Gamma).
-    """
-    B = prior_information(prev_info, F, Gamma, jitter)
-    for D, s in zip(kernels, scales):
-        B = B + s * D
-    return 0.5 * (B + B.T)
-
-
-def predict_state(state: np.ndarray, dt: float) -> np.ndarray:
-    """Deterministic CV propagation, convenience wrapper."""
-    return transition_matrix(dt) @ np.asarray(state, dtype=float)

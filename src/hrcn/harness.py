@@ -7,16 +7,16 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
                         adam_solve, baseline_random, baseline_uniform,
-                        compute_kernels, interference_denominators,
-                        lambda_diag, objective_g, resource_product,
-                        throughput_r)
+                        bayesian_B, compute_kernels, lambda_diag,
+                        objective_g, throughput_r)
 from .fusion import prior_information
 from .kinematics import process_noise_cov, transition_matrix
 from .scenario import MeasurementSchedule, Scenario, build_schedule
@@ -86,13 +86,7 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
         prior_infos = [p.info for p in priors]
         g_values.append(objective_g(z, kernels, prior_infos, scenario, layout,
                                     cfg.jitter))
-        denoms = interference_denominators(scenario, layout, z)
-        for q in range(scenario.n_targets):
-            B = prior_infos[q].copy()
-            for i in range(scenario.n_radars):
-                B += (resource_product(scenario, layout, z, i, q) / denoms[i]
-                      * kernels[q, i])
-            infos[q] = 0.5 * (B + B.T)
+        infos = bayesian_B(z, kernels, prior_infos, scenario, layout)
         allocations.append(z)
         traces.append(tr)
     return allocations, g_values, traces
@@ -118,8 +112,40 @@ class ExperimentResult:
     policies: dict  # name -> PolicyResult
 
 
+def _feed_canonical(h, obj) -> None:
+    """Feed an exact, unambiguous byte encoding of obj into the hash h:
+    every dataclass field by name, arrays as dtype, shape and raw bytes,
+    floats as hex, enums by value."""
+    if is_dataclass(obj):
+        names = [f.name for f in fields(obj)]
+        h.update(f"D{type(obj).__name__}:{len(names)};".encode())
+        for name in names:
+            h.update(f"{name}=".encode())
+            _feed_canonical(h, getattr(obj, name))
+    elif isinstance(obj, np.ndarray):
+        h.update(f"A{obj.dtype.str}{obj.shape};".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, Enum):
+        h.update(f"E{obj.value!r};".encode())
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"L{len(obj)};".encode())
+        for item in obj:
+            _feed_canonical(h, item)
+    elif isinstance(obj, np.generic):
+        _feed_canonical(h, obj.item())
+    elif isinstance(obj, float):
+        h.update(f"F{obj.hex()};".encode())
+    elif obj is None or isinstance(obj, (bool, int, str)):
+        h.update(f"{type(obj).__name__}{obj!r};".encode())
+    else:
+        raise TypeError(f"cannot fingerprint {type(obj).__name__}")
+
+
 def scenario_fingerprint(scenario: Scenario) -> str:
-    return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
+    """16-hex digest of the scenario's exact contents."""
+    h = hashlib.sha256()
+    _feed_canonical(h, scenario)
+    return h.hexdigest()[:16]
 
 
 def compare_allocations(scenario: Scenario, policies, n_trials: int,

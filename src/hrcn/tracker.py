@@ -7,12 +7,13 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import AllocationLayout, interference_denominators, resource_product
+from .allocator import (AllocationLayout, bayesian_B, compute_kernels,
+                        interference_denominators, resource_product)
 from .fusion import (CompositeMeasurement, FusionError, StackedMeasurements,
                      ils_mle, prior_information)
-from .kinematics import process_noise_cov, transition_matrix
+from .kinematics import measure, process_noise_cov, transition_matrix
 from .scenario import MeasurementSchedule, Scenario
-from .sensing import const_kernel, info_kernel_D, measure
+from .sensing import const_kernel
 
 
 @dataclass
@@ -150,24 +151,24 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
         proc_draws = [proc_rng.standard_normal(4) for _ in range(q_n)]
         meas_draws = [meas_rng.standard_normal((int(schedule.counts[:, q, k].sum()), 2))
                       for q in range(q_n)]
+        predicted = []
         for q in range(q_n):
-            gam = gammas[q]
             # truth advances with CV motion plus process noise
             noise = np.zeros(4)
             if scenario.targets[q].process_noise_intensity > 0:
-                L = np.linalg.cholesky(gam)
+                L = np.linalg.cholesky(gammas[q])
                 noise = L @ proc_draws[q]
             truth[q, k + 1] = F @ truth[q, k] + noise
-
-            predicted = kf_predict(tracks[q], grid.interval_length, gam)
+            predicted.append(kf_predict(tracks[q], grid.interval_length,
+                                        gammas[q]))
             stack = _stack_interval(scenario, schedule, layout, z, k, q,
                                     truth[q, k], t_k, meas_draws[q])
             try:
-                cm = ils_mle(stack, predicted.mean, jitter=jitter)
+                cm = ils_mle(stack, predicted[q].mean, jitter=jitter)
             except FusionError as exc:
                 raise FusionError(
                     f"fusion failed for target {q} interval {k}: {exc}") from exc
-            tracks[q] = kf_update(predicted, cm)
+            tracks[q] = kf_update(predicted[q], cm)
             means[q, k] = tracks[q].mean
             covs[q, k] = tracks[q].cov
             meta.append({"target": q, "interval": k,
@@ -175,19 +176,13 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
                          "step_norm": cm.step_norm,
                          "jittered": cm.jittered})
 
-            # Bayesian information chain with the data term at the prior state
-            denoms = interference_denominators(scenario, layout, z)
-            B = prior_information(infos[q], F, gam, jitter)
-            for i, radar in enumerate(scenario.radars):
-                t_m = schedule.times(i, q, k)
-                if len(t_m) == 0:
-                    continue
-                kern = const_kernel(radar, scenario.targets[q].rcs[i])
-                D = info_kernel_D(radar.position, t_m, stack.t_fuse,
-                                  predicted.mean, kern)
-                B = B + resource_product(scenario, layout, z, i, q) / denoms[i] * D
-            infos[q] = 0.5 * (B + B.T)
-            info_chain[q, k] = infos[q]
+        # Bayesian information chain with the data term at the prior state
+        kernels = compute_kernels(scenario, schedule, k,
+                                  [p.mean for p in predicted])
+        priors = [prior_information(infos[q], F, gammas[q], jitter)
+                  for q in range(q_n)]
+        infos = bayesian_B(z, kernels, priors, scenario, layout)
+        info_chain[:, k] = infos
 
     return TrackingResult(truth=truth, means=means, covs=covs,
                           info_chain=info_chain, fusion_meta=meta)

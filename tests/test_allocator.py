@@ -11,6 +11,8 @@ from hrcn.allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
                             f_value, grad_f, inner_v_update,
                             interference_denominators, lambda_diag,
                             objective_g, project, throughput_r)
+from hrcn.fusion import prior_information
+from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
 
 from conftest import make_mini_scenario
@@ -24,8 +26,6 @@ def layout(scenario):
 @pytest.fixture(scope="module")
 def priors(scenario):
     """Planning priors for interval 0: predicted initial state, loose info."""
-    from hrcn.fusion import prior_information
-    from hrcn.kinematics import process_noise_cov, transition_matrix
     F = transition_matrix(scenario.grid.interval_length)
     out = []
     for tgt in scenario.targets:
@@ -76,6 +76,81 @@ class TestObjectiveG:
         z2[:layout.c_index(0)] *= 1.5
         g2 = objective_g(z2, kernels, prior_infos, scenario, layout)
         assert g2 > g1
+
+
+def random_psd_kernels(rng, q_n, n):
+    W = rng.normal(size=(q_n, n, 4, 2))
+    return W @ np.swapaxes(W, -1, -2)
+
+
+class TestBayesianB:
+    PRIOR = np.diag([1e-2, 1e-1, 1e-2, 1e-1])
+
+    def test_zero_radar_resources_gives_prior(self):
+        sc = make_mini_scenario()
+        lay = AllocationLayout.from_scenario(sc)
+        z = np.zeros(lay.dim)
+        z[lay.c_index(0)] = 5.0
+        kern = random_psd_kernels(np.random.default_rng(4), 1, 1)
+        (B,) = bayesian_B(z, kern, [self.PRIOR], sc, lay)
+        np.testing.assert_array_equal(B, self.PRIOR)
+
+    def test_additive_over_radars(self, scenario, layout):
+        # B^q = prior + sum_i P_i T_i / (alpha_c_i . P_c + sigma_i^2) D_i,
+        # with P_i T_i substituted by hand for each radar kind
+        rng = np.random.default_rng(5)
+        kern = random_psd_kernels(rng, scenario.n_targets, scenario.n_radars)
+        z = rng.uniform(0.5, 2.0, layout.dim)
+        pc = z[layout.c_index(0):]
+        priors = [self.PRIOR] * 2
+        for q, B in enumerate(bayesian_B(z, kern, priors, scenario, layout)):
+            expected = self.PRIOR.copy()
+            for i, node in enumerate(scenario.radars):
+                if i in layout.mmr:
+                    pt = z[layout.p_index(i, q)] * node.fixed_dwell
+                elif i in layout.par:
+                    pt = node.fixed_power * z[layout.t_index(i, q)]
+                else:
+                    pt = node.fixed_power * node.fixed_dwell
+                denom = scenario.comm.alpha_c_sq[i] @ pc + node.noise_var
+                expected += pt / denom * kern[q, i]
+            np.testing.assert_allclose(B, expected, rtol=1e-12)
+
+    def test_scalar_toy_case(self):
+        # P T = 1 * 0.5 and no comm power (denominator 1): scale 0.5
+        sc = make_mini_scenario(fixed_dwell=0.5)
+        lay = AllocationLayout.from_scenario(sc)
+        z = np.zeros(lay.dim)
+        z[lay.p_index(0, 0)] = 1.0
+        D = np.diag([3.0, 0.0, 3.0, 0.0])[None, None]
+        (B,) = bayesian_B(z, D, [2.0 * np.eye(4)], sc, lay)
+        np.testing.assert_allclose(np.diag(B), [3.5, 2.0, 3.5, 2.0])
+
+    def test_loewner_monotone_in_radar_resources(self, scenario, layout):
+        rng = np.random.default_rng(6)
+        kern = random_psd_kernels(rng, scenario.n_targets, scenario.n_radars)
+        z = rng.uniform(0.5, 2.0, layout.dim)
+        z2 = z.copy()
+        z2[:layout.c_index(0)] *= 1.5
+        priors = [self.PRIOR] * 2
+        for B1, B2 in zip(bayesian_B(z, kern, priors, scenario, layout),
+                          bayesian_B(z2, kern, priors, scenario, layout)):
+            assert np.min(np.linalg.eigvalsh(B2 - B1)) >= -1e-10
+
+    def test_psd_across_chained_intervals(self):
+        sc = make_mini_scenario(fixed_dwell=0.5)
+        lay = AllocationLayout.from_scenario(sc)
+        t0 = sc.grid.interval_length
+        F = transition_matrix(t0)
+        gamma = process_noise_cov(t0, 1.0)
+        rng = np.random.default_rng(7)
+        B = self.PRIOR.copy()
+        for _ in range(20):
+            z = rng.uniform(0.0, 2.0, lay.dim)
+            (B,) = bayesian_B(z, random_psd_kernels(rng, 1, 1),
+                              [prior_information(B, F, gamma)], sc, lay)
+            np.testing.assert_allclose(B, B.T, atol=1e-14)
+            assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
 
 
 class TestThroughput:

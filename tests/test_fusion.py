@@ -1,12 +1,11 @@
 """Composite-measurement fusion: Gauss-Newton MLE, Fisher information, and
-the recursive Bayesian information form."""
+the one-step predicted information."""
 
 import numpy as np
 import pytest
 
 from hrcn.fusion import (DivergenceError, RankDeficiencyError,
-                         StackedMeasurements, bayesian_fim, fim, ils_mle,
-                         predict_state, prior_information)
+                         StackedMeasurements, fim, ils_mle, prior_information)
 from hrcn.kinematics import (measure, measurement_jacobian, process_noise_cov,
                              transition_matrix)
 
@@ -15,14 +14,15 @@ TRUE_STATE = np.array([4000.0, 80.0, 5000.0, -60.0])
 T_FUSE = 6.0
 
 
-def make_stack(noise_rng=None, cov_scale=1.0, n_radars=3, times_per=3):
-    """Stacked range/bearing fixes generated from TRUE_STATE at T_FUSE."""
+def make_stack(noise_rng=None, cov_scale=1.0, n_radars=3, times_per=3,
+               state=TRUE_STATE):
+    """Stacked range/bearing fixes generated from state at T_FUSE."""
     vals, times, rxy, cdiag = [], [], [], []
     base_cov = np.array([25.0, 1e-6])
     for i in range(n_radars):
         for m in range(times_per):
             t = 2.0 + 2.0 * m
-            s_t = predict_state(TRUE_STATE, t - T_FUSE)
+            s_t = transition_matrix(t - T_FUSE) @ state
             r, th = measure(s_t, RADARS[i])
             cov = cov_scale * base_cov
             if noise_rng is not None:
@@ -76,6 +76,18 @@ class TestIlsMle:
         with pytest.raises(DivergenceError):
             ils_mle(stack, TRUE_STATE, max_iter=1, tol=1e-15)
 
+    def test_bearings_straddling_pi(self):
+        # the target crosses the -x axis of the radars at (0, 0) and
+        # (10000, 0) mid-interval, so their bearings sit on both sides of
+        # +-pi and unwrapped residuals would be off by 2 pi
+        state = np.array([-5000.0, 10.0, 20.0, 10.0])
+        stack = make_stack(noise_rng=np.random.default_rng(8), state=state)
+        wrapped = stack.values[stack.radar_ids < 2, 1]
+        assert wrapped.min() < -3.0 and wrapped.max() > 3.0
+        cm = ils_mle(stack, state + np.array([10.0, 1.0, -10.0, -1.0]))
+        sd = np.sqrt(np.diag(cm.covariance))
+        assert np.all(np.abs(cm.estimate - state) <= 5.0 * sd)
+
 
 class TestFim:
     def test_matches_bruteforce(self):
@@ -119,57 +131,17 @@ class TestFim:
         assert np.trace(sample) <= 1.5 * np.trace(crb)
 
 
-class TestBayesianFim:
+class TestPriorInformation:
     F = transition_matrix(T_FUSE)
     GAMMA = process_noise_cov(T_FUSE, 1.0)
-    PRIOR = np.diag([1e-2, 1e-1, 1e-2, 1e-1])
+    SINGULAR = np.diag([1e-2, 0.0, 1e-2, 0.0])
 
-    def _kernels(self, rng, n=3):
-        out = []
-        for _ in range(n):
-            W = rng.normal(size=(4, 2))
-            out.append(W @ W.T)
-        return out
+    def test_singular_prior_jittered(self):
+        out = prior_information(self.SINGULAR, self.F, self.GAMMA, jitter=1e-9)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, out.T)
 
-    def test_zero_powers_gives_prior_only(self):
-        rng = np.random.default_rng(4)
-        kernels = self._kernels(rng)
-        B = bayesian_fim(self.PRIOR, kernels, np.zeros(3), self.F, self.GAMMA)
-        np.testing.assert_allclose(
-            B, prior_information(self.PRIOR, self.F, self.GAMMA), rtol=1e-12)
+    def test_singular_prior_without_jitter_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            prior_information(self.SINGULAR, self.F, self.GAMMA, jitter=0.0)
 
-    def test_information_additivity_identity_transition(self):
-        rng = np.random.default_rng(5)
-        kernels = self._kernels(rng)
-        scales = rng.uniform(0.5, 2.0, 3)
-        B = bayesian_fim(self.PRIOR, kernels, scales, np.eye(4),
-                         np.zeros((4, 4)))
-        expected = self.PRIOR + sum(s * D for s, D in zip(scales, kernels))
-        np.testing.assert_allclose(B, expected, rtol=1e-12)
-
-    def test_scalar_toy_case(self):
-        # one radar, hand-substituted scalars on a diagonal system
-        prior = np.diag([2.0, 2.0, 2.0, 2.0])
-        D = np.diag([3.0, 0.0, 3.0, 0.0])
-        scale = 0.5
-        B = bayesian_fim(prior, [D], np.array([scale]), np.eye(4),
-                         np.zeros((4, 4)))
-        np.testing.assert_allclose(np.diag(B), [3.5, 2.0, 3.5, 2.0])
-
-    def test_monotone_in_resource_scale(self):
-        rng = np.random.default_rng(6)
-        kernels = self._kernels(rng)
-        scales = rng.uniform(0.5, 2.0, 3)
-        B1 = bayesian_fim(self.PRIOR, kernels, scales, self.F, self.GAMMA)
-        B2 = bayesian_fim(self.PRIOR, kernels, scales * 1.5, self.F, self.GAMMA)
-        assert np.min(np.linalg.eigvalsh(B2 - B1)) >= -1e-10
-
-    def test_psd_across_chained_intervals(self):
-        rng = np.random.default_rng(7)
-        B = self.PRIOR.copy()
-        for _ in range(20):
-            kernels = self._kernels(rng)
-            scales = rng.uniform(0.0, 2.0, 3)
-            B = bayesian_fim(B, kernels, scales, self.F, self.GAMMA)
-            np.testing.assert_allclose(B, B.T, atol=1e-14)
-            assert np.min(np.linalg.eigvalsh(B)) >= -1e-12

@@ -1,5 +1,7 @@
 """Experiment harness: RMSE scoring, policy comparison, and result files."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,16 @@ class TestResultFiles:
     def test_fingerprint_stable(self, scenario):
         assert scenario_fingerprint(scenario) == scenario_fingerprint(scenario)
         assert len(scenario_fingerprint(scenario)) == 16
+
+    def test_fingerprint_sees_tiny_state_change(self, scenario):
+        other = copy.deepcopy(scenario)
+        other.targets[0].initial_state[0] += 1e-9
+        assert scenario_fingerprint(other) != scenario_fingerprint(scenario)
+
+    def test_fingerprint_sees_one_entry_of_large_floor(self, scenario):
+        # numpy elides arrays this large in repr
+        a, b = copy.deepcopy(scenario), copy.deepcopy(scenario)
+        a.comm.throughput_floor = np.full((3, 400), 0.5)
+        b.comm.throughput_floor = np.full((3, 400), 0.5)
+        b.comm.throughput_floor[1, 200] = 0.6
+        assert scenario_fingerprint(a) != scenario_fingerprint(b)
