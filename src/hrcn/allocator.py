@@ -7,12 +7,13 @@ ascent on the resulting sum of linear-fractional functions.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
+from .fusion import inv_psd
 from .scenario import MeasurementSchedule, RadarKind, Scenario
 from .sensing import const_kernel, info_kernel_D
 
@@ -25,60 +26,69 @@ class InfeasibleError(RuntimeError):
 # decision-vector layout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationLayout:
-    """Fixed index layout of the decision vector z.
+    """Index layout of the decision vector z and the per-radar energy map.
 
-    Order: MMR powers (radar-major, target-minor), PAR dwell times, then the
-    J downlink powers.
+    z is [MMR powers | PAR dwell times | J downlink powers], each radar block
+    radar-major, target-minor.  Radar i's echo energy P*T on target q is
+    z[var[i, q]] * factor[i]: an MMR optimizes its power (factor = its fixed
+    dwell), a PAR its dwell time (factor = its fixed power).  An MSR optimizes
+    neither: its var row is -1 and its energy is fixed_energy[i].  budget[i]
+    bounds the count-weighted sum of radar i's variables (an MMR's power
+    budget, a PAR's time budget).
     """
 
     mmr: tuple
     par: tuple
-    msr: tuple
     n_targets: int
     n_links: int
+    var: np.ndarray           # (N, Q) int, index into z or -1
+    factor: np.ndarray        # (N,)
+    fixed_energy: np.ndarray  # (N,)
+    budget: np.ndarray        # (N,)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "AllocationLayout":
-        return cls(mmr=tuple(scenario.mmr_indices),
-                   par=tuple(scenario.par_indices),
-                   msr=tuple(scenario.msr_indices),
-                   n_targets=scenario.n_targets,
-                   n_links=scenario.comm.num_links)
+        n, q_n = scenario.n_radars, scenario.n_targets
+        factor, fixed_energy, budget = np.zeros(n), np.zeros(n), np.zeros(n)
+        mmr, par = [], []
+        for i, node in enumerate(scenario.radars):
+            if node.kind is RadarKind.MMR:
+                mmr.append(i)
+                factor[i], budget[i] = node.fixed_dwell, node.power_budget
+            elif node.kind is RadarKind.PAR:
+                par.append(i)
+                factor[i], budget[i] = node.fixed_power, node.time_budget
+            else:
+                fixed_energy[i] = node.fixed_power * node.fixed_dwell
+        var = np.full((n, q_n), -1)
+        for block, i in enumerate(mmr + par):
+            var[i] = block * q_n + np.arange(q_n)
+        return cls(mmr=tuple(mmr), par=tuple(par), n_targets=q_n,
+                   n_links=scenario.comm.num_links, var=var, factor=factor,
+                   fixed_energy=fixed_energy, budget=budget)
+
+    @property
+    def n_radar_vars(self) -> int:
+        return (len(self.mmr) + len(self.par)) * self.n_targets
 
     @property
     def dim(self) -> int:
-        return (len(self.mmr) + len(self.par)) * self.n_targets + self.n_links
-
-    def p_index(self, radar: int, target: int) -> int:
-        return self.mmr.index(radar) * self.n_targets + target
-
-    def t_index(self, radar: int, target: int) -> int:
-        return (len(self.mmr) + self.par.index(radar)) * self.n_targets + target
-
-    def c_index(self, link: int) -> int:
-        return (len(self.mmr) + len(self.par)) * self.n_targets + link
+        return self.n_radar_vars + self.n_links
 
     def comm_block(self, z: np.ndarray) -> np.ndarray:
-        return z[self.c_index(0):]
+        return z[self.n_radar_vars:]
+
+    def energies(self, z: np.ndarray) -> np.ndarray:
+        """(N, Q) echo energy P*T of every radar on every target under z."""
+        return np.where(self.var >= 0, z[self.var] * self.factor[:, None],
+                        self.fixed_energy[:, None])
 
 
 def lambda_diag(t0: float) -> np.ndarray:
     """Diagonal of the unit-balancing weight: velocity scaled by T0."""
     return np.array([1.0, t0, 1.0, t0])
-
-
-def resource_product(scenario: Scenario, layout: AllocationLayout,
-                     z: np.ndarray, radar: int, target: int) -> float:
-    """P * T for one (radar, target), substituting fixed values for the
-    non-optimized factor of each radar kind."""
-    node = scenario.radars[radar]
-    if node.kind is RadarKind.MMR:
-        return z[layout.p_index(radar, target)] * node.fixed_dwell
-    if node.kind is RadarKind.PAR:
-        return node.fixed_power * z[layout.t_index(radar, target)]
-    return node.fixed_power * node.fixed_dwell
 
 
 def interference_denominators(scenario: Scenario, layout: AllocationLayout,
@@ -88,6 +98,15 @@ def interference_denominators(scenario: Scenario, layout: AllocationLayout,
     alpha = scenario.comm.alpha_c_sq
     noise = np.array([r.noise_var for r in scenario.radars])
     return alpha @ pc + noise
+
+
+def info_scale(scenario: Scenario, layout: AllocationLayout,
+               z: np.ndarray) -> np.ndarray:
+    """(N, Q) weight P*T / (sum_j |alpha^c|^2 P_c^j + sigma_r^2) of each
+    radar's information kernel on each target.  A measurement's covariance
+    is its constant kernel divided by this weight."""
+    return (layout.energies(z)
+            / interference_denominators(scenario, layout, z)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +132,25 @@ def bayesian_B(z: np.ndarray, kernels: np.ndarray,
                prior_infos: list[np.ndarray], scenario: Scenario,
                layout: AllocationLayout) -> list[np.ndarray]:
     """Per-target Bayesian information B^q(z) = sum_i scale_i D_i + prior."""
-    denoms = interference_denominators(scenario, layout, z)
-    out = []
-    for q in range(scenario.n_targets):
-        B = prior_infos[q].copy()
-        for i in range(scenario.n_radars):
-            scale = resource_product(scenario, layout, z, i, q) / denoms[i]
-            B += scale * kernels[q, i]
-        out.append(0.5 * (B + B.T))
-    return out
+    B = np.asarray(prior_infos) + np.einsum(
+        "iq,qiab->qab", info_scale(scenario, layout, z), kernels)
+    return list(0.5 * (B + np.swapaxes(B, 1, 2)))
+
+
+def crb_metric(b_mats: list[np.ndarray], t0: float, jitter: float = 0.0) -> float:
+    """Bayesian-CRB tracking metric of per-target informations B^q: sum over
+    targets of 1 / Tr(Lambda B^{-1} Lambda^T).  Larger is better."""
+    lam2 = lambda_diag(t0) ** 2
+    return sum(1.0 / float(lam2 @ np.diag(inv_psd(B, jitter)[0]))
+               for B in b_mats)
 
 
 def objective_g(z: np.ndarray, kernels: np.ndarray,
                 prior_infos: list[np.ndarray], scenario: Scenario,
                 layout: AllocationLayout, jitter: float = 0.0) -> float:
-    """Bayesian-CRB tracking metric: sum over targets of
-    1 / Tr(Lambda B^{-1} Lambda^T).  Larger is better."""
-    lam2 = lambda_diag(scenario.grid.interval_length) ** 2
-    total = 0.0
-    for B in bayesian_B(z, kernels, prior_infos, scenario, layout):
-        try:
-            Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            if jitter <= 0:
-                raise
-            Binv = np.linalg.inv(B + jitter * np.eye(4))
-        total += 1.0 / float(lam2 @ np.diag(Binv))
-    return total
+    """crb_metric of the Bayesian information under allocation z."""
+    return crb_metric(bayesian_B(z, kernels, prior_infos, scenario, layout),
+                      scenario.grid.interval_length, jitter)
 
 
 def throughput_r(j: int, z: np.ndarray, scenario: Scenario,
@@ -147,14 +158,9 @@ def throughput_r(j: int, z: np.ndarray, scenario: Scenario,
     """Achieved log-SINR throughput (nats) of downlink j under allocation z,
     given the interval's measurement counts (N, Q)."""
     t0 = scenario.grid.interval_length
-    alpha = scenario.comm.alpha_r_sq[j]
-    interference = 0.0
-    for i in range(scenario.n_radars):
-        for q in range(scenario.n_targets):
-            if counts_k[i, q] > 0:
-                interference += (counts_k[i, q] * alpha[i]
-                                 * resource_product(scenario, layout, z, i, q))
-    pc = z[layout.c_index(j)]
+    interference = np.einsum("iq,i,iq->", counts_k, scenario.comm.alpha_r_sq[j],
+                             layout.energies(z))
+    pc = layout.comm_block(z)[j]
     return float(np.log1p(pc * t0 / (interference + scenario.comm.noise_var * t0)))
 
 
@@ -175,54 +181,38 @@ def assemble_constraints(scenario: Scenario, schedule: MeasurementSchedule,
     counts = schedule.counts[:, :, k]
     t0 = scenario.grid.interval_length
     comm = scenario.comm
-    rows, rhs, labels = [], [], []
+    links = np.arange(comm.num_links)
+    opt = layout.var >= 0
 
-    for j in range(comm.num_links):
-        eps = comm.floor(j, k)
-        gain = np.expm1(eps)
-        a = np.zeros(layout.dim)
-        fixed_interference = 0.0
-        for i, node in enumerate(scenario.radars):
-            alpha = comm.alpha_r_sq[j, i]
-            for q in range(scenario.n_targets):
-                m = counts[i, q]
-                if m == 0:
-                    continue
-                if node.kind is RadarKind.MMR:
-                    a[layout.p_index(i, q)] += gain * m * alpha * node.fixed_dwell
-                elif node.kind is RadarKind.PAR:
-                    a[layout.t_index(i, q)] += gain * m * alpha * node.fixed_power
-                else:
-                    fixed_interference += m * alpha * node.fixed_power * node.fixed_dwell
-        a[layout.c_index(j)] = -t0
-        bound = -gain * (fixed_interference + comm.noise_var * t0)
-        if bound < -t0 * comm.power_budget:
-            raise InfeasibleError(
-                f"throughput floor of link {j} unreachable: fixed interference "
-                f"alone requires more than the base-station budget "
-                f"(row 'throughput[{j}]')")
-        rows.append(a)
-        rhs.append(bound)
-        labels.append(f"throughput[{j}]")
+    # expm1(eps_j) * (radar interference + sigma_c^2 T0) <= P_c^j T0, with
+    # the interference split into optimized and fixed (MSR) energies
+    gain = np.array([np.expm1(comm.floor(j, k)) for j in links])
+    coef = (gain[:, None, None] * counts * comm.alpha_r_sq[:, :, None]
+            * layout.factor[:, None])
+    thr = np.zeros((comm.num_links, layout.dim))
+    thr[:, layout.var[opt]] = coef[:, opt]
+    thr[links, layout.n_radar_vars + links] = -t0
+    fixed = np.einsum("iq,ji,i->j", counts, comm.alpha_r_sq, layout.fixed_energy)
+    bound = -gain * (fixed + comm.noise_var * t0)
+    unreachable = np.flatnonzero(bound < -t0 * comm.power_budget)
+    if unreachable.size:
+        j = unreachable[0]
+        raise InfeasibleError(
+            f"throughput floor of link {j} unreachable: fixed interference "
+            f"alone requires more than the base-station budget "
+            f"(row 'throughput[{j}]')")
+    rows, rhs = list(thr), list(bound)
+    labels = [f"throughput[{j}]" for j in links]
 
-    for i in layout.mmr:
+    for i in layout.mmr + layout.par:
         a = np.zeros(layout.dim)
-        for q in range(scenario.n_targets):
-            a[layout.p_index(i, q)] = counts[i, q]
+        a[layout.var[i]] = counts[i]
         rows.append(a)
-        rhs.append(scenario.radars[i].power_budget)
-        labels.append(f"power_budget[{i}]")
-
-    for i in layout.par:
-        a = np.zeros(layout.dim)
-        for q in range(scenario.n_targets):
-            a[layout.t_index(i, q)] = counts[i, q]
-        rows.append(a)
-        rhs.append(scenario.radars[i].time_budget)
-        labels.append(f"time_budget[{i}]")
+        rhs.append(layout.budget[i])
+        labels.append(f"{'power' if i in layout.mmr else 'time'}_budget[{i}]")
 
     a = np.zeros(layout.dim)
-    a[layout.c_index(0):] = 1.0
+    a[layout.n_radar_vars:] = 1.0
     rows.append(a)
     rhs.append(comm.power_budget)
     labels.append("bs_power_budget")
@@ -239,12 +229,7 @@ def inner_v_update(B: np.ndarray, lam_inv: np.ndarray,
     """Closed-form minimizer of the trace-constrained inner problem:
     normalized inverse of diag(lam_inv) B diag(lam_inv)."""
     A = (lam_inv[:, None] * B) * lam_inv[None, :]
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        if jitter <= 0:
-            raise
-        Ainv = np.linalg.inv(A + jitter * np.eye(4))
+    Ainv, _ = inv_psd(A, jitter)
     V = Ainv / np.trace(Ainv)
     # renormalize so the trace constraint holds exactly
     return V / np.trace(V)
@@ -269,34 +254,23 @@ def assemble_fractional(v_mats: list[np.ndarray], kernels: np.ndarray,
     """Rewrite the outer objective for fixed slack matrices as a sum of
     linear-fractional terms in z."""
     lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
-    n, q_n = scenario.n_radars, scenario.n_targets
-    c = np.zeros((n, layout.dim))
-    d = np.zeros(n)
-    e = np.zeros((n, layout.dim))
-    denom_const = np.array([r.noise_var for r in scenario.radars])
-    clamped = 0
-    lv = [lam_inv[:, None] * v for v in v_mats]  # Lambda^{-1} V^q
-
-    constant = 0.0
-    for q in range(q_n):
-        constant += float(np.trace(lv[q].T @ prior_infos[q] @ lv[q]))
-
-    for i, node in enumerate(scenario.radars):
-        e[i, layout.c_index(0):] = scenario.comm.alpha_c_sq[i]
-        for q in range(q_n):
-            w = float(np.trace(lv[q].T @ kernels[q, i] @ lv[q]))
-            if w < 0:
-                clamped += 1
-                w = 0.0
-            if node.kind is RadarKind.MMR:
-                c[i, layout.p_index(i, q)] += w * node.fixed_dwell
-            elif node.kind is RadarKind.PAR:
-                c[i, layout.t_index(i, q)] += w * node.fixed_power
-            else:
-                d[i] += w * node.fixed_power * node.fixed_dwell
+    lv = lam_inv[None, :, None] * np.asarray(v_mats)  # Lambda^{-1} V^q
+    constant = float(np.einsum("qai,qab,qbi->", lv, np.asarray(prior_infos), lv))
+    # w[i, q] = Tr(lv_q^T D_qi lv_q), the weight of radar i's energy on q
+    w = np.einsum("qai,qnab,qbi->nq", lv, kernels, lv)
+    clamped = int(np.count_nonzero(w < 0))
     if clamped:
         warnings.warn(f"clamped {clamped} negative fractional weights to zero",
                       RuntimeWarning, stacklevel=2)
+        w = np.maximum(w, 0.0)
+
+    opt = layout.var >= 0
+    c = np.zeros((scenario.n_radars, layout.dim))
+    c[np.nonzero(opt)[0], layout.var[opt]] = (w * layout.factor[:, None])[opt]
+    d = (w * layout.fixed_energy[:, None]).sum(axis=1)
+    e = np.zeros_like(c)
+    e[:, layout.n_radar_vars:] = scenario.comm.alpha_c_sq
+    denom_const = np.array([r.noise_var for r in scenario.radars])
     return FractionalProgram(c=c, d=d, e=e, denom_const=denom_const,
                              constant=constant, clamped=clamped)
 
@@ -440,21 +414,14 @@ def baseline_uniform(scenario: Scenario, schedule: MeasurementSchedule,
     layout = AllocationLayout.from_scenario(scenario)
     counts = schedule.counts[:, :, k]
     z = np.zeros(layout.dim)
-    for i in layout.mmr:
+    for i in layout.mmr + layout.par:
         total_m = counts[i].sum()
-        p = scenario.radars[i].power_budget / total_m if total_m > 0 else 0.0
-        for q in range(scenario.n_targets):
-            z[layout.p_index(i, q)] = p
-    for i in layout.par:
-        total_m = counts[i].sum()
-        t = scenario.radars[i].time_budget / total_m if total_m > 0 else 0.0
-        for q in range(scenario.n_targets):
-            z[layout.t_index(i, q)] = t
-    z[layout.c_index(0):] = scenario.comm.power_budget / scenario.comm.num_links
+        z[layout.var[i]] = layout.budget[i] / total_m if total_m > 0 else 0.0
+    z[layout.n_radar_vars:] = scenario.comm.power_budget / scenario.comm.num_links
 
     def ok(rho: float) -> bool:
         zz = z.copy()
-        zz[:layout.c_index(0)] *= rho
+        zz[:layout.n_radar_vars] *= rho
         return all(throughput_r(j, zz, scenario, layout, counts)
                    >= scenario.comm.floor(j, k)
                    for j in range(scenario.comm.num_links))
@@ -472,7 +439,7 @@ def baseline_uniform(scenario: Scenario, schedule: MeasurementSchedule,
             lo = mid
         else:
             hi = mid
-    z[:layout.c_index(0)] *= lo
+    z[:layout.n_radar_vars] *= lo
     return z
 
 
@@ -487,22 +454,14 @@ def baseline_random(scenario: Scenario, schedule: MeasurementSchedule,
     layout = AllocationLayout.from_scenario(scenario)
     counts = schedule.counts[:, :, k]
     z = np.zeros(layout.dim)
-    for i in layout.mmr:
+    for i in layout.mmr + layout.par:
         u = rng.uniform(0.0, 1.0, scenario.n_targets)
         denom = float(counts[i] @ u)
         if denom > 0:
-            u *= scenario.radars[i].power_budget / denom
-        for q in range(scenario.n_targets):
-            z[layout.p_index(i, q)] = u[q]
-    for i in layout.par:
-        u = rng.uniform(0.0, 1.0, scenario.n_targets)
-        denom = float(counts[i] @ u)
-        if denom > 0:
-            u *= scenario.radars[i].time_budget / denom
-        for q in range(scenario.n_targets):
-            z[layout.t_index(i, q)] = u[q]
+            u *= layout.budget[i] / denom
+        z[layout.var[i]] = u
     u = rng.uniform(0.0, 1.0, scenario.comm.num_links)
-    z[layout.c_index(0):] = u * scenario.comm.power_budget / u.sum()
+    z[layout.n_radar_vars:] = u * scenario.comm.power_budget / u.sum()
     if project_to_feasible:
         A, b, _ = assemble_constraints(scenario, schedule, k)
         z = project(z, A, b).z
@@ -539,15 +498,9 @@ def _budget_scale(scenario: Scenario, layout: AllocationLayout,
     """Diagonal preconditioner: each coordinate scaled by its natural budget
     share so the step size is unitless."""
     s = np.ones(layout.dim)
-    for i in layout.mmr:
-        total_m = max(1, counts[i].sum())
-        for q in range(scenario.n_targets):
-            s[layout.p_index(i, q)] = scenario.radars[i].power_budget / total_m
-    for i in layout.par:
-        total_m = max(1, counts[i].sum())
-        for q in range(scenario.n_targets):
-            s[layout.t_index(i, q)] = scenario.radars[i].time_budget / total_m
-    s[layout.c_index(0):] = scenario.comm.power_budget / scenario.comm.num_links
+    for i in layout.mmr + layout.par:
+        s[layout.var[i]] = layout.budget[i] / max(1, counts[i].sum())
+    s[layout.n_radar_vars:] = scenario.comm.power_budget / scenario.comm.num_links
     return s
 
 

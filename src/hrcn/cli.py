@@ -10,19 +10,18 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .allocator import (AllocationLayout, AllocatorConfig, InfeasibleError,
-                        PlanningPrior, adam_solve, assemble_constraints,
-                        baseline_uniform, bayesian_B, compute_kernels,
-                        objective_g, project)
-from .fusion import prior_information
-from .harness import compare_allocations, plan_allocations, save_result
-from .kinematics import process_noise_cov, transition_matrix
+                        adam_solve, assemble_constraints, baseline_uniform,
+                        compute_kernels, objective_g, project)
+from .harness import (compare_allocations, plan_allocations, planning_chain,
+                      save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
                        load_scenario)
-from .tracker import TrackInit, run_tracking
+from .tracker import run_tracking
 
 
 def _default_outdir() -> str:
@@ -43,30 +42,17 @@ def _load(args) -> tuple:
 
 
 def _planning_priors(scenario, schedule, cfg, k):
-    """Planning priors chained through uniform allocations up to interval k."""
-    initc = TrackInit()
-    grid = scenario.grid
-    F = transition_matrix(grid.interval_length)
-    states = [t.initial_state.copy() for t in scenario.targets]
-    infos = [np.linalg.inv(np.diag(initc.cov_diag)) for _ in scenario.targets]
-    gammas = [process_noise_cov(grid.interval_length, t.process_noise_intensity)
-              for t in scenario.targets]
-    layout = AllocationLayout.from_scenario(scenario)
-    for kk in range(k + 1):
-        priors = []
-        for q in range(scenario.n_targets):
-            states[q] = F @ states[q]
-            priors.append(PlanningPrior(
-                state=states[q].copy(),
-                info=prior_information(infos[q], F, gammas[q], cfg.jitter)))
-        if kk == k:
-            return priors
-        z = baseline_uniform(scenario, schedule, kk)
-        kernels = compute_kernels(scenario, schedule, kk,
-                                  [p.state for p in priors])
-        infos = bayesian_B(z, kernels, [p.info for p in priors], scenario,
-                           layout)
-    raise AssertionError("unreachable")
+    """Planning priors of interval k, chained through uniform allocations."""
+    if not 0 <= k < scenario.grid.num_intervals:
+        raise ValueError(f"interval {k} is outside the "
+                         f"{scenario.grid.num_intervals}-interval fusion grid")
+
+    def uniform_before_k(kk, _priors):
+        return baseline_uniform(scenario, schedule, kk) if kk < k else None
+
+    *_, (priors, _, _) = planning_chain(scenario, schedule, uniform_before_k,
+                                        cfg.jitter)
+    return priors
 
 
 def cmd_solve(args) -> int:
@@ -144,21 +130,22 @@ def cmd_sweep(args) -> int:
     warm = None
     for value in args.values:
         if args.param == "floor":
-            scenario.comm.throughput_floor = np.full(
-                scenario.comm.num_links, value)
+            comm = replace(scenario.comm, throughput_floor=np.full(
+                scenario.comm.num_links, value))
         elif args.param == "comm-budget":
-            scenario.comm.power_budget = value
+            comm = replace(scenario.comm, power_budget=value)
         else:
             raise ValueError(f"unknown sweep parameter '{args.param}'")
+        swept = replace(scenario, comm=comm)
         candidates = []
-        z_u, _ = adam_solve(scenario, schedule, args.interval, priors, cfg)
+        z_u, _ = adam_solve(swept, schedule, args.interval, priors, cfg)
         candidates.append(z_u)
         if warm is not None:
-            A, b, _ = assemble_constraints(scenario, schedule, args.interval)
-            z_w, _ = adam_solve(scenario, schedule, args.interval, priors, cfg,
+            A, b, _ = assemble_constraints(swept, schedule, args.interval)
+            z_w, _ = adam_solve(swept, schedule, args.interval, priors, cfg,
                                 z0=project(warm, A, b).z)
             candidates.append(z_w)
-        scored = [(objective_g(z, kernels, prior_infos, scenario, layout,
+        scored = [(objective_g(z, kernels, prior_infos, swept, layout,
                                cfg.jitter), z) for z in candidates]
         g_best, z_best = max(scored, key=lambda t: t[0])
         warm = z_best

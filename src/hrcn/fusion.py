@@ -60,7 +60,9 @@ def fim(stack: StackedMeasurements, eval_state: np.ndarray) -> np.ndarray:
                                    stack.radar_xy, winv)
 
 
-def _inv_psd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, bool]:
+def inv_psd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, bool]:
+    """Inverse of mat, retried as inv(mat + jitter I) when mat is singular
+    (raises when jitter <= 0).  The flag says whether the jitter was used."""
     try:
         return np.linalg.inv(mat), False
     except np.linalg.LinAlgError:
@@ -96,7 +98,7 @@ def ils_mle(stack: StackedMeasurements, init: np.ndarray,
         raise DivergenceError(
             f"no convergence in {max_iter} iterations (last step {step_norm:.3e})")
     info = fim(stack, s)
-    cov, jittered = _inv_psd(info, jitter)
+    cov, jittered = inv_psd(info, jitter)
     cov = 0.5 * (cov + cov.T)
     return CompositeMeasurement(estimate=s, covariance=cov,
                                 iterations=int(iters),
@@ -107,7 +109,7 @@ def ils_mle(stack: StackedMeasurements, init: np.ndarray,
 def prior_information(prev_info: np.ndarray, F: np.ndarray,
                       Gamma: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """One-step predicted information [Gamma + F B^{-1} F^T]^{-1}."""
-    prev_inv, _ = _inv_psd(prev_info, jitter)
+    prev_inv, _ = inv_psd(prev_info, jitter)
     pred_cov = Gamma + F @ prev_inv @ F.T
-    out, _ = _inv_psd(pred_cov, jitter)
+    out, _ = inv_psd(pred_cov, jitter)
     return 0.5 * (out + out.T)

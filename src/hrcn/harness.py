@@ -15,8 +15,8 @@ import numpy as np
 
 from .allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
                         adam_solve, baseline_random, baseline_uniform,
-                        bayesian_B, compute_kernels, lambda_diag,
-                        objective_g, throughput_r)
+                        bayesian_B, compute_kernels, crb_metric, lambda_diag,
+                        throughput_r)
 from .fusion import prior_information
 from .kinematics import process_noise_cov, transition_matrix
 from .scenario import MeasurementSchedule, Scenario, build_schedule
@@ -39,6 +39,41 @@ def rmse(errors: np.ndarray, lam: np.ndarray) -> float:
     return float(per_target.sum())
 
 
+def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
+                   allocate, jitter: float, init: Optional[TrackInit] = None):
+    """The planning recursion over the fusion grid.
+
+    For each interval k, every target's prior is predicted along the
+    noise-free truth trajectory, the interval is allocated with
+    z = allocate(k, priors), and the Bayesian information B(z) at the
+    predicted states seeds the next interval's priors.  Yields
+    (priors, z, b_mats) per interval.  When allocate returns None the chain
+    ends with (priors, None, None), before interval k's kernels are computed.
+    """
+    layout = AllocationLayout.from_scenario(scenario)
+    grid = scenario.grid
+    initc = init or TrackInit()
+    F = transition_matrix(grid.interval_length)
+    states = [t.initial_state for t in scenario.targets]
+    infos = [np.linalg.inv(np.diag(initc.cov_diag)) for _ in scenario.targets]
+    gammas = [process_noise_cov(grid.interval_length, t.process_noise_intensity)
+              for t in scenario.targets]
+    for k in range(grid.num_intervals):
+        states = [F @ s for s in states]
+        priors = [PlanningPrior(state=s,
+                                info=prior_information(b, F, gamma, jitter))
+                  for s, b, gamma in zip(states, infos, gammas)]
+        z = allocate(k, priors)
+        if z is None:
+            yield priors, None, None
+            return
+        kernels = compute_kernels(scenario, schedule, k,
+                                  [p.state for p in priors])
+        infos = bayesian_B(z, kernels, [p.info for p in priors], scenario,
+                           layout)
+        yield priors, z, infos
+
+
 def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
                      policy: str, config: Optional[AllocatorConfig] = None,
                      seed: int = 0, init: Optional[TrackInit] = None,
@@ -46,33 +81,18 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
                      ) -> tuple[list[np.ndarray], list[float], list[list[dict]]]:
     """Sequential per-interval allocation under one policy.
 
-    The planning recursion evaluates information kernels on the noise-free
-    truth trajectory and chains the Bayesian prior through the chosen
-    allocations.  Returns (allocations, per-interval metric values, traces).
+    The planning recursion (planning_chain) evaluates information kernels on
+    the noise-free truth trajectory and chains the Bayesian prior through the
+    chosen allocations.  Returns (allocations, per-interval metric values,
+    traces).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy '{policy}'")
     cfg = config or AllocatorConfig()
-    layout = AllocationLayout.from_scenario(scenario)
-    grid = scenario.grid
-    initc = init or TrackInit()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA110C]))
+    traces = []
 
-    states = [t.initial_state.copy() for t in scenario.targets]
-    infos = [np.linalg.inv(np.diag(initc.cov_diag))
-             for _ in scenario.targets]
-    gammas = [process_noise_cov(grid.interval_length, t.process_noise_intensity)
-              for t in scenario.targets]
-    F = transition_matrix(grid.interval_length)
-
-    allocations, g_values, traces = [], [], []
-    for k in range(grid.num_intervals):
-        priors = []
-        for q in range(scenario.n_targets):
-            states[q] = F @ states[q]
-            priors.append(PlanningPrior(
-                state=states[q].copy(),
-                info=prior_information(infos[q], F, gammas[q], cfg.jitter)))
+    def allocate(k, priors):
         if policy == "optimized":
             z, tr = adam_solve(scenario, schedule, k, priors, cfg)
         elif policy == "uniform":
@@ -81,14 +101,15 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
             z = baseline_random(scenario, schedule, k, rng,
                                 project_to_feasible=random_feasible)
             tr = []
-        kernels = compute_kernels(scenario, schedule, k,
-                                  [p.state for p in priors])
-        prior_infos = [p.info for p in priors]
-        g_values.append(objective_g(z, kernels, prior_infos, scenario, layout,
-                                    cfg.jitter))
-        infos = bayesian_B(z, kernels, prior_infos, scenario, layout)
-        allocations.append(z)
         traces.append(tr)
+        return z
+
+    allocations, g_values = [], []
+    for _, z, b_mats in planning_chain(scenario, schedule, allocate,
+                                       cfg.jitter, init):
+        allocations.append(z)
+        g_values.append(crb_metric(b_mats, scenario.grid.interval_length,
+                                   cfg.jitter))
     return allocations, g_values, traces
 
 

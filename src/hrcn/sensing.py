@@ -1,26 +1,12 @@
-"""Measurement-noise model as a function of allocated resources and comm
-interference, synthetic measurement generation, and the per-schedule-entry
-information kernels."""
-
-from dataclasses import dataclass
+"""The resource-independent factors of the measurement model: each radar's
+constant noise kernel and the per-schedule-entry information kernels.  The
+resource-dependent part of the noise (energy over interference plus noise)
+is allocator.info_scale."""
 
 import numpy as np
 
 from . import _kernels
-from .kinematics import measure
 from .scenario import RadarNode
-
-
-@dataclass
-class NoiseContext:
-    """Everything that sets the noise scale of one radar's measurements on
-    one target during one fusion interval."""
-
-    radar_power: float        # W, per-measurement transmit power
-    dwell: float              # s, per-measurement dwell time
-    comm_powers: np.ndarray   # (J,) W, downlink powers this interval
-    interference_gains: np.ndarray  # (J,) |alpha^c|^2 into this radar
-    noise_var: float          # W, radar receiver noise
 
 
 def const_kernel(radar: RadarNode, rcs: float) -> np.ndarray:
@@ -28,31 +14,6 @@ def const_kernel(radar: RadarNode, rcs: float) -> np.ndarray:
     covariance: [rcs * bandwidth^2 * c_R, rcs * beamwidth^2 * c_theta]."""
     return np.array([rcs * radar.bandwidth ** 2 * radar.range_const,
                      rcs * radar.beamwidth ** 2 * radar.bearing_const])
-
-
-def noise_scale(ctx: NoiseContext) -> float:
-    """(sum_j |alpha^c|^2 P_c^j + sigma_r^2) / (P * T): the factor relating
-    the constant kernel to the actual measurement covariance."""
-    energy = ctx.radar_power * ctx.dwell
-    if energy <= 0:
-        raise ValueError("radar energy P*T must be positive")
-    interference = float(ctx.interference_gains @ ctx.comm_powers)
-    return (interference + ctx.noise_var) / energy
-
-
-def meas_cov(ctx: NoiseContext, kernel: np.ndarray) -> np.ndarray:
-    """Diagonal of the 2x2 measurement covariance diag(sigma_R^2, sigma_th^2)."""
-    return noise_scale(ctx) * kernel
-
-
-def simulate_measurement(true_state: np.ndarray, radar_position,
-                         cov_diag: np.ndarray,
-                         rng: np.random.Generator) -> tuple[float, float]:
-    """Noisy (range, bearing) draw: the true measurement plus zero-mean
-    Gaussian noise with the given diagonal covariance."""
-    r, th = measure(true_state, radar_position)
-    noise = np.sqrt(cov_diag) * rng.standard_normal(2)
-    return r + float(noise[0]), th + float(noise[1])
 
 
 def info_kernel_D(radar_position, times: np.ndarray, t_fuse: float,

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .allocator import (AllocationLayout, bayesian_B, compute_kernels,
-                        interference_denominators, resource_product)
+                        info_scale)
 from .fusion import (CompositeMeasurement, FusionError, StackedMeasurements,
                      ils_mle, prior_information)
 from .kinematics import measure, process_noise_cov, transition_matrix
@@ -77,7 +77,7 @@ def _stack_interval(scenario: Scenario, schedule: MeasurementSchedule,
     noise_draws are pre-drawn standard normals, one pair per measurement in
     schedule order, so noise streams pair across allocation policies.
     """
-    denoms = interference_denominators(scenario, layout, z)
+    scale = info_scale(scenario, layout, z)[:, q]
     vals, times, rxy, cdiag, rid = [], [], [], [], []
     pos = 0
     for i, radar in enumerate(scenario.radars):
@@ -85,8 +85,7 @@ def _stack_interval(scenario: Scenario, schedule: MeasurementSchedule,
         if len(t_m) == 0:
             continue
         kern = const_kernel(radar, scenario.targets[q].rcs[i])
-        energy = resource_product(scenario, layout, z, i, q)
-        cov = denoms[i] / energy * kern if energy > 0 else None
+        cov = kern / scale[i] if scale[i] > 0 else None
         for t in t_m:
             draws = noise_draws[pos]
             pos += 1

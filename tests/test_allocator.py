@@ -51,10 +51,25 @@ class TestLayout:
         assert layout.dim == (3 + 2) * 2 + 3 == 13
 
     def test_index_blocks_disjoint_and_complete(self, scenario, layout):
-        idx = ([layout.p_index(i, q) for i in layout.mmr for q in range(2)]
-               + [layout.t_index(i, q) for i in layout.par for q in range(2)]
-               + [layout.c_index(j) for j in range(3)])
+        idx = ([layout.var[i, q] for i in layout.mmr for q in range(2)]
+               + [layout.var[i, q] for i in layout.par for q in range(2)]
+               + [layout.n_radar_vars + j for j in range(3)])
         assert sorted(idx) == list(range(layout.dim))
+        assert np.all(layout.var[scenario.msr_indices] == -1)
+
+    def test_energies_match_per_kind_formula(self, scenario, layout):
+        z = np.random.default_rng(1).uniform(0.5, 2.0, layout.dim)
+        E = layout.energies(z)
+        assert scenario.mmr_indices and scenario.par_indices
+        assert scenario.msr_indices
+        for i, node in enumerate(scenario.radars):
+            for q in range(scenario.n_targets):
+                if i in scenario.mmr_indices:
+                    assert E[i, q] == z[layout.var[i, q]] * node.fixed_dwell
+                elif i in scenario.par_indices:
+                    assert E[i, q] == node.fixed_power * z[layout.var[i, q]]
+                else:
+                    assert E[i, q] == node.fixed_power * node.fixed_dwell
 
 
 class TestObjectiveG:
@@ -73,7 +88,7 @@ class TestObjectiveG:
         prior_infos = [p.info for p in priors]
         g1 = objective_g(z, kernels, prior_infos, scenario, layout)
         z2 = z.copy()
-        z2[:layout.c_index(0)] *= 1.5
+        z2[:layout.n_radar_vars] *= 1.5
         g2 = objective_g(z2, kernels, prior_infos, scenario, layout)
         assert g2 > g1
 
@@ -90,7 +105,7 @@ class TestBayesianB:
         sc = make_mini_scenario()
         lay = AllocationLayout.from_scenario(sc)
         z = np.zeros(lay.dim)
-        z[lay.c_index(0)] = 5.0
+        z[lay.n_radar_vars] = 5.0
         kern = random_psd_kernels(np.random.default_rng(4), 1, 1)
         (B,) = bayesian_B(z, kern, [self.PRIOR], sc, lay)
         np.testing.assert_array_equal(B, self.PRIOR)
@@ -101,15 +116,18 @@ class TestBayesianB:
         rng = np.random.default_rng(5)
         kern = random_psd_kernels(rng, scenario.n_targets, scenario.n_radars)
         z = rng.uniform(0.5, 2.0, layout.dim)
-        pc = z[layout.c_index(0):]
+        # documented block order: MMR powers, PAR dwells (radar-major,
+        # target-minor), then the downlink powers
+        mmr, par, q_n = scenario.mmr_indices, scenario.par_indices, 2
+        pc = z[(len(mmr) + len(par)) * q_n:]
         priors = [self.PRIOR] * 2
         for q, B in enumerate(bayesian_B(z, kern, priors, scenario, layout)):
             expected = self.PRIOR.copy()
             for i, node in enumerate(scenario.radars):
-                if i in layout.mmr:
-                    pt = z[layout.p_index(i, q)] * node.fixed_dwell
-                elif i in layout.par:
-                    pt = node.fixed_power * z[layout.t_index(i, q)]
+                if i in mmr:
+                    pt = z[mmr.index(i) * q_n + q] * node.fixed_dwell
+                elif i in par:
+                    pt = node.fixed_power * z[(len(mmr) + par.index(i)) * q_n + q]
                 else:
                     pt = node.fixed_power * node.fixed_dwell
                 denom = scenario.comm.alpha_c_sq[i] @ pc + node.noise_var
@@ -121,7 +139,7 @@ class TestBayesianB:
         sc = make_mini_scenario(fixed_dwell=0.5)
         lay = AllocationLayout.from_scenario(sc)
         z = np.zeros(lay.dim)
-        z[lay.p_index(0, 0)] = 1.0
+        z[lay.var[0, 0]] = 1.0
         D = np.diag([3.0, 0.0, 3.0, 0.0])[None, None]
         (B,) = bayesian_B(z, D, [2.0 * np.eye(4)], sc, lay)
         np.testing.assert_allclose(np.diag(B), [3.5, 2.0, 3.5, 2.0])
@@ -131,7 +149,7 @@ class TestBayesianB:
         kern = random_psd_kernels(rng, scenario.n_targets, scenario.n_radars)
         z = rng.uniform(0.5, 2.0, layout.dim)
         z2 = z.copy()
-        z2[:layout.c_index(0)] *= 1.5
+        z2[:layout.n_radar_vars] *= 1.5
         priors = [self.PRIOR] * 2
         for B1, B2 in zip(bayesian_B(z, kern, priors, scenario, layout),
                           bayesian_B(z2, kern, priors, scenario, layout)):
@@ -156,7 +174,7 @@ class TestBayesianB:
 class TestThroughput:
     def test_zero_comm_power(self, scenario, schedule, layout):
         z = baseline_uniform(scenario, schedule, 0)
-        z[layout.c_index(0):] = 0.0
+        z[layout.n_radar_vars:] = 0.0
         assert throughput_r(0, z, scenario, layout,
                             schedule.counts[:, :, 0]) == 0.0
 
@@ -165,7 +183,7 @@ class TestThroughput:
         sch = build_schedule(sc)  # no radar measurements
         lay = AllocationLayout.from_scenario(sc)
         z = np.zeros(lay.dim)
-        z[lay.c_index(0)] = 0.1  # P_c T0 / (sigma_c^2 T0) = 1
+        z[lay.n_radar_vars] = 0.1  # P_c T0 / (sigma_c^2 T0) = 1
         assert throughput_r(0, z, sc, lay,
                             sch.counts[:, :, 0]) == pytest.approx(np.log(2.0))
 
@@ -178,8 +196,8 @@ class TestThroughput:
         assert sch.counts[0, 0, 0] == 2
         lay = AllocationLayout.from_scenario(sc)
         z = np.zeros(lay.dim)
-        z[lay.p_index(0, 0)] = 2.0   # P*T = 2 * fixed_dwell = 4
-        z[lay.c_index(0)] = 8.0
+        z[lay.var[0, 0]] = 2.0   # P*T = 2 * fixed_dwell = 4
+        z[lay.n_radar_vars] = 8.0
         expected = np.log(1 + 8.0 / (2 * 0.5 * 4 + 1))
         assert throughput_r(0, z, sc, lay,
                             sch.counts[:, :, 0]) == pytest.approx(expected)
@@ -203,7 +221,7 @@ class TestAssembleConstraints:
             zz = z.copy()
             # solve the row for the comm power that makes it tight
             a = A[j].copy()
-            cj = layout.c_index(j)
+            cj = layout.n_radar_vars + j
             coeff = a[cj]
             a[cj] = 0.0
             zz[cj] = (b[j] - a @ zz) / coeff
@@ -216,13 +234,13 @@ class TestAssembleConstraints:
         for row, i in enumerate(layout.mmr, start=scenario.comm.num_links):
             assert b[row] == scenario.radars[i].power_budget
             for q in range(scenario.n_targets):
-                assert A[row, layout.p_index(i, q)] == counts[i, q]
+                assert A[row, layout.var[i, q]] == counts[i, q]
 
     def test_bs_budget_row(self, scenario, schedule, layout):
         A, b, labels = assemble_constraints(scenario, schedule, 0)
         assert labels[-1] == "bs_power_budget"
         assert b[-1] == scenario.comm.power_budget
-        np.testing.assert_array_equal(A[-1, layout.c_index(0):], 1.0)
+        np.testing.assert_array_equal(A[-1, layout.n_radar_vars:], 1.0)
 
 
 class TestInnerVUpdate:
@@ -363,13 +381,13 @@ class TestBaselines:
         for i in layout.mmr:
             expected = scenario.radars[i].power_budget / counts[i].sum()
             for q in range(scenario.n_targets):
-                assert z[layout.p_index(i, q)] == pytest.approx(expected)
+                assert z[layout.var[i, q]] == pytest.approx(expected)
         for i in layout.par:
             expected = scenario.radars[i].time_budget / counts[i].sum()
             for q in range(scenario.n_targets):
-                assert z[layout.t_index(i, q)] == pytest.approx(expected)
+                assert z[layout.var[i, q]] == pytest.approx(expected)
         np.testing.assert_allclose(
-            z[layout.c_index(0):],
+            z[layout.n_radar_vars:],
             scenario.comm.power_budget / scenario.comm.num_links)
 
     def test_uniform_empty_schedule_zero_radar_block(self):
@@ -377,7 +395,7 @@ class TestBaselines:
         sch = build_schedule(sc)
         lay = AllocationLayout.from_scenario(sc)
         z = baseline_uniform(sc, sch, 0)
-        np.testing.assert_array_equal(z[:lay.c_index(0)], 0.0)
+        np.testing.assert_array_equal(z[:lay.n_radar_vars], 0.0)
 
     def test_random_deterministic_and_feasible(self, scenario, schedule):
         z1 = baseline_random(scenario, schedule, 0, np.random.default_rng(9))
@@ -441,7 +459,7 @@ class TestAdamSolve:
 class TestInterferenceDenominators:
     def test_hand_value(self, scenario, layout):
         z = np.zeros(layout.dim)
-        z[layout.c_index(0):] = [1.0, 2.0, 3.0]
+        z[layout.n_radar_vars:] = [1.0, 2.0, 3.0]
         denoms = interference_denominators(scenario, layout, z)
         expected = (scenario.comm.alpha_c_sq @ np.array([1.0, 2.0, 3.0])
                     + np.array([r.noise_var for r in scenario.radars]))
