@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .fusion import inv_psd
 from .scenario import MeasurementSchedule, RadarKind, Scenario
@@ -300,36 +300,6 @@ class ProjectionResult:
     multipliers: np.ndarray    # KKT multipliers of the stacked rows
 
 
-def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Lawson-Hanson active-set solution of min ||E x - f|| s.t. x >= 0."""
-    m = E.shape[1]
-    x = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
-    w_tol = 1e-11 * max(1.0, float(np.abs(E).max()) * float(np.abs(f).max()))
-    for _ in range(3 * m + 10):
-        w = E.T @ (f - E @ x)
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if not np.isfinite(w[j]) or w[j] <= w_tol:
-            break
-        passive[j] = True
-        for _ in range(3 * m + 10):
-            idx = np.flatnonzero(passive)
-            s = np.zeros(m)
-            sol, *_ = np.linalg.lstsq(E[:, idx], f, rcond=None)
-            s[idx] = sol
-            if np.all(s[idx] > 0):
-                x = s
-                break
-            bad = idx[s[idx] <= 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alpha = np.min(x[bad] / (x[bad] - s[bad]))
-            x = x + alpha * (s - x)
-            passive &= x > 1e-14
-            x[~passive] = 0.0
-    return x
-
-
 def _certify_infeasible(A: np.ndarray, b: np.ndarray) -> Optional[str]:
     res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
                   bounds=[(0, None)] * A.shape[1], method="highs")
@@ -339,13 +309,15 @@ def _certify_infeasible(A: np.ndarray, b: np.ndarray) -> Optional[str]:
 
 
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
-            tol: float = 1e-12, _depth: int = 0) -> ProjectionResult:
+            tol: float = 1e-12) -> ProjectionResult:
     """Euclidean projection onto {z : A z <= b, z >= 0}.
 
     Solved as a least-distance program reduced to nonnegative least squares
-    (the classical Lawson-Hanson construction), followed by an exact
+    (the classical Lawson-Hanson construction), which scipy.optimize.nnls
+    solves by Lawson and Hanson's active-set method, followed by an exact
     equality-constrained polish on the active rows.  Raises InfeasibleError
-    with an LP certificate when the polyhedron is empty.
+    with an LP certificate when the polyhedron is empty, and RuntimeError
+    when the NNLS hits its iteration limit or the result is infeasible.
     """
     z_raw = np.asarray(z_raw, dtype=float)
     dim = z_raw.size
@@ -369,7 +341,10 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     E = np.vstack([Gn.T, vn[None, :]])
     f = np.zeros(dim + 1)
     f[-1] = 1.0
-    u = _nnls(E, f)
+    try:
+        u, _ = nnls(E, f)
+    except RuntimeError as exc:
+        raise RuntimeError(f"projection failed to converge: NNLS {exc}") from exc
     r = E @ u - f
     if abs(r[-1]) <= 1e-12:
         cert = _certify_infeasible(A, b)
@@ -387,15 +362,13 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
         z_pol = z_raw - Ga.T @ mult
         if np.max(G @ z_pol - h) <= 1e-9 * scale:
             z = z_pol
+            # active nonnegativity rows hold their coordinate at exactly 0
+            z[active[active >= A.shape[0]] - A.shape[0]] = 0.0
     viol = np.max(G @ z - h)
     if viol > 1e-8 * scale:
         cert = _certify_infeasible(A, b)
         if cert is not None:
             raise InfeasibleError(f"empty polyhedron: {cert}")
-        if _depth < 4:
-            # distant inputs lose accuracy in the back-substitution; the
-            # approximate result is far closer, so refine from there
-            return project(z, A, b, tol, _depth + 1)
         raise RuntimeError(f"projection failed to converge (violation {viol:.3e})")
     full = np.zeros(m)
     if active.size and mult.size == active.size:

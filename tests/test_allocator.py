@@ -4,6 +4,7 @@ fractional rewrite, projection, baselines, and the alternating solver."""
 import numpy as np
 import pytest
 
+from hrcn import allocator
 from hrcn.allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
                             adam_solve, assemble_constraints,
                             assemble_fractional, baseline_random,
@@ -12,10 +13,12 @@ from hrcn.allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
                             interference_denominators, lambda_diag,
                             objective_g, project, throughput_r)
 from hrcn.fusion import prior_information
+from hrcn.harness import plan_allocations
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
 
 from conftest import make_mini_scenario
+from test_acceptance import _projection_oracle
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +375,57 @@ class TestProject:
         # x <= -1 with x >= 0 is empty
         with pytest.raises(InfeasibleError, match="empty polyhedron"):
             project(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+
+    def test_barely_infeasible_inputs_feasible_and_match_oracle(self):
+        # a projected point pushed ~1e-10 off the polyhedron: the reduction's
+        # right-hand side is tiny, so an NNLS that stops early leaves a
+        # violation that the 1e-8 convergence check lets through
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            dim, n_rows = int(rng.integers(3, 14)), int(rng.integers(2, 9))
+            A = rng.uniform(0.0, 1.0, (n_rows, dim))
+            b = rng.uniform(0.5, 2.0, n_rows)
+            G = np.vstack([A, -np.eye(dim)])
+            h = np.concatenate([b, np.zeros(dim)])
+            z_star = project(rng.normal(0, 2, dim), A, b).z
+            z0 = z_star + 1e-10 * rng.normal(size=dim)
+            z = project(z0, A, b).z
+            assert np.max(G @ z - h) <= 1e-12 * np.abs(h).max()
+            # the answer's active rows are among those active at z_star; the
+            # exhaustive search over their subsets costs 2^rows, so it runs
+            # only where at most 9 are (217 of the 300 draws)
+            near = np.flatnonzero(np.abs(G @ z_star - h) <= 1e-6)
+            if near.size <= 9:
+                oracle = _projection_oracle(z0, G[near], h[near])
+                assert oracle is not None
+                assert np.all(G @ oracle <= h + 1e-9)
+                np.testing.assert_allclose(z, oracle, atol=1e-8)
+
+    def test_optimized_plan_has_no_near_zero_entries(self, scenario, schedule):
+        # coordinates held by an active nonnegativity row are exactly 0
+        allocs, _, _ = plan_allocations(scenario, schedule, "optimized")
+        for z in allocs:
+            assert not np.any((z > 0) & (z < 1e-6 * z.max()))
+
+    def test_unconverged_result_raises(self, monkeypatch):
+        # an NNLS answer of all zeros leaves the input where it was
+        monkeypatch.setattr(allocator, "nnls",
+                            lambda E, f: (np.zeros(E.shape[1]), 1.0))
+        with pytest.raises(RuntimeError,
+                           match="projection failed to converge \\(violation"):
+            project(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
+                    np.array([1.0]))
+
+    def test_nnls_iteration_limit_raises(self, monkeypatch):
+        def stalled(E, f):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(allocator, "nnls", stalled)
+        with pytest.raises(RuntimeError, match="projection failed to converge: "
+                           "NNLS Maximum number of iterations") as info:
+            project(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
+                    np.array([1.0]))
+        assert "Maximum number" in str(info.value.__cause__)
 
 
 class TestBaselines:
