@@ -297,7 +297,6 @@ def grad_f(fp: FractionalProgram, z: np.ndarray) -> np.ndarray:
 class ProjectionResult:
     z: np.ndarray
     active: list[int]          # indices into the stacked rows [A; -I]
-    multipliers: np.ndarray    # KKT multipliers of the stacked rows
 
 
 def _certify_infeasible(A: np.ndarray, b: np.ndarray) -> Optional[str]:
@@ -308,8 +307,30 @@ def _certify_infeasible(A: np.ndarray, b: np.ndarray) -> Optional[str]:
     return None
 
 
+def _polish(z_raw: np.ndarray, G: np.ndarray, h: np.ndarray,
+            rows: np.ndarray, n_a: int, bound: float):
+    """Exact projection of z_raw onto the affine set {G_S z = h_S} of the
+    given rows S of [A; -I] (n_a rows of A on top).
+
+    Returns (z, mult, slack) with z = z_raw - G_S^T mult, the multipliers
+    mult of S and slack = G z - h taken before coordinates whose
+    nonnegativity row is in S are set to exactly 0; None when z leaves the
+    polyhedron by more than bound.
+    """
+    Ga = G[rows]
+    resid = Ga @ z_raw - h[rows]
+    mult, *_ = np.linalg.lstsq(Ga @ Ga.T, resid, rcond=None)
+    z = z_raw - Ga.T @ mult
+    slack = G @ z - h
+    if np.max(slack) > bound:
+        return None
+    z[rows[rows >= n_a] - n_a] = 0.0
+    return z, mult, slack
+
+
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
-            tol: float = 1e-12) -> ProjectionResult:
+            tol: float = 1e-12,
+            warm: Optional[list[int]] = None) -> ProjectionResult:
     """Euclidean projection onto {z : A z <= b, z >= 0}.
 
     Solved as a least-distance program reduced to nonnegative least squares
@@ -318,19 +339,35 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     equality-constrained polish on the active rows.  Raises InfeasibleError
     with an LP certificate when the polyhedron is empty, and RuntimeError
     when the NNLS hits its iteration limit or the result is infeasible.
+
+    warm, optional, is a guessed active set (row indices into [A; -I]), such
+    as the ``active`` of a projection of a nearby point onto the same
+    polyhedron.  The polish on those rows is returned without an NNLS when
+    it meets the KKT conditions: it stays in the polyhedron, its multipliers
+    are nonnegative and every warm row is tight.  Otherwise the NNLS runs as
+    without warm.
     """
     z_raw = np.asarray(z_raw, dtype=float)
     dim = z_raw.size
     G = np.vstack([A, -np.eye(dim)])
     h = np.concatenate([b, np.zeros(dim)])
-    m = G.shape[0]
+    n_a = A.shape[0]
 
     v = G @ z_raw - h
     if np.all(v <= tol * max(1.0, np.abs(h).max())):
-        # already feasible: return unchanged with an exact-zero dual
-        return ProjectionResult(z=z_raw.copy(), active=[],
-                                multipliers=np.zeros(m))
+        # already feasible: returned unchanged
+        return ProjectionResult(z=z_raw.copy(), active=[])
     scale = max(1.0, np.abs(v).max())
+    bound = 1e-9 * scale
+
+    if warm:
+        rows = np.unique(np.asarray(warm, dtype=int))
+        hit = _polish(z_raw, G, h, rows, n_a, bound)
+        # KKT: inside the polyhedron, nonnegative multipliers, every warm row
+        # tight (a slack nonnegativity row would have its coordinate zeroed)
+        if (hit is not None and np.all(hit[1] >= 0)
+                and np.all(np.abs(hit[2][rows]) <= bound)):
+            return ProjectionResult(z=hit[0], active=list(rows))
 
     # min ||y|| s.t. G y >= v with y = z_raw - z, via NNLS on [G^T; v^T];
     # rows normalized so mixed budget/bound scales stay well conditioned
@@ -354,26 +391,17 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
 
     # polish: exact projection onto the affine hull of the NNLS support
     active = np.flatnonzero(u > 0)
-    mult = np.zeros(0)
     if active.size:
-        Ga = G[active]
-        resid = Ga @ z_raw - h[active]
-        mult, *_ = np.linalg.lstsq(Ga @ Ga.T, resid, rcond=None)
-        z_pol = z_raw - Ga.T @ mult
-        if np.max(G @ z_pol - h) <= 1e-9 * scale:
-            z = z_pol
-            # active nonnegativity rows hold their coordinate at exactly 0
-            z[active[active >= A.shape[0]] - A.shape[0]] = 0.0
+        hit = _polish(z_raw, G, h, active, n_a, bound)
+        if hit is not None:
+            z = hit[0]
     viol = np.max(G @ z - h)
     if viol > 1e-8 * scale:
         cert = _certify_infeasible(A, b)
         if cert is not None:
             raise InfeasibleError(f"empty polyhedron: {cert}")
         raise RuntimeError(f"projection failed to converge (violation {viol:.3e})")
-    full = np.zeros(m)
-    if active.size and mult.size == active.size:
-        full[active] = mult
-    return ProjectionResult(z=z, active=list(active), multipliers=full)
+    return ProjectionResult(z=z, active=list(active))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +537,15 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
     g_cur = objective_g(z, kernels, prior_infos, scenario, layout, cfg.jitter)
     best_g, best_z, best_it = g_cur, z.copy(), -1
     trace: list[dict] = []
+    last: list[int] = []
+
+    def probe(eta: float) -> ProjectionResult:
+        # line-search probes share A_u and b, so each starts from the active
+        # set of the one before; the module-level name keeps project patchable
+        nonlocal last
+        res = project(u + eta * direction, A_u, b, warm=last)
+        last = res.active
+        return res
 
     for it in range(cfg.max_outer):
         b_mats = bayesian_B(z, kernels, prior_infos, scenario, layout)
@@ -526,34 +563,32 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
         # decreases f, then grow while it keeps improving (budget-clamped
         # coordinates stall the nominal step otherwise)
         eta = cfg.step_size
-        proj = project(u + eta * direction, A_u, b)
-        cand = proj.z
-        f_cand = f_value(fp, precond * cand)
+        proj = probe(eta)
+        f_cand = f_value(fp, precond * proj.z)
         if f_cand < f_cur:
             for _ in range(cfg.max_halvings):
                 eta *= 0.5
-                proj = project(u + eta * direction, A_u, b)
-                cand = proj.z
-                f_cand = f_value(fp, precond * cand)
+                proj = probe(eta)
+                f_cand = f_value(fp, precond * proj.z)
                 if f_cand >= f_cur:
                     break
         else:
             for _ in range(min(cfg.max_halvings, 12)):
-                trial = project(u + 2.0 * eta * direction, A_u, b)
+                trial = probe(2.0 * eta)
                 f_trial = f_value(fp, precond * trial.z)
                 if f_trial <= f_cand:
                     break
                 eta *= 2.0
-                proj, cand, f_cand = trial, trial.z, f_trial
+                proj, f_cand = trial, f_trial
 
-        step_norm = float(np.linalg.norm(cand - u))
-        u = cand
+        step_norm = float(np.linalg.norm(proj.z - u))
+        u = proj.z
         z = precond * u
         f_new = f_value(fp, z)
         g_cur = objective_g(z, kernels, prior_infos, scenario, layout, cfg.jitter)
         trace.append({"iteration": it, "f": f_new, "g": g_cur,
                       "step_norm": step_norm,
-                      "active": [labels[a] for a in (proj.active if proj else [])
+                      "active": [labels[a] for a in proj.active
                                  if a < len(labels)]})
         if g_cur > best_g * (1.0 + 1e-10):
             best_g, best_z, best_it = g_cur, z.copy(), it

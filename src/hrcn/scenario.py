@@ -263,7 +263,10 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario YAML file."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser where installed; the constructor and resolver
+            # are SafeLoader's either way, so the document is the same
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ScenarioError(f"parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -45,6 +45,18 @@ def kernels(scenario, schedule, priors):
     return compute_kernels(scenario, schedule, 0, [p.state for p in priors])
 
 
+def count_nnls_calls(monkeypatch) -> list:
+    """Route allocator.nnls through a counter; returns the one-item count."""
+    calls, nnls = [0], allocator.nnls
+
+    def counted(E, f):
+        calls[0] += 1
+        return nnls(E, f)
+
+    monkeypatch.setattr(allocator, "nnls", counted)
+    return calls
+
+
 def random_feasible_z(scenario, schedule, rng, k=0):
     return baseline_random(scenario, schedule, k, rng)
 
@@ -401,6 +413,55 @@ class TestProject:
                 assert np.all(G @ oracle <= h + 1e-9)
                 np.testing.assert_allclose(z, oracle, atol=1e-8)
 
+    def test_warm_start_matches_cold_projection(self, monkeypatch):
+        # a warm polish is returned only with a KKT certificate, so any
+        # guessed active set gives the cold answer: bitwise from the cold
+        # call's own set, to rounding from a wrong one
+        nnls_calls = count_nnls_calls(monkeypatch)
+        rng = np.random.default_rng(8)
+        infeasible, own_hits = 0, 0
+        for _ in range(300):
+            dim, n_rows = int(rng.integers(3, 14)), int(rng.integers(2, 9))
+            A = rng.uniform(0.0, 1.0, (n_rows, dim))
+            b = rng.uniform(0.5, 2.0, n_rows)
+            x = rng.normal(0, 2, dim)
+            cold = project(x, A, b)
+            before = nnls_calls[0]
+            warm = project(x, A, b, warm=cold.active)
+            np.testing.assert_array_equal(warm.z, cold.z)
+            assert warm.active == cold.active
+            if cold.active:
+                infeasible += 1
+                own_hits += nnls_calls[0] == before
+            nearby = project(x + 0.1 * rng.normal(size=dim), A, b).active
+            subset = list(np.flatnonzero(rng.random(n_rows + dim) < 0.5))
+            for guess in ([], list(range(n_rows + dim)), subset, nearby):
+                np.testing.assert_allclose(project(x, A, b, warm=guess).z,
+                                           cold.z, rtol=0, atol=1e-12)
+        assert own_hits >= 0.9 * infeasible > 0
+
+    def test_uncertified_warm_set_falls_back_to_nnls(self, monkeypatch):
+        # x + y <= 1 from (2, -1): the projection (1, 0) has the rows
+        # x + y <= 1 and y >= 0 active, indices 0 and 2 of [A; -I]
+        A, b, x = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([2.0, -1.0])
+        cold = project(x, A, b)
+        np.testing.assert_allclose(cold.z, [1.0, 0.0], atol=1e-12)
+        nnls_calls = count_nnls_calls(monkeypatch)
+        # the right set is certified without an NNLS call
+        np.testing.assert_array_equal(project(x, A, b, warm=[0, 2]).z, cold.z)
+        assert nnls_calls[0] == 0
+        # {x + y = 1, x = 0} gives the feasible (0, 1) with a negative
+        # multiplier; {y = 0} alone gives (2, 0), outside the polyhedron
+        for guess in ([0, 1], [2]):
+            np.testing.assert_array_equal(project(x, A, b, warm=guess).z, cold.z)
+        assert nnls_calls[0] == 2
+        # the unit box from (0.5, 2): x <= 1 and x >= 0 cannot both be tight,
+        # and taking them as tight would zero x; the answer is (0.5, 1)
+        box, ones, x = np.eye(2), np.ones(2), np.array([0.5, 2.0])
+        np.testing.assert_array_equal(project(x, box, ones, warm=[0, 1, 2]).z,
+                                      [0.5, 1.0])
+        assert nnls_calls[0] == 3
+
     def test_optimized_plan_has_no_near_zero_entries(self, scenario, schedule):
         # coordinates held by an active nonnegativity row are exactly 0
         allocs, _, _ = plan_allocations(scenario, schedule, "optimized")
@@ -508,6 +569,30 @@ class TestAdamSolve:
         A, b, _ = assemble_constraints(scenario, schedule, 0)
         assert np.all(A @ z <= b + 1e-9)
         assert np.all(z >= 0)
+
+    def test_warm_start_leaves_plan_and_trace_unchanged(self, scenario,
+                                                        schedule, monkeypatch):
+        z_warm, _, tr_warm = plan_allocations(scenario, schedule, "optimized")
+        project = allocator.project
+        monkeypatch.setattr(allocator, "project",
+                            lambda z, A, b, warm=None: project(z, A, b))
+        z_cold, _, tr_cold = plan_allocations(scenario, schedule, "optimized")
+        for zw, zc in zip(z_warm, z_cold, strict=True):
+            np.testing.assert_array_equal(zw, zc)
+        assert tr_warm == tr_cold
+
+    def test_line_search_projections_mostly_skip_nnls(self, scenario, schedule,
+                                                      monkeypatch):
+        nnls_calls = count_nnls_calls(monkeypatch)
+        project, projections = allocator.project, [0]
+
+        def counted(*args, **kwargs):
+            projections[0] += 1
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(allocator, "project", counted)
+        plan_allocations(scenario, schedule, "optimized")
+        assert 3 * nnls_calls[0] < projections[0]
 
 
 class TestInterferenceDenominators:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hrcn.harness import scenario_fingerprint
 from hrcn.scenario import (ScenarioError, build_schedule,
                            default_scenario_path, load_scenario)
 
@@ -27,6 +28,13 @@ class TestLoadScenario:
         assert len(scenario.msr_indices) == 1
         assert scenario.comm.num_links == 3
         assert scenario.n_targets == 2
+
+    def test_pure_python_parser_gives_the_same_scenario(self, scenario,
+                                                        monkeypatch):
+        # the libyaml parser, where PyYAML has it, and the fallback agree
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        slow = load_scenario(default_scenario_path())
+        assert scenario_fingerprint(slow) == scenario_fingerprint(scenario)
 
     def test_zero_interval_length_rejected(self, tmp_path):
         def mutate(raw):
