@@ -137,12 +137,23 @@ def bayesian_B(z: np.ndarray, kernels: np.ndarray,
     return list(0.5 * (B + np.swapaxes(B, 1, 2)))
 
 
+def _weighted_crb(b_mats: list[np.ndarray], t0: float,
+                  jitter: float) -> list[float]:
+    """Per-target Tr(Lambda B^{-1} Lambda^T) of informations B^q."""
+    lam2 = lambda_diag(t0) ** 2
+    return [float(lam2 @ np.diag(inv_psd(B, jitter)[0])) for B in b_mats]
+
+
 def crb_metric(b_mats: list[np.ndarray], t0: float, jitter: float = 0.0) -> float:
     """Bayesian-CRB tracking metric of per-target informations B^q: sum over
     targets of 1 / Tr(Lambda B^{-1} Lambda^T).  Larger is better."""
-    lam2 = lambda_diag(t0) ** 2
-    return sum(1.0 / float(lam2 @ np.diag(inv_psd(B, jitter)[0]))
-               for B in b_mats)
+    return sum(1.0 / c for c in _weighted_crb(b_mats, t0, jitter))
+
+
+def root_bcrb(b_mats: list[np.ndarray], t0: float, jitter: float = 0.0) -> float:
+    """Sum over targets of sqrt(Tr(Lambda B^{-1} Lambda^T)): the bound that
+    the weighted tracking RMSE is scored against."""
+    return sum(float(np.sqrt(c)) for c in _weighted_crb(b_mats, t0, jitter))
 
 
 def objective_g(z: np.ndarray, kernels: np.ndarray,
@@ -478,7 +489,6 @@ class AllocatorConfig:
     step_size: float = 5e-2     # relative to per-coordinate budget scale
     obj_tol: float = 1e-6       # relative objective-difference stop
     max_outer: int = 500
-    proj_tol: float = 1e-9
     jitter: float = 1e-9
     max_halvings: int = 20
     patience: int = 25          # stop after this many iterations without a

@@ -110,10 +110,11 @@ def cmd_compare(args) -> int:
                                  seed=args.seed)
     outdir = args.out or _default_outdir()
     manifest, csv_path = save_result(result, outdir)
-    print(f"{'policy':<12}{'avg RMSE (m)':>14}")
+    print(f"{'policy':<12}{'avg RMSE (m)':>14}{'avg root-BCRB (m)':>19}")
     for name in args.policies:
         pol = result.policies[name]
-        print(f"{name:<12}{pol.avg_rmse:>14.4f}")
+        print(f"{name:<12}{pol.avg_rmse:>14.4f}"
+              f"{float(np.mean(pol.root_bcrb)):>19.4f}")
     print(f"results written to {manifest} and {csv_path}")
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 from .allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
                         adam_solve, baseline_random, baseline_uniform,
                         bayesian_B, compute_kernels, crb_metric, lambda_diag,
-                        throughput_r)
+                        root_bcrb, throughput_r)
 from .fusion import prior_information
 from .kinematics import process_noise_cov, transition_matrix
 from .scenario import MeasurementSchedule, Scenario, build_schedule
@@ -77,14 +77,16 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
 def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
                      policy: str, config: Optional[AllocatorConfig] = None,
                      seed: int = 0, init: Optional[TrackInit] = None,
-                     random_feasible: bool = True
+                     random_feasible: bool = True,
+                     bounds: Optional[list] = None
                      ) -> tuple[list[np.ndarray], list[float], list[list[dict]]]:
     """Sequential per-interval allocation under one policy.
 
     The planning recursion (planning_chain) evaluates information kernels on
     the noise-free truth trajectory and chains the Bayesian prior through the
     chosen allocations.  Returns (allocations, per-interval metric values,
-    traces).
+    traces); when a list is passed as bounds, each interval's root_bcrb of
+    the chain's information is appended to it.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy '{policy}'")
@@ -104,12 +106,14 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
         traces.append(tr)
         return z
 
+    t0 = scenario.grid.interval_length
     allocations, g_values = [], []
     for _, z, b_mats in planning_chain(scenario, schedule, allocate,
                                        cfg.jitter, init):
         allocations.append(z)
-        g_values.append(crb_metric(b_mats, scenario.grid.interval_length,
-                                   cfg.jitter))
+        g_values.append(crb_metric(b_mats, t0, cfg.jitter))
+        if bounds is not None:
+            bounds.append(root_bcrb(b_mats, t0, cfg.jitter))
     return allocations, g_values, traces
 
 
@@ -118,6 +122,7 @@ class PolicyResult:
     policy: str
     g_values: list            # per interval
     rmse_per_interval: list
+    root_bcrb: list           # per interval, the planning chain's bound
     avg_rmse: float
     throughput: list          # (K, J) achieved nats at the planned allocation
     allocations: list         # (K, dim)
@@ -199,9 +204,10 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
         seed=seed, n_trials=n_trials, policies={})
 
     for policy in policies:
+        bounds: list = []
         allocations, g_values, traces = plan_allocations(
             scenario, schedule, policy, cfg, seed, initc,
-            random_feasible=random_feasible)
+            random_feasible=random_feasible, bounds=bounds)
         errors = np.zeros((n_trials, grid.num_intervals,
                            scenario.n_targets, 4))
         for t in range(n_trials):
@@ -218,6 +224,7 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
             policy=policy,
             g_values=[float(g) for g in g_values],
             rmse_per_interval=[float(r) for r in rmse_k],
+            root_bcrb=bounds,
             avg_rmse=float(np.mean(rmse_k)),
             throughput=thr,
             allocations=[list(map(float, z)) for z in allocations],
@@ -239,14 +246,17 @@ def save_result(result: ExperimentResult, outdir: str) -> tuple[str, str]:
     csv_path = os.path.join(outdir, "results.csv")
     n_links = max(len(p.throughput[0]) if p.throughput else 0
                   for p in result.policies.values())
-    header = (["run_id", "policy", "k", "g_value", "rmse"]
+    header = (["run_id", "policy", "k", "g_value", "rmse", "root_bcrb"]
               + [f"throughput_j{j + 1}" for j in range(n_links)])
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for name, pol in sorted(result.policies.items()):
-            for k, (g, r) in enumerate(zip(pol.g_values, pol.rmse_per_interval)):
-                writer.writerow([result.run_id, name, k, repr(g), repr(r)]
+            for k, (g, r, b) in enumerate(zip(pol.g_values,
+                                              pol.rmse_per_interval,
+                                              pol.root_bcrb)):
+                writer.writerow([result.run_id, name, k, repr(g), repr(r),
+                                 repr(b)]
                                 + [repr(x) for x in pol.throughput[k]])
     return manifest, csv_path
 

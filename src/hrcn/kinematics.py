@@ -6,6 +6,8 @@ flat 2-D plane.
 
 import numpy as np
 
+from . import _kernels
+
 
 def transition_matrix(dt: float) -> np.ndarray:
     """4x4 constant-velocity transition matrix for a time step dt.
@@ -38,35 +40,38 @@ def process_noise_cov(dt: float, intensity: float) -> np.ndarray:
     return G
 
 
-def measure(state: np.ndarray, radar_position) -> tuple[float, float]:
+def measure(state: np.ndarray, radar_position):
     """Range and bearing of a state as seen from a radar position.
 
-    Bearing uses the four-quadrant convention (atan2 of dy, dx), so the
-    measurement is well defined everywhere except at the radar itself.
+    One state (4,) gives a (range, bearing) pair of floats; stacked states
+    (M, 4) with positions (M, 2) give two (M,) arrays.  Bearing uses the
+    four-quadrant convention (atan2 of dy, dx), so the measurement is well
+    defined everywhere except at the radar itself.
     """
-    dx = state[0] - radar_position[0]
-    dy = state[2] - radar_position[1]
-    r = float(np.hypot(dx, dy))
-    if r == 0.0:
+    state = np.asarray(state, dtype=float)
+    radar_position = np.asarray(radar_position, dtype=float)
+    dx = state[..., 0] - radar_position[..., 0]
+    dy = state[..., 2] - radar_position[..., 1]
+    r = np.hypot(dx, dy)
+    if np.any(r == 0.0):
         raise ValueError("target coincides with radar position; bearing undefined")
-    return r, float(np.arctan2(dy, dx))
+    th = np.arctan2(dy, dx)
+    if r.ndim == 0:
+        return float(r), float(th)
+    return r, th
 
 
 def measurement_jacobian(state: np.ndarray, radar_position) -> np.ndarray:
-    """2x4 Jacobian of (range, bearing) with respect to the state.
+    """2x4 Jacobian of (range, bearing) with respect to the state: the
+    zero-lag case of the fusion's chained Jacobian.
 
     Velocity columns are exactly zero; the measurement depends on position
     only.
     """
-    dx = state[0] - radar_position[0]
-    dy = state[2] - radar_position[1]
-    r2 = dx * dx + dy * dy
-    if r2 == 0.0:
+    radar_xy = np.asarray(radar_position, dtype=float).reshape(1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H, r, _ = _kernels._chain_jacobian(np.asarray(state, dtype=float),
+                                           np.zeros(1), radar_xy)
+    if r[0] == 0.0:
         raise ValueError("zero range; Jacobian undefined")
-    r = np.sqrt(r2)
-    H = np.zeros((2, 4))
-    H[0, 0] = dx / r
-    H[0, 2] = dy / r
-    H[1, 0] = -dy / r2
-    H[1, 2] = dx / r2
-    return H
+    return H[0]

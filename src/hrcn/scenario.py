@@ -14,6 +14,8 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from .sensing import const_kernel
+
 
 class ScenarioError(ValueError):
     """Malformed or invariant-violating scenario description."""
@@ -118,14 +120,31 @@ class Scenario:
 
 
 @dataclass
+class IntervalRows:
+    """Every scheduled measurement of one target in one fusion interval,
+    radar by radar and then by time: the stacking order of the interval's
+    likelihood."""
+
+    times: np.ndarray     # (M,)
+    radar: np.ndarray     # (M,) int, radar index
+    radar_xy: np.ndarray  # (M, 2)
+    kernel: np.ndarray    # (M, 2) constant noise kernel of the radar on the target
+    start: np.ndarray     # (N+1,) radar i's rows are start[i]:start[i+1]
+
+
+@dataclass
 class MeasurementSchedule:
-    """Per (radar, target, interval) measurement times and counts."""
+    """Per (radar, target, interval) measurement counts, and per (target,
+    interval) the stacked measurement rows.  The rows carry each radar's
+    constant kernel, so a scenario whose radar constants or target RCS
+    change needs a new schedule."""
 
     counts: np.ndarray  # (N, Q, K) int
-    _times: dict = field(default_factory=dict, repr=False)
+    rows: list = field(repr=False)  # rows[q][k]: IntervalRows
 
     def times(self, i: int, q: int, k: int) -> np.ndarray:
-        return self._times[(i, q, k)]
+        r = self.rows[q][k]
+        return r.times[r.start[i]:r.start[i + 1]]
 
 
 _KIND_ORDER = {RadarKind.MMR: 0, RadarKind.PAR: 1, RadarKind.MSR: 2}
@@ -325,7 +344,8 @@ def default_scenario_path() -> str:
 
 
 def build_schedule(scenario: Scenario) -> MeasurementSchedule:
-    """Derive measurement times per (radar, target, interval).
+    """Derive the measurement times per (radar, target, interval) and lay
+    them out as one row set per (target, interval).
 
     Times are the arithmetic progression initial_time + n * revisit_interval
     intersected with the half-open window (t_k, t_{k+1}]; boundary points
@@ -334,19 +354,31 @@ def build_schedule(scenario: Scenario) -> MeasurementSchedule:
     grid = scenario.grid
     n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
     horizon = grid.start_time + k_n * grid.interval_length
+    lo = grid.start_time + np.arange(k_n) * grid.interval_length
+    hi = lo + grid.interval_length
+    positions = np.array([r.position for r in scenario.radars], dtype=float)
     counts = np.zeros((n, q_n, k_n), dtype=int)
-    times: dict = {}
-    for i, radar in enumerate(scenario.radars):
-        for q in range(q_n):
+    rows = []
+    for q, target in enumerate(scenario.targets):
+        kernels = np.array([const_kernel(r, target.rcs[i])
+                            for i, r in enumerate(scenario.radars)])
+        pts, first, last = [], [], []
+        for radar in scenario.radars:
             t0 = radar.initial_time[q]
             rev = radar.revisit_interval[q]
             n_pts = max(0, int(np.floor((horizon - t0) / rev)) + 1)
-            pts = t0 + rev * np.arange(n_pts)
-            pts = pts[pts <= horizon]
-            for k in range(k_n):
-                lo, hi = grid.boundary(k)
-                a = np.searchsorted(pts, lo, side="right")
-                b = np.searchsorted(pts, hi, side="right")
-                times[(i, q, k)] = pts[a:b].copy()
-                counts[i, q, k] = b - a
-    return MeasurementSchedule(counts=counts, _times=times)
+            p = t0 + rev * np.arange(n_pts)
+            pts.append(p[p <= horizon])
+            first.append(np.searchsorted(pts[-1], lo, side="right"))
+            last.append(np.searchsorted(pts[-1], hi, side="right"))
+        counts[:, q] = np.array(last) - np.array(first)
+        rows_q = []
+        for k in range(k_n):
+            radar = np.repeat(np.arange(n), counts[:, q, k])
+            rows_q.append(IntervalRows(
+                times=np.concatenate([p[a[k]:b[k]]
+                                      for p, a, b in zip(pts, first, last)]),
+                radar=radar, radar_xy=positions[radar], kernel=kernels[radar],
+                start=np.concatenate(([0], np.cumsum(counts[:, q, k])))))
+        rows.append(rows_q)
+    return MeasurementSchedule(counts=counts, rows=rows)

@@ -3,13 +3,17 @@ constant noise kernel and the per-schedule-entry information kernels.  The
 resource-dependent part of the noise (energy over interference plus noise)
 is allocator.info_scale."""
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import _kernels
-from .scenario import RadarNode
+
+if TYPE_CHECKING:  # scenario imports this module to lay out its schedule
+    from .scenario import RadarNode
 
 
-def const_kernel(radar: RadarNode, rcs: float) -> np.ndarray:
+def const_kernel(radar: "RadarNode", rcs: float) -> np.ndarray:
     """Diagonal of the resource-independent 2x2 factor of the measurement
     covariance: [rcs * bandwidth^2 * c_R, rcs * beamwidth^2 * c_theta]."""
     return np.array([rcs * radar.bandwidth ** 2 * radar.range_const,

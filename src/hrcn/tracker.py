@@ -7,13 +7,11 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import (AllocationLayout, bayesian_B, compute_kernels,
-                        info_scale)
+from .allocator import AllocationLayout, info_scale
 from .fusion import (CompositeMeasurement, FusionError, StackedMeasurements,
-                     ils_mle, prior_information)
+                     ils_mle)
 from .kinematics import measure, process_noise_cov, transition_matrix
-from .scenario import MeasurementSchedule, Scenario
-from .sensing import const_kernel
+from .scenario import IntervalRows, MeasurementSchedule, Scenario
 
 
 @dataclass
@@ -58,55 +56,37 @@ def kf_update(predicted: TrackState, cm: CompositeMeasurement) -> TrackState:
 
 @dataclass
 class TrackingResult:
-    """One full K-interval run: per (target, interval) truth, filtered state,
-    and the Bayesian information chain."""
+    """One full K-interval run: per (target, interval) truth and filtered
+    state."""
 
     truth: np.ndarray      # (Q, K+1, 4) truth at fusion times t_1..t_{K+1}
     means: np.ndarray      # (Q, K, 4) filtered means at t_2..t_{K+1}
     covs: np.ndarray       # (Q, K, 4, 4)
-    info_chain: np.ndarray  # (Q, K, 4, 4) Bayesian information after each interval
-    fusion_meta: list      # per (q, k) CompositeMeasurement metadata dicts
 
 
-def _stack_interval(scenario: Scenario, schedule: MeasurementSchedule,
-                    layout: AllocationLayout, z: np.ndarray, k: int, q: int,
-                    truth_k: np.ndarray, t_k: float,
+def _stack_interval(rows: IntervalRows, scale: np.ndarray,
+                    truth_k: np.ndarray, t_k: float, t_fuse: float,
                     noise_draws: np.ndarray) -> StackedMeasurements:
-    """Simulate and stack all radar measurements of target q in interval k.
+    """Simulate and stack one target's measurements in one interval.
 
-    noise_draws are pre-drawn standard normals, one pair per measurement in
-    schedule order, so noise streams pair across allocation policies.
+    rows are the interval's schedule rows and scale (N,) the info_scale of
+    every radar on this target: a row's covariance is its kernel over its
+    radar's scale.  noise_draws are pre-drawn standard normals, one pair per
+    schedule row, so noise streams pair across allocation policies; a radar
+    with zero energy consumes its draws and stacks no rows.
     """
-    scale = info_scale(scenario, layout, z)[:, q]
-    vals, times, rxy, cdiag, rid = [], [], [], [], []
-    pos = 0
-    for i, radar in enumerate(scenario.radars):
-        t_m = schedule.times(i, q, k)
-        if len(t_m) == 0:
-            continue
-        kern = const_kernel(radar, scenario.targets[q].rcs[i])
-        cov = kern / scale[i] if scale[i] > 0 else None
-        for t in t_m:
-            draws = noise_draws[pos]
-            pos += 1
-            if cov is None:
-                continue
-            F = transition_matrix(t - t_k)
-            s_t = F @ truth_k
-            r, th = measure(s_t, radar.position)
-            sd = np.sqrt(cov)
-            vals.append([r + sd[0] * draws[0], th + sd[1] * draws[1]])
-            times.append(t)
-            rxy.append(radar.position)
-            cdiag.append(cov)
-            rid.append(i)
-    _, t_fuse = scenario.grid.boundary(k)
-    return StackedMeasurements(values=np.array(vals, dtype=float).reshape(-1, 2),
-                               times=np.array(times, dtype=float),
-                               radar_xy=np.array(rxy, dtype=float).reshape(-1, 2),
-                               cov_diag=np.array(cdiag, dtype=float).reshape(-1, 2),
-                               radar_ids=np.array(rid, dtype=int),
-                               t_fuse=t_fuse)
+    row_scale = scale[rows.radar]
+    keep = row_scale > 0
+    times = rows.times[keep]
+    radar_xy = rows.radar_xy[keep]
+    cov = rows.kernel[keep] / row_scale[keep, None]
+    # constant-velocity motion from the interval start: x_k + (t - t_k) v_k
+    drift = np.array([truth_k[1], 0.0, truth_k[3], 0.0])
+    r, th = measure(truth_k + (times - t_k)[:, None] * drift, radar_xy)
+    return StackedMeasurements(
+        values=np.stack([r, th], axis=1) + np.sqrt(cov) * noise_draws[keep],
+        times=times, radar_xy=radar_xy, cov_diag=cov,
+        radar_ids=rows.radar[keep], t_fuse=t_fuse)
 
 
 def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
@@ -129,59 +109,39 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     truth = np.zeros((q_n, k_n + 1, 4))
     means = np.zeros((q_n, k_n, 4))
     covs = np.zeros((q_n, k_n, 4, 4))
-    info_chain = np.zeros((q_n, k_n, 4, 4))
-    meta: list = []
 
-    tracks, infos, gammas = [], [], []
+    tracks, gammas, chols = [], [], []
     initc = init or TrackInit()
     for q, tgt in enumerate(scenario.targets):
         truth[q, 0] = tgt.initial_state
-        cov0 = np.diag(initc.cov_diag)
         tracks.append(TrackState(mean=tgt.initial_state + initc.mean_offset,
-                                 cov=cov0))
-        infos.append(np.linalg.inv(cov0))
+                                 cov=np.diag(initc.cov_diag)))
         gammas.append(process_noise_cov(grid.interval_length,
                                         tgt.process_noise_intensity))
+        chols.append(np.linalg.cholesky(gammas[q])
+                     if tgt.process_noise_intensity > 0 else None)
 
     for k in range(k_n):
-        t_k, _ = grid.boundary(k)
-        z = allocations[k]
+        t_k, t_fuse = grid.boundary(k)
+        scale = info_scale(scenario, layout, allocations[k])
         # pre-draw the noise in schedule order, identically for any policy
         proc_draws = [proc_rng.standard_normal(4) for _ in range(q_n)]
-        meas_draws = [meas_rng.standard_normal((int(schedule.counts[:, q, k].sum()), 2))
+        meas_draws = [meas_rng.standard_normal((len(schedule.rows[q][k].times), 2))
                       for q in range(q_n)]
-        predicted = []
         for q in range(q_n):
             # truth advances with CV motion plus process noise
-            noise = np.zeros(4)
-            if scenario.targets[q].process_noise_intensity > 0:
-                L = np.linalg.cholesky(gammas[q])
-                noise = L @ proc_draws[q]
+            noise = np.zeros(4) if chols[q] is None else chols[q] @ proc_draws[q]
             truth[q, k + 1] = F @ truth[q, k] + noise
-            predicted.append(kf_predict(tracks[q], grid.interval_length,
-                                        gammas[q]))
-            stack = _stack_interval(scenario, schedule, layout, z, k, q,
-                                    truth[q, k], t_k, meas_draws[q])
+            predicted = kf_predict(tracks[q], grid.interval_length, gammas[q])
+            stack = _stack_interval(schedule.rows[q][k], scale[:, q],
+                                    truth[q, k], t_k, t_fuse, meas_draws[q])
             try:
-                cm = ils_mle(stack, predicted[q].mean, jitter=jitter)
+                cm = ils_mle(stack, predicted.mean, jitter=jitter)
             except FusionError as exc:
                 raise FusionError(
                     f"fusion failed for target {q} interval {k}: {exc}") from exc
-            tracks[q] = kf_update(predicted[q], cm)
+            tracks[q] = kf_update(predicted, cm)
             means[q, k] = tracks[q].mean
             covs[q, k] = tracks[q].cov
-            meta.append({"target": q, "interval": k,
-                         "iterations": cm.iterations,
-                         "step_norm": cm.step_norm,
-                         "jittered": cm.jittered})
 
-        # Bayesian information chain with the data term at the prior state
-        kernels = compute_kernels(scenario, schedule, k,
-                                  [p.mean for p in predicted])
-        priors = [prior_information(infos[q], F, gammas[q], jitter)
-                  for q in range(q_n)]
-        infos = bayesian_B(z, kernels, priors, scenario, layout)
-        info_chain[:, k] = infos
-
-    return TrackingResult(truth=truth, means=means, covs=covs,
-                          info_chain=info_chain, fusion_meta=meta)
+    return TrackingResult(truth=truth, means=means, covs=covs)

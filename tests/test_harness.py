@@ -5,10 +5,14 @@ import copy
 import numpy as np
 import pytest
 
-from hrcn.allocator import lambda_diag
+from hrcn.allocator import (AllocationLayout, baseline_uniform,
+                            compute_kernels, info_scale, lambda_diag)
 from hrcn.harness import (compare_allocations, load_result, plan_allocations,
-                          rmse, save_result, scenario_fingerprint)
+                          planning_chain, rmse, save_result,
+                          scenario_fingerprint)
+from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
+from hrcn.tracker import TrackInit
 
 
 LAM = lambda_diag(6.0)
@@ -58,6 +62,21 @@ class TestPlanAllocations:
             np.testing.assert_array_equal(za, zb)
 
 
+class TestPlanningChain:
+    def test_information_symmetric_psd(self, scenario, schedule):
+        def uniform(k, _priors):
+            return baseline_uniform(scenario, schedule, k)
+
+        n = 0
+        for priors, _, b_mats in planning_chain(scenario, schedule, uniform,
+                                                jitter=1e-9):
+            for B in [p.info for p in priors] + list(b_mats):
+                np.testing.assert_allclose(B, B.T, atol=1e-12)
+                assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
+            n += 1
+        assert n == scenario.grid.num_intervals
+
+
 class TestCompareAllocations:
     def test_single_policy_smoke(self, scenario):
         result = compare_allocations(scenario, ["uniform"], n_trials=1,
@@ -73,6 +92,29 @@ class TestCompareAllocations:
         pol = result.policies["uniform"]
         assert pol.avg_rmse == pytest.approx(
             float(np.mean(pol.rmse_per_interval)))
+
+    def test_root_bcrb_hand_value(self, scenario, schedule):
+        # interval 0 under the uniform plan: predicted prior from the
+        # initial covariance, plus every radar's scaled information kernel
+        result = compare_allocations(scenario, ["uniform"], n_trials=1,
+                                     seed=15)
+        t0 = scenario.grid.interval_length
+        F = transition_matrix(t0)
+        P0 = np.diag(TrackInit().cov_diag)
+        states = [F @ t.initial_state for t in scenario.targets]
+        D = compute_kernels(scenario, schedule, 0, states)
+        scale = info_scale(scenario, AllocationLayout.from_scenario(scenario),
+                           baseline_uniform(scenario, schedule, 0))
+        lam = np.diag(lambda_diag(t0))
+        expected = 0.0
+        for q, tgt in enumerate(scenario.targets):
+            gamma = process_noise_cov(t0, tgt.process_noise_intensity)
+            B = np.linalg.inv(gamma + F @ P0 @ F.T)
+            B = B + sum(scale[i, q] * D[q, i] for i in range(scenario.n_radars))
+            expected += np.sqrt(np.trace(lam @ np.linalg.inv(B) @ lam))
+        bounds = result.policies["uniform"].root_bcrb
+        assert len(bounds) == scenario.grid.num_intervals
+        assert bounds[0] == pytest.approx(expected, rel=1e-10)
 
     def test_unknown_policy_rejected(self, scenario):
         with pytest.raises(ValueError, match="unknown"):
@@ -95,6 +137,8 @@ class TestResultFiles:
             got, want = loaded.policies[name], result.policies[name]
             assert got.g_values == want.g_values
             assert got.rmse_per_interval == want.rmse_per_interval
+            assert got.root_bcrb == want.root_bcrb
+            assert len(got.root_bcrb) == scenario.grid.num_intervals
             assert got.avg_rmse == want.avg_rmse
             assert got.throughput == want.throughput
             assert got.allocations == want.allocations
@@ -107,7 +151,8 @@ class TestResultFiles:
         with open(csv_path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run_id", "policy", "k", "g_value", "rmse",
-                           "throughput_j1", "throughput_j2", "throughput_j3"]
+                           "root_bcrb", "throughput_j1", "throughput_j2",
+                           "throughput_j3"]
         assert len(rows) == 1 + scenario.grid.num_intervals
 
     def test_fingerprint_stable(self, scenario):

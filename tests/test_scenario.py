@@ -114,7 +114,7 @@ class TestBuildSchedule:
         a = build_schedule(scenario)
         b = build_schedule(scenario)
         np.testing.assert_array_equal(a.counts, b.counts)
-        for key in a._times:
+        for key in np.ndindex(a.counts.shape):
             np.testing.assert_array_equal(a.times(*key), b.times(*key))
 
     def test_scan_radar_revisit_shared_across_targets(self, scenario,

@@ -30,8 +30,9 @@ def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
     z = np.array([power, comm])
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[0, 0, 0], 2))
-    stack = _stack_interval(sc, sch, lay, z, 0, 0, sc.targets[0].initial_state,
-                            0.0, draws)
+    stack = _stack_interval(sch.rows[0][0], info_scale(sc, lay, z)[:, 0],
+                            sc.targets[0].initial_state, 0.0,
+                            sc.grid.boundary(0)[1], draws)
     return stack, const_kernel(sc.radars[0], sc.targets[0].rcs[0])
 
 
@@ -46,8 +47,9 @@ def _default_stack(z=None, noise=1.0, seed=11):
         z = baseline_uniform(sc, sch, 0)
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[:, 0, 0].sum(), 2))
-    stack = _stack_interval(sc, sch, lay, z, 0, 0, sc.targets[0].initial_state,
-                            sc.grid.start_time, draws)
+    stack = _stack_interval(sch.rows[0][0], info_scale(sc, lay, z)[:, 0],
+                            sc.targets[0].initial_state, sc.grid.start_time,
+                            sc.grid.boundary(0)[1], draws)
     return sc, lay, z, stack
 
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from hrcn.allocator import baseline_uniform
+from hrcn.allocator import AllocationLayout, baseline_uniform, info_scale
 from hrcn.fusion import CompositeMeasurement, prior_information
-from hrcn.kinematics import process_noise_cov, transition_matrix
-from hrcn.tracker import (TrackInit, TrackState, kf_predict, kf_update,
-                          run_tracking)
+from hrcn.kinematics import measure, process_noise_cov, transition_matrix
+from hrcn.sensing import const_kernel
+from hrcn.tracker import (TrackInit, TrackState, _stack_interval, kf_predict,
+                          kf_update, run_tracking)
 
 
 def _cm(estimate, cov):
@@ -130,8 +131,6 @@ class TestRunTracking:
         assert run.truth.shape == (q_n, k_n + 1, 4)
         assert run.means.shape == (q_n, k_n, 4)
         assert run.covs.shape == (q_n, k_n, 4, 4)
-        assert run.info_chain.shape == (q_n, k_n, 4, 4)
-        assert len(run.fusion_meta) == q_n * k_n
 
     def test_error_shrinks_from_initialization(self, scenario, schedule,
                                                uniform_allocs):
@@ -144,11 +143,83 @@ class TestRunTracking:
                                        - run.truth[q, -1, [0, 2]])
             assert final_err < init_err
 
-    def test_info_chain_symmetric_psd(self, scenario, schedule,
-                                      uniform_allocs):
-        run = run_tracking(scenario, schedule, uniform_allocs, seed=[6, 0])
-        for q in range(scenario.n_targets):
-            for k in range(scenario.grid.num_intervals):
-                B = run.info_chain[q, k]
-                np.testing.assert_allclose(B, B.T, atol=1e-12)
-                assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
+
+def _oracle_stack(scenario, schedule, z, q, k, truth_k, draws):
+    """The interval's stacked rows built one measurement at a time:
+    transition_matrix(t - t_k) @ truth_k, then scalar measure."""
+    layout = AllocationLayout.from_scenario(scenario)
+    scale = info_scale(scenario, layout, z)[:, q]
+    t_k, _ = scenario.grid.boundary(k)
+    vals, times, rxy, cdiag, rid = [], [], [], [], []
+    pos = 0
+    for i, radar in enumerate(scenario.radars):
+        kern = const_kernel(radar, scenario.targets[q].rcs[i])
+        cov = kern / scale[i] if scale[i] > 0 else None
+        for t in schedule.times(i, q, k):
+            d = draws[pos]
+            pos += 1
+            if cov is None:
+                continue
+            r, th = measure(transition_matrix(t - t_k) @ truth_k,
+                            radar.position)
+            sd = np.sqrt(cov)
+            vals.append([r + sd[0] * d[0], th + sd[1] * d[1]])
+            times.append(t)
+            rxy.append(radar.position)
+            cdiag.append(cov)
+            rid.append(i)
+    assert pos == len(draws)
+    return {"values": np.array(vals, dtype=float).reshape(-1, 2),
+            "times": np.array(times, dtype=float),
+            "radar_xy": np.array(rxy, dtype=float).reshape(-1, 2),
+            "cov_diag": np.array(cdiag, dtype=float).reshape(-1, 2),
+            "radar_ids": np.array(rid, dtype=int)}
+
+
+class TestStackInterval:
+    @staticmethod
+    def _check_all_intervals(scenario, schedule, zero_radar=None):
+        layout = AllocationLayout.from_scenario(scenario)
+        rng = np.random.default_rng(8)
+        for k in range(scenario.grid.num_intervals):
+            z = baseline_uniform(scenario, schedule, k)
+            if zero_radar is not None:
+                z[layout.var[zero_radar]] = 0.0
+            scale = info_scale(scenario, layout, z)
+            t_k, t_fuse = scenario.grid.boundary(k)
+            for q, tgt in enumerate(scenario.targets):
+                truth_k = (transition_matrix(t_k - scenario.grid.start_time)
+                           @ tgt.initial_state + rng.normal(size=4))
+                draws = rng.standard_normal((schedule.counts[:, q, k].sum(), 2))
+                got = _stack_interval(schedule.rows[q][k], scale[:, q],
+                                      truth_k, t_k, t_fuse, draws)
+                want = _oracle_stack(scenario, schedule, z, q, k, truth_k,
+                                     draws)
+                assert got.t_fuse == t_fuse
+                if zero_radar is not None:
+                    assert zero_radar not in got.radar_ids
+                for name, expected in want.items():
+                    actual = getattr(got, name)
+                    assert actual.dtype == expected.dtype, name
+                    assert actual.shape == expected.shape, name
+                    assert actual.tobytes() == expected.tobytes(), name
+
+    def test_matches_per_row_oracle_bitwise(self, scenario, schedule):
+        self._check_all_intervals(scenario, schedule)
+
+    def test_zero_energy_radar_matches_oracle_bitwise(self, scenario,
+                                                      schedule):
+        self._check_all_intervals(scenario, schedule,
+                                  zero_radar=scenario.mmr_indices[0])
+
+    def test_target_on_radar_rejected(self, scenario, schedule):
+        layout = AllocationLayout.from_scenario(scenario)
+        scale = info_scale(scenario, layout,
+                           baseline_uniform(scenario, schedule, 0))
+        t_k, t_fuse = scenario.grid.boundary(0)
+        rows = schedule.rows[0][0]
+        x, y = scenario.radars[rows.radar[-1]].position
+        draws = np.zeros((len(rows.times), 2))
+        with pytest.raises(ValueError, match="coincides"):
+            _stack_interval(rows, scale[:, 0], np.array([x, 0.0, y, 0.0]),
+                            t_k, t_fuse, draws)
