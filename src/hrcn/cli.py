@@ -35,9 +35,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory")
 
 
+def _scenario(args):
+    return load_scenario(args.scenario or default_scenario_path())
+
+
 def _load(args) -> tuple:
-    path = args.scenario or default_scenario_path()
-    scenario = load_scenario(path)
+    scenario = _scenario(args)
     return scenario, build_schedule(scenario)
 
 
@@ -105,7 +108,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario, _ = _load(args)
+    scenario = _scenario(args)
     result = compare_allocations(scenario, args.policies, args.trials,
                                  seed=args.seed)
     outdir = args.out or _default_outdir()

@@ -4,7 +4,7 @@ fractional rewrite, projection, baselines, and the alternating solver."""
 import numpy as np
 import pytest
 
-from hrcn import allocator
+from hrcn import allocator, harness
 from hrcn.allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
                             adam_solve, assemble_constraints,
                             assemble_fractional, baseline_random,
@@ -55,6 +55,44 @@ def count_nnls_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(allocator, "nnls", counted)
     return calls
+
+
+def recorded_solves(scenario, schedule) -> list[dict]:
+    """Every interval's solve in plan_allocations(..., "optimized"): its
+    priors, plan, trace, planned g and g as a function of the plan."""
+    layout = AllocationLayout.from_scenario(scenario)
+    solves = []
+
+    def recording(sc, sch, k, priors, cfg):
+        z, trace = adam_solve(sc, sch, k, priors, cfg)
+        kern = compute_kernels(sc, sch, k, [p.state for p in priors])
+        infos = [p.info for p in priors]
+        solves.append({"k": k, "priors": priors, "z": z, "trace": trace,
+                       "g_of": lambda zz: objective_g(zz, kern, infos, sc,
+                                                      layout, 1e-9)})
+        return z, trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "adam_solve", recording)
+        _, g_values, _ = plan_allocations(scenario, schedule, "optimized")
+    for solve, g in zip(solves, g_values, strict=True):
+        solve["g_plan"] = g
+        solve["g_start"] = solve["g_of"](
+            baseline_uniform(scenario, schedule, solve["k"]))
+    return solves
+
+
+@pytest.fixture(scope="module")
+def default_solves(scenario, schedule):
+    return recorded_solves(scenario, schedule)
+
+
+@pytest.fixture(scope="module", params=["default", "mini"])
+def planned_solves(request):
+    if request.param == "default":
+        return request.getfixturevalue("default_solves")
+    mini = make_mini_scenario(num_intervals=3, throughput_floor=1.0)
+    return recorded_solves(mini, build_schedule(mini))
 
 
 def random_feasible_z(scenario, schedule, rng, k=0):
@@ -593,6 +631,69 @@ class TestAdamSolve:
         monkeypatch.setattr(allocator, "project", counted)
         plan_allocations(scenario, schedule, "optimized")
         assert 3 * nnls_calls[0] < projections[0]
+
+    def test_g_never_falls_along_a_trace(self, planned_solves):
+        for solve in planned_solves:
+            # the solver starts from the uniform plan's round trip through
+            # budget-normalized coordinates, which can move g by an ulp
+            g = ([solve["g_start"] * (1.0 - 1e-12)]
+                 + [rec["g"] for rec in solve["trace"]])
+            assert all(b >= a for a, b in zip(g, g[1:])), solve["k"]
+
+    def test_every_record_but_the_last_raises_g_by_more_than_obj_tol(
+            self, planned_solves):
+        tol = AllocatorConfig().obj_tol
+        for solve in planned_solves:
+            g = [solve["g_start"]] + [rec["g"] for rec in solve["trace"]]
+            assert all(b - a > tol * a for a, b in zip(g[:-2], g[1:-1])), \
+                solve["k"]
+
+    def test_plan_is_the_last_record(self, planned_solves):
+        for solve in planned_solves:
+            assert solve["trace"], solve["k"]
+            assert solve["g_plan"] == pytest.approx(solve["trace"][-1]["g"],
+                                                    rel=1e-8)
+
+    def test_halved_step_recovers_ascent_where_g_falls(
+            self, scenario, schedule, default_solves, monkeypatch):
+        # f bounds g from above, so a step that raises f can lower g; the
+        # solver then halves the step instead of stopping there
+        tol = AllocatorConfig().obj_tol
+        evaluated, objective = [], allocator.objective_g
+
+        def recording(*args, **kwargs):
+            evaluated.append(objective(*args, **kwargs))
+            return evaluated[-1]
+
+        monkeypatch.setattr(allocator, "objective_g", recording)
+        recovered = 0
+        for solve in default_solves:
+            evaluated.clear()
+            _, trace = adam_solve(scenario, schedule, solve["k"],
+                                  solve["priors"])
+            g_prev, start = evaluated[0], 1
+            for rec in trace:
+                end = evaluated.index(rec["g"], start)
+                probes = evaluated[start:end]
+                recovered += min(probes, default=g_prev) < g_prev * (1 - tol)
+                g_prev, start = rec["g"], end + 1
+        assert recovered > 0
+
+    def test_max_outer_caps_the_trace(self, scenario, schedule):
+        _, _, traces = plan_allocations(scenario, schedule, "optimized",
+                                        AllocatorConfig(max_outer=3))
+        assert max(len(tr) for tr in traces) == 3
+
+    def test_restart_from_own_plan_stays_put(self, scenario, schedule,
+                                             default_solves):
+        # at its own plan no step raises g by more than obj_tol, so the
+        # solver stops within one step, without moving if g would fall
+        for solve in default_solves:
+            z, trace = adam_solve(scenario, schedule, solve["k"],
+                                  solve["priors"], z0=solve["z"])
+            assert len(trace) <= 1, solve["k"]
+            g_z0 = solve["g_of"](solve["z"])
+            assert solve["g_of"](z) >= g_z0 * (1.0 - 1e-9), solve["k"]
 
 
 class TestInterferenceDenominators:

@@ -5,8 +5,9 @@ import os
 import pytest
 import yaml
 
+from hrcn import cli, harness
 from hrcn.cli import main
-from hrcn.scenario import default_scenario_path
+from hrcn.scenario import build_schedule, default_scenario_path
 
 
 def _infeasible_scenario(tmp_path):
@@ -72,6 +73,19 @@ class TestCompare:
             with open(os.path.join(out_b, name), "rb") as fh:
                 blob_b = fh.read()
             assert blob_a == blob_b, f"{name} differs between identical runs"
+
+    def test_builds_the_schedule_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(scenario):
+            built.append(scenario)
+            return build_schedule(scenario)
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "build_schedule", counted)
+        assert main(["compare", "--policies", "uniform", "--trials", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
 
     def test_prints_table(self, tmp_path, capsys):
         out = str(tmp_path / "c")
