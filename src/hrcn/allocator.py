@@ -318,25 +318,43 @@ def _certify_infeasible(A: np.ndarray, b: np.ndarray) -> Optional[str]:
     return None
 
 
-def _polish(z_raw: np.ndarray, G: np.ndarray, h: np.ndarray,
-            rows: np.ndarray, n_a: int, bound: float):
-    """Exact projection of z_raw onto the affine set {G_S z = h_S} of the
-    given rows S of [A; -I] (n_a rows of A on top).
+def _excess(A: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
+    """Largest violation of {A z <= b, z >= 0} at z (<= 0 inside)."""
+    return max((A @ z - b).max(), -z.min())
 
-    Returns (z, mult, slack) with z = z_raw - G_S^T mult, the multipliers
-    mult of S and slack = G z - h taken before coordinates whose
-    nonnegativity row is in S are set to exactly 0; None when z leaves the
-    polyhedron by more than bound.
+
+def _polish(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
+            rows: np.ndarray, bound: float):
+    """Exact projection of z_raw onto the affine set of the given sorted rows
+    S of [A; -I]: A_S z = b_S on the rows S_A of A in S, and z_Z = 0 on the
+    coordinates Z whose nonnegativity row is in S.
+
+    With z_Z fixed at 0 only the free coordinates F move, so the multipliers
+    m of S_A solve the |S_A|-square system (A_SF A_SF^T) m = A_SF z_raw_F - b_S
+    (null-space elimination of the active bounds) and those of Z are
+    mu_Z = (A_S^T m)_Z - z_raw_Z; [A; -I] is never formed.  Returns
+    (z, mult, slack) with z = z_raw - A_S^T m and z_Z exactly 0, the
+    multipliers mult = (m, mu_Z) of S in the order of rows and
+    slack = A_S z - b_S; None when z leaves the polyhedron by more than bound.
     """
-    Ga = G[rows]
-    resid = Ga @ z_raw - h[rows]
-    mult, *_ = np.linalg.lstsq(Ga @ Ga.T, resid, rcond=None)
-    z = z_raw - Ga.T @ mult
-    slack = G @ z - h
-    if np.max(slack) > bound:
+    split = np.searchsorted(rows, A.shape[0])
+    on_a, zero = rows[:split], rows[split:] - A.shape[0]
+    a_s = A[on_a]
+    a_free = a_s.copy()
+    a_free[:, zero] = 0.0
+    resid = a_free @ z_raw - b[on_a]
+    gram = a_free @ a_free.T
+    try:
+        m = np.linalg.solve(gram, resid)
+    except np.linalg.LinAlgError:
+        # singular: a duplicated row, or a row of A with its support in Z
+        m, *_ = np.linalg.lstsq(gram, resid, rcond=None)
+    z = z_raw - a_s.T @ m
+    mult = np.concatenate([m, -z[zero]])
+    z[zero] = 0.0
+    if _excess(A, b, z) > bound:
         return None
-    z[rows[rows >= n_a] - n_a] = 0.0
-    return z, mult, slack
+    return z, mult, a_s @ z - b[on_a]
 
 
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -347,9 +365,11 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     Solved as a least-distance program reduced to nonnegative least squares
     (the classical Lawson-Hanson construction), which scipy.optimize.nnls
     solves by Lawson and Hanson's active-set method, followed by an exact
-    equality-constrained polish on the active rows.  Raises InfeasibleError
-    with an LP certificate when the polyhedron is empty, and RuntimeError
-    when the NNLS hits its iteration limit or the result is infeasible.
+    equality-constrained polish on the active rows (see _polish).  The
+    stacked rows [A; -I] are built only for the NNLS.  Raises
+    InfeasibleError with an LP certificate when the polyhedron is empty, and
+    RuntimeError when the NNLS hits its iteration limit or the result is
+    infeasible.
 
     warm, optional, is a guessed active set (row indices into [A; -I]), such
     as the ``active`` of a projection of a nearby point onto the same
@@ -359,29 +379,32 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     without warm.
     """
     z_raw = np.asarray(z_raw, dtype=float)
-    dim = z_raw.size
-    G = np.vstack([A, -np.eye(dim)])
-    h = np.concatenate([b, np.zeros(dim)])
-    n_a = A.shape[0]
-
-    v = G @ z_raw - h
-    if np.all(v <= tol * max(1.0, np.abs(h).max())):
+    excess = A @ z_raw - b
+    thresh = tol * max(1.0, np.abs(b).max())
+    if excess.max() <= thresh and z_raw.min() >= -thresh:
         # already feasible: returned unchanged
         return ProjectionResult(z=z_raw.copy(), active=[])
-    scale = max(1.0, np.abs(v).max())
+    scale = max(1.0, np.abs(excess).max(), np.abs(z_raw).max())
     bound = 1e-9 * scale
 
     if warm:
-        rows = np.unique(np.asarray(warm, dtype=int))
-        hit = _polish(z_raw, G, h, rows, n_a, bound)
+        rows = np.asarray(warm, dtype=int)
+        if (rows[1:] <= rows[:-1]).any():
+            rows = np.unique(rows)
+        hit = _polish(z_raw, A, b, rows, bound)
         # KKT: inside the polyhedron, nonnegative multipliers, every warm row
-        # tight (a slack nonnegativity row would have its coordinate zeroed)
-        if (hit is not None and np.all(hit[1] >= 0)
-                and np.all(np.abs(hit[2][rows]) <= bound)):
-            return ProjectionResult(z=hit[0], active=list(rows))
+        # of A tight (its nonnegativity rows are exactly 0); without the last,
+        # a slack nonnegativity row would have its coordinate zeroed
+        if (hit is not None and (hit[1] >= 0).all()
+                and (np.abs(hit[2]) <= bound).all()):
+            return ProjectionResult(z=hit[0], active=rows.tolist())
 
-    # min ||y|| s.t. G y >= v with y = z_raw - z, via NNLS on [G^T; v^T];
-    # rows normalized so mixed budget/bound scales stay well conditioned
+    # min ||y|| s.t. G y >= v with G = [A; -I], v = G z_raw - [b; 0] and
+    # y = z_raw - z, via NNLS on [G^T; v^T]; rows normalized so mixed
+    # budget/bound scales stay well conditioned
+    dim = z_raw.size
+    G = np.vstack([A, -np.eye(dim)])
+    v = np.concatenate([excess, -z_raw])
     norms = np.sqrt(np.sum(G * G, axis=1) + v * v)
     norms[norms == 0] = 1.0
     Gn = G / norms[:, None]
@@ -403,16 +426,16 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     # polish: exact projection onto the affine hull of the NNLS support
     active = np.flatnonzero(u > 0)
     if active.size:
-        hit = _polish(z_raw, G, h, active, n_a, bound)
+        hit = _polish(z_raw, A, b, active, bound)
         if hit is not None:
             z = hit[0]
-    viol = np.max(G @ z - h)
+    viol = _excess(A, b, z)
     if viol > 1e-8 * scale:
         cert = _certify_infeasible(A, b)
         if cert is not None:
             raise InfeasibleError(f"empty polyhedron: {cert}")
         raise RuntimeError(f"projection failed to converge (violation {viol:.3e})")
-    return ProjectionResult(z=z, active=list(active))
+    return ProjectionResult(z=z, active=active.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,25 @@ def count_nnls_calls(monkeypatch) -> list:
     return calls
 
 
+def full_stacked_polish(z_raw, A, b, rows):
+    """Reference polish on the stacked rows [A; -I]: the whole Gram system of
+    the sorted rows solved by lstsq, and whether the result carries the warm
+    KKT certificate (inside the polyhedron, multipliers >= 0, rows tight).
+    Returns (z with its bounded coordinates set to exactly 0, certified)."""
+    dim = z_raw.size
+    G = np.vstack([A, -np.eye(dim)])
+    h = np.concatenate([b, np.zeros(dim)])
+    bound = 1e-9 * max(1.0, np.abs(G @ z_raw - h).max())
+    Gs = G[rows]
+    mult, *_ = np.linalg.lstsq(Gs @ Gs.T, Gs @ z_raw - h[rows], rcond=None)
+    z = z_raw - Gs.T @ mult
+    slack = G @ z - h
+    certified = bool(slack.max() <= bound and np.all(mult >= 0)
+                     and np.all(np.abs(slack[rows]) <= bound))
+    z[rows[rows >= A.shape[0]] - A.shape[0]] = 0.0
+    return z, certified
+
+
 def recorded_solves(scenario, schedule) -> list[dict]:
     """Every interval's solve in plan_allocations(..., "optimized"): its
     priors, plan, trace, planned g and g as a function of the plan."""
@@ -499,6 +518,76 @@ class TestProject:
         np.testing.assert_array_equal(project(x, box, ones, warm=[0, 1, 2]).z,
                                       [0.5, 1.0])
         assert nnls_calls[0] == 3
+
+    def test_negative_bound_multiplier_alone_falls_back_to_nnls(
+            self, monkeypatch):
+        # x + y <= 1 from (1, 1.5): the projection (0.25, 0.75) has only the
+        # row of A active; {x + y = 1, x = 0} (rows 0 and 1 of [A; -I]) gives
+        # the feasible (0, 1) = (1, 1.5) - m (1, 1) - mu (-1, 0) with the row
+        # tight and m = 0.5, but the bound's multiplier mu is -0.5
+        A, b, x = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 1.5])
+        nnls_calls = count_nnls_calls(monkeypatch)
+        np.testing.assert_allclose(project(x, A, b, warm=[0, 1]).z,
+                                   [0.25, 0.75], atol=1e-12)
+        assert nnls_calls[0] == 1
+
+    def test_duplicated_row_takes_the_lstsq_fallback(self, monkeypatch):
+        # two copies of x + y + w <= 1 from (2, 2, -1): the answer is
+        # (0.5, 0.5, 0), and the warm set holding both copies and w >= 0
+        # (rows 0, 1 and 4) has a singular reduced Gram [[2, 2], [2, 2]]
+        A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        b, x = np.array([1.0, 1.0]), np.array([2.0, 2.0, -1.0])
+        cold = project(x, A, b)
+        np.testing.assert_allclose(cold.z, [0.5, 0.5, 0.0], atol=1e-12)
+        lstsq_calls, lstsq = [0], np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            lstsq_calls[0] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        nnls_calls = count_nnls_calls(monkeypatch)
+        warm = project(x, A, b, warm=[0, 1, 4])
+        np.testing.assert_allclose(warm.z, cold.z, rtol=0, atol=1e-12)
+        assert warm.z[2] == 0.0
+        assert warm.active == [0, 1, 4]
+        assert (lstsq_calls[0], nnls_calls[0]) == (1, 0)
+
+    def test_reduced_polish_matches_the_full_stacked_polish(self, monkeypatch):
+        # polyhedra up to large-net size (25 variables, 12 rows), sparse like
+        # the budget rows, and warm sets mixing rows of A with nonnegativity
+        # rows: the same z and the same accept/fall-back decision as the
+        # polish on [A; -I]
+        nnls_calls = count_nnls_calls(monkeypatch)
+        rng = np.random.default_rng(10)
+        decisions = {True: 0, False: 0}
+        for _ in range(200):
+            dim, n_rows = int(rng.integers(3, 26)), int(rng.integers(2, 13))
+            A = (rng.uniform(0.0, 1.0, (n_rows, dim))
+                 * (rng.random((n_rows, dim)) < 0.6))
+            b = rng.uniform(0.5, 2.0, n_rows)
+            x = rng.normal(0, 2, dim)
+            cold = project(x, A, b)
+            if not cold.active:
+                continue
+            # the cold answer is the stacked polish on the NNLS support
+            z, _ = full_stacked_polish(x, A, b, np.array(cold.active))
+            np.testing.assert_allclose(cold.z, z, rtol=0, atol=1e-12)
+            # the cold set, then each row toggled in or out with odds 1/8
+            for toggle in (0.0, 0.125, 0.125):
+                flip = rng.random(n_rows + dim) < toggle
+                guess = np.flatnonzero(np.isin(np.arange(n_rows + dim),
+                                               cold.active) ^ flip)
+                if guess.size == 0:
+                    continue
+                z, certified = full_stacked_polish(x, A, b, guess)
+                before = nnls_calls[0]
+                res = project(x, A, b, warm=list(guess))
+                assert (nnls_calls[0] == before) == certified
+                np.testing.assert_allclose(res.z, z if certified else cold.z,
+                                           rtol=0, atol=1e-12)
+                decisions[certified] += 1
+        assert min(decisions.values()) >= 50
 
     def test_optimized_plan_has_no_near_zero_entries(self, scenario, schedule):
         # coordinates held by an active nonnegativity row are exactly 0
