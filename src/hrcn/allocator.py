@@ -15,7 +15,7 @@ from scipy.optimize import linprog, nnls
 
 from .fusion import inv_psd
 from .scenario import MeasurementSchedule, RadarKind, Scenario
-from .sensing import const_kernel, info_kernel_D
+from .sensing import info_kernel_D
 
 
 class InfeasibleError(RuntimeError):
@@ -115,17 +115,11 @@ def info_scale(scenario: Scenario, layout: AllocationLayout,
 
 def compute_kernels(scenario: Scenario, schedule: MeasurementSchedule,
                     k: int, predicted_states: list[np.ndarray]) -> np.ndarray:
-    """(Q, N, 4, 4) information kernels D for interval k, evaluated at each
-    target's predicted prior state."""
-    q_n, n = scenario.n_targets, scenario.n_radars
+    """(Q, N, 4, 4) information kernels D for interval k: each target's
+    schedule rows evaluated at its predicted prior state."""
     _, t_fuse = scenario.grid.boundary(k)
-    D = np.zeros((q_n, n, 4, 4))
-    for q in range(q_n):
-        for i, radar in enumerate(scenario.radars):
-            kern = const_kernel(radar, scenario.targets[q].rcs[i])
-            D[q, i] = info_kernel_D(radar.position, schedule.times(i, q, k),
-                                    t_fuse, predicted_states[q], kern)
-    return D
+    return np.array([info_kernel_D(schedule.rows[q][k], t_fuse, s)
+                     for q, s in enumerate(predicted_states)])
 
 
 def bayesian_B(z: np.ndarray, kernels: np.ndarray,
@@ -479,13 +473,9 @@ def baseline_uniform(scenario: Scenario, schedule: MeasurementSchedule,
 
 
 def baseline_random(scenario: Scenario, schedule: MeasurementSchedule,
-                    k: int, rng: np.random.Generator,
-                    project_to_feasible: bool = True) -> np.ndarray:
-    """Random direction per resource block, scaled so each budget binds.
-
-    With project_to_feasible (default) the draw is projected onto the
-    constraint polyhedron; without it, throughput floors may be violated.
-    """
+                    k: int, rng: np.random.Generator) -> np.ndarray:
+    """Random direction per resource block, scaled so each budget binds,
+    then projected onto the constraint polyhedron."""
     layout = AllocationLayout.from_scenario(scenario)
     counts = schedule.counts[:, :, k]
     z = np.zeros(layout.dim)
@@ -497,10 +487,8 @@ def baseline_random(scenario: Scenario, schedule: MeasurementSchedule,
         z[layout.var[i]] = u
     u = rng.uniform(0.0, 1.0, scenario.comm.num_links)
     z[layout.n_radar_vars:] = u * scenario.comm.power_budget / u.sum()
-    if project_to_feasible:
-        A, b, _ = assemble_constraints(scenario, schedule, k)
-        z = project(z, A, b).z
-    return z
+    A, b, _ = assemble_constraints(scenario, schedule, k)
+    return project(z, A, b).z
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +507,13 @@ class AllocatorConfig:
 
 @dataclass
 class PlanningPrior:
-    """Per-target predicted prior for one interval: the predicted state (for
-    Jacobian evaluation) and the predicted Bayesian information."""
+    """Per-target predicted prior for one interval: the predicted state, the
+    predicted Bayesian information and the interval's per-radar information
+    kernels evaluated at that state."""
 
-    state: np.ndarray  # (4,)
-    info: np.ndarray   # (4, 4)
+    state: np.ndarray    # (4,)
+    info: np.ndarray     # (4, 4)
+    kernels: np.ndarray  # (N, 4, 4)
 
 
 def _budget_scale(scenario: Scenario, layout: AllocationLayout,
@@ -555,7 +545,7 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
     layout = AllocationLayout.from_scenario(scenario)
     A, b, labels = assemble_constraints(scenario, schedule, k)
     counts = schedule.counts[:, :, k]
-    kernels = compute_kernels(scenario, schedule, k, [p.state for p in priors])
+    kernels = np.array([p.kernels for p in priors])
     prior_infos = [p.info for p in priors]
     lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .allocator import (AllocationLayout, AllocatorConfig, InfeasibleError,
                         adam_solve, assemble_constraints, baseline_uniform,
-                        compute_kernels, objective_g, project)
+                        objective_g, project)
 from .harness import (compare_allocations, plan_allocations, planning_chain,
                       save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
@@ -64,10 +64,8 @@ def cmd_solve(args) -> int:
     priors = _planning_priors(scenario, schedule, cfg, args.interval)
     z, trace = adam_solve(scenario, schedule, args.interval, priors, cfg)
     layout = AllocationLayout.from_scenario(scenario)
-    kernels = compute_kernels(scenario, schedule, args.interval,
-                              [p.state for p in priors])
-    g = objective_g(z, kernels, [p.info for p in priors], scenario, layout,
-                    cfg.jitter)
+    g = objective_g(z, np.array([p.kernels for p in priors]),
+                    [p.info for p in priors], scenario, layout, cfg.jitter)
     print(f"interval {args.interval}: g = {g:.6g} "
           f"({len(trace)} solver iterations)")
     names = ([f"P[mmr{i},t{q}]" for i in layout.mmr
@@ -127,8 +125,7 @@ def cmd_sweep(args) -> int:
     cfg = AllocatorConfig()
     layout = AllocationLayout.from_scenario(scenario)
     priors = _planning_priors(scenario, schedule, cfg, args.interval)
-    kernels = compute_kernels(scenario, schedule, args.interval,
-                              [p.state for p in priors])
+    kernels = np.array([p.kernels for p in priors])
     prior_infos = [p.info for p in priors]
     rows = []
     warm = None

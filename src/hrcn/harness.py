@@ -40,35 +40,36 @@ def rmse(errors: np.ndarray, lam: np.ndarray) -> float:
 
 
 def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
-                   allocate, jitter: float, init: Optional[TrackInit] = None):
+                   allocate, jitter: float):
     """The planning recursion over the fusion grid.
 
     For each interval k, every target's prior is predicted along the
-    noise-free truth trajectory, the interval is allocated with
-    z = allocate(k, priors), and the Bayesian information B(z) at the
-    predicted states seeds the next interval's priors.  Yields
-    (priors, z, b_mats) per interval.  When allocate returns None the chain
-    ends with (priors, None, None), before interval k's kernels are computed.
+    noise-free truth trajectory, with the interval's information kernels at
+    the predicted state; the interval is allocated with
+    z = allocate(k, priors), and the Bayesian information B(z) of those
+    kernels seeds the next interval's priors.  Yields (priors, z, b_mats) per
+    interval.  When allocate returns None the chain ends with
+    (priors, None, None).
     """
     layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
-    initc = init or TrackInit()
     F = transition_matrix(grid.interval_length)
     states = [t.initial_state for t in scenario.targets]
-    infos = [np.linalg.inv(np.diag(initc.cov_diag)) for _ in scenario.targets]
+    infos = [np.linalg.inv(np.diag(TrackInit().cov_diag))
+             for _ in scenario.targets]
     gammas = [process_noise_cov(grid.interval_length, t.process_noise_intensity)
               for t in scenario.targets]
     for k in range(grid.num_intervals):
         states = [F @ s for s in states]
+        kernels = compute_kernels(scenario, schedule, k, states)
         priors = [PlanningPrior(state=s,
-                                info=prior_information(b, F, gamma, jitter))
-                  for s, b, gamma in zip(states, infos, gammas)]
+                                info=prior_information(b, F, gamma, jitter),
+                                kernels=d)
+                  for s, b, gamma, d in zip(states, infos, gammas, kernels)]
         z = allocate(k, priors)
         if z is None:
             yield priors, None, None
             return
-        kernels = compute_kernels(scenario, schedule, k,
-                                  [p.state for p in priors])
         infos = bayesian_B(z, kernels, [p.info for p in priors], scenario,
                            layout)
         yield priors, z, infos
@@ -76,9 +77,7 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
 
 def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
                      policy: str, config: Optional[AllocatorConfig] = None,
-                     seed: int = 0, init: Optional[TrackInit] = None,
-                     random_feasible: bool = True,
-                     bounds: Optional[list] = None
+                     seed: int = 0, bounds: Optional[list] = None
                      ) -> tuple[list[np.ndarray], list[float], list[list[dict]]]:
     """Sequential per-interval allocation under one policy.
 
@@ -100,16 +99,14 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
         elif policy == "uniform":
             z, tr = baseline_uniform(scenario, schedule, k), []
         else:
-            z = baseline_random(scenario, schedule, k, rng,
-                                project_to_feasible=random_feasible)
-            tr = []
+            z, tr = baseline_random(scenario, schedule, k, rng), []
         traces.append(tr)
         return z
 
     t0 = scenario.grid.interval_length
     allocations, g_values = [], []
     for _, z, b_mats in planning_chain(scenario, schedule, allocate,
-                                       cfg.jitter, init):
+                                       cfg.jitter):
         allocations.append(z)
         g_values.append(crb_metric(b_mats, t0, cfg.jitter))
         if bounds is not None:
@@ -175,10 +172,7 @@ def scenario_fingerprint(scenario: Scenario) -> str:
 
 
 def compare_allocations(scenario: Scenario, policies, n_trials: int,
-                        seed: int = 0,
-                        config: Optional[AllocatorConfig] = None,
-                        init: Optional[TrackInit] = None,
-                        random_feasible: bool = True) -> ExperimentResult:
+                        seed: int = 0) -> ExperimentResult:
     """Full pipeline per policy with common random numbers across policies.
 
     Every trial reuses the same noise streams regardless of policy, so RMSE
@@ -189,13 +183,12 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
         raise ValueError(f"unknown policies: {sorted(unknown)}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    cfg = config or AllocatorConfig()
+    cfg = AllocatorConfig()
     schedule = build_schedule(scenario)
     layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
     lam = lambda_diag(grid.interval_length)
     counts = schedule.counts
-    initc = init or TrackInit()
 
     result = ExperimentResult(
         run_id=uuid.uuid5(uuid.NAMESPACE_OID,
@@ -206,13 +199,12 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
     for policy in policies:
         bounds: list = []
         allocations, g_values, traces = plan_allocations(
-            scenario, schedule, policy, cfg, seed, initc,
-            random_feasible=random_feasible, bounds=bounds)
+            scenario, schedule, policy, cfg, seed, bounds=bounds)
         errors = np.zeros((n_trials, grid.num_intervals,
                            scenario.n_targets, 4))
         for t in range(n_trials):
             run = run_tracking(scenario, schedule, allocations,
-                               seed=[seed, t], init=initc, jitter=cfg.jitter)
+                               seed=[seed, t], jitter=cfg.jitter)
             for k in range(grid.num_intervals):
                 errors[t, k] = run.means[:, k] - run.truth[:, k + 1]
         rmse_k = [rmse(errors[:, k], lam) for k in range(grid.num_intervals)]

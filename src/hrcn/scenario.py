@@ -142,10 +142,6 @@ class MeasurementSchedule:
     counts: np.ndarray  # (N, Q, K) int
     rows: list = field(repr=False)  # rows[q][k]: IntervalRows
 
-    def times(self, i: int, q: int, k: int) -> np.ndarray:
-        r = self.rows[q][k]
-        return r.times[r.start[i]:r.start[i + 1]]
-
 
 _KIND_ORDER = {RadarKind.MMR: 0, RadarKind.PAR: 1, RadarKind.MSR: 2}
 
@@ -256,6 +252,10 @@ def validate(scenario: Scenario) -> None:
     _require(comm.num_links >= 1, "comm.num_links must be >= 1")
     _require(comm.noise_var > 0, "comm.noise_var must be > 0")
     _require(comm.power_budget > 0, "comm.power_budget must be > 0")
+    floor_shapes = ((comm.num_links,), (comm.num_links, grid.num_intervals))
+    _require(comm.throughput_floor.shape in floor_shapes,
+             f"comm.throughput_floor must have shape {floor_shapes[0]} or "
+             f"{floor_shapes[1]}, got {comm.throughput_floor.shape}")
     _require(np.all(comm.throughput_floor >= 0),
              "comm.throughput_floor must be >= 0")
     _require(comm.radar_to_comm_gain.shape == (comm.num_links, n),

@@ -1,7 +1,7 @@
 """The resource-independent factors of the measurement model: each radar's
-constant noise kernel and the per-schedule-entry information kernels.  The
-resource-dependent part of the noise (energy over interference plus noise)
-is allocator.info_scale."""
+constant noise kernel and the per-radar information kernels of a target's
+interval rows.  The resource-dependent part of the noise (energy over
+interference plus noise) is allocator.info_scale."""
 
 from typing import TYPE_CHECKING
 
@@ -10,7 +10,7 @@ import numpy as np
 from . import _kernels
 
 if TYPE_CHECKING:  # scenario imports this module to lay out its schedule
-    from .scenario import RadarNode
+    from .scenario import IntervalRows, RadarNode
 
 
 def const_kernel(radar: "RadarNode", rcs: float) -> np.ndarray:
@@ -20,21 +20,22 @@ def const_kernel(radar: "RadarNode", rcs: float) -> np.ndarray:
                      rcs * radar.beamwidth ** 2 * radar.bearing_const])
 
 
-def info_kernel_D(radar_position, times: np.ndarray, t_fuse: float,
-                  prior_state: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Resource-independent information kernel of one (radar, target,
-    interval) schedule entry: sum over measurement times of H^T C^{-1} H.
+def info_kernel_D(rows: "IntervalRows", t_fuse: float,
+                  prior_state: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) resource-independent information kernels of one target's
+    interval rows: per radar, the sum over its scheduled measurements of
+    H^T C^{-1} H with C the row's constant kernel.
 
     H is the Jacobian with respect to the fusion-time state, evaluated at the
-    predicted prior back-propagated to each measurement time.  Empty schedules
-    give the zero matrix.
+    predicted prior back-propagated to each measurement time.  A radar with
+    no rows gets the zero matrix.
     """
-    m = len(times)
-    if m == 0:
-        return np.zeros((4, 4))
-    radar_xy = np.tile(np.asarray(radar_position, dtype=float), (m, 1))
-    winv = np.tile(1.0 / kernel, (m, 1))
-    return _kernels.fim_accumulate(np.asarray(prior_state, dtype=float),
-                                   float(t_fuse),
-                                   np.asarray(times, dtype=float),
-                                   radar_xy, winv)
+    state = np.asarray(prior_state, dtype=float)
+    winv = 1.0 / rows.kernel
+    D = np.zeros((len(rows.start) - 1, 4, 4))
+    for i, (a, b) in enumerate(zip(rows.start[:-1], rows.start[1:])):
+        if b > a:
+            D[i] = _kernels.fim_accumulate(state, float(t_fuse),
+                                           rows.times[a:b], rows.radar_xy[a:b],
+                                           winv[a:b])
+    return D

@@ -1,5 +1,5 @@
-"""Shared fixtures: the packaged default scenario and a small single-radar
-scenario factory for targeted tests."""
+"""Shared fixtures: the packaged default scenario, a small single-radar
+scenario factory for targeted tests, and per-radar schedule times."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,13 @@ def scenario():
 @pytest.fixture(scope="session")
 def schedule(scenario):
     return build_schedule(scenario)
+
+
+def radar_times(schedule, i, q, k):
+    """Measurement times of radar i on target q in interval k: radar i's
+    block of the schedule rows rows[q][k]."""
+    rows = schedule.rows[q][k]
+    return rows.times[rows.start[i]:rows.start[i + 1]]
 
 
 def make_mini_scenario(t0=6.0, num_intervals=1, start_time=0.0,

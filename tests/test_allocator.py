@@ -27,22 +27,25 @@ def layout(scenario):
 
 
 @pytest.fixture(scope="module")
-def priors(scenario):
-    """Planning priors for interval 0: predicted initial state, loose info."""
+def priors(scenario, schedule):
+    """Planning priors for interval 0: predicted initial state, loose info,
+    and the kernels at the predicted state."""
     F = transition_matrix(scenario.grid.interval_length)
+    states = [F @ tgt.initial_state for tgt in scenario.targets]
+    info0 = np.linalg.inv(np.diag([100.0, 10.0, 100.0, 10.0]) ** 2)
     out = []
-    for tgt in scenario.targets:
-        info0 = np.linalg.inv(np.diag([100.0, 10.0, 100.0, 10.0]) ** 2)
+    for tgt, s, d in zip(scenario.targets, states,
+                         compute_kernels(scenario, schedule, 0, states)):
         gam = process_noise_cov(scenario.grid.interval_length,
                                 tgt.process_noise_intensity)
-        out.append(PlanningPrior(state=F @ tgt.initial_state,
+        out.append(PlanningPrior(state=s, kernels=d,
                                  info=prior_information(info0, F, gam, 1e-9)))
     return out
 
 
 @pytest.fixture(scope="module")
-def kernels(scenario, schedule, priors):
-    return compute_kernels(scenario, schedule, 0, [p.state for p in priors])
+def kernels(priors):
+    return np.array([p.kernels for p in priors])
 
 
 def count_nnls_calls(monkeypatch) -> list:
@@ -84,7 +87,7 @@ def recorded_solves(scenario, schedule) -> list[dict]:
 
     def recording(sc, sch, k, priors, cfg):
         z, trace = adam_solve(sc, sch, k, priors, cfg)
-        kern = compute_kernels(sc, sch, k, [p.state for p in priors])
+        kern = np.array([p.kernels for p in priors])
         infos = [p.info for p in priors]
         solves.append({"k": k, "priors": priors, "z": z, "trace": trace,
                        "g_of": lambda zz: objective_g(zz, kern, infos, sc,
@@ -661,8 +664,9 @@ class TestAdamSolve:
     def test_degenerate_empty_schedule(self):
         sc = make_mini_scenario(initial_time=100.0)
         sch = build_schedule(sc)
-        priors = [PlanningPrior(state=sc.targets[0].initial_state,
-                                info=np.eye(4) * 1e-3)]
+        state = sc.targets[0].initial_state
+        priors = [PlanningPrior(state=state, info=np.eye(4) * 1e-3,
+                                kernels=compute_kernels(sc, sch, 0, [state])[0])]
         z, trace = adam_solve(sc, sch, 0, priors)
         assert len(trace) <= 2
         assert np.all(z >= 0)
@@ -670,22 +674,24 @@ class TestAdamSolve:
     def test_single_radar_saturates_budget(self):
         sc = make_mini_scenario(throughput_floor=0.0)
         sch = build_schedule(sc)
-        priors = [PlanningPrior(state=sc.targets[0].initial_state,
-                                info=np.eye(4) * 1e-4)]
+        state = sc.targets[0].initial_state
+        priors = [PlanningPrior(state=state, info=np.eye(4) * 1e-4,
+                                kernels=compute_kernels(sc, sch, 0, [state])[0])]
         z, _ = adam_solve(sc, sch, 0, priors)
         counts = sch.counts[:, :, 0]
         used = counts[0, 0] * z[0]
         assert used == pytest.approx(sc.radars[0].power_budget, rel=1e-6)
 
-    def test_beats_uniform_on_default(self, scenario, schedule, priors):
+    def test_beats_uniform_on_default(self, scenario, schedule, priors,
+                                      kernels):
         layout = AllocationLayout.from_scenario(scenario)
-        kern = compute_kernels(scenario, schedule, 0,
-                               [p.state for p in priors])
         prior_infos = [p.info for p in priors]
         z_opt, trace = adam_solve(scenario, schedule, 0, priors)
         z_uni = baseline_uniform(scenario, schedule, 0)
-        g_opt = objective_g(z_opt, kern, prior_infos, scenario, layout, 1e-9)
-        g_uni = objective_g(z_uni, kern, prior_infos, scenario, layout, 1e-9)
+        g_opt = objective_g(z_opt, kernels, prior_infos, scenario, layout,
+                            1e-9)
+        g_uni = objective_g(z_uni, kernels, prior_infos, scenario, layout,
+                            1e-9)
         assert g_opt >= g_uni
         assert len(trace) >= 1
         assert all(np.isfinite(rec["f"]) for rec in trace)

@@ -7,12 +7,13 @@ import pytest
 
 from hrcn.allocator import (AllocationLayout, baseline_uniform,
                             compute_kernels, info_scale, lambda_diag)
+from hrcn.fusion import fim
 from hrcn.harness import (compare_allocations, load_result, plan_allocations,
                           planning_chain, rmse, save_result,
                           scenario_fingerprint)
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
-from hrcn.tracker import TrackInit
+from hrcn.tracker import TrackInit, _stack_interval
 
 
 LAM = lambda_diag(6.0)
@@ -75,6 +76,27 @@ class TestPlanningChain:
                 assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
             n += 1
         assert n == scenario.grid.num_intervals
+
+    def test_kernels_are_the_information_tracking_fuses(self, scenario,
+                                                        schedule):
+        # planning's sum_i scale_i D_i is the Fisher information of the rows
+        # tracking stacks under the same plan, at the same predicted state
+        layout = AllocationLayout.from_scenario(scenario)
+
+        def uniform(k, _priors):
+            return baseline_uniform(scenario, schedule, k)
+
+        chain = planning_chain(scenario, schedule, uniform, jitter=1e-9)
+        for k, (priors, z, _) in enumerate(chain):
+            t_k, t_fuse = scenario.grid.boundary(k)
+            scale = info_scale(scenario, layout, z)
+            for q, p in enumerate(priors):
+                rows = schedule.rows[q][k]
+                stack = _stack_interval(rows, scale[:, q], p.state, t_k,
+                                        t_fuse, np.zeros((len(rows.times), 2)))
+                np.testing.assert_allclose(
+                    np.einsum("i,iab->ab", scale[:, q], p.kernels),
+                    fim(stack, p.state), rtol=1e-12)
 
 
 class TestCompareAllocations:

@@ -8,7 +8,7 @@ from hrcn.harness import scenario_fingerprint
 from hrcn.scenario import (ScenarioError, build_schedule,
                            default_scenario_path, load_scenario)
 
-from conftest import make_mini_scenario
+from conftest import make_mini_scenario, radar_times
 
 
 def _mutated_default(tmp_path, mutate):
@@ -69,24 +69,36 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="rcs"):
             load_scenario(_mutated_default(tmp_path, mutate))
 
+    @pytest.mark.parametrize("floor", [1.0, [1.0, 1.0], [[1.0, 1.0]] * 3],
+                             ids=["scalar", "two-of-three-links",
+                                  "three-by-two"])
+    def test_floor_of_wrong_shape_rejected(self, tmp_path, floor):
+        # the default has 3 links and 10 intervals: (3,) or (3, 10) only
+        def mutate(raw):
+            raw["comm"]["throughput_floor"] = floor
+        with pytest.raises(ScenarioError, match="throughput_floor"):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
 
 class TestBuildSchedule:
     def test_simple_progression(self):
         sc = make_mini_scenario(t0=6.0, initial_time=2.0, revisit=2.0)
         sch = build_schedule(sc)
-        np.testing.assert_allclose(sch.times(0, 0, 0), [2.0, 4.0, 6.0])
+        np.testing.assert_allclose(radar_times(sch, 0, 0, 0),
+                                   [2.0, 4.0, 6.0])
         assert sch.counts[0, 0, 0] == 3
 
     def test_no_times_in_window(self):
         sc = make_mini_scenario(t0=6.0, initial_time=10.0)
         sch = build_schedule(sc)
         assert sch.counts[0, 0, 0] == 0
-        assert len(sch.times(0, 0, 0)) == 0
+        assert len(radar_times(sch, 0, 0, 0)) == 0
 
     def test_offset_progression_long_window(self):
         sc = make_mini_scenario(t0=9.0, initial_time=2.3, revisit=3.0)
         sch = build_schedule(sc)
-        np.testing.assert_allclose(sch.times(0, 0, 0), [2.3, 5.3, 8.3])
+        np.testing.assert_allclose(radar_times(sch, 0, 0, 0),
+                                   [2.3, 5.3, 8.3])
         assert sch.counts[0, 0, 0] == 3
 
     def test_boundary_point_belongs_to_closing_interval(self):
@@ -94,9 +106,9 @@ class TestBuildSchedule:
         sc = make_mini_scenario(t0=2.0, num_intervals=3, initial_time=2.0,
                                 revisit=2.0)
         sch = build_schedule(sc)
-        np.testing.assert_allclose(sch.times(0, 0, 0), [2.0])
-        np.testing.assert_allclose(sch.times(0, 0, 1), [4.0])
-        np.testing.assert_allclose(sch.times(0, 0, 2), [6.0])
+        np.testing.assert_allclose(radar_times(sch, 0, 0, 0), [2.0])
+        np.testing.assert_allclose(radar_times(sch, 0, 0, 1), [4.0])
+        np.testing.assert_allclose(radar_times(sch, 0, 0, 2), [6.0])
 
     def test_window_partition(self, scenario, schedule):
         # counts summed over intervals equal the progression points in the span
@@ -115,7 +127,8 @@ class TestBuildSchedule:
         b = build_schedule(scenario)
         np.testing.assert_array_equal(a.counts, b.counts)
         for key in np.ndindex(a.counts.shape):
-            np.testing.assert_array_equal(a.times(*key), b.times(*key))
+            np.testing.assert_array_equal(radar_times(a, *key),
+                                          radar_times(b, *key))
 
     def test_scan_radar_revisit_shared_across_targets(self, scenario,
                                                       schedule):
@@ -126,7 +139,7 @@ class TestBuildSchedule:
             assert np.all(scenario.radars[i].revisit_interval == revisit)
             for k in range(scenario.grid.num_intervals):
                 for q in range(scenario.n_targets):
-                    t = schedule.times(i, q, k)
+                    t = radar_times(schedule, i, q, k)
                     if len(t) > 1:
                         np.testing.assert_allclose(np.diff(t), revisit,
                                                    rtol=0, atol=1e-12)
@@ -136,6 +149,6 @@ class TestBuildSchedule:
             lo, hi = scenario.grid.boundary(k)
             for i in range(scenario.n_radars):
                 for q in range(scenario.n_targets):
-                    t = schedule.times(i, q, k)
+                    t = radar_times(schedule, i, q, k)
                     assert np.all(t > lo) and np.all(t <= hi)
                     assert np.all(np.diff(t) > 0)

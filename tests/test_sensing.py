@@ -9,7 +9,8 @@ import pytest
 
 from hrcn.allocator import AllocationLayout, baseline_uniform, info_scale
 from hrcn.kinematics import (measure, measurement_jacobian, transition_matrix)
-from hrcn.scenario import build_schedule, default_scenario_path, load_scenario
+from hrcn.scenario import (IntervalRows, build_schedule,
+                           default_scenario_path, load_scenario)
 from hrcn.sensing import const_kernel, info_kernel_D
 from hrcn.tracker import _stack_interval
 
@@ -130,6 +131,18 @@ class TestSimulateMeasurement:
         np.testing.assert_array_equal(a.cov_diag, b.cov_diag)
 
 
+def _rows(radar_xy, times, kernels) -> IntervalRows:
+    """One target's interval rows from per-radar positions, measurement
+    times and constant kernels."""
+    counts = [len(t) for t in times]
+    radar = np.repeat(np.arange(len(counts)), counts)
+    return IntervalRows(
+        times=np.concatenate([np.asarray(t, dtype=float) for t in times]),
+        radar=radar, radar_xy=np.asarray(radar_xy, dtype=float)[radar],
+        kernel=np.asarray(kernels, dtype=float)[radar],
+        start=np.concatenate(([0], np.cumsum(counts))))
+
+
 KERNEL = np.array([4.0, 0.25])
 
 
@@ -137,33 +150,44 @@ class TestInfoKernelD:
     STATE = np.array([2000.0, 100.0, 3000.0, 60.0])
 
     def test_empty_schedule_gives_zero(self):
-        D = info_kernel_D((0.0, 0.0), np.array([]), 6.0, self.STATE, KERNEL)
-        np.testing.assert_array_equal(D, np.zeros((4, 4)))
+        rows = _rows([(0.0, 0.0), (500.0, -200.0)], [[], [2.0, 4.0]],
+                     [KERNEL, KERNEL])
+        D = info_kernel_D(rows, 6.0, self.STATE)
+        assert D.shape == (2, 4, 4)
+        np.testing.assert_array_equal(D[0], np.zeros((4, 4)))
+        assert np.trace(D[1]) > 0
 
     def test_single_measurement_rank_at_most_two(self):
-        D = info_kernel_D((0.0, 0.0), np.array([3.0]), 6.0, self.STATE, KERNEL)
+        D = info_kernel_D(_rows([(0.0, 0.0)], [[3.0]], [KERNEL]), 6.0,
+                          self.STATE)[0]
         assert np.linalg.matrix_rank(D, tol=1e-8 * np.trace(D)) <= 2
 
     def test_matches_bruteforce_accumulation(self):
-        times = np.array([2.0, 4.0, 6.0])
+        positions = np.array([[500.0, -200.0], [-3000.0, 1000.0],
+                              [0.0, 8000.0]])
+        times = [[2.0, 4.0, 6.0], [1.5], [0.5, 3.0]]
+        kernels = np.array([KERNEL, [9.0, 0.01], [0.5, 2.0]])
         t_fuse = 6.0
-        radar = np.array([500.0, -200.0])
-        D = info_kernel_D(radar, times, t_fuse, self.STATE, KERNEL)
-        expected = np.zeros((4, 4))
-        for t in times:
-            F_back = transition_matrix(t - t_fuse)
-            s_t = F_back @ self.STATE
-            H = measurement_jacobian(s_t, radar) @ F_back
-            expected += H.T @ np.diag(1.0 / KERNEL) @ H
-        np.testing.assert_allclose(D, expected, rtol=1e-12, atol=1e-20)
+        D = info_kernel_D(_rows(positions, times, kernels), t_fuse,
+                          self.STATE)
+        for i, radar in enumerate(positions):
+            expected = np.zeros((4, 4))
+            for t in times[i]:
+                F_back = transition_matrix(t - t_fuse)
+                s_t = F_back @ self.STATE
+                H = measurement_jacobian(s_t, radar) @ F_back
+                expected += H.T @ np.diag(1.0 / kernels[i]) @ H
+            np.testing.assert_allclose(D[i], expected, rtol=1e-12,
+                                       atol=1e-20)
 
     def test_symmetric_psd_and_monotone(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             state = rng.uniform(-5000, 5000, 4)
-            radar = rng.uniform(-5000, 5000, 2)
+            radar = rng.uniform(-5000, 5000, (1, 2))
             times = np.sort(rng.uniform(0.5, 6.0, 4))
-            D3 = info_kernel_D(radar, times[:3], 6.0, state, KERNEL)
-            D4 = info_kernel_D(radar, times, 6.0, state, KERNEL)
+            D3 = info_kernel_D(_rows(radar, [times[:3]], [KERNEL]), 6.0,
+                               state)[0]
+            D4 = info_kernel_D(_rows(radar, [times], [KERNEL]), 6.0, state)[0]
             np.testing.assert_allclose(D4, D4.T, atol=1e-18)
             assert np.min(np.linalg.eigvalsh(D4 - D3)) >= -1e-12

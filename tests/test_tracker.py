@@ -10,6 +10,8 @@ from hrcn.sensing import const_kernel
 from hrcn.tracker import (TrackInit, TrackState, _stack_interval, kf_predict,
                           kf_update, run_tracking)
 
+from conftest import radar_times
+
 
 def _cm(estimate, cov):
     return CompositeMeasurement(estimate=np.asarray(estimate, dtype=float),
@@ -155,7 +157,7 @@ def _oracle_stack(scenario, schedule, z, q, k, truth_k, draws):
     for i, radar in enumerate(scenario.radars):
         kern = const_kernel(radar, scenario.targets[q].rcs[i])
         cov = kern / scale[i] if scale[i] > 0 else None
-        for t in schedule.times(i, q, k):
+        for t in radar_times(schedule, i, q, k):
             d = draws[pos]
             pos += 1
             if cov is None:
