@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import linprog, nnls
 
 from .fusion import inv_psd
@@ -317,43 +318,116 @@ def _excess(A: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
     return max((A @ z - b).max(), -z.min())
 
 
-def _polish(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
-            rows: np.ndarray, bound: float):
-    """Exact projection of z_raw onto the affine set of the given sorted rows
-    S of [A; -I]: A_S z = b_S on the rows S_A of A in S, and z_Z = 0 on the
-    coordinates Z whose nonnegativity row is in S.
+@dataclass(frozen=True, eq=False)
+class _Face:
+    """One active set S of the stacked rows [A; -I] of one polyhedron, with
+    everything about it that does not depend on the point projected: the
+    rows S_A of A in S with their right-hand sides b_S, the coordinates Z
+    whose nonnegativity row is in S, A_S with the columns Z cleared, and its
+    Gram matrix with dgetrf's LU factors (None when there are no rows of A,
+    or when the Gram matrix is singular)."""
 
-    With z_Z fixed at 0 only the free coordinates F move, so the multipliers
-    m of S_A solve the |S_A|-square system (A_SF A_SF^T) m = A_SF z_raw_F - b_S
-    (null-space elimination of the active bounds) and those of Z are
-    mu_Z = (A_S^T m)_Z - z_raw_Z; [A; -I] is never formed.  Returns
-    (z, mult, slack) with z = z_raw - A_S^T m and z_Z exactly 0, the
-    multipliers mult = (m, mu_Z) of S in the order of rows and
-    slack = A_S z - b_S; None when z leaves the polyhedron by more than bound.
-    """
+    on_a: np.ndarray
+    zero: np.ndarray
+    a_s: np.ndarray
+    b_s: np.ndarray
+    a_free: np.ndarray
+    gram: np.ndarray
+    lu: Optional[tuple]
+
+
+def _face(faces: dict, A: np.ndarray, b: np.ndarray, rows: list[int]) -> _Face:
+    """The face of the sorted rows: from the cache faces, or factored and
+    added to it."""
+    key = tuple(rows)
+    if key in faces:
+        return faces[key]
+    rows = np.asarray(rows, dtype=int)
     split = np.searchsorted(rows, A.shape[0])
     on_a, zero = rows[:split], rows[split:] - A.shape[0]
     a_s = A[on_a]
     a_free = a_s.copy()
     a_free[:, zero] = 0.0
-    resid = a_free @ z_raw - b[on_a]
     gram = a_free @ a_free.T
-    try:
-        m = np.linalg.solve(gram, resid)
-    except np.linalg.LinAlgError:
+    lu = None
+    if on_a.size:
+        # dgetrf rejects a 0x0 matrix, and info > 0 flags a singular one
+        lu_, piv, info = dgetrf(gram)
+        if info == 0:
+            lu = (lu_, piv)
+    face = faces[key] = _Face(on_a=on_a, zero=zero, a_s=a_s, b_s=b[on_a],
+                              a_free=a_free, gram=gram, lu=lu)
+    return face
+
+
+def _polish(z_raw: np.ndarray, face: _Face, A: np.ndarray, b: np.ndarray):
+    """Exact projection of z_raw onto the affine set of a face S of [A; -I]:
+    A_S z = b_S on the rows S_A of A in S, and z_Z = 0 on the coordinates Z
+    whose nonnegativity row is in S.
+
+    With z_Z fixed at 0 only the free coordinates F move, so the multipliers
+    m of S_A solve the |S_A|-square system (A_SF A_SF^T) m = A_SF z_raw_F - b_S
+    (null-space elimination of the active bounds) and those of Z are
+    mu_Z = (A_S^T m)_Z - z_raw_Z; [A; -I] is never formed.  Returns
+    (z, mult, resid) with z = z_raw - A_S^T m and z_Z exactly 0, the
+    multipliers mult = (m, mu_Z) of S in the order of its sorted rows, and
+    resid = A z - b.
+    """
+    resid = face.a_free @ z_raw - face.b_s
+    if face.lu is not None:
+        m, _ = dgetrs(*face.lu, resid)
+    elif face.on_a.size:
         # singular: a duplicated row, or a row of A with its support in Z
-        m, *_ = np.linalg.lstsq(gram, resid, rcond=None)
-    z = z_raw - a_s.T @ m
-    mult = np.concatenate([m, -z[zero]])
-    z[zero] = 0.0
-    if _excess(A, b, z) > bound:
-        return None
-    return z, mult, a_s @ z - b[on_a]
+        m, *_ = np.linalg.lstsq(face.gram, resid, rcond=None)
+    else:
+        m = resid
+    z = z_raw - face.a_s.T @ m
+    mult = np.concatenate([m, -z[face.zero]])
+    z[face.zero] = 0.0
+    return z, mult, A @ z - b
+
+
+def _repair(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray, rows: list[int],
+            bound: float, faces: dict) -> Optional[ProjectionResult]:
+    """Polish on the guessed sorted rows and, while that fails the KKT
+    certificate, move one row and polish again (a primal active-set step,
+    Nocedal and Wright section 16.5): add the most violated row of [A; -I]
+    when the polish leaves the polyhedron by more than bound, else drop the
+    row with the most negative multiplier.
+
+    Returns the polish only with the certificate: every row of A in the set
+    tight (its nonnegativity rows are exactly 0; without this check a slack
+    nonnegativity row would have its coordinate zeroed), inside the
+    polyhedron within bound and multipliers >= 0.  Each row moves at most
+    once, so at most rows + dim steps are taken; None when a kept row of A
+    is slack (a singular face), a row would move twice or the set would
+    empty.
+    """
+    n_a, moved = A.shape[0], set()
+    while True:
+        face = _face(faces, A, b, rows)
+        z, mult, resid = _polish(z_raw, face, A, b)
+        if (np.abs(resid[face.on_a]) > bound).any():
+            return None
+        worst_a, worst_z = resid.argmax(), z.argmin()
+        if max(resid[worst_a], -z[worst_z]) > bound:
+            row = int(worst_a if resid[worst_a] >= -z[worst_z]
+                      else n_a + worst_z)
+        elif mult.min() < 0:
+            row = rows[int(mult.argmin())]
+            if len(rows) == 1:
+                return None
+        else:
+            return ProjectionResult(z=z, active=rows)
+        if row in moved:
+            return None
+        moved.add(row)
+        rows = sorted(set(rows) ^ {row})
 
 
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
-            tol: float = 1e-12,
-            warm: Optional[list[int]] = None) -> ProjectionResult:
+            tol: float = 1e-12, warm: Optional[list[int]] = None,
+            faces: Optional[dict] = None) -> ProjectionResult:
     """Euclidean projection onto {z : A z <= b, z >= 0}.
 
     Solved as a least-distance program reduced to nonnegative least squares
@@ -367,10 +441,10 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
 
     warm, optional, is a guessed active set (row indices into [A; -I]), such
     as the ``active`` of a projection of a nearby point onto the same
-    polyhedron.  The polish on those rows is returned without an NNLS when
-    it meets the KKT conditions: it stays in the polyhedron, its multipliers
-    are nonnegative and every warm row is tight.  Otherwise the NNLS runs as
-    without warm.
+    polyhedron.  The polish on those rows, repaired one row at a time, is
+    returned without an NNLS when it meets the KKT conditions (see _repair).
+    Otherwise the NNLS runs as without warm.  faces, optional, caches the
+    factored faces of this A and b across calls (a dict, filled in place).
     """
     z_raw = np.asarray(z_raw, dtype=float)
     excess = A @ z_raw - b
@@ -380,18 +454,13 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
         return ProjectionResult(z=z_raw.copy(), active=[])
     scale = max(1.0, np.abs(excess).max(), np.abs(z_raw).max())
     bound = 1e-9 * scale
+    if faces is None:
+        faces = {}
 
     if warm:
-        rows = np.asarray(warm, dtype=int)
-        if (rows[1:] <= rows[:-1]).any():
-            rows = np.unique(rows)
-        hit = _polish(z_raw, A, b, rows, bound)
-        # KKT: inside the polyhedron, nonnegative multipliers, every warm row
-        # of A tight (its nonnegativity rows are exactly 0); without the last,
-        # a slack nonnegativity row would have its coordinate zeroed
-        if (hit is not None and (hit[1] >= 0).all()
-                and (np.abs(hit[2]) <= bound).all()):
-            return ProjectionResult(z=hit[0], active=rows.tolist())
+        hit = _repair(z_raw, A, b, sorted(set(map(int, warm))), bound, faces)
+        if hit is not None:
+            return hit
 
     # min ||y|| s.t. G y >= v with G = [A; -I], v = G z_raw - [b; 0] and
     # y = z_raw - z, via NNLS on [G^T; v^T]; rows normalized so mixed
@@ -418,18 +487,18 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     z = z_raw - (-r[:-1] / r[-1])
 
     # polish: exact projection onto the affine hull of the NNLS support
-    active = np.flatnonzero(u > 0)
-    if active.size:
-        hit = _polish(z_raw, A, b, active, bound)
-        if hit is not None:
-            z = hit[0]
+    active = np.flatnonzero(u > 0).tolist()
+    if active:
+        hit, _, resid = _polish(z_raw, _face(faces, A, b, active), A, b)
+        if max(resid.max(), -hit.min()) <= bound:
+            z = hit
     viol = _excess(A, b, z)
     if viol > 1e-8 * scale:
         cert = _certify_infeasible(A, b)
         if cert is not None:
             raise InfeasibleError(f"empty polyhedron: {cert}")
         raise RuntimeError(f"projection failed to converge (violation {viol:.3e})")
-    return ProjectionResult(z=z, active=active.tolist())
+    return ProjectionResult(z=z, active=active)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +633,14 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
     g_cur = g_of(z)
     trace: list[dict] = []
     last: list[int] = []
+    faces: dict = {}
 
     def probe(eta: float) -> ProjectionResult:
         # line-search probes share A_u and b, so each starts from the active
-        # set of the one before; the module-level name keeps project patchable
+        # set of the one before and reuses the faces factored so far; the
+        # module-level name keeps project patchable
         nonlocal last
-        res = project(u + eta * direction, A_u, b, warm=last)
+        res = project(u + eta * direction, A_u, b, warm=last, faces=faces)
         last = res.active
         return res
 

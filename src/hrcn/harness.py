@@ -20,7 +20,7 @@ from .allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
 from .fusion import prior_information
 from .kinematics import process_noise_cov, transition_matrix
 from .scenario import MeasurementSchedule, Scenario, build_schedule
-from .tracker import TrackInit, run_tracking
+from .tracker import INIT_COV_DIAG, run_tracking
 
 POLICIES = ("optimized", "uniform", "random")
 
@@ -55,7 +55,7 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
     grid = scenario.grid
     F = transition_matrix(grid.interval_length)
     states = [t.initial_state for t in scenario.targets]
-    infos = [np.linalg.inv(np.diag(TrackInit().cov_diag))
+    infos = [np.linalg.inv(np.diag(INIT_COV_DIAG))
              for _ in scenario.targets]
     gammas = [process_noise_cov(grid.interval_length, t.process_noise_intensity)
               for t in scenario.targets]

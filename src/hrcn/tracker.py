@@ -2,8 +2,7 @@
 state-space pseudo-measurements with identity measurement matrix and CRB
 covariance."""
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +19,11 @@ class TrackState:
     cov: np.ndarray   # (4, 4) symmetric PSD
 
 
-@dataclass
-class TrackInit:
-    """Track initialization: truth perturbed by a fixed offset, with a
-    configured diagonal covariance."""
-
-    mean_offset: np.ndarray = field(
-        default_factory=lambda: np.array([50.0, 5.0, -50.0, -5.0]))
-    cov_diag: np.ndarray = field(
-        default_factory=lambda: np.array([100.0, 10.0, 100.0, 10.0]) ** 2)
+# Track initialization: every track starts at its truth perturbed by this
+# offset, with this diagonal covariance, which the planning chain also starts
+# from
+INIT_MEAN_OFFSET = np.array([50.0, 5.0, -50.0, -5.0])
+INIT_COV_DIAG = np.array([100.0, 10.0, 100.0, 10.0]) ** 2
 
 
 def kf_predict(track: TrackState, t0: float, gamma: np.ndarray) -> TrackState:
@@ -91,7 +86,6 @@ def _stack_interval(rows: IntervalRows, scale: np.ndarray,
 
 def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
                  allocations: list[np.ndarray], seed,
-                 init: Optional[TrackInit] = None,
                  jitter: float = 1e-9) -> TrackingResult:
     """Closed-loop simulate-fuse-filter run over all fusion intervals.
 
@@ -111,11 +105,10 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     covs = np.zeros((q_n, k_n, 4, 4))
 
     tracks, gammas, chols = [], [], []
-    initc = init or TrackInit()
     for q, tgt in enumerate(scenario.targets):
         truth[q, 0] = tgt.initial_state
-        tracks.append(TrackState(mean=tgt.initial_state + initc.mean_offset,
-                                 cov=np.diag(initc.cov_diag)))
+        tracks.append(TrackState(mean=tgt.initial_state + INIT_MEAN_OFFSET,
+                                 cov=np.diag(INIT_COV_DIAG)))
         gammas.append(process_noise_cov(grid.interval_length,
                                         tgt.process_noise_intensity))
         chols.append(np.linalg.cholesky(gammas[q])

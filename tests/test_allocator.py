@@ -62,9 +62,9 @@ def count_nnls_calls(monkeypatch) -> list:
 
 def full_stacked_polish(z_raw, A, b, rows):
     """Reference polish on the stacked rows [A; -I]: the whole Gram system of
-    the sorted rows solved by lstsq, and whether the result carries the warm
-    KKT certificate (inside the polyhedron, multipliers >= 0, rows tight).
-    Returns (z with its bounded coordinates set to exactly 0, certified)."""
+    the sorted rows solved by lstsq.  Returns (z with its bounded coordinates
+    set to exactly 0, the multipliers of rows, G z - h before the zeroing,
+    and the bound of the warm KKT certificate)."""
     dim = z_raw.size
     G = np.vstack([A, -np.eye(dim)])
     h = np.concatenate([b, np.zeros(dim)])
@@ -73,10 +73,34 @@ def full_stacked_polish(z_raw, A, b, rows):
     mult, *_ = np.linalg.lstsq(Gs @ Gs.T, Gs @ z_raw - h[rows], rcond=None)
     z = z_raw - Gs.T @ mult
     slack = G @ z - h
-    certified = bool(slack.max() <= bound and np.all(mult >= 0)
-                     and np.all(np.abs(slack[rows]) <= bound))
     z[rows[rows >= A.shape[0]] - A.shape[0]] = 0.0
-    return z, certified
+    return z, mult, slack, bound
+
+
+def stacked_repair(z_raw, A, b, rows):
+    """Reference add/drop repair on the stacked polish: from the sorted rows,
+    stop when a row of the set is slack, else add the most violated row of
+    [A; -I] while the polish leaves the polyhedron, else drop the row with
+    the most negative multiplier, each row at most once, until the warm KKT
+    certificate holds (rows tight, inside the polyhedron, multipliers >= 0).
+    Returns (z, rows, steps), or None where the NNLS has to run."""
+    rows, moved = np.asarray(rows), set()
+    while True:
+        z, mult, slack, bound = full_stacked_polish(z_raw, A, b, rows)
+        if np.any(np.abs(slack[rows]) > bound):
+            return None
+        if slack.max() > bound:
+            row = int(slack.argmax())
+        elif mult.min() < 0:
+            row = int(rows[mult.argmin()])
+            if rows.size == 1:
+                return None
+        else:
+            return z, rows.tolist(), len(moved)
+        if row in moved:
+            return None
+        moved.add(row)
+        rows = np.setxor1d(rows, [row])
 
 
 def recorded_solves(scenario, schedule) -> list[dict]:
@@ -511,28 +535,72 @@ class TestProject:
         np.testing.assert_array_equal(project(x, A, b, warm=[0, 2]).z, cold.z)
         assert nnls_calls[0] == 0
         # {x + y = 1, x = 0} gives the feasible (0, 1) with a negative
-        # multiplier; {y = 0} alone gives (2, 0), outside the polyhedron
+        # multiplier, and {y = 0} alone gives (2, 0), outside the polyhedron;
+        # the repair drops x >= 0 and adds y >= 0, or adds x + y <= 1, and
+        # reaches the cold set without an NNLS call
         for guess in ([0, 1], [2]):
-            np.testing.assert_array_equal(project(x, A, b, warm=guess).z, cold.z)
-        assert nnls_calls[0] == 2
+            res = project(x, A, b, warm=guess)
+            np.testing.assert_array_equal(res.z, cold.z)
+            assert res.active == cold.active == [0, 2]
+        assert nnls_calls[0] == 0
         # the unit box from (0.5, 2): x <= 1 and x >= 0 cannot both be tight,
-        # and taking them as tight would zero x; the answer is (0.5, 1)
+        # and taking them as tight would zero x; the polish leaves x <= 1
+        # slack, so no row move is tried and the NNLS gives (0.5, 1)
         box, ones, x = np.eye(2), np.ones(2), np.array([0.5, 2.0])
         np.testing.assert_array_equal(project(x, box, ones, warm=[0, 1, 2]).z,
                                       [0.5, 1.0])
-        assert nnls_calls[0] == 3
+        assert nnls_calls[0] == 1
 
-    def test_negative_bound_multiplier_alone_falls_back_to_nnls(
+    def test_negative_bound_multiplier_alone_is_dropped_by_the_repair(
             self, monkeypatch):
         # x + y <= 1 from (1, 1.5): the projection (0.25, 0.75) has only the
         # row of A active; {x + y = 1, x = 0} (rows 0 and 1 of [A; -I]) gives
         # the feasible (0, 1) = (1, 1.5) - m (1, 1) - mu (-1, 0) with the row
-        # tight and m = 0.5, but the bound's multiplier mu is -0.5
+        # tight and m = 0.5, but the bound's multiplier mu is -0.5, so the
+        # repair drops x >= 0
         A, b, x = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 1.5])
+        cold = project(x, A, b)
         nnls_calls = count_nnls_calls(monkeypatch)
-        np.testing.assert_allclose(project(x, A, b, warm=[0, 1]).z,
-                                   [0.25, 0.75], atol=1e-12)
-        assert nnls_calls[0] == 1
+        res = project(x, A, b, warm=[0, 1])
+        np.testing.assert_allclose(res.z, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_array_equal(res.z, cold.z)
+        assert res.active == cold.active == [0]
+        assert nnls_calls[0] == 0
+
+    def test_repair_certifies_guesses_one_or_two_rows_off(self, monkeypatch):
+        # x + y + w + v <= 1, x <= 0.2 and y <= 5 from (2, 1, -1, 0.5): the
+        # projection (0.2, 0.65, 0, 0.15) has rows 0, 1 of A and w >= 0
+        # (row 5 of [A; -I]) active, with multipliers 0.35, 1.45 and 1.35
+        A = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0, 0.0]])
+        b, x = np.array([1.0, 0.2, 5.0]), np.array([2.0, 1.0, -1.0, 0.5])
+        cold = project(x, A, b)
+        np.testing.assert_allclose(cold.z, [0.2, 0.65, 0.0, 0.15], atol=1e-12)
+        assert cold.active == [0, 1, 5]
+        nnls_calls = count_nnls_calls(monkeypatch)
+        # w >= 0 missing: the polish has w = -0.9 and the repair adds it;
+        # v >= 0 extra: its multiplier is -0.3 and the repair drops it; both
+        # at once: add w >= 0, then drop v >= 0
+        for guess in ([0, 1], [0, 1, 5, 6], [0, 1, 6]):
+            res = project(x, A, b, warm=guess)
+            assert res.active == cold.active
+            np.testing.assert_array_equal(res.z, cold.z)
+        assert nnls_calls[0] == 0
+
+    def test_guess_of_nonnegativity_rows_only_skips_lapack(self, capfd,
+                                                          monkeypatch):
+        # from (-1, 2) under x + y <= 10 only x >= 0 (row 1 of [A; -I]) is
+        # active: its face has no row of A and no Gram matrix to factor
+        # (dgetrf prints an error for a 0x0 one); from the guess y >= 0 the
+        # repair adds x >= 0, then drops y >= 0
+        A, b, x = np.array([[1.0, 1.0]]), np.array([10.0]), np.array([-1.0, 2.0])
+        nnls_calls = count_nnls_calls(monkeypatch)
+        for guess in ([1], [2]):
+            res = project(x, A, b, warm=guess)
+            np.testing.assert_array_equal(res.z, [0.0, 2.0])
+            assert res.active == [1]
+        assert nnls_calls[0] == 0
+        assert capfd.readouterr() == ("", "")
 
     def test_duplicated_row_takes_the_lstsq_fallback(self, monkeypatch):
         # two copies of x + y + w <= 1 from (2, 2, -1): the answer is
@@ -559,11 +627,12 @@ class TestProject:
     def test_reduced_polish_matches_the_full_stacked_polish(self, monkeypatch):
         # polyhedra up to large-net size (25 variables, 12 rows), sparse like
         # the budget rows, and warm sets mixing rows of A with nonnegativity
-        # rows: the same z and the same accept/fall-back decision as the
-        # polish on [A; -I]
+        # rows: the same z and the same rows as the add/drop repair on the
+        # polish of [A; -I], and the NNLS only where neither the guess nor
+        # its repair is certified
         nnls_calls = count_nnls_calls(monkeypatch)
         rng = np.random.default_rng(10)
-        decisions = {True: 0, False: 0}
+        outcomes = {"guess": 0, "repaired": 0, "nnls": 0}
         for _ in range(200):
             dim, n_rows = int(rng.integers(3, 26)), int(rng.integers(2, 13))
             A = (rng.uniform(0.0, 1.0, (n_rows, dim))
@@ -574,7 +643,7 @@ class TestProject:
             if not cold.active:
                 continue
             # the cold answer is the stacked polish on the NNLS support
-            z, _ = full_stacked_polish(x, A, b, np.array(cold.active))
+            z, *_ = full_stacked_polish(x, A, b, np.array(cold.active))
             np.testing.assert_allclose(cold.z, z, rtol=0, atol=1e-12)
             # the cold set, then each row toggled in or out with odds 1/8
             for toggle in (0.0, 0.125, 0.125):
@@ -583,14 +652,21 @@ class TestProject:
                                                cold.active) ^ flip)
                 if guess.size == 0:
                     continue
-                z, certified = full_stacked_polish(x, A, b, guess)
+                ref = stacked_repair(x, A, b, guess)
                 before = nnls_calls[0]
                 res = project(x, A, b, warm=list(guess))
-                assert (nnls_calls[0] == before) == certified
-                np.testing.assert_allclose(res.z, z if certified else cold.z,
-                                           rtol=0, atol=1e-12)
-                decisions[certified] += 1
-        assert min(decisions.values()) >= 50
+                assert (nnls_calls[0] == before) == (ref is not None)
+                if ref is None:
+                    outcomes["nnls"] += 1
+                    np.testing.assert_allclose(res.z, cold.z, rtol=0, atol=1e-12)
+                    continue
+                z, rows, steps = ref
+                outcomes["repaired" if steps else "guess"] += 1
+                assert res.active == rows
+                np.testing.assert_allclose(res.z, z, rtol=0, atol=1e-12)
+                if rows == cold.active:
+                    np.testing.assert_array_equal(res.z, cold.z)
+        assert min(outcomes.values()) >= 100, outcomes
 
     def test_optimized_plan_has_no_near_zero_entries(self, scenario, schedule):
         # coordinates held by an active nonnegativity row are exactly 0
@@ -708,7 +784,8 @@ class TestAdamSolve:
         z_warm, _, tr_warm = plan_allocations(scenario, schedule, "optimized")
         project = allocator.project
         monkeypatch.setattr(allocator, "project",
-                            lambda z, A, b, warm=None: project(z, A, b))
+                            lambda z, A, b, warm=None, faces=None:
+                            project(z, A, b))
         z_cold, _, tr_cold = plan_allocations(scenario, schedule, "optimized")
         for zw, zc in zip(z_warm, z_cold, strict=True):
             np.testing.assert_array_equal(zw, zc)
@@ -716,16 +793,19 @@ class TestAdamSolve:
 
     def test_line_search_projections_mostly_skip_nnls(self, scenario, schedule,
                                                       monkeypatch):
+        # only a projection without a guessed active set runs the NNLS, at
+        # most the first line-search probe of each solve; every later probe
+        # is certified at its guess or after the repair
         nnls_calls = count_nnls_calls(monkeypatch)
-        project, projections = allocator.project, [0]
+        solve, solves = harness.adam_solve, [0]
 
         def counted(*args, **kwargs):
-            projections[0] += 1
-            return project(*args, **kwargs)
+            solves[0] += 1
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(allocator, "project", counted)
+        monkeypatch.setattr(harness, "adam_solve", counted)
         plan_allocations(scenario, schedule, "optimized")
-        assert 3 * nnls_calls[0] < projections[0]
+        assert 0 < nnls_calls[0] <= solves[0]
 
     def test_g_never_falls_along_a_trace(self, planned_solves):
         for solve in planned_solves:

@@ -13,7 +13,7 @@ from hrcn.harness import (compare_allocations, load_result, plan_allocations,
                           scenario_fingerprint)
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
-from hrcn.tracker import TrackInit, _stack_interval
+from hrcn.tracker import INIT_COV_DIAG, _stack_interval
 
 
 LAM = lambda_diag(6.0)
@@ -122,7 +122,7 @@ class TestCompareAllocations:
                                      seed=15)
         t0 = scenario.grid.interval_length
         F = transition_matrix(t0)
-        P0 = np.diag(TrackInit().cov_diag)
+        P0 = np.diag(INIT_COV_DIAG)
         states = [F @ t.initial_state for t in scenario.targets]
         D = compute_kernels(scenario, schedule, 0, states)
         scale = info_scale(scenario, AllocationLayout.from_scenario(scenario),

@@ -7,8 +7,8 @@ from hrcn.allocator import AllocationLayout, baseline_uniform, info_scale
 from hrcn.fusion import CompositeMeasurement, prior_information
 from hrcn.kinematics import measure, process_noise_cov, transition_matrix
 from hrcn.sensing import const_kernel
-from hrcn.tracker import (TrackInit, TrackState, _stack_interval, kf_predict,
-                          kf_update, run_tracking)
+from hrcn.tracker import (INIT_MEAN_OFFSET, TrackState, _stack_interval,
+                          kf_predict, kf_update, run_tracking)
 
 from conftest import radar_times
 
@@ -136,10 +136,8 @@ class TestRunTracking:
 
     def test_error_shrinks_from_initialization(self, scenario, schedule,
                                                uniform_allocs):
-        init = TrackInit()
-        run = run_tracking(scenario, schedule, uniform_allocs, seed=[5, 0],
-                           init=init)
-        init_err = np.linalg.norm(init.mean_offset[[0, 2]])
+        run = run_tracking(scenario, schedule, uniform_allocs, seed=[5, 0])
+        init_err = np.linalg.norm(INIT_MEAN_OFFSET[[0, 2]])
         for q in range(scenario.n_targets):
             final_err = np.linalg.norm(run.means[q, -1, [0, 2]]
                                        - run.truth[q, -1, [0, 2]])
