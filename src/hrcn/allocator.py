@@ -564,14 +564,19 @@ def baseline_random(scenario: Scenario, schedule: MeasurementSchedule,
 # alternating descent-ascent solver
 
 
+# Armijo's sufficient-increase share of the first-order gain along the arc
+ARMIJO_SIGMA = 1e-4
+
+
 @dataclass
 class AllocatorConfig:
-    step_size: float = 5e-2     # relative to per-coordinate budget scale
+    step_size: float = 204.8    # first trial step, relative to the
+                                # per-coordinate budget scale
     obj_tol: float = 1e-6       # stop once a step changes g by at most this,
                                 # relative, in either direction
     max_outer: int = 500
     jitter: float = 1e-9
-    max_halvings: int = 20
+    max_halvings: int = 32      # per line search and per g safeguard
 
 
 @dataclass
@@ -604,11 +609,12 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
     """Alternating descent-ascent for one fusion interval.
 
     Alternates the closed-form slack update with a projected, preconditioned
-    gradient-ascent step on the fractional rewrite.  A step is accepted only
-    if the CRB metric g does not fall, so g rises monotonically; the solver
-    stops once a step changes g by at most obj_tol relative, or when no step
+    gradient-ascent step on the fractional rewrite, its length set by the
+    Armijo rule along the projection arc.  A step is accepted only if the
+    CRB metric g does not fall, so g rises monotonically; the solver stops
+    once a step changes g by at most obj_tol relative, or when no step
     raises it.  Returns the last accepted iterate and one trace record per
-    accepted step.
+    accepted step, with the projections the step took in "probes".
     """
     cfg = config or AllocatorConfig()
     layout = AllocationLayout.from_scenario(scenario)
@@ -656,27 +662,15 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
         peak = np.max(np.abs(grad_u))
         direction = grad_u / peak if peak > 0 else np.zeros_like(u)
 
-        # two-sided line search on the projection arc: halve while the step
-        # decreases f, then grow while it keeps improving (budget-clamped
-        # coordinates stall the nominal step otherwise)
-        eta = cfg.step_size
-        proj = probe(eta)
-        f_cand = f_value(fp, precond * proj.z)
-        if f_cand < f_cur:
-            for _ in range(cfg.max_halvings):
-                eta *= 0.5
-                proj = probe(eta)
-                f_cand = f_value(fp, precond * proj.z)
-                if f_cand >= f_cur:
-                    break
-        else:
-            for _ in range(min(cfg.max_halvings, 12)):
-                trial = probe(2.0 * eta)
-                f_trial = f_value(fp, precond * trial.z)
-                if f_trial <= f_cand:
-                    break
-                eta *= 2.0
-                proj, f_cand = trial, f_trial
+        # Armijo rule along the projection arc (Bertsekas 1976): from the
+        # largest step, halve until f rises by a sufficient share of the
+        # first-order gain grad_u . (P(u + eta d) - u)
+        eta, proj, probes = cfg.step_size, probe(cfg.step_size), 1
+        while (probes <= cfg.max_halvings and f_value(fp, precond * proj.z)
+               < f_cur + ARMIJO_SIGMA * float(grad_u @ (proj.z - u))):
+            eta *= 0.5
+            proj = probe(eta)
+            probes += 1
 
         # f, pinned to g at z by the slack update, bounds g from above
         # elsewhere, so a step that raises f can still lower g: halve while g
@@ -688,6 +682,7 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
                 break
             eta *= 0.5
             proj = probe(eta)
+            probes += 1
             g_new = g_of(precond * proj.z)
         if g_new < g_cur:
             break
@@ -696,7 +691,7 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
         u = proj.z
         z = precond * u
         trace.append({"iteration": it, "f": f_value(fp, z), "g": g_new,
-                      "step_norm": step_norm,
+                      "step_norm": step_norm, "probes": probes,
                       "active": [labels[a] for a in proj.active
                                  if a < len(labels)]})
         gain, g_cur = g_new - g_cur, g_new

@@ -8,6 +8,7 @@ defaults to $HRCN_OUTPUT_DIR or ./hrcn_out.
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -164,7 +165,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="hrcn",
         description="Resource allocation and multi-target tracking for a "
@@ -174,13 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize one interval's allocation")
     _add_common(p)
     p.add_argument("--interval", type=int, default=0)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="full tracking run under one policy")
     _add_common(p)
     p.add_argument("--policy", choices=["optimized", "uniform", "random"],
                    default="optimized")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="Monte-Carlo policy comparison")
     _add_common(p)
@@ -188,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", nargs="+",
                    default=["optimized", "uniform", "random"],
                    choices=["optimized", "uniform", "random"])
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="sweep a constraint parameter")
     _add_common(p)
@@ -196,14 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=["floor", "comm-budget"],
                    default="floor")
     p.add_argument("--values", type=float, nargs="+", required=True)
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a patched cmd_<name> is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ScenarioError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

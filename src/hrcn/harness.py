@@ -251,11 +251,3 @@ def save_result(result: ExperimentResult, outdir: str) -> tuple[str, str]:
                                  repr(b)]
                                 + [repr(x) for x in pol.throughput[k]])
     return manifest, csv_path
-
-
-def load_result(manifest_path: str) -> ExperimentResult:
-    with open(manifest_path) as fh:
-        raw = json.load(fh)
-    policies = {name: PolicyResult(**pol)
-                for name, pol in raw.pop("policies").items()}
-    return ExperimentResult(policies=policies, **raw)

@@ -106,18 +106,6 @@ class Scenario:
     def n_targets(self) -> int:
         return len(self.targets)
 
-    @property
-    def mmr_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.radars) if r.kind is RadarKind.MMR]
-
-    @property
-    def par_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.radars) if r.kind is RadarKind.PAR]
-
-    @property
-    def msr_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.radars) if r.kind is RadarKind.MSR]
-
 
 @dataclass
 class IntervalRows:

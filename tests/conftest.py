@@ -1,5 +1,6 @@
 """Shared fixtures: the packaged default scenario, a small single-radar
-scenario factory for targeted tests, and per-radar schedule times."""
+scenario factory for targeted tests, per-kind radar indices and per-radar
+schedule times."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ def scenario():
 @pytest.fixture(scope="session")
 def schedule(scenario):
     return build_schedule(scenario)
+
+
+def kind_indices(scenario, kind):
+    """Indices of the scenario's radars of one RadarKind."""
+    return [i for i, r in enumerate(scenario.radars) if r.kind is kind]
 
 
 def radar_times(schedule, i, q, k):

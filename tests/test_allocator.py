@@ -1,6 +1,9 @@
 """Maximin resource allocation: objective, constraints, inner update,
 fractional rewrite, projection, baselines, and the alternating solver."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,10 +18,23 @@ from hrcn.allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
 from hrcn.fusion import prior_information
 from hrcn.harness import plan_allocations
 from hrcn.kinematics import process_noise_cov, transition_matrix
-from hrcn.scenario import build_schedule
+from hrcn.scenario import RadarKind, build_schedule
 
-from conftest import make_mini_scenario
+from conftest import kind_indices, make_mini_scenario
 from test_acceptance import _projection_oracle
+
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+from scenarios import large_net  # noqa: E402
+
+# g of each interval of plan_allocations(default scenario, "optimized") under
+# the line search that grew the step while f rose at all, from 5e-2 up to
+# 12 doublings; the Armijo rule must not lose more than obj_tol of it
+GROWTH_SEARCH_G = [0.004952754526281177, 0.010108736169291161,
+                   0.009840758683638302, 0.009469998664426556,
+                   0.00912985481980762, 0.008912752184362632,
+                   0.008934574778258623, 0.009306424065808297,
+                   0.009794588254319937, 0.010365298030823757]
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +149,12 @@ def default_solves(scenario, schedule):
     return recorded_solves(scenario, schedule)
 
 
+@pytest.fixture(scope="module")
+def large_net_solves():
+    net = large_net(0)
+    return recorded_solves(net, build_schedule(net))
+
+
 @pytest.fixture(scope="module", params=["default", "mini"])
 def planned_solves(request):
     if request.param == "default":
@@ -154,18 +176,20 @@ class TestLayout:
                + [layout.var[i, q] for i in layout.par for q in range(2)]
                + [layout.n_radar_vars + j for j in range(3)])
         assert sorted(idx) == list(range(layout.dim))
-        assert np.all(layout.var[scenario.msr_indices] == -1)
+        assert np.all(layout.var[kind_indices(scenario, RadarKind.MSR)] == -1)
 
     def test_energies_match_per_kind_formula(self, scenario, layout):
         z = np.random.default_rng(1).uniform(0.5, 2.0, layout.dim)
         E = layout.energies(z)
-        assert scenario.mmr_indices and scenario.par_indices
-        assert scenario.msr_indices
+        mmr = kind_indices(scenario, RadarKind.MMR)
+        par = kind_indices(scenario, RadarKind.PAR)
+        assert mmr and par
+        assert kind_indices(scenario, RadarKind.MSR)
         for i, node in enumerate(scenario.radars):
             for q in range(scenario.n_targets):
-                if i in scenario.mmr_indices:
+                if i in mmr:
                     assert E[i, q] == z[layout.var[i, q]] * node.fixed_dwell
-                elif i in scenario.par_indices:
+                elif i in par:
                     assert E[i, q] == node.fixed_power * z[layout.var[i, q]]
                 else:
                     assert E[i, q] == node.fixed_power * node.fixed_dwell
@@ -217,7 +241,8 @@ class TestBayesianB:
         z = rng.uniform(0.5, 2.0, layout.dim)
         # documented block order: MMR powers, PAR dwells (radar-major,
         # target-minor), then the downlink powers
-        mmr, par, q_n = scenario.mmr_indices, scenario.par_indices, 2
+        mmr = kind_indices(scenario, RadarKind.MMR)
+        par, q_n = kind_indices(scenario, RadarKind.PAR), 2
         pc = z[(len(mmr) + len(par)) * q_n:]
         priors = [self.PRIOR] * 2
         for q, B in enumerate(bayesian_B(z, kern, priors, scenario, layout)):
@@ -853,6 +878,38 @@ class TestAdamSolve:
                 recovered += min(probes, default=g_prev) < g_prev * (1 - tol)
                 g_prev, start = rec["g"], end + 1
         assert recovered > 0
+
+    @pytest.mark.parametrize("solves", ["default_solves", "large_net_solves"])
+    def test_at_most_five_probes_per_accepted_step(self, solves, request):
+        # the Armijo rule starts at the largest step, which the flat
+        # projection arc mostly accepts; probes count its backtracks and
+        # the g-halvings
+        trace = [rec for solve in request.getfixturevalue(solves)
+                 for rec in solve["trace"]]
+        assert all(rec["probes"] >= 1 for rec in trace)
+        assert sum(rec["probes"] for rec in trace) <= 5 * len(trace)
+
+    def test_first_probe_accepted_on_a_linear_arc(self):
+        # without comm-to-radar interference every denominator of the
+        # fractional objective is constant, so f is linear along the arc and
+        # its first-order gain is the rise itself
+        sc = make_mini_scenario(comm_to_radar=0.0)
+        assert not sc.comm.alpha_c_sq.any()
+        sch = build_schedule(sc)
+        state = sc.targets[0].initial_state
+        priors = [PlanningPrior(state=state, info=np.eye(4) * 1e-4,
+                                kernels=compute_kernels(sc, sch, 0, [state])[0])]
+        z0 = 0.5 * baseline_uniform(sc, sch, 0)
+        z, trace = adam_solve(sc, sch, 0, priors, z0=z0)
+        assert trace[0]["probes"] == 1
+        assert trace[0]["step_norm"] > 0
+        assert sch.counts[0, 0, 0] * z[0] == pytest.approx(
+            sc.radars[0].power_budget, rel=1e-9)
+
+    def test_plan_g_holds_against_the_growth_search(self, default_solves):
+        tol = AllocatorConfig().obj_tol
+        for solve, g_old in zip(default_solves, GROWTH_SEARCH_G, strict=True):
+            assert solve["g_plan"] >= g_old * (1.0 - tol), solve["k"]
 
     def test_max_outer_caps_the_trace(self, scenario, schedule):
         _, _, traces = plan_allocations(scenario, schedule, "optimized",

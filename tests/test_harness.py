@@ -1,6 +1,7 @@
 """Experiment harness: RMSE scoring, policy comparison, and result files."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hrcn.allocator import (AllocationLayout, baseline_uniform,
                             compute_kernels, info_scale, lambda_diag)
 from hrcn.fusion import fim
-from hrcn.harness import (compare_allocations, load_result, plan_allocations,
+from hrcn.harness import (compare_allocations, plan_allocations,
                           planning_chain, rmse, save_result,
                           scenario_fingerprint)
 from hrcn.kinematics import process_noise_cov, transition_matrix
@@ -152,18 +153,19 @@ class TestResultFiles:
         result = compare_allocations(scenario, ["uniform", "random"],
                                      n_trials=2, seed=13)
         manifest, csv_path = save_result(result, str(tmp_path))
-        loaded = load_result(manifest)
-        assert loaded.run_id == result.run_id
-        assert loaded.scenario_hash == result.scenario_hash
+        with open(manifest) as fh:
+            loaded = json.load(fh)
+        assert loaded["run_id"] == result.run_id
+        assert loaded["scenario_hash"] == result.scenario_hash
         for name in result.policies:
-            got, want = loaded.policies[name], result.policies[name]
-            assert got.g_values == want.g_values
-            assert got.rmse_per_interval == want.rmse_per_interval
-            assert got.root_bcrb == want.root_bcrb
-            assert len(got.root_bcrb) == scenario.grid.num_intervals
-            assert got.avg_rmse == want.avg_rmse
-            assert got.throughput == want.throughput
-            assert got.allocations == want.allocations
+            got, want = loaded["policies"][name], result.policies[name]
+            assert got["g_values"] == want.g_values
+            assert got["rmse_per_interval"] == want.rmse_per_interval
+            assert got["root_bcrb"] == want.root_bcrb
+            assert len(got["root_bcrb"]) == scenario.grid.num_intervals
+            assert got["avg_rmse"] == want.avg_rmse
+            assert got["throughput"] == want.throughput
+            assert got["allocations"] == want.allocations
 
     def test_csv_columns(self, scenario, tmp_path):
         import csv

@@ -5,10 +5,10 @@ import pytest
 import yaml
 
 from hrcn.harness import scenario_fingerprint
-from hrcn.scenario import (ScenarioError, build_schedule,
+from hrcn.scenario import (RadarKind, ScenarioError, build_schedule,
                            default_scenario_path, load_scenario)
 
-from conftest import make_mini_scenario, radar_times
+from conftest import kind_indices, make_mini_scenario, radar_times
 
 
 def _mutated_default(tmp_path, mutate):
@@ -23,9 +23,9 @@ def _mutated_default(tmp_path, mutate):
 class TestLoadScenario:
     def test_default_counts(self, scenario):
         assert scenario.n_radars == 6
-        assert len(scenario.mmr_indices) == 3
-        assert len(scenario.par_indices) == 2
-        assert len(scenario.msr_indices) == 1
+        assert len(kind_indices(scenario, RadarKind.MMR)) == 3
+        assert len(kind_indices(scenario, RadarKind.PAR)) == 2
+        assert len(kind_indices(scenario, RadarKind.MSR)) == 1
         assert scenario.comm.num_links == 3
         assert scenario.n_targets == 2
 
@@ -134,7 +134,8 @@ class TestBuildSchedule:
                                                       schedule):
         # scan radars (MMR/MSR) revisit every target at the same cadence;
         # only the per-target initial time may offset the grid
-        for i in scenario.mmr_indices + scenario.msr_indices:
+        for i in (kind_indices(scenario, RadarKind.MMR)
+                  + kind_indices(scenario, RadarKind.MSR)):
             revisit = scenario.radars[i].revisit_interval[0]
             assert np.all(scenario.radars[i].revisit_interval == revisit)
             for k in range(scenario.grid.num_intervals):

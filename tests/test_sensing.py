@@ -9,12 +9,12 @@ import pytest
 
 from hrcn.allocator import AllocationLayout, baseline_uniform, info_scale
 from hrcn.kinematics import (measure, measurement_jacobian, transition_matrix)
-from hrcn.scenario import (IntervalRows, build_schedule,
+from hrcn.scenario import (IntervalRows, RadarKind, build_schedule,
                            default_scenario_path, load_scenario)
 from hrcn.sensing import const_kernel, info_kernel_D
 from hrcn.tracker import _stack_interval
 
-from conftest import make_mini_scenario
+from conftest import kind_indices, make_mini_scenario
 
 
 def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
@@ -85,8 +85,8 @@ class TestMeasCov:
         # every radar kind: covariance times P*T / denominator is the kernel
         sc, lay, z, stack = _default_stack()
         scale = info_scale(sc, lay, z)[:, 0]
-        assert set(stack.radar_ids) >= {sc.mmr_indices[0], sc.par_indices[0],
-                                        sc.msr_indices[0]}
+        assert set(stack.radar_ids) >= {lay.mmr[0], lay.par[0],
+                                        kind_indices(sc, RadarKind.MSR)[0]}
         for row, i in enumerate(stack.radar_ids):
             kernel = const_kernel(sc.radars[i], sc.targets[0].rcs[i])
             np.testing.assert_allclose(stack.cov_diag[row] * scale[i], kernel,
@@ -96,7 +96,7 @@ class TestMeasCov:
         # a radar with zero energy stacks no rows but still consumes its
         # draws, so every other radar's rows are unchanged
         sc, lay, z, full = _default_stack()
-        off = sc.mmr_indices[0]
+        off = lay.mmr[0]
         z0 = z.copy()
         z0[lay.var[off]] = 0.0
         _, _, _, cut = _default_stack(z=z0)

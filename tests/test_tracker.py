@@ -210,7 +210,8 @@ class TestStackInterval:
     def test_zero_energy_radar_matches_oracle_bitwise(self, scenario,
                                                       schedule):
         self._check_all_intervals(scenario, schedule,
-                                  zero_radar=scenario.mmr_indices[0])
+                                  zero_radar=AllocationLayout.from_scenario(
+                                      scenario).mmr[0])
 
     def test_target_on_radar_rejected(self, scenario, schedule):
         layout = AllocationLayout.from_scenario(scenario)
