@@ -52,12 +52,9 @@ class CompositeMeasurement:
 def fim(stack: StackedMeasurements, eval_state: np.ndarray) -> np.ndarray:
     """Fisher information of the stacked measurements at eval_state:
     sum of H^T Sigma^{-1} H with H chained through the backward CV map."""
-    if len(stack) == 0:
-        return np.zeros((4, 4))
-    winv = 1.0 / stack.cov_diag
     return _kernels.fim_accumulate(np.asarray(eval_state, dtype=float),
-                                   stack.t_fuse, stack.times,
-                                   stack.radar_xy, winv)
+                                   stack.t_fuse, stack.times, stack.radar_xy,
+                                   1.0 / stack.cov_diag, [0, len(stack)])[0]
 
 
 def inv_psd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, bool]:
@@ -78,7 +75,8 @@ def ils_mle(stack: StackedMeasurements, init: np.ndarray,
 
     Bearing residuals are wrapped to (-pi, pi] before weighting.  Raises
     RankDeficiencyError on unobservable geometry and DivergenceError when the
-    iteration cap is hit.
+    iteration cap is hit.  The rank test is Gauss-Newton's, on its first
+    normal matrix: the Fisher information at init.
     """
     init = np.asarray(init, dtype=float)
     if not np.all(np.isfinite(init)):
@@ -86,15 +84,12 @@ def ils_mle(stack: StackedMeasurements, init: np.ndarray,
     if len(stack) < 2:
         raise RankDeficiencyError(
             f"{2 * len(stack)} equations cannot determine 4 state components")
-    info0 = fim(stack, init)
-    if np.linalg.matrix_rank(info0, tol=1e-10 * max(1.0, np.trace(info0))) < 4:
-        raise RankDeficiencyError("stacked Jacobians are jointly rank-deficient")
-
-    winv = 1.0 / stack.cov_diag
-    s, iters, step_norm, ok = _kernels.gauss_newton(
-        stack.values, stack.times, stack.radar_xy, winv,
+    s, iters, step_norm, status = _kernels.gauss_newton(
+        stack.values, stack.times, stack.radar_xy, 1.0 / stack.cov_diag,
         stack.t_fuse, init, tol, max_iter)
-    if not ok:
+    if status < 0:
+        raise RankDeficiencyError("stacked Jacobians are jointly rank-deficient")
+    if status == 0:
         raise DivergenceError(
             f"no convergence in {max_iter} iterations (last step {step_norm:.3e})")
     info = fim(stack, s)

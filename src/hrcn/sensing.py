@@ -30,12 +30,6 @@ def info_kernel_D(rows: "IntervalRows", t_fuse: float,
     predicted prior back-propagated to each measurement time.  A radar with
     no rows gets the zero matrix.
     """
-    state = np.asarray(prior_state, dtype=float)
-    winv = 1.0 / rows.kernel
-    D = np.zeros((len(rows.start) - 1, 4, 4))
-    for i, (a, b) in enumerate(zip(rows.start[:-1], rows.start[1:])):
-        if b > a:
-            D[i] = _kernels.fim_accumulate(state, float(t_fuse),
-                                           rows.times[a:b], rows.radar_xy[a:b],
-                                           winv[a:b])
-    return D
+    return _kernels.fim_accumulate(np.asarray(prior_state, dtype=float),
+                                   float(t_fuse), rows.times, rows.radar_xy,
+                                   1.0 / rows.kernel, rows.start)

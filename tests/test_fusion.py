@@ -49,9 +49,18 @@ class TestIlsMle:
         assert cm.step_norm < 1e-8
 
     def test_underdetermined_rejected(self):
-        stack = make_stack(n_radars=1, times_per=1)
-        with pytest.raises(RankDeficiencyError):
-            ils_mle(stack, TRUE_STATE)
+        one = make_stack(n_radars=1, times_per=1)
+        # three fixes from one radar at one time: six equations of rank 2,
+        # caught by the rank test on the first normal matrix
+        repeated = StackedMeasurements(
+            values=np.repeat(one.values, 3, axis=0),
+            times=np.repeat(one.times, 3),
+            radar_xy=np.repeat(one.radar_xy, 3, axis=0),
+            cov_diag=np.repeat(one.cov_diag, 3, axis=0),
+            radar_ids=np.repeat(one.radar_ids, 3), t_fuse=one.t_fuse)
+        for stack in (one, repeated):
+            with pytest.raises(RankDeficiencyError):
+                ils_mle(stack, TRUE_STATE)
 
     def test_covariance_scale_equivariance(self):
         rng = np.random.default_rng(0)

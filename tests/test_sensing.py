@@ -163,13 +163,20 @@ class TestInfoKernelD:
         assert np.linalg.matrix_rank(D, tol=1e-8 * np.trace(D)) <= 2
 
     def test_matches_bruteforce_accumulation(self):
-        positions = np.array([[500.0, -200.0], [-3000.0, 1000.0],
-                              [0.0, 8000.0]])
-        times = [[2.0, 4.0, 6.0], [1.5], [0.5, 3.0]]
-        kernels = np.array([KERNEL, [9.0, 0.01], [0.5, 2.0]])
+        # radars 1 and 4 have no rows: empty segments in the middle and at
+        # the end of the stacked rows
+        positions = np.array([[500.0, -200.0], [7000.0, 7000.0],
+                              [-3000.0, 1000.0], [0.0, 8000.0],
+                              [-6000.0, -4000.0]])
+        times = [[2.0, 4.0, 6.0], [], [1.5], [0.5, 3.0], []]
+        kernels = np.array([KERNEL, [4.0, 0.2], [9.0, 0.01], [0.5, 2.0],
+                            [1.0, 1.0]])
         t_fuse = 6.0
         D = info_kernel_D(_rows(positions, times, kernels), t_fuse,
                           self.STATE)
+        assert D.shape == (5, 4, 4)
+        for i in (1, 4):
+            np.testing.assert_array_equal(D[i], np.zeros((4, 4)))
         for i, radar in enumerate(positions):
             expected = np.zeros((4, 4))
             for t in times[i]:
