@@ -37,7 +37,9 @@ class AllocationLayout:
     dwell), a PAR its dwell time (factor = its fixed power).  An MSR optimizes
     neither: its var row is -1 and its energy is fixed_energy[i].  budget[i]
     bounds the count-weighted sum of radar i's variables (an MMR's power
-    budget, a PAR's time budget).
+    budget, a PAR's time budget).  noise_var and alpha_c_sq are the
+    receiver noise and downlink interference gains of the noise law
+    info_scale, kept here so it is not rebuilt from the scenario per call.
     """
 
     mmr: tuple
@@ -48,6 +50,8 @@ class AllocationLayout:
     factor: np.ndarray        # (N,)
     fixed_energy: np.ndarray  # (N,)
     budget: np.ndarray        # (N,)
+    noise_var: np.ndarray     # (N,) sigma_r^2 of each radar's receiver
+    alpha_c_sq: np.ndarray    # (N, J) |alpha^c|^2, downlink -> radar
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "AllocationLayout":
@@ -68,7 +72,9 @@ class AllocationLayout:
             var[i] = block * q_n + np.arange(q_n)
         return cls(mmr=tuple(mmr), par=tuple(par), n_targets=q_n,
                    n_links=scenario.comm.num_links, var=var, factor=factor,
-                   fixed_energy=fixed_energy, budget=budget)
+                   fixed_energy=fixed_energy, budget=budget,
+                   noise_var=np.array([r.noise_var for r in scenario.radars]),
+                   alpha_c_sq=scenario.comm.alpha_c_sq)
 
     @property
     def n_radar_vars(self) -> int:
@@ -92,22 +98,18 @@ def lambda_diag(t0: float) -> np.ndarray:
     return np.array([1.0, t0, 1.0, t0])
 
 
-def interference_denominators(scenario: Scenario, layout: AllocationLayout,
+def interference_denominators(layout: AllocationLayout,
                               z: np.ndarray) -> np.ndarray:
     """(N,) per-radar denominator sum_j |alpha^c|^2 P_c^j + sigma_r^2."""
-    pc = layout.comm_block(z)
-    alpha = scenario.comm.alpha_c_sq
-    noise = np.array([r.noise_var for r in scenario.radars])
-    return alpha @ pc + noise
+    return layout.alpha_c_sq @ layout.comm_block(z) + layout.noise_var
 
 
-def info_scale(scenario: Scenario, layout: AllocationLayout,
-               z: np.ndarray) -> np.ndarray:
+def info_scale(layout: AllocationLayout, z: np.ndarray) -> np.ndarray:
     """(N, Q) weight P*T / (sum_j |alpha^c|^2 P_c^j + sigma_r^2) of each
     radar's information kernel on each target.  A measurement's covariance
     is its constant kernel divided by this weight."""
     return (layout.energies(z)
-            / interference_denominators(scenario, layout, z)[:, None])
+            / interference_denominators(layout, z)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,7 @@ def bayesian_B(z: np.ndarray, kernels: np.ndarray,
                layout: AllocationLayout) -> list[np.ndarray]:
     """Per-target Bayesian information B^q(z) = sum_i scale_i D_i + prior."""
     B = np.asarray(prior_infos) + np.einsum(
-        "iq,qiab->qab", info_scale(scenario, layout, z), kernels)
+        "iq,qiab->qab", info_scale(layout, z), kernels)
     return list(0.5 * (B + np.swapaxes(B, 1, 2)))
 
 
@@ -275,9 +277,8 @@ def assemble_fractional(v_mats: list[np.ndarray], kernels: np.ndarray,
     c[np.nonzero(opt)[0], layout.var[opt]] = (w * layout.factor[:, None])[opt]
     d = (w * layout.fixed_energy[:, None]).sum(axis=1)
     e = np.zeros_like(c)
-    e[:, layout.n_radar_vars:] = scenario.comm.alpha_c_sq
-    denom_const = np.array([r.noise_var for r in scenario.radars])
-    return FractionalProgram(c=c, d=d, e=e, denom_const=denom_const,
+    e[:, layout.n_radar_vars:] = layout.alpha_c_sq
+    return FractionalProgram(c=c, d=d, e=e, denom_const=layout.noise_var,
                              constant=constant, clamped=clamped)
 
 

@@ -3,8 +3,10 @@ stacked interval measurements, its Fisher information, and the one-step
 predicted information that seeds the Bayesian recursion."""
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from . import _kernels
 
@@ -57,15 +59,31 @@ def fim(stack: StackedMeasurements, eval_state: np.ndarray) -> np.ndarray:
                                    1.0 / stack.cov_diag, [0, len(stack)])[0]
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity, shared by every inverse of that order."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def inv_psd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, bool]:
     """Inverse of mat, retried as inv(mat + jitter I) when mat is singular
-    (raises when jitter <= 0).  The flag says whether the jitter was used."""
-    try:
-        return np.linalg.inv(mat), False
-    except np.linalg.LinAlgError:
-        if jitter <= 0:
-            raise
-        return np.linalg.inv(mat + jitter * np.eye(mat.shape[0])), True
+    (raises LinAlgError when jitter <= 0).  The flag says whether the jitter
+    was used.
+
+    LAPACK dgesv solves mat X = I, the call np.linalg.inv makes, so the
+    result is bitwise np.linalg.inv's without its wrapper's cost; dgesv
+    copies the identity before writing, so one read-only copy serves all.
+    """
+    eye = _identity(mat.shape[0])
+    _, _, inv, info = dgesv(mat, eye)
+    jittered = info != 0 and jitter > 0
+    if jittered:
+        _, _, inv, info = dgesv(mat + jitter * eye, eye)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return inv, jittered
 
 
 def ils_mle(stack: StackedMeasurements, init: np.ndarray,

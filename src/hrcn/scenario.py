@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 import yaml
+from yaml.constructor import SafeConstructor
 
 from .sensing import const_kernel
 
@@ -266,14 +267,63 @@ def validate(scenario: Scenario) -> None:
         _require(np.all(t.rcs > 0), f"{where}: rcs must be > 0")
 
 
+_CORE_SCALARS = {f"tag:yaml.org,2002:{name}":
+                 getattr(SafeConstructor, f"construct_yaml_{name}")
+                 for name in ("str", "int", "float", "bool", "null")}
+_SEQ, _MAP = "tag:yaml.org,2002:seq", "tag:yaml.org,2002:map"
+
+
+class _NotWalked(Exception):
+    """The document holds a node outside what _walk builds."""
+
+
+def _walk(node, ctor: SafeConstructor, seen: set):
+    """The object SafeConstructor builds from a composed node, for the
+    subset scenario files use: core-tagged scalars, and sequences and
+    mappings with scalar keys, each container reached once.  Anything else
+    (merge keys, timestamps, other tags, aliased containers) raises
+    _NotWalked."""
+    if isinstance(node, yaml.ScalarNode):
+        if node.tag in _CORE_SCALARS:
+            return _CORE_SCALARS[node.tag](ctor, node)
+    elif id(node) not in seen:
+        seen.add(id(node))
+        if node.tag == _SEQ:
+            return [_walk(item, ctor, seen) for item in node.value]
+        if node.tag == _MAP and all(key.tag in _CORE_SCALARS
+                                    for key, _ in node.value):
+            return {_walk(key, ctor, seen): _walk(value, ctor, seen)
+                    for key, value in node.value}
+    raise _NotWalked
+
+
+def _load_yaml(stream):
+    """yaml.load's object for the one document in stream, under libyaml's
+    parser where PyYAML has it and SafeLoader's resolver either way, built
+    by walking the node tree instead of PyYAML's per-node constructor
+    machinery.
+
+    A document outside the walked subset, or with an explicitly tagged
+    scalar that fails to convert (ValueError, KeyError), is built whole by a
+    SafeConstructor, which alone keeps yaml.load's object sharing, the order
+    in which its construction errors surface, and the node tree its
+    merge-key handling rewrites."""
+    root = yaml.compose(stream, Loader=getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader))
+    if root is None:
+        return None
+    ctor = SafeConstructor()
+    try:
+        return _walk(root, ctor, set())
+    except (_NotWalked, ValueError, KeyError):
+        return ctor.construct_document(root)
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario YAML file."""
     try:
         with open(path) as fh:
-            # libyaml's parser where installed; the constructor and resolver
-            # are SafeLoader's either way, so the document is the same
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
-                                               yaml.SafeLoader))
+            raw = _load_yaml(fh)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -336,8 +386,10 @@ def build_schedule(scenario: Scenario) -> MeasurementSchedule:
     them out as one row set per (target, interval).
 
     Times are the arithmetic progression initial_time + n * revisit_interval
-    intersected with the half-open window (t_k, t_{k+1}]; boundary points
-    belong to the interval they close.
+    up to the horizon, each in the half-open window (t_k, t_{k+1}] that
+    contains it; boundary points belong to the interval they close.  A
+    target's times are laid out radar by radar, sorted stably by interval,
+    and each interval's rows are a slice of the sorted arrays.
     """
     grid = scenario.grid
     n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
@@ -350,23 +402,29 @@ def build_schedule(scenario: Scenario) -> MeasurementSchedule:
     for q, target in enumerate(scenario.targets):
         kernels = np.array([const_kernel(r, target.rcs[i])
                             for i, r in enumerate(scenario.radars)])
-        pts, first, last = [], [], []
+        pts = []
         for radar in scenario.radars:
             t0 = radar.initial_time[q]
             rev = radar.revisit_interval[q]
             n_pts = max(0, int(np.floor((horizon - t0) / rev)) + 1)
             p = t0 + rev * np.arange(n_pts)
             pts.append(p[p <= horizon])
-            first.append(np.searchsorted(pts[-1], lo, side="right"))
-            last.append(np.searchsorted(pts[-1], hi, side="right"))
-        counts[:, q] = np.array(last) - np.array(first)
-        rows_q = []
-        for k in range(k_n):
-            radar = np.repeat(np.arange(n), counts[:, q, k])
-            rows_q.append(IntervalRows(
-                times=np.concatenate([p[a[k]:b[k]]
-                                      for p, a, b in zip(pts, first, last)]),
-                radar=radar, radar_xy=positions[radar], kernel=kernels[radar],
-                start=np.concatenate(([0], np.cumsum(counts[:, q, k])))))
-        rows.append(rows_q)
+        times = np.concatenate(pts)
+        radar = np.repeat(np.arange(n), [len(p) for p in pts])
+        # the first window closing at or after each time, kept if it opened
+        # before it
+        k = np.minimum(np.searchsorted(hi, times), k_n - 1)
+        keep = (lo[k] < times) & (times <= hi[k])
+        sel = np.flatnonzero(keep)[np.argsort(k[keep], kind="stable")]
+        times, radar, k = times[sel], radar[sel], k[sel]
+        counts[:, q] = np.bincount(radar * k_n + k,
+                                   minlength=n * k_n).reshape(n, k_n)
+        bounds = np.searchsorted(k, np.arange(k_n + 1))
+        start = np.zeros((k_n, n + 1), dtype=int)
+        np.cumsum(counts[:, q].T, axis=1, out=start[:, 1:])
+        radar_xy, kernel = positions[radar], kernels[radar]
+        rows.append([IntervalRows(times=times[a:b], radar=radar[a:b],
+                                  radar_xy=radar_xy[a:b], kernel=kernel[a:b],
+                                  start=start[kk])
+                     for kk, (a, b) in enumerate(zip(bounds, bounds[1:]))])
     return MeasurementSchedule(counts=counts, rows=rows)

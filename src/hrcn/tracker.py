@@ -8,7 +8,7 @@ import numpy as np
 
 from .allocator import AllocationLayout, info_scale
 from .fusion import (CompositeMeasurement, FusionError, StackedMeasurements,
-                     ils_mle)
+                     ils_mle, inv_psd)
 from .kinematics import measure, process_noise_cov, transition_matrix
 from .scenario import IntervalRows, MeasurementSchedule, Scenario
 
@@ -38,7 +38,7 @@ def kf_update(predicted: TrackState, cm: CompositeMeasurement) -> TrackState:
     P, R = predicted.cov, cm.covariance
     S = P + R
     try:
-        K = P @ np.linalg.inv(S)
+        K = P @ inv_psd(S, 0.0)[0]
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "singular innovation covariance (prior and measurement both "
@@ -116,7 +116,7 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
 
     for k in range(k_n):
         t_k, t_fuse = grid.boundary(k)
-        scale = info_scale(scenario, layout, allocations[k])
+        scale = info_scale(layout, allocations[k])
         # pre-draw the noise in schedule order, identically for any policy
         proc_draws = [proc_rng.standard_normal(4) for _ in range(q_n)]
         meas_draws = [meas_rng.standard_normal((len(schedule.rows[q][k].times), 2))

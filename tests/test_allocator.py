@@ -932,7 +932,7 @@ class TestInterferenceDenominators:
     def test_hand_value(self, scenario, layout):
         z = np.zeros(layout.dim)
         z[layout.n_radar_vars:] = [1.0, 2.0, 3.0]
-        denoms = interference_denominators(scenario, layout, z)
+        denoms = interference_denominators(layout, z)
         expected = (scenario.comm.alpha_c_sq @ np.array([1.0, 2.0, 3.0])
                     + np.array([r.noise_var for r in scenario.radars]))
         np.testing.assert_allclose(denoms, expected, rtol=1e-14)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hrcn.fusion import (DivergenceError, RankDeficiencyError,
-                         StackedMeasurements, fim, ils_mle, prior_information)
+                         StackedMeasurements, fim, ils_mle, inv_psd,
+                         prior_information)
 from hrcn.kinematics import (measure, measurement_jacobian, process_noise_cov,
                              transition_matrix)
 
@@ -154,3 +155,24 @@ class TestPriorInformation:
         with pytest.raises(np.linalg.LinAlgError):
             prior_information(self.SINGULAR, self.F, self.GAMMA, jitter=0.0)
 
+
+class TestInvPsd:
+    def test_bitwise_equal_to_numpy_inverse(self):
+        rng = np.random.default_rng(1414)
+        for scale in np.logspace(-8, 8, 500):
+            W = rng.normal(size=(4, 4))
+            spd = scale * (W @ W.T + 1e-3 * np.eye(4))
+            inv, jittered = inv_psd(spd, 1e-9)
+            assert not jittered
+            assert inv.tobytes() == np.linalg.inv(spd).tobytes()
+
+    def test_singular_raises_or_jitters(self):
+        singular = np.diag([1.0, 2.0, 0.0, 3.0])
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            inv_psd(singular, 0.0)
+        inv, jittered = inv_psd(singular, 1e-6)
+        assert jittered
+        assert inv.tobytes() == np.linalg.inv(
+            singular + 1e-6 * np.eye(4)).tobytes()
+        # the identity the inverses solve against is never written
+        assert inv_psd(np.eye(4), 0.0)[0].tobytes() == np.eye(4).tobytes()

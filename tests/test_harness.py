@@ -90,7 +90,7 @@ class TestPlanningChain:
         chain = planning_chain(scenario, schedule, uniform, jitter=1e-9)
         for k, (priors, z, _) in enumerate(chain):
             t_k, t_fuse = scenario.grid.boundary(k)
-            scale = info_scale(scenario, layout, z)
+            scale = info_scale(layout, z)
             for q, p in enumerate(priors):
                 rows = schedule.rows[q][k]
                 stack = _stack_interval(rows, scale[:, q], p.state, t_k,
@@ -126,7 +126,7 @@ class TestCompareAllocations:
         P0 = np.diag(INIT_COV_DIAG)
         states = [F @ t.initial_state for t in scenario.targets]
         D = compute_kernels(scenario, schedule, 0, states)
-        scale = info_scale(scenario, AllocationLayout.from_scenario(scenario),
+        scale = info_scale(AllocationLayout.from_scenario(scenario),
                            baseline_uniform(scenario, schedule, 0))
         lam = np.diag(lambda_diag(t0))
         expected = 0.0

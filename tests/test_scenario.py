@@ -1,14 +1,141 @@
 """Scenario loading, validation, and measurement-schedule derivation."""
 
+import dataclasses
+import os
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 import yaml
+from yaml.constructor import SafeConstructor
 
 from hrcn.harness import scenario_fingerprint
-from hrcn.scenario import (RadarKind, ScenarioError, build_schedule,
+from hrcn.scenario import (IntervalRows, MeasurementSchedule, RadarKind,
+                           ScenarioError, _load_yaml, build_schedule,
                            default_scenario_path, load_scenario)
+from hrcn.sensing import const_kernel
 
 from conftest import kind_indices, make_mini_scenario, radar_times
+
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import scenarios  # noqa: E402
+
+# One YAML feature per document: the loader must build each as yaml.load
+# does, whether it walks the node tree or hands the document to PyYAML
+YAML_FEATURES = {
+    "alias": "a: &x {k: [1, 2]}\nb: *x\n",
+    "recursive_anchor": "loop: &loop [1, *loop]\n",
+    "merge_key": "base: &b {x: 1.5, y: 2}\nm:\n  <<: *b\n  y: 3\n",
+    "explicit_float": "v: !!float 3\n",
+    "timestamp": "d: 2001-12-14\n",
+    "tilde_null": "n: ~\n",
+    "yes_bool": "f: yes\n",
+    "hex_int": "h: 0x1F\n",
+    "underscore_float": "u: 1_000.5\n",
+    "inf": "i: .inf\n",
+}
+YAML_FEATURES["all"] = "".join(YAML_FEATURES.values())
+
+
+def _same(a, b, pairs=None) -> bool:
+    """Equal values of identical types, containers compared in order; a
+    pair of containers already under comparison counts as equal, so
+    recursive documents compare."""
+    if type(a) is not type(b):
+        return False
+    if not isinstance(a, (list, dict)):
+        return a == b
+    pairs = set() if pairs is None else pairs
+    if (id(a), id(b)) in pairs:
+        return True
+    pairs.add((id(a), id(b)))
+    if isinstance(a, dict):
+        a, b = list(a.items()), list(b.items())
+        return len(a) == len(b) and all(
+            _same(ka, kb, pairs) and _same(va, vb, pairs)
+            for (ka, va), (kb, vb) in zip(a, b))
+    return len(a) == len(b) and all(_same(x, y, pairs) for x, y in zip(a, b))
+
+
+def _scenario_text(source, tmp_path) -> str:
+    """The packaged default, or a block-style dump of large_net(0)."""
+    if source == "default":
+        return pathlib.Path(default_scenario_path()).read_text()
+    path = tmp_path / "large_net.yaml"
+    scenarios.to_yaml(scenarios.large_net(0), str(path))
+    return path.read_text()
+
+
+def _reference_schedule(scenario):
+    """Reference layout, radar by radar: each radar's times cut per window
+    by two searchsorted calls, concatenated interval by interval."""
+    grid = scenario.grid
+    n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
+    horizon = grid.start_time + k_n * grid.interval_length
+    lo = grid.start_time + np.arange(k_n) * grid.interval_length
+    hi = lo + grid.interval_length
+    positions = np.array([r.position for r in scenario.radars], dtype=float)
+    counts = np.zeros((n, q_n, k_n), dtype=int)
+    rows = []
+    for q, target in enumerate(scenario.targets):
+        kernels = np.array([const_kernel(r, target.rcs[i])
+                            for i, r in enumerate(scenario.radars)])
+        pts, first, last = [], [], []
+        for radar in scenario.radars:
+            t0 = radar.initial_time[q]
+            rev = radar.revisit_interval[q]
+            n_pts = max(0, int(np.floor((horizon - t0) / rev)) + 1)
+            p = t0 + rev * np.arange(n_pts)
+            pts.append(p[p <= horizon])
+            first.append(np.searchsorted(pts[-1], lo, side="right"))
+            last.append(np.searchsorted(pts[-1], hi, side="right"))
+        counts[:, q] = np.array(last) - np.array(first)
+        rows_q = []
+        for k in range(k_n):
+            radar = np.repeat(np.arange(n), counts[:, q, k])
+            rows_q.append(IntervalRows(
+                times=np.concatenate([p[a[k]:b[k]]
+                                      for p, a, b in zip(pts, first, last)]),
+                radar=radar, radar_xy=positions[radar], kernel=kernels[radar],
+                start=np.concatenate(([0], np.cumsum(counts[:, q, k])))))
+        rows.append(rows_q)
+    return MeasurementSchedule(counts=counts, rows=rows)
+
+
+def _random_network(rng):
+    """Mini network with start_time != 0, N radars and Q targets.  Radar
+    first times sit on fusion boundaries or anywhere in the horizon, the
+    last radar starts past the horizon, and revisits run from a quarter of
+    an interval to two and a half."""
+    t0 = float(rng.choice([0.75, 2.0, 6.0]))
+    k_n = int(rng.integers(1, 6))
+    start = float(rng.choice([0.5, 1.5, 3.25]))
+    horizon = start + k_n * t0
+    base = make_mini_scenario(t0=t0, num_intervals=k_n, start_time=start)
+    n, q_n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    radars = []
+    for i in range(n):
+        if i == n - 1:
+            first = horizon + rng.uniform(0.1, 1.0, q_n) * t0
+        else:
+            first = np.where(rng.random(q_n) < 0.5,
+                             start + rng.integers(0, k_n + 1, q_n) * t0,
+                             rng.uniform(0.0, horizon, q_n))
+        revisit = rng.choice([0.25, 0.5, 1.0, 1.5, 2.5], q_n) * t0
+        radars.append(dataclasses.replace(
+            base.radars[0], id=i + 1, position=rng.uniform(-5e3, 5e3, 2),
+            initial_time=first, revisit_interval=revisit))
+    targets = [dataclasses.replace(base.targets[0], id=q + 1,
+                                   rcs=rng.uniform(0.5, 2.0, n))
+               for q in range(q_n)]
+    return dataclasses.replace(base, radars=radars, targets=targets)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _mutated_default(tmp_path, mutate):
@@ -51,11 +178,62 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="time_budget"):
             load_scenario(_mutated_default(tmp_path, mutate))
 
-    def test_malformed_yaml_rejected(self, tmp_path):
+    def test_malformed_yaml_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.yaml"
         path.write_text("grid: [unterminated")
-        with pytest.raises(ScenarioError, match="parse error"):
+        head = (f"parse error in {path}: while parsing a flow sequence\n"
+                f'  in "{path}", line 1, column 7\n')
+
+        def message():
+            with pytest.raises(ScenarioError) as info:
+                load_scenario(path)
+            return str(info.value)
+
+        if hasattr(yaml, "CSafeLoader"):  # libyaml's parser
+            assert message() == head + (
+                "did not find expected ',' or ']'\n"
+                f'  in "{path}", line 2, column 1')
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert message() == head + (
+            "expected ',' or ']', but got '<stream end>'\n"
+            f'  in "{path}", line 1, column 20')
+
+    @pytest.mark.parametrize("source", ["default", "large_net"])
+    def test_scenario_files_walked_as_yaml_load_builds_them(
+            self, tmp_path, monkeypatch, source):
+        text = _scenario_text(source, tmp_path)
+        want = yaml.load(text, Loader=yaml.SafeLoader)
+
+        def refuse(*args):
+            raise AssertionError("scenario file left the node-tree walk")
+        monkeypatch.setattr(SafeConstructor, "construct_document", refuse)
+        assert _same(_load_yaml(text), want)
+
+    @pytest.mark.parametrize("feature", list(YAML_FEATURES))
+    def test_yaml_features_built_as_yaml_load_builds_them(self, feature):
+        text = YAML_FEATURES[feature]
+        assert _same(_load_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("text", [
+        "a: {b: !foo 1}\nc: !bar 2\n", "a: {b: !!int abc}\nc: !foo 1\n",
+        "c: !!int abc\n"],
+        ids=["unknown-tags", "bad-int-then-tag", "bad-int"])
+    def test_construction_error_is_yaml_loads(self, tmp_path, text):
+        # yaml.load builds a mapping's scalars before its nested containers,
+        # so of two bad lines it reports the later one
+        path = tmp_path / "tags.yaml"
+        path.write_text(text)
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        with (open(path) as fh,
+              pytest.raises((yaml.YAMLError, ValueError)) as ref):
+            yaml.load(fh, Loader=loader)
+        want = ref.value
+        if isinstance(want, yaml.YAMLError):
+            want = ScenarioError(f"parse error in {path}: {want}")
+        with pytest.raises(ValueError) as info:
             load_scenario(path)
+        assert type(info.value) is type(want)
+        assert str(info.value) == str(want)
 
     def test_ungrouped_radar_kinds_rejected(self, tmp_path):
         def mutate(raw):
@@ -144,6 +322,46 @@ class TestBuildSchedule:
                     if len(t) > 1:
                         np.testing.assert_allclose(np.diff(t), revisit,
                                                    rtol=0, atol=1e-12)
+
+    def test_matches_per_radar_oracle_bitwise(self, scenario):
+        rng = np.random.default_rng(1404)
+        networks = [scenario] + [_random_network(rng) for _ in range(60)]
+        on_boundary = 0
+        for sc in networks:
+            got, want = build_schedule(sc), _reference_schedule(sc)
+            _assert_bitwise(got.counts, want.counts)
+            for q in range(sc.n_targets):
+                for k in range(sc.grid.num_intervals):
+                    for name in ("times", "radar", "radar_xy", "kernel",
+                                 "start"):
+                        _assert_bitwise(getattr(got.rows[q][k], name),
+                                        getattr(want.rows[q][k], name))
+                    t_close = sc.grid.boundary(k)[1]
+                    on_boundary += int(np.sum(got.rows[q][k].times == t_close))
+        # the draws do put measurements exactly on t_{k+1}
+        assert on_boundary > 0
+
+    def test_rounded_window_ends(self):
+        # start 0.1 s, T0 0.7 s: the window ends t_k + T0 round above
+        # t_{k+1} at k = 2 and below it at k = 3
+        def one_time(t, num_intervals=6):
+            return make_mini_scenario(t0=0.7, num_intervals=num_intervals,
+                                      start_time=0.1, initial_time=t,
+                                      revisit=10.0)
+        grid = one_time(0.0).grid
+        assert grid.boundary(2)[1] > grid.boundary(3)[0]
+        assert grid.boundary(3)[1] < grid.boundary(4)[0]
+        # the end of window 2 also lies inside window 3: counted once, in
+        # the window it closes (_reference_schedule counts it in both)
+        sch = build_schedule(one_time(grid.boundary(2)[1]))
+        np.testing.assert_array_equal(sch.counts[0, 0], [0, 0, 1, 0, 0, 0])
+        # the start of window 4 lies after the end of window 3: in none,
+        # also when it is the horizon of a 4-window grid
+        for num_intervals in (6, 4):
+            sc = one_time(grid.boundary(4)[0], num_intervals)
+            got, want = build_schedule(sc), _reference_schedule(sc)
+            _assert_bitwise(got.counts, want.counts)
+            assert got.counts.sum() == 0
 
     def test_times_inside_half_open_window(self, scenario, schedule):
         for k in range(scenario.grid.num_intervals):

@@ -31,7 +31,7 @@ def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
     z = np.array([power, comm])
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[0, 0, 0], 2))
-    stack = _stack_interval(sch.rows[0][0], info_scale(sc, lay, z)[:, 0],
+    stack = _stack_interval(sch.rows[0][0], info_scale(lay, z)[:, 0],
                             sc.targets[0].initial_state, 0.0,
                             sc.grid.boundary(0)[1], draws)
     return stack, const_kernel(sc.radars[0], sc.targets[0].rcs[0])
@@ -48,7 +48,7 @@ def _default_stack(z=None, noise=1.0, seed=11):
         z = baseline_uniform(sc, sch, 0)
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[:, 0, 0].sum(), 2))
-    stack = _stack_interval(sch.rows[0][0], info_scale(sc, lay, z)[:, 0],
+    stack = _stack_interval(sch.rows[0][0], info_scale(lay, z)[:, 0],
                             sc.targets[0].initial_state, sc.grid.start_time,
                             sc.grid.boundary(0)[1], draws)
     return sc, lay, z, stack
@@ -84,7 +84,7 @@ class TestMeasCov:
     def test_factorization_recovers_kernel(self):
         # every radar kind: covariance times P*T / denominator is the kernel
         sc, lay, z, stack = _default_stack()
-        scale = info_scale(sc, lay, z)[:, 0]
+        scale = info_scale(lay, z)[:, 0]
         assert set(stack.radar_ids) >= {lay.mmr[0], lay.par[0],
                                         kind_indices(sc, RadarKind.MSR)[0]}
         for row, i in enumerate(stack.radar_ids):

@@ -74,6 +74,12 @@ class TestKfUpdate:
             expected = np.linalg.inv(np.linalg.inv(P) + np.linalg.inv(R))
             np.testing.assert_allclose(out.cov, expected, rtol=1e-10)
 
+    def test_singular_innovation_rejected(self):
+        prior = TrackState(mean=np.zeros(4), cov=np.zeros((4, 4)))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular innovation covariance"):
+            kf_update(prior, _cm(np.ones(4), np.zeros((4, 4))))
+
     def test_joseph_form_symmetry_chained(self):
         rng = np.random.default_rng(4)
         track = TrackState(mean=np.zeros(4), cov=100.0 * np.eye(4))
@@ -148,7 +154,7 @@ def _oracle_stack(scenario, schedule, z, q, k, truth_k, draws):
     """The interval's stacked rows built one measurement at a time:
     transition_matrix(t - t_k) @ truth_k, then scalar measure."""
     layout = AllocationLayout.from_scenario(scenario)
-    scale = info_scale(scenario, layout, z)[:, q]
+    scale = info_scale(layout, z)[:, q]
     t_k, _ = scenario.grid.boundary(k)
     vals, times, rxy, cdiag, rid = [], [], [], [], []
     pos = 0
@@ -185,7 +191,7 @@ class TestStackInterval:
             z = baseline_uniform(scenario, schedule, k)
             if zero_radar is not None:
                 z[layout.var[zero_radar]] = 0.0
-            scale = info_scale(scenario, layout, z)
+            scale = info_scale(layout, z)
             t_k, t_fuse = scenario.grid.boundary(k)
             for q, tgt in enumerate(scenario.targets):
                 truth_k = (transition_matrix(t_k - scenario.grid.start_time)
@@ -215,8 +221,7 @@ class TestStackInterval:
 
     def test_target_on_radar_rejected(self, scenario, schedule):
         layout = AllocationLayout.from_scenario(scenario)
-        scale = info_scale(scenario, layout,
-                           baseline_uniform(scenario, schedule, 0))
+        scale = info_scale(layout, baseline_uniform(scenario, schedule, 0))
         t_k, t_fuse = scenario.grid.boundary(0)
         rows = schedule.rows[0][0]
         x, y = scenario.radars[rows.radar[-1]].position

@@ -6,7 +6,8 @@
         --out BENCH_12.json
 
 The change tree's ``BENCHMARK.json`` gives the command, the run length, the
-workloads and the end-to-end metrics with the direction that is better.
+workloads and the end-to-end metrics, each with the direction that is better
+and the bound by which it may worsen.
 For every seed and every workload, the command runs once with ``--trace 0``
 from each tree, one process at a time.  The side that runs first alternates
 from pair to pair (the parent first at odd seeds), so a slow drift of the
@@ -14,12 +15,17 @@ host's speed favours neither side.  Each tree runs its own copy of
 perfbench and of the package.
 
 The output holds, per workload and end-to-end metric, the median and
-quartiles (``statistics.quantiles``, n=4, inclusive) of each side's runs and
-the number of pairs the change wins; ties count for neither side.  A claimed
-metric is met when the change wins at least nine tenths of the pairs and its
-median differs from the parent's by more than the parent's interquartile
-range.  With ``--trace-seed`` each side then runs once per workload with
-``--trace 1``: times there are medians over traced cycles, counts are exact.
+quartiles (``statistics.quantiles``, n=4, inclusive) of each side's runs,
+the number of pairs the change wins (ties count for neither side) and a
+regression verdict against the metric's ``bound`` in ``BENCHMARK.json``:
+``worse`` when the change's median is worse than the parent's by more than
+bound x the parent's median; else ``unresolved`` when the parent's
+interquartile range exceeds bound x its median, unless every change run
+beats every parent run; else ``ok``.  A claimed metric is met when the
+change wins at least nine tenths of the pairs and its median differs from
+the parent's by more than the parent's interquartile range.  With
+``--trace-seed`` each side then runs once per workload with ``--trace 1``:
+times there are medians over traced cycles, counts are exact.
 
 Standard library only.
 """
@@ -56,7 +62,22 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(better: str, parent: list, change: list) -> dict:
+def regression_verdict(better: str, bound: float, parent: list,
+                       change: list) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one metric (module
+    docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    par, chg = summary(parent), summary(change)
+    scale = bound * abs(par["median"])
+    if sign * (chg["median"] - par["median"]) > scale:
+        return "worse"
+    if (par["q3"] - par["q1"] > scale
+            and not all(sign * (c - p) < 0 for c in change for p in parent)):
+        return "unresolved"
+    return "ok"
+
+
+def compare(better: str, bound: float, parent: list, change: list) -> dict:
     sign = 1.0 if better == "lower" else -1.0
     par, chg = summary(parent), summary(change)
     return {"parent": par, "change": chg,
@@ -64,7 +85,8 @@ def compare(better: str, parent: list, change: list) -> dict:
                                for p, c in zip(parent, change)),
             "ties": sum(c == p for p, c in zip(parent, change)),
             "pairs": len(parent),
-            "median_ratio_change_over_parent": chg["median"] / par["median"]}
+            "median_ratio_change_over_parent": chg["median"] / par["median"],
+            "verdict": regression_verdict(better, bound, parent, change)}
 
 
 def claim_verdict(workload: str, metric: str, row: dict) -> dict:
@@ -102,7 +124,7 @@ def main(argv=None) -> int:
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seeds = seed_list(args.seeds)
 
     pairs, env = [], {}
@@ -117,7 +139,7 @@ def main(argv=None) -> int:
                               "attempted": res["attempted"],
                               "failed": res["failed"],
                               **{m: res["metrics"][m]["value"]
-                                 for m in better}}
+                                 for m in metrics}}
             pairs.append(pair)
             print(f"seed {seed} {workload}: wall_s parent "
                   f"{pair['parent']['wall_s']:.4f} change "
@@ -127,9 +149,10 @@ def main(argv=None) -> int:
     for workload in workloads:
         rows = [p for p in pairs if p["workload"] == workload]
         end_to_end[workload] = {
-            m: compare(b, [p["parent"][m] for p in rows],
+            m: compare(spec_m["better"], spec_m["bound"],
+                       [p["parent"][m] for p in rows],
                        [p["change"][m] for p in rows])
-            for m, b in better.items()}
+            for m, spec_m in metrics.items()}
         failed[workload] = {
             side: [sum(p[side]["failed"] for p in rows),
                    sum(p[side]["attempted"] for p in rows)]
@@ -147,6 +170,9 @@ def main(argv=None) -> int:
         workload, metric = args.claim.split(":")
         out["claim"] = claim_verdict(workload, metric,
                                      end_to_end[workload][metric])
+    out["verdicts"] = {workload: {m: row["verdict"]
+                                  for m, row in end_to_end[workload].items()}
+                       for workload in workloads}
     out["end_to_end"] = end_to_end
     out["failed_over_attempted"] = failed
     if args.trace_seed is not None:
