@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.optimize import linprog, nnls
+from scipy.optimize import linprog
 
 from .fusion import inv_psd
 from .scenario import MeasurementSchedule, RadarKind, Scenario
@@ -314,11 +314,6 @@ def _certify_infeasible(A: np.ndarray, b: np.ndarray) -> Optional[str]:
     return None
 
 
-def _excess(A: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
-    """Largest violation of {A z <= b, z >= 0} at z (<= 0 inside)."""
-    return max((A @ z - b).max(), -z.min())
-
-
 @dataclass(frozen=True, eq=False)
 class _Face:
     """One active set S of the stacked rows [A; -I] of one polyhedron, with
@@ -361,6 +356,16 @@ def _face(faces: dict, A: np.ndarray, b: np.ndarray, rows: list[int]) -> _Face:
     return face
 
 
+def _gram_solve(face: _Face, rhs: np.ndarray) -> np.ndarray:
+    """m with (A_SF A_SF^T) m = rhs on the rows S_A of a face."""
+    if face.lu is not None:
+        return dgetrs(*face.lu, rhs)[0]
+    if face.on_a.size:
+        # singular: a duplicated row, or a row of A with its support in Z
+        return np.linalg.lstsq(face.gram, rhs, rcond=None)[0]
+    return rhs
+
+
 def _polish(z_raw: np.ndarray, face: _Face, A: np.ndarray, b: np.ndarray):
     """Exact projection of z_raw onto the affine set of a face S of [A; -I]:
     A_S z = b_S on the rows S_A of A in S, and z_Z = 0 on the coordinates Z
@@ -374,56 +379,19 @@ def _polish(z_raw: np.ndarray, face: _Face, A: np.ndarray, b: np.ndarray):
     multipliers mult = (m, mu_Z) of S in the order of its sorted rows, and
     resid = A z - b.
     """
-    resid = face.a_free @ z_raw - face.b_s
-    if face.lu is not None:
-        m, _ = dgetrs(*face.lu, resid)
-    elif face.on_a.size:
-        # singular: a duplicated row, or a row of A with its support in Z
-        m, *_ = np.linalg.lstsq(face.gram, resid, rcond=None)
-    else:
-        m = resid
+    m = _gram_solve(face, face.a_free @ z_raw - face.b_s)
     z = z_raw - face.a_s.T @ m
     mult = np.concatenate([m, -z[face.zero]])
     z[face.zero] = 0.0
     return z, mult, A @ z - b
 
 
-def _repair(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray, rows: list[int],
-            bound: float, faces: dict) -> Optional[ProjectionResult]:
-    """Polish on the guessed sorted rows and, while that fails the KKT
-    certificate, move one row and polish again (a primal active-set step,
-    Nocedal and Wright section 16.5): add the most violated row of [A; -I]
-    when the polish leaves the polyhedron by more than bound, else drop the
-    row with the most negative multiplier.
-
-    Returns the polish only with the certificate: every row of A in the set
-    tight (its nonnegativity rows are exactly 0; without this check a slack
-    nonnegativity row would have its coordinate zeroed), inside the
-    polyhedron within bound and multipliers >= 0.  Each row moves at most
-    once, so at most rows + dim steps are taken; None when a kept row of A
-    is slack (a singular face), a row would move twice or the set would
-    empty.
-    """
-    n_a, moved = A.shape[0], set()
-    while True:
-        face = _face(faces, A, b, rows)
-        z, mult, resid = _polish(z_raw, face, A, b)
-        if (np.abs(resid[face.on_a]) > bound).any():
-            return None
-        worst_a, worst_z = resid.argmax(), z.argmin()
-        if max(resid[worst_a], -z[worst_z]) > bound:
-            row = int(worst_a if resid[worst_a] >= -z[worst_z]
-                      else n_a + worst_z)
-        elif mult.min() < 0:
-            row = rows[int(mult.argmin())]
-            if len(rows) == 1:
-                return None
-        else:
-            return ProjectionResult(z=z, active=rows)
-        if row in moved:
-            return None
-        moved.add(row)
-        rows = sorted(set(rows) ^ {row})
+def _span(face: _Face, g: np.ndarray) -> np.ndarray:
+    """Coefficients r of g on the rows of a face S of [A; -I], in the order
+    of its sorted rows: the least-squares solution of G_S^T r = g, by the
+    same elimination of the rows Z as in _polish."""
+    m = _gram_solve(face, face.a_free @ g)
+    return np.concatenate([m, (face.a_s.T @ m - g)[face.zero]])
 
 
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -431,21 +399,27 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
             faces: Optional[dict] = None) -> ProjectionResult:
     """Euclidean projection onto {z : A z <= b, z >= 0}.
 
-    Solved as a least-distance program reduced to nonnegative least squares
-    (the classical Lawson-Hanson construction), which scipy.optimize.nnls
-    solves by Lawson and Hanson's active-set method, followed by an exact
-    equality-constrained polish on the active rows (see _polish).  The
-    stacked rows [A; -I] are built only for the NNLS.  Raises
-    InfeasibleError with an LP certificate when the polyhedron is empty, and
-    RuntimeError when the NNLS hits its iteration limit or the result is
-    infeasible.
+    Goldfarb and Idnani's dual active-set method ("A numerically stable dual
+    method for solving strictly convex quadratic programs", Math.
+    Programming 27, 1983) on the stacked rows [A; -I], never formed.  The
+    point is always the polish (see _polish) on the active set S, with
+    nonnegative multipliers.  While a row is violated by more than
+    tol * max(1, |b|), the feasibility tolerance, the most violated row p is
+    added: point and multipliers move affinely to the polish on S + p, and a
+    multiplier that reaches zero first takes its row out of S on the way.
+    For p in the span of S the step is dual only, along p's coefficients on
+    S (see _span).  A row that cannot be added proves the polyhedron empty;
+    an LP arbitrates, raising InfeasibleError with its certificate, or
+    RuntimeError when it finds a feasible point.  RuntimeError is also raised
+    after 4 * (rows + dim) steps, should rounding make the method cycle.
 
     warm, optional, is a guessed active set (row indices into [A; -I]), such
     as the ``active`` of a projection of a nearby point onto the same
-    polyhedron.  The polish on those rows, repaired one row at a time, is
-    returned without an NNLS when it meets the KKT conditions (see _repair).
-    Otherwise the NNLS runs as without warm.  faces, optional, caches the
-    factored faces of this A and b across calls (a dict, filled in place).
+    polyhedron.  The method starts from it once dual feasible, dropping one
+    row per polish: rows of A the polish leaves slack, then the most
+    negative multiplier.  Without warm it starts from the empty set at z_raw.
+    faces, optional, caches the factored faces of this A and b across calls
+    (a dict, filled in place).
     """
     z_raw = np.asarray(z_raw, dtype=float)
     excess = A @ z_raw - b
@@ -457,49 +431,70 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     bound = 1e-9 * scale
     if faces is None:
         faces = {}
+    n_a, dim = A.shape
 
-    if warm:
-        hit = _repair(z_raw, A, b, sorted(set(map(int, warm))), bound, faces)
-        if hit is not None:
-            return hit
+    rows = sorted(set(map(int, warm or [])))
+    while True:
+        face = _face(faces, A, b, rows)
+        z, mult, resid = _polish(z_raw, face, A, b)
+        if not rows:
+            break
+        unfit = mult.copy()
+        unfit[:face.on_a.size][np.abs(resid[face.on_a]) > bound] = -np.inf
+        if unfit.min() >= 0:
+            break
+        del rows[int(unfit.argmin())]
 
-    # min ||y|| s.t. G y >= v with G = [A; -I], v = G z_raw - [b; 0] and
-    # y = z_raw - z, via NNLS on [G^T; v^T]; rows normalized so mixed
-    # budget/bound scales stay well conditioned
-    dim = z_raw.size
-    G = np.vstack([A, -np.eye(dim)])
-    v = np.concatenate([excess, -z_raw])
-    norms = np.sqrt(np.sum(G * G, axis=1) + v * v)
-    norms[norms == 0] = 1.0
-    Gn = G / norms[:, None]
-    vn = v / norms
-    E = np.vstack([Gn.T, vn[None, :]])
-    f = np.zeros(dim + 1)
-    f[-1] = 1.0
-    try:
-        u, _ = nnls(E, f)
-    except RuntimeError as exc:
-        raise RuntimeError(f"projection failed to converge: NNLS {exc}") from exc
-    r = E @ u - f
-    if abs(r[-1]) <= 1e-12:
-        cert = _certify_infeasible(A, b)
-        detail = cert or "no separating residual in the least-distance reduction"
-        raise InfeasibleError(f"empty polyhedron: {detail}")
-    z = z_raw - (-r[:-1] / r[-1])
-
-    # polish: exact projection onto the affine hull of the NNLS support
-    active = np.flatnonzero(u > 0).tolist()
-    if active:
-        hit, _, resid = _polish(z_raw, _face(faces, A, b, active), A, b)
-        if max(resid.max(), -hit.min()) <= bound:
-            z = hit
-    viol = _excess(A, b, z)
-    if viol > 1e-8 * scale:
-        cert = _certify_infeasible(A, b)
-        if cert is not None:
-            raise InfeasibleError(f"empty polyhedron: {cert}")
-        raise RuntimeError(f"projection failed to converge (violation {viol:.3e})")
-    return ProjectionResult(z=z, active=active)
+    steps, limit = 0, 4 * (n_a + dim)
+    while True:
+        # rows of S are tight up to rounding, which must not add them again
+        resid[face.on_a] = 0.0
+        worst_a, worst_z = resid.argmax(), z.argmin()
+        if max(resid[worst_a], -z[worst_z]) <= thresh:
+            return ProjectionResult(z=z, active=rows)
+        p = int(worst_a if resid[worst_a] >= -z[worst_z] else n_a + worst_z)
+        mult_p = 0.0
+        while True:
+            steps += 1
+            if steps > limit:
+                raise RuntimeError(f"projection failed to converge in "
+                                   f"{limit} steps of the dual method")
+            cols = sorted(rows + [p])
+            at = cols.index(p)
+            face = _face(faces, A, b, cols)
+            z_new, mult_new, resid_new = _polish(z_raw, face, A, b)
+            primal = (np.abs(resid_new[face.on_a]) <= bound).all()
+            if not primal or mult_new.min() < 0:
+                start = np.concatenate((mult[:at], [mult_p], mult[at:]))
+                if primal:
+                    # toward the polish on cols, reached at the step's end
+                    slope, reach = mult_new - start, 1.0
+                else:
+                    # p in the span of rows: a dual step, z fixed, the
+                    # multipliers along p's coefficients on rows
+                    g = A[p] if p < n_a else -np.eye(dim)[p - n_a]
+                    r = _span(_face(faces, A, b, rows), g)
+                    slope = -np.concatenate((r[:at], [-1.0], r[at:]))
+                    reach = np.inf
+                falls = np.flatnonzero(slope < 0)
+                falls = falls[falls != at]
+                ratio = np.maximum(start[falls], 0.0) / -slope[falls]
+                if ratio.size and ratio.min() < reach:
+                    # the multiplier of row cols[j] reaches zero first
+                    j = falls[ratio.argmin()]
+                    mult = start + ratio.min() * slope
+                    mult_p = mult[at]
+                    keep = [i for i in range(len(cols)) if i not in (j, at)]
+                    rows, mult = [cols[i] for i in keep], mult[keep]
+                    continue
+                if not primal:
+                    cert = _certify_infeasible(A, b)
+                    if cert is not None:
+                        raise InfeasibleError(f"empty polyhedron: {cert}")
+                    raise RuntimeError(f"projection failed to converge: row "
+                                       f"{p} cannot be added to {rows}")
+            rows, z, mult, resid = cols, z_new, mult_new, resid_new
+            break
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,11 @@ class FusionGrid:
     start_time: float = 0.0  # t_1
 
     def boundary(self, k: int) -> tuple[float, float]:
-        """Half-open window (t_k, t_{k+1}] of fusion interval k (0-based)."""
-        t0 = self.start_time + k * self.interval_length
-        return t0, t0 + self.interval_length
+        """Half-open window (t_k, t_{k+1}] of fusion interval k (0-based),
+        with t_k = start_time + k * interval_length, so that consecutive
+        windows share their edge."""
+        return (self.start_time + k * self.interval_length,
+                self.start_time + (k + 1) * self.interval_length)
 
 
 @dataclass
@@ -393,9 +395,10 @@ def build_schedule(scenario: Scenario) -> MeasurementSchedule:
     """
     grid = scenario.grid
     n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
-    horizon = grid.start_time + k_n * grid.interval_length
-    lo = grid.start_time + np.arange(k_n) * grid.interval_length
-    hi = lo + grid.interval_length
+    # one edge array, as FusionGrid.boundary computes them, so the windows
+    # partition (t_1, horizon]
+    edges = grid.start_time + np.arange(k_n + 1) * grid.interval_length
+    lo, hi, horizon = edges[:-1], edges[1:], edges[-1]
     positions = np.array([r.position for r in scenario.radars], dtype=float)
     counts = np.zeros((n, q_n, k_n), dtype=int)
     rows = []

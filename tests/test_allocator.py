@@ -3,6 +3,7 @@ fractional rewrite, projection, baselines, and the alternating solver."""
 
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,16 +65,18 @@ def kernels(priors):
     return np.array([p.kernels for p in priors])
 
 
-def count_nnls_calls(monkeypatch) -> list:
-    """Route allocator.nnls through a counter; returns the one-item count."""
-    calls, nnls = [0], allocator.nnls
+def record_polishes(monkeypatch) -> list:
+    """Route allocator._polish through a recorder; returns the list, filled
+    in call order, of the faces polished, each as its rows of [A; -I]."""
+    faces, polish = [], allocator._polish
 
-    def counted(E, f):
-        calls[0] += 1
-        return nnls(E, f)
+    def recorded(z_raw, face, A, b):
+        faces.append(tuple(face.on_a.tolist()
+                           + (face.zero + A.shape[0]).tolist()))
+        return polish(z_raw, face, A, b)
 
-    monkeypatch.setattr(allocator, "nnls", counted)
-    return calls
+    monkeypatch.setattr(allocator, "_polish", recorded)
+    return faces
 
 
 def full_stacked_polish(z_raw, A, b, rows):
@@ -91,32 +94,6 @@ def full_stacked_polish(z_raw, A, b, rows):
     slack = G @ z - h
     z[rows[rows >= A.shape[0]] - A.shape[0]] = 0.0
     return z, mult, slack, bound
-
-
-def stacked_repair(z_raw, A, b, rows):
-    """Reference add/drop repair on the stacked polish: from the sorted rows,
-    stop when a row of the set is slack, else add the most violated row of
-    [A; -I] while the polish leaves the polyhedron, else drop the row with
-    the most negative multiplier, each row at most once, until the warm KKT
-    certificate holds (rows tight, inside the polyhedron, multipliers >= 0).
-    Returns (z, rows, steps), or None where the NNLS has to run."""
-    rows, moved = np.asarray(rows), set()
-    while True:
-        z, mult, slack, bound = full_stacked_polish(z_raw, A, b, rows)
-        if np.any(np.abs(slack[rows]) > bound):
-            return None
-        if slack.max() > bound:
-            row = int(slack.argmax())
-        elif mult.min() < 0:
-            row = int(rows[mult.argmin()])
-            if rows.size == 1:
-                return None
-        else:
-            return z, rows.tolist(), len(moved)
-        if row in moved:
-            return None
-        moved.add(row)
-        rows = np.setxor1d(rows, [row])
 
 
 def recorded_solves(scenario, schedule) -> list[dict]:
@@ -498,9 +475,9 @@ class TestProject:
             project(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
 
     def test_barely_infeasible_inputs_feasible_and_match_oracle(self):
-        # a projected point pushed ~1e-10 off the polyhedron: the reduction's
-        # right-hand side is tiny, so an NNLS that stops early leaves a
-        # violation that the 1e-8 convergence check lets through
+        # a projected point pushed ~1e-10 off the polyhedron: rows violated
+        # by that little must still be added, or the answer is left outside
+        # by more than the feasibility tolerance
         rng = np.random.default_rng(7)
         for _ in range(300):
             dim, n_rows = int(rng.integers(3, 14)), int(rng.integers(2, 9))
@@ -510,7 +487,8 @@ class TestProject:
             h = np.concatenate([b, np.zeros(dim)])
             z_star = project(rng.normal(0, 2, dim), A, b).z
             z0 = z_star + 1e-10 * rng.normal(size=dim)
-            z = project(z0, A, b).z
+            res = project(z0, A, b)
+            z = res.z
             assert np.max(G @ z - h) <= 1e-12 * np.abs(h).max()
             # the answer's active rows are among those active at z_star; the
             # exhaustive search over their subsets costs 2^rows, so it runs
@@ -521,12 +499,22 @@ class TestProject:
                 assert oracle is not None
                 assert np.all(G @ oracle <= h + 1e-9)
                 np.testing.assert_allclose(z, oracle, atol=1e-8)
+            else:
+                # elsewhere the KKT certificate of the returned set: the
+                # stacked polish on it, every listed row tight and no
+                # negative multiplier (feasibility is asserted above)
+                rows = np.array(res.active)
+                ref, mult, slack, bound = full_stacked_polish(z0, A, b, rows)
+                np.testing.assert_allclose(z, ref, rtol=0, atol=1e-12)
+                assert np.all(np.abs(slack[rows]) <= bound)
+                assert np.all(mult >= -1e-9)
 
     def test_warm_start_matches_cold_projection(self, monkeypatch):
-        # a warm polish is returned only with a KKT certificate, so any
+        # a warm start ends at a set with the KKT certificate, so any
         # guessed active set gives the cold answer: bitwise from the cold
-        # call's own set, to rounding from a wrong one
-        nnls_calls = count_nnls_calls(monkeypatch)
+        # call's own set, which is certified by its one polish, to rounding
+        # from a wrong one
+        polished = record_polishes(monkeypatch)
         rng = np.random.default_rng(8)
         infeasible, own_hits = 0, 0
         for _ in range(300):
@@ -535,13 +523,13 @@ class TestProject:
             b = rng.uniform(0.5, 2.0, n_rows)
             x = rng.normal(0, 2, dim)
             cold = project(x, A, b)
-            before = nnls_calls[0]
+            before = len(polished)
             warm = project(x, A, b, warm=cold.active)
             np.testing.assert_array_equal(warm.z, cold.z)
             assert warm.active == cold.active
             if cold.active:
                 infeasible += 1
-                own_hits += nnls_calls[0] == before
+                own_hits += len(polished) == before + 1
             nearby = project(x + 0.1 * rng.normal(size=dim), A, b).active
             subset = list(np.flatnonzero(rng.random(n_rows + dim) < 0.5))
             for guess in ([], list(range(n_rows + dim)), subset, nearby):
@@ -549,32 +537,78 @@ class TestProject:
                                            cold.z, rtol=0, atol=1e-12)
         assert own_hits >= 0.9 * infeasible > 0
 
-    def test_uncertified_warm_set_falls_back_to_nnls(self, monkeypatch):
+    def test_uncertified_warm_set_is_repaired_without_a_restart(
+            self, monkeypatch):
         # x + y <= 1 from (2, -1): the projection (1, 0) has the rows
         # x + y <= 1 and y >= 0 active, indices 0 and 2 of [A; -I]
         A, b, x = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([2.0, -1.0])
         cold = project(x, A, b)
         np.testing.assert_allclose(cold.z, [1.0, 0.0], atol=1e-12)
-        nnls_calls = count_nnls_calls(monkeypatch)
-        # the right set is certified without an NNLS call
+        polished = record_polishes(monkeypatch)
+        # the right set is certified by its one polish
         np.testing.assert_array_equal(project(x, A, b, warm=[0, 2]).z, cold.z)
-        assert nnls_calls[0] == 0
+        assert polished == [(0, 2)]
         # {x + y = 1, x = 0} gives the feasible (0, 1) with a negative
-        # multiplier, and {y = 0} alone gives (2, 0), outside the polyhedron;
-        # the repair drops x >= 0 and adds y >= 0, or adds x + y <= 1, and
-        # reaches the cold set without an NNLS call
+        # multiplier, so x >= 0 is dropped and y >= 0 added; {y = 0} alone
+        # gives (2, 0), outside the polyhedron, and x + y <= 1 is added;
+        # neither falls back to the empty set
         for guess in ([0, 1], [2]):
+            del polished[:]
             res = project(x, A, b, warm=guess)
             np.testing.assert_array_equal(res.z, cold.z)
             assert res.active == cold.active == [0, 2]
-        assert nnls_calls[0] == 0
+            assert () not in polished
         # the unit box from (0.5, 2): x <= 1 and x >= 0 cannot both be tight,
         # and taking them as tight would zero x; the polish leaves x <= 1
-        # slack, so no row move is tried and the NNLS gives (0.5, 1)
+        # slack, so it is dropped first, then x >= 0 for its negative
+        # multiplier, which leaves the cold set {y <= 1} and (0.5, 1)
         box, ones, x = np.eye(2), np.ones(2), np.array([0.5, 2.0])
-        np.testing.assert_array_equal(project(x, box, ones, warm=[0, 1, 2]).z,
-                                      [0.5, 1.0])
-        assert nnls_calls[0] == 1
+        cold = project(x, box, ones)
+        del polished[:]
+        res = project(x, box, ones, warm=[0, 1, 2])
+        np.testing.assert_array_equal(res.z, cold.z)
+        np.testing.assert_array_equal(res.z, [0.5, 1.0])
+        assert polished == [(0, 1, 2), (1, 2), (1,)]
+
+    def test_guess_a_row_must_move_twice_on_is_certified(self, monkeypatch):
+        # x + y + w <= 4 and x + 2y <= 4 from (2, 0, -1): the projection
+        # (2, 0, 0) has only w >= 0 (row 4 of [A; -I]) active.  From the
+        # guess {x + y + w = 4, w = 0} the polish (3, 1, 0) violates
+        # x + 2y <= 4; adding it first, then dropping x + y + w <= 4 and
+        # x + 2y <= 4 for their negative multipliers, moves x + 2y <= 4
+        # twice.  The dual method drops x + y + w <= 4 (multiplier -1)
+        # before it adds anything, and {w = 0} is certified.
+        A = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 0.0]])
+        b, x = np.array([4.0, 4.0]), np.array([2.0, 0.0, -1.0])
+        cold = project(x, A, b)
+        polished = record_polishes(monkeypatch)
+        res = project(x, A, b, warm=[0, 4])
+        np.testing.assert_array_equal(res.z, cold.z)
+        np.testing.assert_array_equal(res.z, [2.0, 0.0, 0.0])
+        assert res.active == cold.active == [4]
+        assert polished == [(0, 4), (4,)]
+
+    def test_row_in_the_span_of_the_set_takes_a_dual_step(self, monkeypatch):
+        # x - y <= -1 from (-1, -1): the projection (0, 1) has x - y <= -1
+        # and x >= 0 active.  From the guess {x >= 0, y >= 0}, certified at
+        # (0, 0) with multipliers (1, 1), the violated x - y <= -1 equals
+        # -1 * (-x) + 1 * (-y): it lies in the span of the set, the polish
+        # on all three rows leaves it slack, and the dual step moves the
+        # multipliers until y >= 0's reaches zero and leaves
+        A, b = np.array([[1.0, -1.0]]), np.array([-1.0])
+        x = np.array([-1.0, -1.0])
+        cold = project(x, A, b)
+        polished = record_polishes(monkeypatch)
+        spans, span = [], allocator._span
+        monkeypatch.setattr(allocator, "_span",
+                            lambda face, g: spans.append(g) or span(face, g))
+        res = project(x, A, b, warm=[1, 2])
+        np.testing.assert_array_equal(res.z, cold.z)
+        np.testing.assert_array_equal(res.z, [0.0, 1.0])
+        assert res.active == cold.active == [0, 1]
+        assert polished == [(1, 2), (0, 1, 2), (0, 1)]
+        assert len(spans) == 1
+        np.testing.assert_array_equal(spans[0], A[0])
 
     def test_negative_bound_multiplier_alone_is_dropped_by_the_repair(
             self, monkeypatch):
@@ -582,15 +616,15 @@ class TestProject:
         # row of A active; {x + y = 1, x = 0} (rows 0 and 1 of [A; -I]) gives
         # the feasible (0, 1) = (1, 1.5) - m (1, 1) - mu (-1, 0) with the row
         # tight and m = 0.5, but the bound's multiplier mu is -0.5, so the
-        # repair drops x >= 0
+        # dual method drops x >= 0 before it starts
         A, b, x = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 1.5])
         cold = project(x, A, b)
-        nnls_calls = count_nnls_calls(monkeypatch)
+        polished = record_polishes(monkeypatch)
         res = project(x, A, b, warm=[0, 1])
         np.testing.assert_allclose(res.z, [0.25, 0.75], atol=1e-12)
         np.testing.assert_array_equal(res.z, cold.z)
         assert res.active == cold.active == [0]
-        assert nnls_calls[0] == 0
+        assert polished == [(0, 1), (0,)]
 
     def test_repair_certifies_guesses_one_or_two_rows_off(self, monkeypatch):
         # x + y + w + v <= 1, x <= 0.2 and y <= 5 from (2, 1, -1, 0.5): the
@@ -602,29 +636,34 @@ class TestProject:
         cold = project(x, A, b)
         np.testing.assert_allclose(cold.z, [0.2, 0.65, 0.0, 0.15], atol=1e-12)
         assert cold.active == [0, 1, 5]
-        nnls_calls = count_nnls_calls(monkeypatch)
-        # w >= 0 missing: the polish has w = -0.9 and the repair adds it;
-        # v >= 0 extra: its multiplier is -0.3 and the repair drops it; both
-        # at once: add w >= 0, then drop v >= 0
-        for guess in ([0, 1], [0, 1, 5, 6], [0, 1, 6]):
+        polished = record_polishes(monkeypatch)
+        # w >= 0 missing: the polish has x + y + w + v <= 1 with a negative
+        # multiplier, which is dropped, then w >= 0 and the row are added;
+        # v >= 0 extra: its multiplier is -0.3 and it is dropped; both at
+        # once: v >= 0 dropped, then as from the first guess
+        for guess, faces in (([0, 1], 4), ([0, 1, 5, 6], 2), ([0, 1, 6], 5)):
+            del polished[:]
             res = project(x, A, b, warm=guess)
             assert res.active == cold.active
             np.testing.assert_array_equal(res.z, cold.z)
-        assert nnls_calls[0] == 0
+            assert () not in polished
+            assert len(polished) == faces
 
     def test_guess_of_nonnegativity_rows_only_skips_lapack(self, capfd,
                                                           monkeypatch):
         # from (-1, 2) under x + y <= 10 only x >= 0 (row 1 of [A; -I]) is
         # active: its face has no row of A and no Gram matrix to factor
-        # (dgetrf prints an error for a 0x0 one); from the guess y >= 0 the
-        # repair adds x >= 0, then drops y >= 0
+        # (dgetrf prints an error for a 0x0 one); the guess x >= 0 is
+        # certified by its polish, and from the guess y >= 0 (multiplier -2)
+        # the dual method drops it and adds x >= 0
         A, b, x = np.array([[1.0, 1.0]]), np.array([10.0]), np.array([-1.0, 2.0])
-        nnls_calls = count_nnls_calls(monkeypatch)
-        for guess in ([1], [2]):
+        polished = record_polishes(monkeypatch)
+        for guess, faces in (([1], [(1,)]), ([2], [(2,), (), (1,)])):
+            del polished[:]
             res = project(x, A, b, warm=guess)
             np.testing.assert_array_equal(res.z, [0.0, 2.0])
             assert res.active == [1]
-        assert nnls_calls[0] == 0
+            assert polished == faces
         assert capfd.readouterr() == ("", "")
 
     def test_duplicated_row_takes_the_lstsq_fallback(self, monkeypatch):
@@ -642,22 +681,21 @@ class TestProject:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
-        nnls_calls = count_nnls_calls(monkeypatch)
+        polished = record_polishes(monkeypatch)
         warm = project(x, A, b, warm=[0, 1, 4])
         np.testing.assert_allclose(warm.z, cold.z, rtol=0, atol=1e-12)
         assert warm.z[2] == 0.0
         assert warm.active == [0, 1, 4]
-        assert (lstsq_calls[0], nnls_calls[0]) == (1, 0)
+        assert (lstsq_calls[0], polished) == (1, [(0, 1, 4)])
 
     def test_reduced_polish_matches_the_full_stacked_polish(self, monkeypatch):
         # polyhedra up to large-net size (25 variables, 12 rows), sparse like
         # the budget rows, and warm sets mixing rows of A with nonnegativity
-        # rows: the same z and the same rows as the add/drop repair on the
-        # polish of [A; -I], and the NNLS only where neither the guess nor
-        # its repair is certified
-        nnls_calls = count_nnls_calls(monkeypatch)
+        # rows: every answer is the polish of [A; -I] on the cold set, taken
+        # at the guess or after rows have moved
+        polished = record_polishes(monkeypatch)
         rng = np.random.default_rng(10)
-        outcomes = {"guess": 0, "repaired": 0, "nnls": 0}
+        outcomes = {"guess": 0, "moved": 0}
         for _ in range(200):
             dim, n_rows = int(rng.integers(3, 26)), int(rng.integers(2, 13))
             A = (rng.uniform(0.0, 1.0, (n_rows, dim))
@@ -667,7 +705,7 @@ class TestProject:
             cold = project(x, A, b)
             if not cold.active:
                 continue
-            # the cold answer is the stacked polish on the NNLS support
+            # the cold answer is the stacked polish on the active set
             z, *_ = full_stacked_polish(x, A, b, np.array(cold.active))
             np.testing.assert_allclose(cold.z, z, rtol=0, atol=1e-12)
             # the cold set, then each row toggled in or out with odds 1/8
@@ -677,20 +715,11 @@ class TestProject:
                                                cold.active) ^ flip)
                 if guess.size == 0:
                     continue
-                ref = stacked_repair(x, A, b, guess)
-                before = nnls_calls[0]
+                del polished[:]
                 res = project(x, A, b, warm=list(guess))
-                assert (nnls_calls[0] == before) == (ref is not None)
-                if ref is None:
-                    outcomes["nnls"] += 1
-                    np.testing.assert_allclose(res.z, cold.z, rtol=0, atol=1e-12)
-                    continue
-                z, rows, steps = ref
-                outcomes["repaired" if steps else "guess"] += 1
-                assert res.active == rows
-                np.testing.assert_allclose(res.z, z, rtol=0, atol=1e-12)
-                if rows == cold.active:
-                    np.testing.assert_array_equal(res.z, cold.z)
+                outcomes["guess" if len(polished) == 1 else "moved"] += 1
+                assert res.active == cold.active
+                np.testing.assert_array_equal(res.z, cold.z)
         assert min(outcomes.values()) >= 100, outcomes
 
     def test_optimized_plan_has_no_near_zero_entries(self, scenario, schedule):
@@ -699,25 +728,46 @@ class TestProject:
         for z in allocs:
             assert not np.any((z > 0) & (z < 1e-6 * z.max()))
 
-    def test_unconverged_result_raises(self, monkeypatch):
-        # an NNLS answer of all zeros leaves the input where it was
-        monkeypatch.setattr(allocator, "nnls",
-                            lambda E, f: (np.zeros(E.shape[1]), 1.0))
-        with pytest.raises(RuntimeError,
-                           match="projection failed to converge \\(violation"):
-            project(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
-                    np.array([1.0]))
+    def test_empty_polyhedron_found_mid_solve_raises(self, monkeypatch):
+        # x + y <= 1 and -x - y <= -2 from (0.5, 0.5): only the second row
+        # is violated, and once it is added at (1, 1) the first one is, in
+        # the span of the set with a multiplier that only rises; the LP
+        # certifies the polyhedron empty
+        A = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        b, x = np.array([1.0, -2.0]), np.array([0.5, 0.5])
+        polished = record_polishes(monkeypatch)
+        with pytest.raises(allocator.InfeasibleError,
+                           match="empty polyhedron: .*infeasible"):
+            project(x, A, b)
+        assert polished == [(), (1,), (0, 1)]
 
-    def test_nnls_iteration_limit_raises(self, monkeypatch):
-        def stalled(E, f):
-            raise RuntimeError("Maximum number of iterations reached.")
+    def test_blocked_add_in_a_feasible_polyhedron_raises(self, monkeypatch):
+        # the same blocked row, with the LP reporting a feasible polyhedron
+        monkeypatch.setattr(allocator, "linprog",
+                            lambda *args, **kwargs: SimpleNamespace(
+                                status=0, message="Optimization terminated"))
+        with pytest.raises(RuntimeError, match="projection failed to "
+                           "converge: row 0 cannot be added") as info:
+            project(np.array([0.5, 0.5]), np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                    np.array([1.0, -2.0]))
+        assert not isinstance(info.value, allocator.InfeasibleError)
 
-        monkeypatch.setattr(allocator, "nnls", stalled)
-        with pytest.raises(RuntimeError, match="projection failed to converge: "
-                           "NNLS Maximum number of iterations") as info:
-            project(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
-                    np.array([1.0]))
-        assert "Maximum number" in str(info.value.__cause__)
+    def test_cycling_past_the_step_limit_raises(self, monkeypatch):
+        # the unit box from (2, 2) with polishes whose multipliers on the
+        # face of both rows of A come out negative: adding either row drops
+        # the other, for ever, until 4 * (rows + dim) = 16 steps
+        polish = allocator._polish
+
+        def flipped(z_raw, face, A, b):
+            z, mult, resid = polish(z_raw, face, A, b)
+            if face.on_a.size == 2:
+                mult = -np.abs(mult)
+            return z, mult, resid
+
+        monkeypatch.setattr(allocator, "_polish", flipped)
+        with pytest.raises(RuntimeError, match="projection failed to "
+                           "converge in 16 steps"):
+            project(np.array([2.0, 2.0]), np.eye(2), np.ones(2))
 
 
 class TestBaselines:
@@ -816,12 +866,13 @@ class TestAdamSolve:
             np.testing.assert_array_equal(zw, zc)
         assert tr_warm == tr_cold
 
-    def test_line_search_projections_mostly_skip_nnls(self, scenario, schedule,
-                                                      monkeypatch):
-        # only a projection without a guessed active set runs the NNLS, at
-        # most the first line-search probe of each solve; every later probe
-        # is certified at its guess or after the repair
-        nnls_calls = count_nnls_calls(monkeypatch)
+    def test_line_search_projections_mostly_start_from_their_guess(
+            self, scenario, schedule, monkeypatch):
+        # only a projection without a guessed active set starts from the
+        # empty set, at most the first line-search probe of each solve;
+        # every later probe is certified at its guess or moves rows from it
+        # without emptying it
+        polished = record_polishes(monkeypatch)
         solve, solves = harness.adam_solve, [0]
 
         def counted(*args, **kwargs):
@@ -830,7 +881,7 @@ class TestAdamSolve:
 
         monkeypatch.setattr(harness, "adam_solve", counted)
         plan_allocations(scenario, schedule, "optimized")
-        assert 0 < nnls_calls[0] <= solves[0]
+        assert 0 < polished.count(()) <= solves[0]
 
     def test_g_never_falls_along_a_trace(self, planned_solves):
         for solve in planned_solves:

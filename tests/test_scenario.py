@@ -73,9 +73,8 @@ def _reference_schedule(scenario):
     by two searchsorted calls, concatenated interval by interval."""
     grid = scenario.grid
     n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
-    horizon = grid.start_time + k_n * grid.interval_length
-    lo = grid.start_time + np.arange(k_n) * grid.interval_length
-    hi = lo + grid.interval_length
+    lo, hi = np.array([grid.boundary(k) for k in range(k_n)]).T
+    horizon = hi[-1]
     positions = np.array([r.position for r in scenario.radars], dtype=float)
     counts = np.zeros((n, q_n, k_n), dtype=int)
     rows = []
@@ -342,26 +341,29 @@ class TestBuildSchedule:
         assert on_boundary > 0
 
     def test_rounded_window_ends(self):
-        # start 0.1 s, T0 0.7 s: the window ends t_k + T0 round above
-        # t_{k+1} at k = 2 and below it at k = 3
+        # start 0.1 s, T0 0.7 s: t_k + T0 rounds above t_{k+1} = 0.1 +
+        # (k + 1) T0 at k = 2 and below it at k = 3, so windows cut one by
+        # one as (t_k, t_k + T0] would overlap there and leave a gap here;
+        # the grid's windows share their edges instead
         def one_time(t, num_intervals=6):
             return make_mini_scenario(t0=0.7, num_intervals=num_intervals,
                                       start_time=0.1, initial_time=t,
                                       revisit=10.0)
+        t = [0.1 + k * 0.7 for k in range(7)]
+        assert t[2] + 0.7 > t[3] and t[3] + 0.7 < t[4]
         grid = one_time(0.0).grid
-        assert grid.boundary(2)[1] > grid.boundary(3)[0]
-        assert grid.boundary(3)[1] < grid.boundary(4)[0]
-        # the end of window 2 also lies inside window 3: counted once, in
-        # the window it closes (_reference_schedule counts it in both)
-        sch = build_schedule(one_time(grid.boundary(2)[1]))
-        np.testing.assert_array_equal(sch.counts[0, 0], [0, 0, 1, 0, 0, 0])
-        # the start of window 4 lies after the end of window 3: in none,
-        # also when it is the horizon of a 4-window grid
+        for k in range(5):
+            assert grid.boundary(k)[1] == grid.boundary(k + 1)[0] == t[k + 1]
+        # each time is counted once: a shared edge in the window it closes,
+        # also when it is the horizon of a 4-window grid, and the end of
+        # the overlap in the window after it
         for num_intervals in (6, 4):
-            sc = one_time(grid.boundary(4)[0], num_intervals)
-            got, want = build_schedule(sc), _reference_schedule(sc)
-            _assert_bitwise(got.counts, want.counts)
-            assert got.counts.sum() == 0
+            for when, k in ((t[3], 2), (t[2] + 0.7, 3), (t[4], 3)):
+                sc = one_time(when, num_intervals)
+                got, want = build_schedule(sc), _reference_schedule(sc)
+                _assert_bitwise(got.counts, want.counts)
+                np.testing.assert_array_equal(
+                    got.counts[0, 0], np.eye(num_intervals, dtype=int)[k])
 
     def test_times_inside_half_open_window(self, scenario, schedule):
         for k in range(scenario.grid.num_intervals):
