@@ -1,9 +1,10 @@
 """Resource allocation over one fusion interval.
 
-Builds the Bayesian-CRB maximin problem for the decision vector
-[MMR powers | PAR dwell times | downlink powers], and solves it by
-alternating a closed-form slack-matrix descent with projected gradient
-ascent on the resulting sum of linear-fractional functions.
+IntervalProblem holds one interval's Bayesian-CRB maximin problem over the
+decision vector [MMR powers | PAR dwell times | downlink powers], built once
+and read by the baselines, the metric g and adam_solve.  adam_solve
+alternates a closed-form slack-matrix descent with projected gradient ascent
+on the resulting sum of linear-fractional functions.
 """
 
 import warnings
@@ -125,12 +126,10 @@ def compute_kernels(scenario: Scenario, schedule: MeasurementSchedule,
                      for q, s in enumerate(predicted_states)])
 
 
-def bayesian_B(z: np.ndarray, kernels: np.ndarray,
-               prior_infos: list[np.ndarray], scenario: Scenario,
-               layout: AllocationLayout) -> list[np.ndarray]:
+def bayesian_B(z: np.ndarray, problem: "IntervalProblem") -> list[np.ndarray]:
     """Per-target Bayesian information B^q(z) = sum_i scale_i D_i + prior."""
-    B = np.asarray(prior_infos) + np.einsum(
-        "iq,qiab->qab", info_scale(layout, z), kernels)
+    B = problem.prior_infos + np.einsum(
+        "iq,qiab->qab", info_scale(problem.layout, z), problem.kernels)
     return list(0.5 * (B + np.swapaxes(B, 1, 2)))
 
 
@@ -153,12 +152,10 @@ def root_bcrb(b_mats: list[np.ndarray], t0: float, jitter: float = 0.0) -> float
     return sum(float(np.sqrt(c)) for c in _weighted_crb(b_mats, t0, jitter))
 
 
-def objective_g(z: np.ndarray, kernels: np.ndarray,
-                prior_infos: list[np.ndarray], scenario: Scenario,
-                layout: AllocationLayout, jitter: float = 0.0) -> float:
+def objective_g(z: np.ndarray, problem: "IntervalProblem",
+                jitter: float = 0.0) -> float:
     """crb_metric of the Bayesian information under allocation z."""
-    return crb_metric(bayesian_B(z, kernels, prior_infos, scenario, layout),
-                      scenario.grid.interval_length, jitter)
+    return crb_metric(bayesian_B(z, problem), problem.t0, jitter)
 
 
 def throughput_r(j: int, z: np.ndarray, scenario: Scenario,
@@ -176,17 +173,17 @@ def throughput_r(j: int, z: np.ndarray, scenario: Scenario,
 # constraints
 
 
-def assemble_constraints(scenario: Scenario, schedule: MeasurementSchedule,
-                         k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Linear inequality system A z <= b for interval k.
+def _constraint_rows(scenario: Scenario, layout: AllocationLayout,
+                     counts: np.ndarray, k: int
+                     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Linear inequality system A z <= b for interval k, whose measurement
+    counts are counts (N, Q).
 
     Rows: one linearized throughput floor per link, one power budget per MMR,
     one dwell budget per PAR, one base-station power budget.  Raises
     InfeasibleError when a throughput row is violated even with zero
     optimized radar resources and the full base-station budget on that link.
     """
-    layout = AllocationLayout.from_scenario(scenario)
-    counts = schedule.counts[:, :, k]
     t0 = scenario.grid.interval_length
     comm = scenario.comm
     links = np.arange(comm.num_links)
@@ -228,6 +225,49 @@ def assemble_constraints(scenario: Scenario, schedule: MeasurementSchedule,
     return np.array(rows), np.array(rhs), labels
 
 
+def assemble_constraints(scenario: Scenario, schedule: MeasurementSchedule,
+                         k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The constraint rows (A, b, labels) of interval k that
+    IntervalProblem.build assembles, for a caller that holds no problem."""
+    return _constraint_rows(scenario, AllocationLayout.from_scenario(scenario),
+                            schedule.counts[:, :, k], k)
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalProblem:
+    """The allocation problem of fusion interval k, built once (see build)
+    and read by the solver, the baselines and the metric g."""
+
+    layout: AllocationLayout
+    k: int
+    t0: float
+    counts: np.ndarray       # (N, Q) measurement counts of the interval
+    comm_budget: float       # base-station power budget
+    A: np.ndarray            # constraint rows A z <= b, see _constraint_rows
+    b: np.ndarray
+    labels: list
+    precond: np.ndarray      # (dim,) each coordinate's even budget share
+    kernels: np.ndarray      # (Q, N, 4, 4) at the predicted target states
+    prior_infos: np.ndarray  # (Q, 4, 4) predicted prior informations
+
+    @classmethod
+    def build(cls, scenario: Scenario, schedule: MeasurementSchedule, k: int,
+              layout: AllocationLayout, kernels, prior_infos
+              ) -> "IntervalProblem":
+        """Raises InfeasibleError as _constraint_rows does."""
+        counts = schedule.counts[:, :, k]
+        A, b, labels = _constraint_rows(scenario, layout, counts, k)
+        comm = scenario.comm
+        precond = np.ones(layout.dim)
+        for i in layout.mmr + layout.par:
+            precond[layout.var[i]] = layout.budget[i] / max(1, counts[i].sum())
+        precond[layout.n_radar_vars:] = comm.power_budget / comm.num_links
+        return cls(layout=layout, k=k, t0=scenario.grid.interval_length,
+                   counts=counts, comm_budget=comm.power_budget, A=A, b=b,
+                   labels=labels, precond=precond, kernels=np.asarray(kernels),
+                   prior_infos=np.asarray(prior_infos))
+
+
 # ---------------------------------------------------------------------------
 # inner descent and fractional form
 
@@ -256,16 +296,16 @@ class FractionalProgram:
     clamped: int = 0       # count of negative weights clamped to zero
 
 
-def assemble_fractional(v_mats: list[np.ndarray], kernels: np.ndarray,
-                        prior_infos: list[np.ndarray], scenario: Scenario,
-                        layout: AllocationLayout) -> FractionalProgram:
+def assemble_fractional(v_mats: list[np.ndarray],
+                        problem: IntervalProblem) -> FractionalProgram:
     """Rewrite the outer objective for fixed slack matrices as a sum of
     linear-fractional terms in z."""
-    lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
+    layout = problem.layout
+    lam_inv = 1.0 / lambda_diag(problem.t0)
     lv = lam_inv[None, :, None] * np.asarray(v_mats)  # Lambda^{-1} V^q
-    constant = float(np.einsum("qai,qab,qbi->", lv, np.asarray(prior_infos), lv))
+    constant = float(np.einsum("qai,qab,qbi->", lv, problem.prior_infos, lv))
     # w[i, q] = Tr(lv_q^T D_qi lv_q), the weight of radar i's energy on q
-    w = np.einsum("qai,qnab,qbi->nq", lv, kernels, lv)
+    w = np.einsum("qai,qnab,qbi->nq", lv, problem.kernels, lv)
     clamped = int(np.count_nonzero(w < 0))
     if clamped:
         warnings.warn(f"clamped {clamped} negative fractional weights to zero",
@@ -273,7 +313,7 @@ def assemble_fractional(v_mats: list[np.ndarray], kernels: np.ndarray,
         w = np.maximum(w, 0.0)
 
     opt = layout.var >= 0
-    c = np.zeros((scenario.n_radars, layout.dim))
+    c = np.zeros((len(layout.factor), layout.dim))
     c[np.nonzero(opt)[0], layout.var[opt]] = (w * layout.factor[:, None])[opt]
     d = (w * layout.fixed_energy[:, None]).sum(axis=1)
     e = np.zeros_like(c)
@@ -501,59 +541,44 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
 # baselines
 
 
-def baseline_uniform(scenario: Scenario, schedule: MeasurementSchedule,
-                     k: int) -> np.ndarray:
-    """Even, measurement-count-weighted split of every budget; scaled down
-    toward zero radar resources if the throughput floors demand it."""
-    layout = AllocationLayout.from_scenario(scenario)
-    counts = schedule.counts[:, :, k]
-    z = np.zeros(layout.dim)
+def baseline_uniform(problem: IntervalProblem) -> np.ndarray:
+    """Even, measurement-count-weighted split of every budget (the
+    preconditioner's shares; nothing for a radar without measurements), its
+    radar block scaled by the largest rho <= 1 that the throughput rows of A
+    allow.  Those rows are linear in rho: rho * load <= room."""
+    layout, counts = problem.layout, problem.counts
+    z = problem.precond.copy()
     for i in layout.mmr + layout.par:
-        total_m = counts[i].sum()
-        z[layout.var[i]] = layout.budget[i] / total_m if total_m > 0 else 0.0
-    z[layout.n_radar_vars:] = scenario.comm.power_budget / scenario.comm.num_links
-
-    def ok(rho: float) -> bool:
-        zz = z.copy()
-        zz[:layout.n_radar_vars] *= rho
-        return all(throughput_r(j, zz, scenario, layout, counts)
-                   >= scenario.comm.floor(j, k)
-                   for j in range(scenario.comm.num_links))
-
-    if ok(1.0):
-        return z
-    if not ok(0.0):
+        if not counts[i].any():
+            z[layout.var[i]] = 0.0
+    n_r, links = layout.n_radar_vars, slice(layout.n_links)
+    load = problem.A[links, :n_r] @ z[:n_r]
+    room = problem.b[links] - problem.A[links, n_r:] @ z[n_r:]
+    if np.any(room < 0):
         raise InfeasibleError(
             "uniform allocation infeasible even with zero radar resources: "
             "throughput floor unreachable at even comm split")
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    z[:layout.n_radar_vars] *= lo
+    over = load > room
+    if over.any():
+        z[:n_r] *= np.min(room[over] / load[over])
     return z
 
 
-def baseline_random(scenario: Scenario, schedule: MeasurementSchedule,
-                    k: int, rng: np.random.Generator) -> np.ndarray:
+def baseline_random(problem: IntervalProblem,
+                    rng: np.random.Generator) -> np.ndarray:
     """Random direction per resource block, scaled so each budget binds,
     then projected onto the constraint polyhedron."""
-    layout = AllocationLayout.from_scenario(scenario)
-    counts = schedule.counts[:, :, k]
+    layout = problem.layout
     z = np.zeros(layout.dim)
     for i in layout.mmr + layout.par:
-        u = rng.uniform(0.0, 1.0, scenario.n_targets)
-        denom = float(counts[i] @ u)
+        u = rng.uniform(0.0, 1.0, layout.n_targets)
+        denom = float(problem.counts[i] @ u)
         if denom > 0:
             u *= layout.budget[i] / denom
         z[layout.var[i]] = u
-    u = rng.uniform(0.0, 1.0, scenario.comm.num_links)
-    z[layout.n_radar_vars:] = u * scenario.comm.power_budget / u.sum()
-    A, b, _ = assemble_constraints(scenario, schedule, k)
-    return project(z, A, b).z
+    u = rng.uniform(0.0, 1.0, layout.n_links)
+    z[layout.n_radar_vars:] = u * problem.comm_budget / u.sum()
+    return project(z, problem.A, problem.b).z
 
 
 # ---------------------------------------------------------------------------
@@ -575,34 +600,12 @@ class AllocatorConfig:
     max_halvings: int = 32      # per line search and per g safeguard
 
 
-@dataclass
-class PlanningPrior:
-    """Per-target predicted prior for one interval: the predicted state, the
-    predicted Bayesian information and the interval's per-radar information
-    kernels evaluated at that state."""
-
-    state: np.ndarray    # (4,)
-    info: np.ndarray     # (4, 4)
-    kernels: np.ndarray  # (N, 4, 4)
-
-
-def _budget_scale(scenario: Scenario, layout: AllocationLayout,
-                  counts: np.ndarray) -> np.ndarray:
-    """Diagonal preconditioner: each coordinate scaled by its natural budget
-    share so the step size is unitless."""
-    s = np.ones(layout.dim)
-    for i in layout.mmr + layout.par:
-        s[layout.var[i]] = layout.budget[i] / max(1, counts[i].sum())
-    s[layout.n_radar_vars:] = scenario.comm.power_budget / scenario.comm.num_links
-    return s
-
-
-def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
-               priors: list[PlanningPrior],
+def adam_solve(problem: IntervalProblem,
                config: Optional[AllocatorConfig] = None,
                z0: Optional[np.ndarray] = None
                ) -> tuple[np.ndarray, list[dict]]:
-    """Alternating descent-ascent for one fusion interval.
+    """Alternating descent-ascent on one interval's problem, from z0 or
+    else from the uniform baseline.
 
     Alternates the closed-form slack update with a projected, preconditioned
     gradient-ascent step on the fractional rewrite, its length set by the
@@ -613,29 +616,27 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
     accepted step, with the projections the step took in "probes".
     """
     cfg = config or AllocatorConfig()
-    layout = AllocationLayout.from_scenario(scenario)
-    A, b, labels = assemble_constraints(scenario, schedule, k)
-    counts = schedule.counts[:, :, k]
-    kernels = np.array([p.kernels for p in priors])
-    prior_infos = [p.info for p in priors]
-    lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
+    A, b, precond = problem.A, problem.b, problem.precond
+    lam_inv = 1.0 / lambda_diag(problem.t0)
 
     def g_of(z: np.ndarray) -> float:
-        return objective_g(z, kernels, prior_infos, scenario, layout, cfg.jitter)
+        return objective_g(z, problem, cfg.jitter)
 
     # all iterates live in budget-normalized coordinates u = z / scale, so the
     # projection geometry and the step size are unitless across watts/seconds
-    precond = _budget_scale(scenario, layout, counts)
     A_u = A * precond[None, :]
 
     if z0 is None:
-        z0 = baseline_uniform(scenario, schedule, k)
+        z0 = baseline_uniform(problem)
     u = project(np.asarray(z0, dtype=float) / precond, A_u, b).z
     z = precond * u
     g_cur = g_of(z)
     trace: list[dict] = []
-    last: list[int] = []
     faces: dict = {}
+    # the first probe's guess: the rows of [A_u; -I] tight at u
+    tight = np.abs(A_u @ u - b) <= 1e-9 * np.maximum(1.0, np.abs(b))
+    last = [*np.flatnonzero(tight).tolist(),
+            *(len(b) + np.flatnonzero(u == 0)).tolist()]
 
     def probe(eta: float) -> ProjectionResult:
         # line-search probes share A_u and b, so each starts from the active
@@ -647,9 +648,9 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
         return res
 
     for it in range(cfg.max_outer):
-        b_mats = bayesian_B(z, kernels, prior_infos, scenario, layout)
+        b_mats = bayesian_B(z, problem)
         v_mats = [inner_v_update(B, lam_inv, cfg.jitter) for B in b_mats]
-        fp = assemble_fractional(v_mats, kernels, prior_infos, scenario, layout)
+        fp = assemble_fractional(v_mats, problem)
         f_cur = f_value(fp, z)
         if not np.isfinite(f_cur):
             raise RuntimeError(f"non-finite objective at iteration {it}")
@@ -688,8 +689,8 @@ def adam_solve(scenario: Scenario, schedule: MeasurementSchedule, k: int,
         z = precond * u
         trace.append({"iteration": it, "f": f_value(fp, z), "g": g_new,
                       "step_norm": step_norm, "probes": probes,
-                      "active": [labels[a] for a in proj.active
-                                 if a < len(labels)]})
+                      "active": [problem.labels[a] for a in proj.active
+                                 if a < len(b)]})
         gain, g_cur = g_new - g_cur, g_new
         if gain <= tol:
             break

@@ -15,9 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocator import (AllocationLayout, AllocatorConfig, InfeasibleError,
-                        adam_solve, assemble_constraints, baseline_uniform,
-                        objective_g, project)
+from .allocator import (AllocatorConfig, InfeasibleError, IntervalProblem,
+                        adam_solve, baseline_uniform, objective_g, project)
 from .harness import (compare_allocations, plan_allocations, planning_chain,
                       save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
@@ -45,33 +44,31 @@ def _load(args) -> tuple:
     return scenario, build_schedule(scenario)
 
 
-def _planning_priors(scenario, schedule, cfg, k):
-    """Planning priors of interval k, chained through uniform allocations."""
+def _interval_problem(scenario, schedule, cfg, k):
+    """Interval k's problem, its priors chained through uniform allocations."""
     if not 0 <= k < scenario.grid.num_intervals:
         raise ValueError(f"interval {k} is outside the "
                          f"{scenario.grid.num_intervals}-interval fusion grid")
 
-    def uniform_before_k(kk, _priors):
-        return baseline_uniform(scenario, schedule, kk) if kk < k else None
+    def uniform_before_k(problem):
+        return baseline_uniform(problem) if problem.k < k else None
 
-    *_, (priors, _, _) = planning_chain(scenario, schedule, uniform_before_k,
-                                        cfg.jitter)
-    return priors
+    *_, (problem, _, _) = planning_chain(scenario, schedule, uniform_before_k,
+                                         cfg.jitter)
+    return problem
 
 
 def cmd_solve(args) -> int:
     scenario, schedule = _load(args)
     cfg = AllocatorConfig()
-    priors = _planning_priors(scenario, schedule, cfg, args.interval)
-    z, trace = adam_solve(scenario, schedule, args.interval, priors, cfg)
-    layout = AllocationLayout.from_scenario(scenario)
-    g = objective_g(z, np.array([p.kernels for p in priors]),
-                    [p.info for p in priors], scenario, layout, cfg.jitter)
+    problem = _interval_problem(scenario, schedule, cfg, args.interval)
+    z, trace = adam_solve(problem, cfg)
+    g = objective_g(z, problem, cfg.jitter)
     print(f"interval {args.interval}: g = {g:.6g} "
           f"({len(trace)} solver iterations)")
-    names = ([f"P[mmr{i},t{q}]" for i in layout.mmr
+    names = ([f"P[mmr{i},t{q}]" for i in problem.layout.mmr
               for q in range(scenario.n_targets)]
-             + [f"T[par{i},t{q}]" for i in layout.par
+             + [f"T[par{i},t{q}]" for i in problem.layout.par
                 for q in range(scenario.n_targets)]
              + [f"Pc[link{j}]" for j in range(scenario.comm.num_links)])
     for name, val in zip(names, z):
@@ -124,10 +121,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     scenario, schedule = _load(args)
     cfg = AllocatorConfig()
-    layout = AllocationLayout.from_scenario(scenario)
-    priors = _planning_priors(scenario, schedule, cfg, args.interval)
-    kernels = np.array([p.kernels for p in priors])
-    prior_infos = [p.info for p in priors]
+    base = _interval_problem(scenario, schedule, cfg, args.interval)
     rows = []
     warm = None
     for value in args.values:
@@ -138,17 +132,15 @@ def cmd_sweep(args) -> int:
             comm = replace(scenario.comm, power_budget=value)
         else:
             raise ValueError(f"unknown sweep parameter '{args.param}'")
-        swept = replace(scenario, comm=comm)
-        candidates = []
-        z_u, _ = adam_solve(swept, schedule, args.interval, priors, cfg)
-        candidates.append(z_u)
+        problem = IntervalProblem.build(
+            replace(scenario, comm=comm), schedule, base.k, base.layout,
+            base.kernels, base.prior_infos)
+        candidates = [adam_solve(problem, cfg)[0]]
         if warm is not None:
-            A, b, _ = assemble_constraints(swept, schedule, args.interval)
-            z_w, _ = adam_solve(swept, schedule, args.interval, priors, cfg,
-                                z0=project(warm, A, b).z)
-            candidates.append(z_w)
-        scored = [(objective_g(z, kernels, prior_infos, swept, layout,
-                               cfg.jitter), z) for z in candidates]
+            candidates.append(adam_solve(
+                problem, cfg, z0=project(warm, problem.A, problem.b).z)[0])
+        scored = [(objective_g(z, problem, cfg.jitter), z)
+                  for z in candidates]
         g_best, z_best = max(scored, key=lambda t: t[0])
         warm = z_best
         rows.append((value, g_best))

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
+from .allocator import (AllocationLayout, AllocatorConfig, IntervalProblem,
                         adam_solve, baseline_random, baseline_uniform,
                         bayesian_B, compute_kernels, crb_metric, lambda_diag,
                         root_bcrb, throughput_r)
@@ -44,12 +44,12 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
     """The planning recursion over the fusion grid.
 
     For each interval k, every target's prior is predicted along the
-    noise-free truth trajectory, with the interval's information kernels at
-    the predicted state; the interval is allocated with
-    z = allocate(k, priors), and the Bayesian information B(z) of those
-    kernels seeds the next interval's priors.  Yields (priors, z, b_mats) per
-    interval.  When allocate returns None the chain ends with
-    (priors, None, None).
+    noise-free truth trajectory, and the interval's IntervalProblem is built
+    with the information kernels at the predicted states, on one layout of
+    the scenario.  The interval is allocated with z = allocate(problem), and
+    the Bayesian information B(z) seeds the next interval's priors.  Yields
+    (problem, z, b_mats) per interval.  When allocate returns None the chain
+    ends with (problem, None, None).
     """
     layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
@@ -61,18 +61,17 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
               for t in scenario.targets]
     for k in range(grid.num_intervals):
         states = [F @ s for s in states]
-        kernels = compute_kernels(scenario, schedule, k, states)
-        priors = [PlanningPrior(state=s,
-                                info=prior_information(b, F, gamma, jitter),
-                                kernels=d)
-                  for s, b, gamma, d in zip(states, infos, gammas, kernels)]
-        z = allocate(k, priors)
+        problem = IntervalProblem.build(
+            scenario, schedule, k, layout,
+            compute_kernels(scenario, schedule, k, states),
+            [prior_information(b, F, gamma, jitter)
+             for b, gamma in zip(infos, gammas)])
+        z = allocate(problem)
         if z is None:
-            yield priors, None, None
+            yield problem, None, None
             return
-        infos = bayesian_B(z, kernels, [p.info for p in priors], scenario,
-                           layout)
-        yield priors, z, infos
+        infos = bayesian_B(z, problem)
+        yield problem, z, infos
 
 
 def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
@@ -93,13 +92,13 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA110C]))
     traces = []
 
-    def allocate(k, priors):
+    def allocate(problem):
         if policy == "optimized":
-            z, tr = adam_solve(scenario, schedule, k, priors, cfg)
+            z, tr = adam_solve(problem, cfg)
         elif policy == "uniform":
-            z, tr = baseline_uniform(scenario, schedule, k), []
+            z, tr = baseline_uniform(problem), []
         else:
-            z, tr = baseline_random(scenario, schedule, k, rng), []
+            z, tr = baseline_random(problem, rng), []
         traces.append(tr)
         return z
 

@@ -7,9 +7,9 @@ import numpy as np
 
 from hrcn.allocator import (AllocationLayout, AllocatorConfig,
                             assemble_constraints, assemble_fractional,
-                            baseline_random, bayesian_B, compute_kernels,
-                            f_value, grad_f, inner_v_update, lambda_diag,
-                            objective_g, project, throughput_r)
+                            baseline_random, bayesian_B, f_value, grad_f,
+                            inner_v_update, lambda_diag, objective_g, project,
+                            throughput_r)
 from hrcn.fusion import StackedMeasurements, fim, ils_mle, prior_information
 from hrcn.harness import compare_allocations, plan_allocations
 from hrcn.kinematics import (measure, measurement_jacobian, process_noise_cov,
@@ -22,9 +22,9 @@ def _report(num: int, name: str, ok: bool) -> None:
     assert ok, f"criterion {num} ({name}) failed"
 
 
-def _planning_priors(scenario, schedule, k=0):
-    from hrcn.cli import _planning_priors
-    return _planning_priors(scenario, schedule, AllocatorConfig(), k)
+def _interval_problem(scenario, schedule, k=0):
+    from hrcn.cli import _interval_problem
+    return _interval_problem(scenario, schedule, AllocatorConfig(), k)
 
 
 def test_criterion_1_inner_solution_identity():
@@ -59,20 +59,16 @@ def test_criterion_1_inner_solution_identity():
 def test_criterion_2_maximin_equivalence(scenario, schedule):
     """Inner-minimized slack objective equals the CRB metric for fixed z."""
     rng = np.random.default_rng(102)
-    layout = AllocationLayout.from_scenario(scenario)
-    priors = _planning_priors(scenario, schedule, 0)
-    kernels = compute_kernels(scenario, schedule, 0, [p.state for p in priors])
-    prior_infos = [p.info for p in priors]
+    problem = _interval_problem(scenario, schedule, 0)
     lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
     ok = True
     for _ in range(100):
-        z = baseline_random(scenario, schedule, 0, rng)
-        b_mats = bayesian_B(z, kernels, prior_infos, scenario, layout)
+        z = baseline_random(problem, rng)
+        b_mats = bayesian_B(z, problem)
         v_mats = [inner_v_update(B, lam_inv) for B in b_mats]
-        fp = assemble_fractional(v_mats, kernels, prior_infos, scenario,
-                                 layout)
+        fp = assemble_fractional(v_mats, problem)
         f_min = f_value(fp, z)
-        g = objective_g(z, kernels, prior_infos, scenario, layout)
+        g = objective_g(z, problem)
         ok &= abs(f_min - g) <= 1e-8 * abs(g)
     _report(2, "maximin-metric equivalence", bool(ok))
 
@@ -80,18 +76,15 @@ def test_criterion_2_maximin_equivalence(scenario, schedule):
 def test_criterion_3_gradient_and_jacobian_checks(scenario, schedule):
     """grad_f and measurement_jacobian agree with central differences."""
     rng = np.random.default_rng(103)
-    layout = AllocationLayout.from_scenario(scenario)
-    priors = _planning_priors(scenario, schedule, 0)
-    kernels = compute_kernels(scenario, schedule, 0, [p.state for p in priors])
-    prior_infos = [p.info for p in priors]
+    problem = _interval_problem(scenario, schedule, 0)
+    layout = problem.layout
     lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
     ok = True
     for _ in range(100):
-        z = baseline_random(scenario, schedule, 0, rng)
-        b_mats = bayesian_B(z, kernels, prior_infos, scenario, layout)
+        z = baseline_random(problem, rng)
+        b_mats = bayesian_B(z, problem)
         v_mats = [inner_v_update(B, lam_inv) for B in b_mats]
-        fp = assemble_fractional(v_mats, kernels, prior_infos, scenario,
-                                 layout)
+        fp = assemble_fractional(v_mats, problem)
         grad = grad_f(fp, z)
         idx = rng.integers(0, layout.dim)
         h = 1e-5 * max(1.0, abs(z[idx]))

@@ -3,17 +3,18 @@ fractional rewrite, projection, baselines, and the alternating solver."""
 
 import os
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hrcn import allocator, harness
-from hrcn.allocator import (AllocationLayout, AllocatorConfig, PlanningPrior,
-                            adam_solve, assemble_constraints,
-                            assemble_fractional, baseline_random,
-                            baseline_uniform, bayesian_B, compute_kernels,
-                            f_value, grad_f, inner_v_update,
+from hrcn.allocator import (AllocationLayout, AllocatorConfig,
+                            InfeasibleError, IntervalProblem, adam_solve,
+                            assemble_constraints, assemble_fractional,
+                            baseline_random, baseline_uniform, bayesian_B,
+                            compute_kernels, f_value, grad_f, inner_v_update,
                             interference_denominators, lambda_diag,
                             objective_g, project, throughput_r)
 from hrcn.fusion import prior_information
@@ -44,25 +45,32 @@ def layout(scenario):
 
 
 @pytest.fixture(scope="module")
-def priors(scenario, schedule):
-    """Planning priors for interval 0: predicted initial state, loose info,
-    and the kernels at the predicted state."""
+def problem(scenario, schedule, layout):
+    """Interval 0's problem: predicted initial states, loose prior info, and
+    the kernels at the predicted states."""
     F = transition_matrix(scenario.grid.interval_length)
     states = [F @ tgt.initial_state for tgt in scenario.targets]
     info0 = np.linalg.inv(np.diag([100.0, 10.0, 100.0, 10.0]) ** 2)
-    out = []
-    for tgt, s, d in zip(scenario.targets, states,
-                         compute_kernels(scenario, schedule, 0, states)):
-        gam = process_noise_cov(scenario.grid.interval_length,
-                                tgt.process_noise_intensity)
-        out.append(PlanningPrior(state=s, kernels=d,
-                                 info=prior_information(info0, F, gam, 1e-9)))
-    return out
+    infos = [prior_information(info0, F,
+                               process_noise_cov(scenario.grid.interval_length,
+                                                 tgt.process_noise_intensity),
+                               1e-9)
+             for tgt in scenario.targets]
+    return IntervalProblem.build(scenario, schedule, 0, layout,
+                                 compute_kernels(scenario, schedule, 0, states),
+                                 infos)
 
 
-@pytest.fixture(scope="module")
-def kernels(priors):
-    return np.array([p.kernels for p in priors])
+def mini_problem(sc, sch, kernels=None, infos=None):
+    """Interval 0's problem of a one-target scenario: the given kernels and
+    prior informations, by default the kernels at the initial state and a
+    loose prior."""
+    if kernels is None:
+        kernels = compute_kernels(sc, sch, 0, [sc.targets[0].initial_state])
+    if infos is None:
+        infos = [np.eye(4) * 1e-4]
+    return IntervalProblem.build(sc, sch, 0, AllocationLayout.from_scenario(sc),
+                                 kernels, infos)
 
 
 def record_polishes(monkeypatch) -> list:
@@ -98,17 +106,14 @@ def full_stacked_polish(z_raw, A, b, rows):
 
 def recorded_solves(scenario, schedule) -> list[dict]:
     """Every interval's solve in plan_allocations(..., "optimized"): its
-    priors, plan, trace, planned g and g as a function of the plan."""
-    layout = AllocationLayout.from_scenario(scenario)
+    problem, plan, trace, planned g and g as a function of the plan."""
     solves = []
 
-    def recording(sc, sch, k, priors, cfg):
-        z, trace = adam_solve(sc, sch, k, priors, cfg)
-        kern = np.array([p.kernels for p in priors])
-        infos = [p.info for p in priors]
-        solves.append({"k": k, "priors": priors, "z": z, "trace": trace,
-                       "g_of": lambda zz: objective_g(zz, kern, infos, sc,
-                                                      layout, 1e-9)})
+    def recording(problem, cfg):
+        z, trace = adam_solve(problem, cfg)
+        solves.append({"k": problem.k, "problem": problem, "z": z,
+                       "trace": trace,
+                       "g_of": lambda zz: objective_g(zz, problem, 1e-9)})
         return z, trace
 
     with pytest.MonkeyPatch.context() as mp:
@@ -116,8 +121,7 @@ def recorded_solves(scenario, schedule) -> list[dict]:
         _, g_values, _ = plan_allocations(scenario, schedule, "optimized")
     for solve, g in zip(solves, g_values, strict=True):
         solve["g_plan"] = g
-        solve["g_start"] = solve["g_of"](
-            baseline_uniform(scenario, schedule, solve["k"]))
+        solve["g_start"] = solve["g_of"](baseline_uniform(solve["problem"]))
     return solves
 
 
@@ -138,10 +142,6 @@ def planned_solves(request):
         return request.getfixturevalue("default_solves")
     mini = make_mini_scenario(num_intervals=3, throughput_floor=1.0)
     return recorded_solves(mini, build_schedule(mini))
-
-
-def random_feasible_z(scenario, schedule, rng, k=0):
-    return baseline_random(scenario, schedule, k, rng)
 
 
 class TestLayout:
@@ -173,23 +173,22 @@ class TestLayout:
 
 
 class TestObjectiveG:
-    def test_identity_trace_case(self, scenario, schedule, layout):
+    def test_identity_trace_case(self, scenario, problem):
         # B^q chosen so Lambda B^{-1} Lambda = I: each target contributes 1/4
         t0 = scenario.grid.interval_length
         prior = np.diag(lambda_diag(t0) ** 2)
         zeros = np.zeros((scenario.n_targets, scenario.n_radars, 4, 4))
-        z = baseline_uniform(scenario, schedule, 0)
-        g = objective_g(z, zeros, [prior, prior], scenario, layout)
+        g = objective_g(baseline_uniform(problem),
+                        replace(problem, kernels=zeros,
+                                prior_infos=np.array([prior, prior])))
         assert g == pytest.approx(0.5, rel=1e-12)
 
-    def test_monotone_in_radar_resources(self, scenario, schedule, layout,
-                                         kernels, priors):
-        z = baseline_uniform(scenario, schedule, 0)
-        prior_infos = [p.info for p in priors]
-        g1 = objective_g(z, kernels, prior_infos, scenario, layout)
+    def test_monotone_in_radar_resources(self, layout, problem):
+        z = baseline_uniform(problem)
+        g1 = objective_g(z, problem)
         z2 = z.copy()
         z2[:layout.n_radar_vars] *= 1.5
-        g2 = objective_g(z2, kernels, prior_infos, scenario, layout)
+        g2 = objective_g(z2, problem)
         assert g2 > g1
 
 
@@ -203,14 +202,14 @@ class TestBayesianB:
 
     def test_zero_radar_resources_gives_prior(self):
         sc = make_mini_scenario()
-        lay = AllocationLayout.from_scenario(sc)
-        z = np.zeros(lay.dim)
-        z[lay.n_radar_vars] = 5.0
         kern = random_psd_kernels(np.random.default_rng(4), 1, 1)
-        (B,) = bayesian_B(z, kern, [self.PRIOR], sc, lay)
+        prob = mini_problem(sc, build_schedule(sc), kern, [self.PRIOR])
+        z = np.zeros(prob.layout.dim)
+        z[prob.layout.n_radar_vars] = 5.0
+        (B,) = bayesian_B(z, prob)
         np.testing.assert_array_equal(B, self.PRIOR)
 
-    def test_additive_over_radars(self, scenario, layout):
+    def test_additive_over_radars(self, scenario, layout, problem):
         # B^q = prior + sum_i P_i T_i / (alpha_c_i . P_c + sigma_i^2) D_i,
         # with P_i T_i substituted by hand for each radar kind
         rng = np.random.default_rng(5)
@@ -222,7 +221,8 @@ class TestBayesianB:
         par, q_n = kind_indices(scenario, RadarKind.PAR), 2
         pc = z[(len(mmr) + len(par)) * q_n:]
         priors = [self.PRIOR] * 2
-        for q, B in enumerate(bayesian_B(z, kern, priors, scenario, layout)):
+        prob = replace(problem, kernels=kern, prior_infos=np.array(priors))
+        for q, B in enumerate(bayesian_B(z, prob)):
             expected = self.PRIOR.copy()
             for i, node in enumerate(scenario.radars):
                 if i in mmr:
@@ -238,43 +238,45 @@ class TestBayesianB:
     def test_scalar_toy_case(self):
         # P T = 1 * 0.5 and no comm power (denominator 1): scale 0.5
         sc = make_mini_scenario(fixed_dwell=0.5)
-        lay = AllocationLayout.from_scenario(sc)
-        z = np.zeros(lay.dim)
-        z[lay.var[0, 0]] = 1.0
         D = np.diag([3.0, 0.0, 3.0, 0.0])[None, None]
-        (B,) = bayesian_B(z, D, [2.0 * np.eye(4)], sc, lay)
+        prob = mini_problem(sc, build_schedule(sc), D, [2.0 * np.eye(4)])
+        z = np.zeros(prob.layout.dim)
+        z[prob.layout.var[0, 0]] = 1.0
+        (B,) = bayesian_B(z, prob)
         np.testing.assert_allclose(np.diag(B), [3.5, 2.0, 3.5, 2.0])
 
-    def test_loewner_monotone_in_radar_resources(self, scenario, layout):
+    def test_loewner_monotone_in_radar_resources(self, scenario, layout,
+                                                 problem):
         rng = np.random.default_rng(6)
         kern = random_psd_kernels(rng, scenario.n_targets, scenario.n_radars)
         z = rng.uniform(0.5, 2.0, layout.dim)
         z2 = z.copy()
         z2[:layout.n_radar_vars] *= 1.5
-        priors = [self.PRIOR] * 2
-        for B1, B2 in zip(bayesian_B(z, kern, priors, scenario, layout),
-                          bayesian_B(z2, kern, priors, scenario, layout)):
+        prob = replace(problem, kernels=kern,
+                       prior_infos=np.array([self.PRIOR] * 2))
+        for B1, B2 in zip(bayesian_B(z, prob), bayesian_B(z2, prob)):
             assert np.min(np.linalg.eigvalsh(B2 - B1)) >= -1e-10
 
     def test_psd_across_chained_intervals(self):
         sc = make_mini_scenario(fixed_dwell=0.5)
-        lay = AllocationLayout.from_scenario(sc)
+        prob = mini_problem(sc, build_schedule(sc))
         t0 = sc.grid.interval_length
         F = transition_matrix(t0)
         gamma = process_noise_cov(t0, 1.0)
         rng = np.random.default_rng(7)
         B = self.PRIOR.copy()
         for _ in range(20):
-            z = rng.uniform(0.0, 2.0, lay.dim)
-            (B,) = bayesian_B(z, random_psd_kernels(rng, 1, 1),
-                              [prior_information(B, F, gamma)], sc, lay)
+            z = rng.uniform(0.0, 2.0, prob.layout.dim)
+            (B,) = bayesian_B(z, replace(
+                prob, kernels=random_psd_kernels(rng, 1, 1),
+                prior_infos=np.array([prior_information(B, F, gamma)])))
             np.testing.assert_allclose(B, B.T, atol=1e-14)
             assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
 
 
 class TestThroughput:
-    def test_zero_comm_power(self, scenario, schedule, layout):
-        z = baseline_uniform(scenario, schedule, 0)
+    def test_zero_comm_power(self, scenario, schedule, layout, problem):
+        z = baseline_uniform(problem)
         z[layout.n_radar_vars:] = 0.0
         assert throughput_r(0, z, scenario, layout,
                             schedule.counts[:, :, 0]) == 0.0
@@ -311,12 +313,12 @@ class TestAssembleConstraints:
         assert len(b) == len(labels) == 9
 
     def test_throughput_row_matches_nonlinear_floor(self, scenario, schedule,
-                                                    layout):
+                                                    layout, problem):
         # where a throughput row holds with equality, the achieved throughput
         # equals the floor exactly
         A, b, _ = assemble_constraints(scenario, schedule, 0)
         counts = schedule.counts[:, :, 0]
-        z = baseline_uniform(scenario, schedule, 0)
+        z = baseline_uniform(problem)
         t0 = scenario.grid.interval_length
         for j in range(scenario.comm.num_links):
             zz = z.copy()
@@ -342,6 +344,25 @@ class TestAssembleConstraints:
         assert labels[-1] == "bs_power_budget"
         assert b[-1] == scenario.comm.power_budget
         np.testing.assert_array_equal(A[-1, layout.n_radar_vars:], 1.0)
+
+
+    @pytest.mark.parametrize("net", ["default", "large_net"])
+    def test_entry_point_returns_the_problem_rows(self, scenario, schedule,
+                                                  net):
+        if net == "large_net":
+            scenario = large_net(0)
+            schedule = build_schedule(scenario)
+        chain = harness.planning_chain(scenario, schedule, baseline_uniform,
+                                       1e-9)
+        ks = []
+        for prob, _, _ in chain:
+            A, b, labels = assemble_constraints(scenario, schedule, prob.k)
+            assert A.tobytes() == prob.A.tobytes()
+            assert A.shape == prob.A.shape
+            assert b.tobytes() == prob.b.tobytes()
+            assert labels == prob.labels
+            ks.append(prob.k)
+        assert ks == list(range(scenario.grid.num_intervals))
 
 
 class TestInnerVUpdate:
@@ -374,49 +395,42 @@ class TestInnerVUpdate:
 
 class TestFractionalProgram:
     def test_zero_slack_gives_constant_objective(self, scenario, layout,
-                                                 kernels, priors):
+                                                 problem):
         v0 = [np.zeros((4, 4)) for _ in range(scenario.n_targets)]
-        fp = assemble_fractional(v0, kernels, [p.info for p in priors],
-                                 scenario, layout)
+        fp = assemble_fractional(v0, problem)
         np.testing.assert_array_equal(fp.c, 0.0)
         np.testing.assert_array_equal(fp.d, 0.0)
         rng = np.random.default_rng(2)
         z = rng.uniform(0, 10, layout.dim)
         assert f_value(fp, z) == pytest.approx(fp.constant)
 
-    def test_matches_direct_inner_objective(self, scenario, schedule, layout,
-                                            kernels, priors):
+    def test_matches_direct_inner_objective(self, scenario, problem):
         # for any trace-1 V, the fractional rewrite equals the direct
         # evaluation sum_q Tr(V^T Lambda^-1 B(z) Lambda^-1 V)
         rng = np.random.default_rng(3)
         lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
-        prior_infos = [p.info for p in priors]
         for _ in range(20):
             v_mats = []
             for _ in range(scenario.n_targets):
                 W = rng.normal(size=(4, 4))
                 W = W @ W.T + 0.1 * np.eye(4)
                 v_mats.append(W / np.trace(W))
-            fp = assemble_fractional(v_mats, kernels, prior_infos, scenario,
-                                     layout)
-            z = random_feasible_z(scenario, schedule, rng)
+            fp = assemble_fractional(v_mats, problem)
+            z = baseline_random(problem, rng)
             direct = 0.0
-            for q, B in enumerate(bayesian_B(z, kernels, prior_infos,
-                                             scenario, layout)):
+            for q, B in enumerate(bayesian_B(z, problem)):
                 lv = lam_inv[:, None] * v_mats[q]
                 direct += np.trace(lv.T @ B @ lv)
             assert f_value(fp, z) == pytest.approx(direct, rel=1e-10)
 
-    def test_gradient_matches_finite_differences(self, scenario, schedule,
-                                                 layout, kernels, priors):
+    def test_gradient_matches_finite_differences(self, scenario, layout,
+                                                 problem):
         rng = np.random.default_rng(4)
         lam_inv = 1.0 / lambda_diag(scenario.grid.interval_length)
-        prior_infos = [p.info for p in priors]
-        z = random_feasible_z(scenario, schedule, rng)
-        b_mats = bayesian_B(z, kernels, prior_infos, scenario, layout)
+        z = baseline_random(problem, rng)
+        b_mats = bayesian_B(z, problem)
         v_mats = [inner_v_update(B, lam_inv) for B in b_mats]
-        fp = assemble_fractional(v_mats, kernels, prior_infos, scenario,
-                                 layout)
+        fp = assemble_fractional(v_mats, problem)
         g = grad_f(fp, z)
         for idx in range(layout.dim):
             h = 1e-5 * max(1.0, abs(z[idx]))
@@ -771,8 +785,8 @@ class TestProject:
 
 
 class TestBaselines:
-    def test_uniform_splits(self, scenario, schedule, layout):
-        z = baseline_uniform(scenario, schedule, 0)
+    def test_uniform_splits(self, scenario, schedule, layout, problem):
+        z = baseline_uniform(problem)
         counts = schedule.counts[:, :, 0]
         for i in layout.mmr:
             expected = scenario.radars[i].power_budget / counts[i].sum()
@@ -788,68 +802,102 @@ class TestBaselines:
 
     def test_uniform_empty_schedule_zero_radar_block(self):
         sc = make_mini_scenario(initial_time=100.0)
-        sch = build_schedule(sc)
-        lay = AllocationLayout.from_scenario(sc)
-        z = baseline_uniform(sc, sch, 0)
-        np.testing.assert_array_equal(z[:lay.n_radar_vars], 0.0)
+        prob = mini_problem(sc, build_schedule(sc))
+        z = baseline_uniform(prob)
+        np.testing.assert_array_equal(z[:prob.layout.n_radar_vars], 0.0)
 
-    def test_random_deterministic_and_feasible(self, scenario, schedule):
-        z1 = baseline_random(scenario, schedule, 0, np.random.default_rng(9))
-        z2 = baseline_random(scenario, schedule, 0, np.random.default_rng(9))
+    def test_random_deterministic_and_feasible(self, scenario, schedule,
+                                               problem):
+        z1 = baseline_random(problem, np.random.default_rng(9))
+        z2 = baseline_random(problem, np.random.default_rng(9))
         np.testing.assert_array_equal(z1, z2)
         A, b, _ = assemble_constraints(scenario, schedule, 0)
         assert np.all(A @ z1 <= b + 1e-9)
         assert np.all(z1 >= 0)
 
-    def test_random_budget_utilization(self, scenario, schedule, layout):
+    def test_random_budget_utilization(self, scenario, schedule, problem):
         rng = np.random.default_rng(10)
         A, b, _ = assemble_constraints(scenario, schedule, 0)
         row = scenario.comm.num_links  # first MMR power budget
         for _ in range(20):
-            z = baseline_random(scenario, schedule, 0, rng)
+            z = baseline_random(problem, rng)
             used = (A[row] @ z) / b[row]
             assert 0.0 < used <= 1.0 + 1e-9
+
+
+    def test_uniform_scales_radars_to_the_tightest_floor(self):
+        # at the even split the radar echoes drown the downlink below its
+        # floor; the radar block shrinks by the largest scale that meets it
+        sc = make_mini_scenario(radar_to_comm=1.0, throughput_floor=5.0)
+        sch = build_schedule(sc)
+        prob = mini_problem(sc, sch)
+        lay, counts = prob.layout, sch.counts[:, :, 0]
+        even = prob.precond
+        z = baseline_uniform(prob)
+        n_r = lay.n_radar_vars
+        rho = z[:n_r] / even[:n_r]
+        assert 0.0 < rho[0] < 0.9
+        np.testing.assert_allclose(rho, rho[0], rtol=1e-15)
+        np.testing.assert_array_equal(z[n_r:], even[n_r:])
+
+        def floors_met(zz):
+            return [throughput_r(j, zz, sc, lay, counts) >= sc.comm.floor(j, 0)
+                    for j in range(lay.n_links)]
+
+        assert not all(floors_met(even))
+        assert all(floors_met(z))
+        z[:n_r] *= 1.0 + 1e-9
+        assert not all(floors_met(z))
+
+    def test_uniform_raises_when_the_even_comm_split_misses_a_floor(
+            self, scenario, schedule, layout, problem):
+        # link 0's floor is reachable with the whole base-station budget, so
+        # the polyhedron is not empty, but not with an even third of it
+        counts = schedule.counts[:, :, 0]
+        z = np.zeros(layout.dim)
+        z[layout.n_radar_vars:] = scenario.comm.power_budget / 3
+        r_even = throughput_r(0, z, scenario, layout, counts)
+        z[layout.n_radar_vars:] = [scenario.comm.power_budget, 0.0, 0.0]
+        r_full = throughput_r(0, z, scenario, layout, counts)
+        floors = np.array([0.5 * (r_even + r_full), 0.0, 0.0])
+        sc = replace(scenario, comm=replace(scenario.comm,
+                                            throughput_floor=floors))
+        prob = IntervalProblem.build(sc, schedule, 0, layout, problem.kernels,
+                                     problem.prior_infos)
+        z = baseline_random(prob, np.random.default_rng(0))
+        assert np.all(prob.A @ z <= prob.b + 1e-9)
+        with pytest.raises(InfeasibleError, match="even comm split"):
+            baseline_uniform(prob)
 
 
 class TestAdamSolve:
     def test_degenerate_empty_schedule(self):
         sc = make_mini_scenario(initial_time=100.0)
-        sch = build_schedule(sc)
-        state = sc.targets[0].initial_state
-        priors = [PlanningPrior(state=state, info=np.eye(4) * 1e-3,
-                                kernels=compute_kernels(sc, sch, 0, [state])[0])]
-        z, trace = adam_solve(sc, sch, 0, priors)
+        z, trace = adam_solve(mini_problem(sc, build_schedule(sc),
+                                           infos=[np.eye(4) * 1e-3]))
         assert len(trace) <= 2
         assert np.all(z >= 0)
 
     def test_single_radar_saturates_budget(self):
         sc = make_mini_scenario(throughput_floor=0.0)
         sch = build_schedule(sc)
-        state = sc.targets[0].initial_state
-        priors = [PlanningPrior(state=state, info=np.eye(4) * 1e-4,
-                                kernels=compute_kernels(sc, sch, 0, [state])[0])]
-        z, _ = adam_solve(sc, sch, 0, priors)
+        z, _ = adam_solve(mini_problem(sc, sch))
         counts = sch.counts[:, :, 0]
         used = counts[0, 0] * z[0]
         assert used == pytest.approx(sc.radars[0].power_budget, rel=1e-6)
 
-    def test_beats_uniform_on_default(self, scenario, schedule, priors,
-                                      kernels):
-        layout = AllocationLayout.from_scenario(scenario)
-        prior_infos = [p.info for p in priors]
-        z_opt, trace = adam_solve(scenario, schedule, 0, priors)
-        z_uni = baseline_uniform(scenario, schedule, 0)
-        g_opt = objective_g(z_opt, kernels, prior_infos, scenario, layout,
-                            1e-9)
-        g_uni = objective_g(z_uni, kernels, prior_infos, scenario, layout,
-                            1e-9)
+    def test_beats_uniform_on_default(self, problem):
+        z_opt, trace = adam_solve(problem)
+        z_uni = baseline_uniform(problem)
+        g_opt = objective_g(z_opt, problem, 1e-9)
+        g_uni = objective_g(z_uni, problem, 1e-9)
         assert g_opt >= g_uni
         assert len(trace) >= 1
         assert all(np.isfinite(rec["f"]) for rec in trace)
 
-    def test_iterates_feasible(self, scenario, schedule, priors):
+    def test_iterates_feasible(self, scenario, schedule, problem):
         cfg = AllocatorConfig(max_outer=30)
-        z, _ = adam_solve(scenario, schedule, 0, priors, cfg)
+        z, _ = adam_solve(problem, cfg)
         A, b, _ = assemble_constraints(scenario, schedule, 0)
         assert np.all(A @ z <= b + 1e-9)
         assert np.all(z >= 0)
@@ -868,10 +916,10 @@ class TestAdamSolve:
 
     def test_line_search_projections_mostly_start_from_their_guess(
             self, scenario, schedule, monkeypatch):
-        # only a projection without a guessed active set starts from the
-        # empty set, at most the first line-search probe of each solve;
-        # every later probe is certified at its guess or moves rows from it
-        # without emptying it
+        # the first line-search probe of each solve starts from the rows
+        # tight at the start point, and every later probe from the rows
+        # active at the one before; each is certified at its guess or moves
+        # rows from it without emptying it, so no polish is on the empty set
         polished = record_polishes(monkeypatch)
         solve, solves = harness.adam_solve, [0]
 
@@ -881,7 +929,8 @@ class TestAdamSolve:
 
         monkeypatch.setattr(harness, "adam_solve", counted)
         plan_allocations(scenario, schedule, "optimized")
-        assert 0 < polished.count(()) <= solves[0]
+        assert solves[0] > 0 and len(polished) > solves[0]
+        assert polished.count(()) == 0
 
     def test_g_never_falls_along_a_trace(self, planned_solves):
         for solve in planned_solves:
@@ -920,8 +969,7 @@ class TestAdamSolve:
         recovered = 0
         for solve in default_solves:
             evaluated.clear()
-            _, trace = adam_solve(scenario, schedule, solve["k"],
-                                  solve["priors"])
+            _, trace = adam_solve(solve["problem"])
             g_prev, start = evaluated[0], 1
             for rec in trace:
                 end = evaluated.index(rec["g"], start)
@@ -947,11 +995,8 @@ class TestAdamSolve:
         sc = make_mini_scenario(comm_to_radar=0.0)
         assert not sc.comm.alpha_c_sq.any()
         sch = build_schedule(sc)
-        state = sc.targets[0].initial_state
-        priors = [PlanningPrior(state=state, info=np.eye(4) * 1e-4,
-                                kernels=compute_kernels(sc, sch, 0, [state])[0])]
-        z0 = 0.5 * baseline_uniform(sc, sch, 0)
-        z, trace = adam_solve(sc, sch, 0, priors, z0=z0)
+        prob = mini_problem(sc, sch)
+        z, trace = adam_solve(prob, z0=0.5 * baseline_uniform(prob))
         assert trace[0]["probes"] == 1
         assert trace[0]["step_norm"] > 0
         assert sch.counts[0, 0, 0] * z[0] == pytest.approx(
@@ -972,8 +1017,7 @@ class TestAdamSolve:
         # at its own plan no step raises g by more than obj_tol, so the
         # solver stops within one step, without moving if g would fall
         for solve in default_solves:
-            z, trace = adam_solve(scenario, schedule, solve["k"],
-                                  solve["priors"], z0=solve["z"])
+            z, trace = adam_solve(solve["problem"], z0=solve["z"])
             assert len(trace) <= 1, solve["k"]
             g_z0 = solve["g_of"](solve["z"])
             assert solve["g_of"](z) >= g_z0 * (1.0 - 1e-9), solve["k"]

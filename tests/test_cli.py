@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from hrcn import cli, harness
+from hrcn.allocator import AllocationLayout
 from hrcn.cli import main
 from hrcn.scenario import build_schedule, default_scenario_path
 
@@ -34,6 +35,19 @@ class TestSolve:
 
     def test_missing_scenario_exits_one(self, capsys):
         assert main(["solve", "--scenario", "/nonexistent.yaml"]) == 1
+
+    @pytest.mark.parametrize("k", [0, 5, 9])
+    def test_builds_the_layout_once(self, k, capsys, monkeypatch):
+        built, from_scenario = [], AllocationLayout.from_scenario
+
+        def counted(scenario):
+            built.append(scenario)
+            return from_scenario(scenario)
+
+        monkeypatch.setattr(AllocationLayout, "from_scenario", counted)
+        assert main(["solve", "--interval", str(k)]) == 0
+        assert f"interval {k}: g = " in capsys.readouterr().out
+        assert len(built) == 1
 
 
 class TestUsage:
@@ -95,6 +109,16 @@ class TestCompare:
 
 
 class TestSweep:
+    def test_metric_nondecreasing_in_comm_budget(self, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--param", "comm-budget",
+                     "--values", "20", "40", "80", "--out", out]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = fh.read().strip().splitlines()
+        assert rows[0] == "comm-budget,g_value"
+        g_values = [float(r.split(",")[1]) for r in rows[1:]]
+        assert all(b >= a - 1e-9 for a, b in zip(g_values, g_values[1:]))
+
     def test_metric_nonincreasing_in_floor(self, tmp_path, capsys):
         out = str(tmp_path / "sweep")
         assert main(["sweep", "--param", "floor",

@@ -66,13 +66,10 @@ class TestPlanAllocations:
 
 class TestPlanningChain:
     def test_information_symmetric_psd(self, scenario, schedule):
-        def uniform(k, _priors):
-            return baseline_uniform(scenario, schedule, k)
-
         n = 0
-        for priors, _, b_mats in planning_chain(scenario, schedule, uniform,
-                                                jitter=1e-9):
-            for B in [p.info for p in priors] + list(b_mats):
+        for problem, _, b_mats in planning_chain(scenario, schedule,
+                                                 baseline_uniform, jitter=1e-9):
+            for B in list(problem.prior_infos) + list(b_mats):
                 np.testing.assert_allclose(B, B.T, atol=1e-12)
                 assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
             n += 1
@@ -82,22 +79,37 @@ class TestPlanningChain:
                                                         schedule):
         # planning's sum_i scale_i D_i is the Fisher information of the rows
         # tracking stacks under the same plan, at the same predicted state
-        layout = AllocationLayout.from_scenario(scenario)
-
-        def uniform(k, _priors):
-            return baseline_uniform(scenario, schedule, k)
-
-        chain = planning_chain(scenario, schedule, uniform, jitter=1e-9)
-        for k, (priors, z, _) in enumerate(chain):
+        F = transition_matrix(scenario.grid.interval_length)
+        states = [t.initial_state for t in scenario.targets]
+        chain = planning_chain(scenario, schedule, baseline_uniform,
+                               jitter=1e-9)
+        for k, (problem, z, _) in enumerate(chain):
+            # the predicted states the chain evaluated the kernels at
+            states = [F @ s for s in states]
             t_k, t_fuse = scenario.grid.boundary(k)
-            scale = info_scale(layout, z)
-            for q, p in enumerate(priors):
+            scale = info_scale(problem.layout, z)
+            for q, state in enumerate(states):
                 rows = schedule.rows[q][k]
-                stack = _stack_interval(rows, scale[:, q], p.state, t_k,
+                stack = _stack_interval(rows, scale[:, q], state, t_k,
                                         t_fuse, np.zeros((len(rows.times), 2)))
                 np.testing.assert_allclose(
-                    np.einsum("i,iab->ab", scale[:, q], p.kernels),
-                    fim(stack, p.state), rtol=1e-12)
+                    np.einsum("i,iab->ab", scale[:, q], problem.kernels[q]),
+                    fim(stack, state), rtol=1e-12)
+
+
+    @pytest.mark.parametrize("policy", ["optimized", "uniform", "random"])
+    def test_builds_the_layout_once(self, scenario, schedule, policy,
+                                    monkeypatch):
+        built, from_scenario = [], AllocationLayout.from_scenario
+
+        def counted(sc):
+            built.append(sc)
+            return from_scenario(sc)
+
+        monkeypatch.setattr(AllocationLayout, "from_scenario", counted)
+        allocs, _, _ = plan_allocations(scenario, schedule, policy)
+        assert len(allocs) == scenario.grid.num_intervals
+        assert len(built) == 1
 
 
 class TestCompareAllocations:
@@ -127,7 +139,7 @@ class TestCompareAllocations:
         states = [F @ t.initial_state for t in scenario.targets]
         D = compute_kernels(scenario, schedule, 0, states)
         scale = info_scale(AllocationLayout.from_scenario(scenario),
-                           baseline_uniform(scenario, schedule, 0))
+                           np.array(result.policies["uniform"].allocations[0]))
         lam = np.diag(lambda_diag(t0))
         expected = 0.0
         for q, tgt in enumerate(scenario.targets):

@@ -7,7 +7,8 @@ exercised where measurements are simulated: tracker._stack_interval."""
 import numpy as np
 import pytest
 
-from hrcn.allocator import AllocationLayout, baseline_uniform, info_scale
+from hrcn.allocator import AllocationLayout, info_scale
+from hrcn.harness import plan_allocations
 from hrcn.kinematics import (measure, measurement_jacobian, transition_matrix)
 from hrcn.scenario import (IntervalRows, RadarKind, build_schedule,
                            default_scenario_path, load_scenario)
@@ -45,7 +46,7 @@ def _default_stack(z=None, noise=1.0, seed=11):
     sch = build_schedule(sc)
     lay = AllocationLayout.from_scenario(sc)
     if z is None:
-        z = baseline_uniform(sc, sch, 0)
+        z = plan_allocations(sc, sch, "uniform")[0][0]
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[:, 0, 0].sum(), 2))
     stack = _stack_interval(sch.rows[0][0], info_scale(lay, z)[:, 0],

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from hrcn.allocator import AllocationLayout, baseline_uniform, info_scale
+from hrcn.allocator import AllocationLayout, info_scale
 from hrcn.fusion import CompositeMeasurement, prior_information
+from hrcn.harness import plan_allocations
 from hrcn.kinematics import measure, process_noise_cov, transition_matrix
 from hrcn.sensing import const_kernel
 from hrcn.tracker import (INIT_MEAN_OFFSET, TrackState, _stack_interval,
@@ -112,8 +113,7 @@ class TestRunTracking:
     @staticmethod
     @pytest.fixture(scope="class")
     def uniform_allocs(scenario, schedule):
-        return [baseline_uniform(scenario, schedule, k)
-                for k in range(scenario.grid.num_intervals)]
+        return plan_allocations(scenario, schedule, "uniform")[0]
 
     def test_seed_determinism(self, scenario, schedule, uniform_allocs):
         a = run_tracking(scenario, schedule, uniform_allocs, seed=[3, 1])
@@ -125,10 +125,7 @@ class TestRunTracking:
     def test_noise_shared_across_allocations(self, scenario, schedule,
                                              uniform_allocs):
         # common random numbers: truth does not depend on the allocation
-        rng = np.random.default_rng(6)
-        from hrcn.allocator import baseline_random
-        other = [baseline_random(scenario, schedule, k, rng)
-                 for k in range(scenario.grid.num_intervals)]
+        other = plan_allocations(scenario, schedule, "random", seed=6)[0]
         a = run_tracking(scenario, schedule, uniform_allocs, seed=[4, 0])
         b = run_tracking(scenario, schedule, other, seed=[4, 0])
         np.testing.assert_array_equal(a.truth, b.truth)
@@ -187,8 +184,8 @@ class TestStackInterval:
     def _check_all_intervals(scenario, schedule, zero_radar=None):
         layout = AllocationLayout.from_scenario(scenario)
         rng = np.random.default_rng(8)
-        for k in range(scenario.grid.num_intervals):
-            z = baseline_uniform(scenario, schedule, k)
+        uniform = plan_allocations(scenario, schedule, "uniform")[0]
+        for k, z in enumerate(uniform):
             if zero_radar is not None:
                 z[layout.var[zero_radar]] = 0.0
             scale = info_scale(layout, z)
@@ -221,7 +218,8 @@ class TestStackInterval:
 
     def test_target_on_radar_rejected(self, scenario, schedule):
         layout = AllocationLayout.from_scenario(scenario)
-        scale = info_scale(layout, baseline_uniform(scenario, schedule, 0))
+        scale = info_scale(
+            layout, plan_allocations(scenario, schedule, "uniform")[0][0])
         t_k, t_fuse = scenario.grid.boundary(0)
         rows = schedule.rows[0][0]
         x, y = scenario.radars[rows.radar[-1]].position
