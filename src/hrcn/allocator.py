@@ -242,7 +242,6 @@ class IntervalProblem:
     k: int
     t0: float
     counts: np.ndarray       # (N, Q) measurement counts of the interval
-    comm_budget: float       # base-station power budget
     A: np.ndarray            # constraint rows A z <= b, see _constraint_rows
     b: np.ndarray
     labels: list
@@ -263,8 +262,8 @@ class IntervalProblem:
             precond[layout.var[i]] = layout.budget[i] / max(1, counts[i].sum())
         precond[layout.n_radar_vars:] = comm.power_budget / comm.num_links
         return cls(layout=layout, k=k, t0=scenario.grid.interval_length,
-                   counts=counts, comm_budget=comm.power_budget, A=A, b=b,
-                   labels=labels, precond=precond, kernels=np.asarray(kernels),
+                   counts=counts, A=A, b=b, labels=labels, precond=precond,
+                   kernels=np.asarray(kernels),
                    prior_infos=np.asarray(prior_infos))
 
 
@@ -577,7 +576,8 @@ def baseline_random(problem: IntervalProblem,
             u *= layout.budget[i] / denom
         z[layout.var[i]] = u
     u = rng.uniform(0.0, 1.0, layout.n_links)
-    z[layout.n_radar_vars:] = u * problem.comm_budget / u.sum()
+    # the last row of A is bs_power_budget
+    z[layout.n_radar_vars:] = u * problem.b[-1] / u.sum()
     return project(z, problem.A, problem.b).z
 
 

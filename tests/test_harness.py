@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from hrcn.allocator import (AllocationLayout, baseline_uniform,
-                            compute_kernels, info_scale, lambda_diag)
+from hrcn.allocator import (AllocationLayout, IntervalProblem,
+                            baseline_uniform, compute_kernels, info_scale,
+                            lambda_diag)
 from hrcn.fusion import fim
 from hrcn.harness import (compare_allocations, plan_allocations,
                           planning_chain, rmse, save_result,
@@ -138,13 +139,17 @@ class TestCompareAllocations:
         P0 = np.diag(INIT_COV_DIAG)
         states = [F @ t.initial_state for t in scenario.targets]
         D = compute_kernels(scenario, schedule, 0, states)
-        scale = info_scale(AllocationLayout.from_scenario(scenario),
-                           np.array(result.policies["uniform"].allocations[0]))
+        priors = [np.linalg.inv(process_noise_cov(t0, t.process_noise_intensity)
+                                + F @ P0 @ F.T) for t in scenario.targets]
+        layout = AllocationLayout.from_scenario(scenario)
+        z = baseline_uniform(IntervalProblem.build(scenario, schedule, 0,
+                                                   layout, D, priors))
+        np.testing.assert_array_equal(
+            result.policies["uniform"].allocations[0], z)
+        scale = info_scale(layout, z)
         lam = np.diag(lambda_diag(t0))
         expected = 0.0
-        for q, tgt in enumerate(scenario.targets):
-            gamma = process_noise_cov(t0, tgt.process_noise_intensity)
-            B = np.linalg.inv(gamma + F @ P0 @ F.T)
+        for q, B in enumerate(priors):
             B = B + sum(scale[i, q] * D[q, i] for i in range(scenario.n_radars))
             expected += np.sqrt(np.trace(lam @ np.linalg.inv(B) @ lam))
         bounds = result.policies["uniform"].root_bcrb

@@ -28,7 +28,6 @@ import sys
 import tempfile
 
 SOLVE_SEEDS = (0, 3)
-N_VARIANTS = 8  # perfbench's SolveSweepWorkload.n_variants
 
 # Runs inside a tree, with its src/ and perfbench/ on sys.path and the
 # output directory as the working directory.
@@ -36,6 +35,7 @@ SCRIPT = """
 import contextlib, dataclasses, io, sys
 import hrcn.cli
 import scenarios
+import workloads
 from hrcn.scenario import build_schedule, default_scenario_path, load_scenario
 
 def run(name, argv):
@@ -55,8 +55,8 @@ run("compare-large-net", ["compare", "--trials", "3", "--seed", "1",
 base = load_scenario(default_scenario_path())
 schedule = build_schedule(base)
 for seed in SEEDS:
-    for v, floor in enumerate(scenarios.floor_variants(base, schedule, seed,
-                                                       N_VARIANTS)):
+    for v, floor in enumerate(scenarios.floor_variants(
+            base, schedule, seed, workloads.SolveSweepWorkload.n_variants)):
         path = f"floor_s{seed}_v{v}.yaml"
         scenarios.to_yaml(dataclasses.replace(
             base, comm=dataclasses.replace(base.comm, throughput_floor=floor)),
@@ -77,7 +77,7 @@ def run_tree(tree: str, outdir: str) -> None:
         [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     env.pop("HRCN_OUTPUT_DIR", None)
-    code = (f"SEEDS = {SOLVE_SEEDS!r}\nN_VARIANTS = {N_VARIANTS}\n" + SCRIPT)
+    code = f"SEEDS = {SOLVE_SEEDS!r}\n" + SCRIPT
     proc = subprocess.run([sys.executable, "-c", code], cwd=outdir, env=env,
                           capture_output=True, text=True, check=False)
     if proc.returncode != 0:
