@@ -133,29 +133,28 @@ def bayesian_B(z: np.ndarray, problem: "IntervalProblem") -> list[np.ndarray]:
     return list(0.5 * (B + np.swapaxes(B, 1, 2)))
 
 
-def _weighted_crb(b_mats: list[np.ndarray], t0: float,
-                  jitter: float) -> list[float]:
-    """Per-target Tr(Lambda B^{-1} Lambda^T) of informations B^q."""
+def _weighted_crb(b_mats: list[np.ndarray], t0: float) -> list[float]:
+    """Per-target Tr(Lambda B^{-1} Lambda^T) of informations B^q, a singular
+    B^q inverted with inv_psd's jitter."""
     lam2 = lambda_diag(t0) ** 2
-    return [float(lam2 @ np.diag(inv_psd(B, jitter)[0])) for B in b_mats]
+    return [float(lam2 @ np.diag(inv_psd(B)[0])) for B in b_mats]
 
 
-def crb_metric(b_mats: list[np.ndarray], t0: float, jitter: float = 0.0) -> float:
+def crb_metric(b_mats: list[np.ndarray], t0: float) -> float:
     """Bayesian-CRB tracking metric of per-target informations B^q: sum over
     targets of 1 / Tr(Lambda B^{-1} Lambda^T).  Larger is better."""
-    return sum(1.0 / c for c in _weighted_crb(b_mats, t0, jitter))
+    return sum(1.0 / c for c in _weighted_crb(b_mats, t0))
 
 
-def root_bcrb(b_mats: list[np.ndarray], t0: float, jitter: float = 0.0) -> float:
+def root_bcrb(b_mats: list[np.ndarray], t0: float) -> float:
     """Sum over targets of sqrt(Tr(Lambda B^{-1} Lambda^T)): the bound that
     the weighted tracking RMSE is scored against."""
-    return sum(float(np.sqrt(c)) for c in _weighted_crb(b_mats, t0, jitter))
+    return sum(float(np.sqrt(c)) for c in _weighted_crb(b_mats, t0))
 
 
-def objective_g(z: np.ndarray, problem: "IntervalProblem",
-                jitter: float = 0.0) -> float:
+def objective_g(z: np.ndarray, problem: "IntervalProblem") -> float:
     """crb_metric of the Bayesian information under allocation z."""
-    return crb_metric(bayesian_B(z, problem), problem.t0, jitter)
+    return crb_metric(bayesian_B(z, problem), problem.t0)
 
 
 def throughput_r(j: int, z: np.ndarray, scenario: Scenario,
@@ -271,12 +270,11 @@ class IntervalProblem:
 # inner descent and fractional form
 
 
-def inner_v_update(B: np.ndarray, lam_inv: np.ndarray,
-                   jitter: float = 0.0) -> np.ndarray:
+def inner_v_update(B: np.ndarray, lam_inv: np.ndarray) -> np.ndarray:
     """Closed-form minimizer of the trace-constrained inner problem:
     normalized inverse of diag(lam_inv) B diag(lam_inv)."""
     A = (lam_inv[:, None] * B) * lam_inv[None, :]
-    Ainv, _ = inv_psd(A, jitter)
+    Ainv, _ = inv_psd(A)
     V = Ainv / np.trace(Ainv)
     # renormalize so the trace constraint holds exactly
     return V / np.trace(V)
@@ -433,8 +431,12 @@ def _span(face: _Face, g: np.ndarray) -> np.ndarray:
     return np.concatenate([m, (face.a_s.T @ m - g)[face.zero]])
 
 
+# project's feasibility tolerance, relative to max(1, |b|)
+FEASIBILITY_TOL = 1e-12
+
+
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
-            tol: float = 1e-12, warm: Optional[list[int]] = None,
+            warm: Optional[list[int]] = None,
             faces: Optional[dict] = None) -> ProjectionResult:
     """Euclidean projection onto {z : A z <= b, z >= 0}.
 
@@ -443,9 +445,9 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     Programming 27, 1983) on the stacked rows [A; -I], never formed.  The
     point is always the polish (see _polish) on the active set S, with
     nonnegative multipliers.  While a row is violated by more than
-    tol * max(1, |b|), the feasibility tolerance, the most violated row p is
-    added: point and multipliers move affinely to the polish on S + p, and a
-    multiplier that reaches zero first takes its row out of S on the way.
+    FEASIBILITY_TOL * max(1, |b|), the most violated row p is added: point
+    and multipliers move affinely to the polish on S + p, and a multiplier
+    that reaches zero first takes its row out of S on the way.
     For p in the span of S the step is dual only, along p's coefficients on
     S (see _span).  A row that cannot be added proves the polyhedron empty;
     an LP arbitrates, raising InfeasibleError with its certificate, or
@@ -462,7 +464,7 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     """
     z_raw = np.asarray(z_raw, dtype=float)
     excess = A @ z_raw - b
-    thresh = tol * max(1.0, np.abs(b).max())
+    thresh = FEASIBILITY_TOL * max(1.0, np.abs(b).max())
     if excess.max() <= thresh and z_raw.min() >= -thresh:
         # already feasible: returned unchanged
         return ProjectionResult(z=z_raw.copy(), active=[])
@@ -587,50 +589,42 @@ def baseline_random(problem: IntervalProblem,
 
 # Armijo's sufficient-increase share of the first-order gain along the arc
 ARMIJO_SIGMA = 1e-4
+# first trial step, relative to the per-coordinate budget scale
+STEP_SIZE = 204.8
+# stop once a step changes g by at most this, relative, in either direction
+OBJ_TOL = 1e-6
+MAX_OUTER = 500
+# per line search and per g safeguard
+MAX_HALVINGS = 32
 
 
-@dataclass
-class AllocatorConfig:
-    step_size: float = 204.8    # first trial step, relative to the
-                                # per-coordinate budget scale
-    obj_tol: float = 1e-6       # stop once a step changes g by at most this,
-                                # relative, in either direction
-    max_outer: int = 500
-    jitter: float = 1e-9
-    max_halvings: int = 32      # per line search and per g safeguard
-
-
-def adam_solve(problem: IntervalProblem,
-               config: Optional[AllocatorConfig] = None,
-               z0: Optional[np.ndarray] = None
+def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
                ) -> tuple[np.ndarray, list[dict]]:
-    """Alternating descent-ascent on one interval's problem, from z0 or
-    else from the uniform baseline.
+    """Alternating descent-ascent on one interval's problem, from the
+    projection of z0 or else of the preconditioner's even split
+    problem.precond, which exists whenever the polyhedron is not empty.
 
     Alternates the closed-form slack update with a projected, preconditioned
     gradient-ascent step on the fractional rewrite, its length set by the
     Armijo rule along the projection arc.  A step is accepted only if the
     CRB metric g does not fall, so g rises monotonically; the solver stops
-    once a step changes g by at most obj_tol relative, or when no step
-    raises it.  Returns the last accepted iterate and one trace record per
-    accepted step, with the projections the step took in "probes".
+    once a step changes g by at most OBJ_TOL relative, when no step raises
+    it, or after MAX_OUTER steps.  Returns the last accepted iterate and one
+    trace record per accepted step, with the projections the step took in
+    "probes".
     """
-    cfg = config or AllocatorConfig()
     A, b, precond = problem.A, problem.b, problem.precond
     lam_inv = 1.0 / lambda_diag(problem.t0)
-
-    def g_of(z: np.ndarray) -> float:
-        return objective_g(z, problem, cfg.jitter)
 
     # all iterates live in budget-normalized coordinates u = z / scale, so the
     # projection geometry and the step size are unitless across watts/seconds
     A_u = A * precond[None, :]
 
-    if z0 is None:
-        z0 = baseline_uniform(problem)
-    u = project(np.asarray(z0, dtype=float) / precond, A_u, b).z
+    u0 = (np.ones(len(precond)) if z0 is None
+          else np.asarray(z0, dtype=float) / precond)
+    u = project(u0, A_u, b).z
     z = precond * u
-    g_cur = g_of(z)
+    g_cur = objective_g(z, problem)
     trace: list[dict] = []
     faces: dict = {}
     # the first probe's guess: the rows of [A_u; -I] tight at u
@@ -647,9 +641,9 @@ def adam_solve(problem: IntervalProblem,
         last = res.active
         return res
 
-    for it in range(cfg.max_outer):
+    for it in range(MAX_OUTER):
         b_mats = bayesian_B(z, problem)
-        v_mats = [inner_v_update(B, lam_inv, cfg.jitter) for B in b_mats]
+        v_mats = [inner_v_update(B, lam_inv) for B in b_mats]
         fp = assemble_fractional(v_mats, problem)
         f_cur = f_value(fp, z)
         if not np.isfinite(f_cur):
@@ -662,8 +656,8 @@ def adam_solve(problem: IntervalProblem,
         # Armijo rule along the projection arc (Bertsekas 1976): from the
         # largest step, halve until f rises by a sufficient share of the
         # first-order gain grad_u . (P(u + eta d) - u)
-        eta, proj, probes = cfg.step_size, probe(cfg.step_size), 1
-        while (probes <= cfg.max_halvings and f_value(fp, precond * proj.z)
+        eta, proj, probes = STEP_SIZE, probe(STEP_SIZE), 1
+        while (probes <= MAX_HALVINGS and f_value(fp, precond * proj.z)
                < f_cur + ARMIJO_SIGMA * float(grad_u @ (proj.z - u))):
             eta *= 0.5
             proj = probe(eta)
@@ -671,16 +665,16 @@ def adam_solve(problem: IntervalProblem,
 
         # f, pinned to g at z by the slack update, bounds g from above
         # elsewhere, so a step that raises f can still lower g: halve while g
-        # falls by more than obj_tol, and stay put unless g did not fall
-        tol = cfg.obj_tol * g_cur
-        g_new = g_of(precond * proj.z)
-        for _ in range(cfg.max_halvings):
+        # falls by more than OBJ_TOL, and stay put unless g did not fall
+        tol = OBJ_TOL * g_cur
+        g_new = objective_g(precond * proj.z, problem)
+        for _ in range(MAX_HALVINGS):
             if g_new >= g_cur - tol:
                 break
             eta *= 0.5
             proj = probe(eta)
             probes += 1
-            g_new = g_of(precond * proj.z)
+            g_new = objective_g(precond * proj.z, problem)
         if g_new < g_cur:
             break
 

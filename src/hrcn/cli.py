@@ -15,8 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocator import (AllocatorConfig, InfeasibleError, IntervalProblem,
-                        adam_solve, baseline_uniform, objective_g, project)
+from .allocator import (AllocationLayout, InfeasibleError, IntervalProblem,
+                        adam_solve, baseline_uniform, info_scale, objective_g,
+                        project)
 from .harness import (compare_allocations, plan_allocations, planning_chain,
                       save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
@@ -44,7 +45,7 @@ def _load(args) -> tuple:
     return scenario, build_schedule(scenario)
 
 
-def _interval_problem(scenario, schedule, cfg, k):
+def _interval_problem(scenario, schedule, k):
     """Interval k's problem, its priors chained through uniform allocations."""
     if not 0 <= k < scenario.grid.num_intervals:
         raise ValueError(f"interval {k} is outside the "
@@ -53,17 +54,15 @@ def _interval_problem(scenario, schedule, cfg, k):
     def uniform_before_k(problem):
         return baseline_uniform(problem) if problem.k < k else None
 
-    *_, (problem, _, _) = planning_chain(scenario, schedule, uniform_before_k,
-                                         cfg.jitter)
+    *_, (problem, _, _) = planning_chain(scenario, schedule, uniform_before_k)
     return problem
 
 
 def cmd_solve(args) -> int:
     scenario, schedule = _load(args)
-    cfg = AllocatorConfig()
-    problem = _interval_problem(scenario, schedule, cfg, args.interval)
-    z, trace = adam_solve(problem, cfg)
-    g = objective_g(z, problem, cfg.jitter)
+    problem = _interval_problem(scenario, schedule, args.interval)
+    z, trace = adam_solve(problem)
+    g = objective_g(z, problem)
     print(f"interval {args.interval}: g = {g:.6g} "
           f"({len(trace)} solver iterations)")
     names = ([f"P[mmr{i},t{q}]" for i in problem.layout.mmr
@@ -78,10 +77,12 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, schedule = _load(args)
-    cfg = AllocatorConfig()
     allocations, g_values, _ = plan_allocations(
-        scenario, schedule, args.policy, cfg, args.seed)
-    run = run_tracking(scenario, schedule, allocations, seed=[args.seed, 0])
+        scenario, schedule, args.policy, args.seed)
+    layout = AllocationLayout.from_scenario(scenario)
+    run = run_tracking(scenario, schedule,
+                       [info_scale(layout, z) for z in allocations],
+                       seed=[args.seed, 0])
     outdir = args.out or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "track_history.csv")
@@ -120,8 +121,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario, schedule = _load(args)
-    cfg = AllocatorConfig()
-    base = _interval_problem(scenario, schedule, cfg, args.interval)
+    base = _interval_problem(scenario, schedule, args.interval)
     rows = []
     warm = None
     for value in args.values:
@@ -135,12 +135,11 @@ def cmd_sweep(args) -> int:
         problem = IntervalProblem.build(
             replace(scenario, comm=comm), schedule, base.k, base.layout,
             base.kernels, base.prior_infos)
-        candidates = [adam_solve(problem, cfg)[0]]
+        candidates = [adam_solve(problem)[0]]
         if warm is not None:
             candidates.append(adam_solve(
-                problem, cfg, z0=project(warm, problem.A, problem.b).z)[0])
-        scored = [(objective_g(z, problem, cfg.jitter), z)
-                  for z in candidates]
+                problem, z0=project(warm, problem.A, problem.b).z)[0])
+        scored = [(objective_g(z, problem), z) for z in candidates]
         g_best, z_best = max(scored, key=lambda t: t[0])
         warm = z_best
         rows.append((value, g_best))

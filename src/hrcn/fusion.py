@@ -67,10 +67,19 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def inv_psd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, bool]:
+# Ridge that inv_psd adds to a singular matrix before it retries the inverse
+JITTER = 1e-9
+# ils_mle's Gauss-Newton converges once a step is shorter than GN_TOL, and
+# diverges after GN_MAX_ITER steps
+GN_TOL = 1e-8
+GN_MAX_ITER = 50
+
+
+def inv_psd(mat: np.ndarray, jitter: float = JITTER
+            ) -> tuple[np.ndarray, bool]:
     """Inverse of mat, retried as inv(mat + jitter I) when mat is singular
-    (raises LinAlgError when jitter <= 0).  The flag says whether the jitter
-    was used.
+    (raises LinAlgError when jitter <= 0, as the Kalman update asks).  The
+    flag says whether the jitter was used.
 
     LAPACK dgesv solves mat X = I, the call np.linalg.inv makes, so the
     result is bitwise np.linalg.inv's without its wrapper's cost; dgesv
@@ -86,14 +95,14 @@ def inv_psd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, bool]:
     return inv, jittered
 
 
-def ils_mle(stack: StackedMeasurements, init: np.ndarray,
-            tol: float = 1e-8, max_iter: int = 50,
-            jitter: float = 1e-9) -> CompositeMeasurement:
-    """Gauss-Newton on the stacked weighted least squares.
+def ils_mle(stack: StackedMeasurements,
+            init: np.ndarray) -> CompositeMeasurement:
+    """Gauss-Newton on the stacked weighted least squares, to a step below
+    GN_TOL.
 
     Bearing residuals are wrapped to (-pi, pi] before weighting.  Raises
-    RankDeficiencyError on unobservable geometry and DivergenceError when the
-    iteration cap is hit.  The rank test is Gauss-Newton's, on its first
+    RankDeficiencyError on unobservable geometry and DivergenceError after
+    GN_MAX_ITER steps.  The rank test is Gauss-Newton's, on its first
     normal matrix: the Fisher information at init.
     """
     init = np.asarray(init, dtype=float)
@@ -104,14 +113,14 @@ def ils_mle(stack: StackedMeasurements, init: np.ndarray,
             f"{2 * len(stack)} equations cannot determine 4 state components")
     s, iters, step_norm, status = _kernels.gauss_newton(
         stack.values, stack.times, stack.radar_xy, 1.0 / stack.cov_diag,
-        stack.t_fuse, init, tol, max_iter)
+        stack.t_fuse, init, GN_TOL, GN_MAX_ITER)
     if status < 0:
         raise RankDeficiencyError("stacked Jacobians are jointly rank-deficient")
     if status == 0:
-        raise DivergenceError(
-            f"no convergence in {max_iter} iterations (last step {step_norm:.3e})")
+        raise DivergenceError(f"no convergence in {GN_MAX_ITER} iterations "
+                              f"(last step {step_norm:.3e})")
     info = fim(stack, s)
-    cov, jittered = inv_psd(info, jitter)
+    cov, jittered = inv_psd(info)
     cov = 0.5 * (cov + cov.T)
     return CompositeMeasurement(estimate=s, covariance=cov,
                                 iterations=int(iters),
@@ -120,9 +129,10 @@ def ils_mle(stack: StackedMeasurements, init: np.ndarray,
 
 
 def prior_information(prev_info: np.ndarray, F: np.ndarray,
-                      Gamma: np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """One-step predicted information [Gamma + F B^{-1} F^T]^{-1}."""
-    prev_inv, _ = inv_psd(prev_info, jitter)
+                      Gamma: np.ndarray) -> np.ndarray:
+    """One-step predicted information [Gamma + F B^{-1} F^T]^{-1}, each
+    inverse jittered when singular."""
+    prev_inv, _ = inv_psd(prev_info)
     pred_cov = Gamma + F @ prev_inv @ F.T
-    out, _ = inv_psd(pred_cov, jitter)
+    out, _ = inv_psd(pred_cov)
     return 0.5 * (out + out.T)

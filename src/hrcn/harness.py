@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .allocator import (AllocationLayout, AllocatorConfig, IntervalProblem,
-                        adam_solve, baseline_random, baseline_uniform,
-                        bayesian_B, compute_kernels, crb_metric, lambda_diag,
+from .allocator import (AllocationLayout, IntervalProblem, adam_solve,
+                        baseline_random, baseline_uniform, bayesian_B,
+                        compute_kernels, crb_metric, info_scale, lambda_diag,
                         root_bcrb, throughput_r)
 from .fusion import prior_information
 from .kinematics import process_noise_cov, transition_matrix
@@ -40,7 +40,7 @@ def rmse(errors: np.ndarray, lam: np.ndarray) -> float:
 
 
 def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
-                   allocate, jitter: float):
+                   allocate):
     """The planning recursion over the fusion grid.
 
     For each interval k, every target's prior is predicted along the
@@ -64,7 +64,7 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
         problem = IntervalProblem.build(
             scenario, schedule, k, layout,
             compute_kernels(scenario, schedule, k, states),
-            [prior_information(b, F, gamma, jitter)
+            [prior_information(b, F, gamma)
              for b, gamma in zip(infos, gammas)])
         z = allocate(problem)
         if z is None:
@@ -75,8 +75,7 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
 
 
 def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
-                     policy: str, config: Optional[AllocatorConfig] = None,
-                     seed: int = 0, bounds: Optional[list] = None
+                     policy: str, seed: int = 0, bounds: Optional[list] = None
                      ) -> tuple[list[np.ndarray], list[float], list[list[dict]]]:
     """Sequential per-interval allocation under one policy.
 
@@ -88,13 +87,12 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy '{policy}'")
-    cfg = config or AllocatorConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA110C]))
     traces = []
 
     def allocate(problem):
         if policy == "optimized":
-            z, tr = adam_solve(problem, cfg)
+            z, tr = adam_solve(problem)
         elif policy == "uniform":
             z, tr = baseline_uniform(problem), []
         else:
@@ -104,12 +102,11 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
 
     t0 = scenario.grid.interval_length
     allocations, g_values = [], []
-    for _, z, b_mats in planning_chain(scenario, schedule, allocate,
-                                       cfg.jitter):
+    for _, z, b_mats in planning_chain(scenario, schedule, allocate):
         allocations.append(z)
-        g_values.append(crb_metric(b_mats, t0, cfg.jitter))
+        g_values.append(crb_metric(b_mats, t0))
         if bounds is not None:
-            bounds.append(root_bcrb(b_mats, t0, cfg.jitter))
+            bounds.append(root_bcrb(b_mats, t0))
     return allocations, g_values, traces
 
 
@@ -182,7 +179,6 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
         raise ValueError(f"unknown policies: {sorted(unknown)}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    cfg = AllocatorConfig()
     schedule = build_schedule(scenario)
     layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
@@ -198,12 +194,12 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
     for policy in policies:
         bounds: list = []
         allocations, g_values, traces = plan_allocations(
-            scenario, schedule, policy, cfg, seed, bounds=bounds)
+            scenario, schedule, policy, seed, bounds=bounds)
+        scales = [info_scale(layout, z) for z in allocations]
         errors = np.zeros((n_trials, grid.num_intervals,
                            scenario.n_targets, 4))
         for t in range(n_trials):
-            run = run_tracking(scenario, schedule, allocations,
-                               seed=[seed, t], jitter=cfg.jitter)
+            run = run_tracking(scenario, schedule, scales, seed=[seed, t])
             for k in range(grid.num_intervals):
                 errors[t, k] = run.means[:, k] - run.truth[:, k + 1]
         rmse_k = [rmse(errors[:, k], lam) for k in range(grid.num_intervals)]

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import AllocationLayout, info_scale
 from .fusion import (CompositeMeasurement, FusionError, StackedMeasurements,
                      ils_mle, inv_psd)
 from .kinematics import measure, process_noise_cov, transition_matrix
@@ -85,9 +84,11 @@ def _stack_interval(rows: IntervalRows, scale: np.ndarray,
 
 
 def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
-                 allocations: list[np.ndarray], seed,
-                 jitter: float = 1e-9) -> TrackingResult:
+                 scales: list[np.ndarray], seed) -> TrackingResult:
     """Closed-loop simulate-fuse-filter run over all fusion intervals.
+
+    scales[k] (N, Q) is the allocator's info_scale of interval k's
+    allocation: the weight of every radar's measurements on every target.
 
     Deterministic under a fixed seed: process noise and measurement noise are
     drawn from separate child streams in a fixed iteration order, so the same
@@ -95,7 +96,6 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     """
     ss = np.random.SeedSequence(seed)
     proc_rng, meas_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-    layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
     q_n, k_n = scenario.n_targets, grid.num_intervals
     F = transition_matrix(grid.interval_length)
@@ -116,7 +116,6 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
 
     for k in range(k_n):
         t_k, t_fuse = grid.boundary(k)
-        scale = info_scale(layout, allocations[k])
         # pre-draw the noise in schedule order, identically for any policy
         proc_draws = [proc_rng.standard_normal(4) for _ in range(q_n)]
         meas_draws = [meas_rng.standard_normal((len(schedule.rows[q][k].times), 2))
@@ -126,10 +125,10 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
             noise = np.zeros(4) if chols[q] is None else chols[q] @ proc_draws[q]
             truth[q, k + 1] = F @ truth[q, k] + noise
             predicted = kf_predict(tracks[q], grid.interval_length, gammas[q])
-            stack = _stack_interval(schedule.rows[q][k], scale[:, q],
+            stack = _stack_interval(schedule.rows[q][k], scales[k][:, q],
                                     truth[q, k], t_k, t_fuse, meas_draws[q])
             try:
-                cm = ils_mle(stack, predicted.mean, jitter=jitter)
+                cm = ils_mle(stack, predicted.mean)
             except FusionError as exc:
                 raise FusionError(
                     f"fusion failed for target {q} interval {k}: {exc}") from exc

@@ -1,6 +1,6 @@
 """Shared fixtures: the packaged default scenario, a small single-radar
-scenario factory for targeted tests, per-kind radar indices and per-radar
-schedule times."""
+scenario factory for targeted tests, per-kind radar indices, per-radar
+schedule times and floors that the even comm split misses."""
 
 import numpy as np
 import pytest
@@ -30,6 +30,25 @@ def radar_times(schedule, i, q, k):
     block of the schedule rows rows[q][k]."""
     rows = schedule.rows[q][k]
     return rows.times[rows.start[i]:rows.start[i + 1]]
+
+
+def floors_the_even_comm_split_misses(scenario, schedule):
+    """Throughput floors with link 0's halfway between what a third and all
+    of the base-station budget reach in interval 0 with zero optimized radar
+    resources, and the other links' at 0: interval 0's polyhedron is not
+    empty, but the even comm split misses link 0's floor."""
+    from hrcn.allocator import AllocationLayout, throughput_r
+    layout = AllocationLayout.from_scenario(scenario)
+    counts = schedule.counts[:, :, 0]
+    z = np.zeros(layout.dim)
+    z[layout.n_radar_vars:] = scenario.comm.power_budget / 3
+    r_even = throughput_r(0, z, scenario, layout, counts)
+    z[layout.n_radar_vars:] = 0.0
+    z[layout.n_radar_vars] = scenario.comm.power_budget
+    r_full = throughput_r(0, z, scenario, layout, counts)
+    floors = np.zeros(scenario.comm.num_links)
+    floors[0] = 0.5 * (r_even + r_full)
+    return floors
 
 
 def make_mini_scenario(t0=6.0, num_intervals=1, start_time=0.0,

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from hrcn.allocator import (AllocationLayout, AllocatorConfig,
+from hrcn.allocator import (AllocationLayout,
                             assemble_constraints, assemble_fractional,
                             baseline_random, bayesian_B, f_value, grad_f,
                             inner_v_update, lambda_diag, objective_g, project,
@@ -24,7 +24,7 @@ def _report(num: int, name: str, ok: bool) -> None:
 
 def _interval_problem(scenario, schedule, k=0):
     from hrcn.cli import _interval_problem
-    return _interval_problem(scenario, schedule, AllocatorConfig(), k)
+    return _interval_problem(scenario, schedule, k)
 
 
 def test_criterion_1_inner_solution_identity():

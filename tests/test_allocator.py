@@ -10,19 +10,20 @@ import numpy as np
 import pytest
 
 from hrcn import allocator, harness
-from hrcn.allocator import (AllocationLayout, AllocatorConfig,
-                            InfeasibleError, IntervalProblem, adam_solve,
-                            assemble_constraints, assemble_fractional,
-                            baseline_random, baseline_uniform, bayesian_B,
-                            compute_kernels, f_value, grad_f, inner_v_update,
+from hrcn.allocator import (AllocationLayout, InfeasibleError,
+                            IntervalProblem, adam_solve, assemble_constraints,
+                            assemble_fractional, baseline_random,
+                            baseline_uniform, bayesian_B, compute_kernels,
+                            crb_metric, f_value, grad_f, inner_v_update,
                             interference_denominators, lambda_diag,
-                            objective_g, project, throughput_r)
-from hrcn.fusion import prior_information
+                            objective_g, project, root_bcrb, throughput_r)
+from hrcn.fusion import JITTER, inv_psd, prior_information
 from hrcn.harness import plan_allocations
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import RadarKind, build_schedule
 
-from conftest import kind_indices, make_mini_scenario
+from conftest import (floors_the_even_comm_split_misses, kind_indices,
+                      make_mini_scenario)
 from test_acceptance import _projection_oracle
 
 sys.path.insert(0, os.path.join(
@@ -31,7 +32,7 @@ from scenarios import large_net  # noqa: E402
 
 # g of each interval of plan_allocations(default scenario, "optimized") under
 # the line search that grew the step while f rose at all, from 5e-2 up to
-# 12 doublings; the Armijo rule must not lose more than obj_tol of it
+# 12 doublings; the Armijo rule must not lose more than OBJ_TOL of it
 GROWTH_SEARCH_G = [0.004952754526281177, 0.010108736169291161,
                    0.009840758683638302, 0.009469998664426556,
                    0.00912985481980762, 0.008912752184362632,
@@ -53,8 +54,7 @@ def problem(scenario, schedule, layout):
     info0 = np.linalg.inv(np.diag([100.0, 10.0, 100.0, 10.0]) ** 2)
     infos = [prior_information(info0, F,
                                process_noise_cov(scenario.grid.interval_length,
-                                                 tgt.process_noise_intensity),
-                               1e-9)
+                                                 tgt.process_noise_intensity))
              for tgt in scenario.targets]
     return IntervalProblem.build(scenario, schedule, 0, layout,
                                  compute_kernels(scenario, schedule, 0, states),
@@ -109,11 +109,11 @@ def recorded_solves(scenario, schedule) -> list[dict]:
     problem, plan, trace, planned g and g as a function of the plan."""
     solves = []
 
-    def recording(problem, cfg):
-        z, trace = adam_solve(problem, cfg)
+    def recording(problem):
+        z, trace = adam_solve(problem)
         solves.append({"k": problem.k, "problem": problem, "z": z,
                        "trace": trace,
-                       "g_of": lambda zz: objective_g(zz, problem, 1e-9)})
+                       "g_of": lambda zz: objective_g(zz, problem)})
         return z, trace
 
     with pytest.MonkeyPatch.context() as mp:
@@ -121,8 +121,21 @@ def recorded_solves(scenario, schedule) -> list[dict]:
         _, g_values, _ = plan_allocations(scenario, schedule, "optimized")
     for solve, g in zip(solves, g_values, strict=True):
         solve["g_plan"] = g
-        solve["g_start"] = solve["g_of"](baseline_uniform(solve["problem"]))
+        # the solver's start point: the even split, feasible on these inputs
+        solve["g_start"] = solve["g_of"](solve["problem"].precond)
     return solves
+
+
+@pytest.fixture(scope="module")
+def split_missed_problem(scenario, schedule, problem):
+    """Interval 0's problem, and its scenario, under floors the even comm
+    split misses (floors_the_even_comm_split_misses)."""
+    sc = replace(scenario, comm=replace(
+        scenario.comm,
+        throughput_floor=floors_the_even_comm_split_misses(scenario,
+                                                           schedule)))
+    return sc, IntervalProblem.build(sc, schedule, 0, problem.layout,
+                                     problem.kernels, problem.prior_infos)
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +195,15 @@ class TestObjectiveG:
                         replace(problem, kernels=zeros,
                                 prior_infos=np.array([prior, prior])))
         assert g == pytest.approx(0.5, rel=1e-12)
+
+    def test_singular_information_takes_the_jittered_inverse(self):
+        # a singular information is inverted by inv_psd's retry with JITTER
+        B = np.diag([1e-2, 0.0, 1e-2, 0.0])
+        inv, _ = inv_psd(B + JITTER * np.eye(4), 0.0)
+        c = float(lambda_diag(6.0) ** 2 @ np.diag(inv))
+        assert np.isfinite(c)
+        assert crb_metric([B], 6.0) == 1.0 / c
+        assert root_bcrb([B], 6.0) == float(np.sqrt(c))
 
     def test_monotone_in_radar_resources(self, layout, problem):
         z = baseline_uniform(problem)
@@ -352,8 +374,7 @@ class TestAssembleConstraints:
         if net == "large_net":
             scenario = large_net(0)
             schedule = build_schedule(scenario)
-        chain = harness.planning_chain(scenario, schedule, baseline_uniform,
-                                       1e-9)
+        chain = harness.planning_chain(scenario, schedule, baseline_uniform)
         ks = []
         for prob, _, _ in chain:
             A, b, labels = assemble_constraints(scenario, schedule, prob.k)
@@ -850,20 +871,10 @@ class TestBaselines:
         assert not all(floors_met(z))
 
     def test_uniform_raises_when_the_even_comm_split_misses_a_floor(
-            self, scenario, schedule, layout, problem):
+            self, schedule, split_missed_problem):
         # link 0's floor is reachable with the whole base-station budget, so
         # the polyhedron is not empty, but not with an even third of it
-        counts = schedule.counts[:, :, 0]
-        z = np.zeros(layout.dim)
-        z[layout.n_radar_vars:] = scenario.comm.power_budget / 3
-        r_even = throughput_r(0, z, scenario, layout, counts)
-        z[layout.n_radar_vars:] = [scenario.comm.power_budget, 0.0, 0.0]
-        r_full = throughput_r(0, z, scenario, layout, counts)
-        floors = np.array([0.5 * (r_even + r_full), 0.0, 0.0])
-        sc = replace(scenario, comm=replace(scenario.comm,
-                                            throughput_floor=floors))
-        prob = IntervalProblem.build(sc, schedule, 0, layout, problem.kernels,
-                                     problem.prior_infos)
+        _, prob = split_missed_problem
         z = baseline_random(prob, np.random.default_rng(0))
         assert np.all(prob.A @ z <= prob.b + 1e-9)
         with pytest.raises(InfeasibleError, match="even comm split"):
@@ -871,6 +882,34 @@ class TestBaselines:
 
 
 class TestAdamSolve:
+    def test_solves_where_the_even_comm_split_misses_a_floor(
+            self, schedule, layout, split_missed_problem):
+        # the start is the projection of the even split, which exists
+        # whenever the polyhedron is not empty
+        sc, prob = split_missed_problem
+        z, trace = adam_solve(prob)
+        assert trace
+        assert np.all(prob.A @ z <= prob.b + 1e-9) and np.all(z >= 0)
+        for j in range(layout.n_links):
+            assert (throughput_r(j, z, sc, layout, schedule.counts[:, :, 0])
+                    >= sc.comm.floor(j, 0) - 1e-9)
+        g_random = objective_g(baseline_random(prob, np.random.default_rng(0)),
+                               prob)
+        assert objective_g(z, prob) >= g_random
+
+    def test_beats_uniform_where_it_scales_the_radars_down(self):
+        # the even split misses the floor, so the solver starts from its
+        # projection, not from the uniform baseline; with one radar and one
+        # link both end on the floor with the full comm budget, equal up to
+        # rounding
+        sc = make_mini_scenario(radar_to_comm=1.0, throughput_floor=5.0)
+        prob = mini_problem(sc, build_schedule(sc))
+        z_uni = baseline_uniform(prob)
+        assert not np.all(z_uni == prob.precond)
+        z, _ = adam_solve(prob)
+        assert (objective_g(z, prob)
+                >= objective_g(z_uni, prob) * (1.0 - 1e-12))
+
     def test_degenerate_empty_schedule(self):
         sc = make_mini_scenario(initial_time=100.0)
         z, trace = adam_solve(mini_problem(sc, build_schedule(sc),
@@ -889,15 +928,16 @@ class TestAdamSolve:
     def test_beats_uniform_on_default(self, problem):
         z_opt, trace = adam_solve(problem)
         z_uni = baseline_uniform(problem)
-        g_opt = objective_g(z_opt, problem, 1e-9)
-        g_uni = objective_g(z_uni, problem, 1e-9)
+        g_opt = objective_g(z_opt, problem)
+        g_uni = objective_g(z_uni, problem)
         assert g_opt >= g_uni
         assert len(trace) >= 1
         assert all(np.isfinite(rec["f"]) for rec in trace)
 
-    def test_iterates_feasible(self, scenario, schedule, problem):
-        cfg = AllocatorConfig(max_outer=30)
-        z, _ = adam_solve(problem, cfg)
+    def test_iterates_feasible(self, scenario, schedule, problem,
+                               monkeypatch):
+        monkeypatch.setattr(allocator, "MAX_OUTER", 30)
+        z, _ = adam_solve(problem)
         A, b, _ = assemble_constraints(scenario, schedule, 0)
         assert np.all(A @ z <= b + 1e-9)
         assert np.all(z >= 0)
@@ -934,7 +974,7 @@ class TestAdamSolve:
 
     def test_g_never_falls_along_a_trace(self, planned_solves):
         for solve in planned_solves:
-            # the solver starts from the uniform plan's round trip through
+            # the solver starts from the even split's round trip through
             # budget-normalized coordinates, which can move g by an ulp
             g = ([solve["g_start"] * (1.0 - 1e-12)]
                  + [rec["g"] for rec in solve["trace"]])
@@ -942,7 +982,7 @@ class TestAdamSolve:
 
     def test_every_record_but_the_last_raises_g_by_more_than_obj_tol(
             self, planned_solves):
-        tol = AllocatorConfig().obj_tol
+        tol = allocator.OBJ_TOL
         for solve in planned_solves:
             g = [solve["g_start"]] + [rec["g"] for rec in solve["trace"]]
             assert all(b - a > tol * a for a, b in zip(g[:-2], g[1:-1])), \
@@ -958,7 +998,7 @@ class TestAdamSolve:
             self, scenario, schedule, default_solves, monkeypatch):
         # f bounds g from above, so a step that raises f can lower g; the
         # solver then halves the step instead of stopping there
-        tol = AllocatorConfig().obj_tol
+        tol = allocator.OBJ_TOL
         evaluated, objective = [], allocator.objective_g
 
         def recording(*args, **kwargs):
@@ -1003,18 +1043,18 @@ class TestAdamSolve:
             sc.radars[0].power_budget, rel=1e-9)
 
     def test_plan_g_holds_against_the_growth_search(self, default_solves):
-        tol = AllocatorConfig().obj_tol
+        tol = allocator.OBJ_TOL
         for solve, g_old in zip(default_solves, GROWTH_SEARCH_G, strict=True):
             assert solve["g_plan"] >= g_old * (1.0 - tol), solve["k"]
 
-    def test_max_outer_caps_the_trace(self, scenario, schedule):
-        _, _, traces = plan_allocations(scenario, schedule, "optimized",
-                                        AllocatorConfig(max_outer=3))
+    def test_max_outer_caps_the_trace(self, scenario, schedule, monkeypatch):
+        monkeypatch.setattr(allocator, "MAX_OUTER", 3)
+        _, _, traces = plan_allocations(scenario, schedule, "optimized")
         assert max(len(tr) for tr in traces) == 3
 
     def test_restart_from_own_plan_stays_put(self, scenario, schedule,
                                              default_solves):
-        # at its own plan no step raises g by more than obj_tol, so the
+        # at its own plan no step raises g by more than OBJ_TOL, so the
         # solver stops within one step, without moving if g would fall
         for solve in default_solves:
             z, trace = adam_solve(solve["problem"], z0=solve["z"])

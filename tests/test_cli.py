@@ -10,6 +10,8 @@ from hrcn.allocator import AllocationLayout
 from hrcn.cli import main
 from hrcn.scenario import build_schedule, default_scenario_path
 
+from conftest import floors_the_even_comm_split_misses
+
 
 def _infeasible_scenario(tmp_path):
     """Throughput floor far beyond what the base-station budget can reach."""
@@ -32,6 +34,18 @@ class TestSolve:
         path = _infeasible_scenario(tmp_path)
         assert main(["solve", "--scenario", path]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_solves_where_the_even_comm_split_misses_a_floor(
+            self, scenario, schedule, tmp_path, capsys):
+        with open(default_scenario_path()) as fh:
+            raw = yaml.safe_load(fh)
+        raw["comm"]["throughput_floor"] = [
+            float(x) for x in floors_the_even_comm_split_misses(scenario,
+                                                                schedule)]
+        path = tmp_path / "split_missed.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["solve", "--scenario", str(path), "--interval", "0"]) == 0
+        assert "interval 0: g = " in capsys.readouterr().out
 
     def test_missing_scenario_exits_one(self, capsys):
         assert main(["solve", "--scenario", "/nonexistent.yaml"]) == 1

@@ -4,7 +4,8 @@ the one-step predicted information."""
 import numpy as np
 import pytest
 
-from hrcn.fusion import (DivergenceError, RankDeficiencyError,
+from hrcn import fusion
+from hrcn.fusion import (JITTER, DivergenceError, RankDeficiencyError,
                          StackedMeasurements, fim, ils_mle, inv_psd,
                          prior_information)
 from hrcn.kinematics import (measure, measurement_jacobian, process_noise_cov,
@@ -81,10 +82,12 @@ class TestIlsMle:
         with pytest.raises(ValueError):
             ils_mle(make_stack(), np.array([np.nan, 0, 0, 0]))
 
-    def test_divergence_reported(self):
+    def test_divergence_reported(self, monkeypatch):
         stack = make_stack(noise_rng=np.random.default_rng(2))
+        monkeypatch.setattr(fusion, "GN_MAX_ITER", 1)
+        monkeypatch.setattr(fusion, "GN_TOL", 1e-15)
         with pytest.raises(DivergenceError):
-            ils_mle(stack, TRUE_STATE, max_iter=1, tol=1e-15)
+            ils_mle(stack, TRUE_STATE)
 
     def test_bearings_straddling_pi(self):
         # the target crosses the -x axis of the radars at (0, 0) and
@@ -147,13 +150,13 @@ class TestPriorInformation:
     SINGULAR = np.diag([1e-2, 0.0, 1e-2, 0.0])
 
     def test_singular_prior_jittered(self):
-        out = prior_information(self.SINGULAR, self.F, self.GAMMA, jitter=1e-9)
+        # the default is the jittered inverse every planning call uses
+        out = prior_information(self.SINGULAR, self.F, self.GAMMA)
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, out.T)
-
-    def test_singular_prior_without_jitter_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            prior_information(self.SINGULAR, self.F, self.GAMMA, jitter=0.0)
+        prev_inv, _ = inv_psd(self.SINGULAR + JITTER * np.eye(4), 0.0)
+        pred, _ = inv_psd(self.GAMMA + self.F @ prev_inv @ self.F.T, 0.0)
+        assert out.tobytes() == (0.5 * (pred + pred.T)).tobytes()
 
 
 class TestInvPsd:

@@ -69,7 +69,7 @@ class TestPlanningChain:
     def test_information_symmetric_psd(self, scenario, schedule):
         n = 0
         for problem, _, b_mats in planning_chain(scenario, schedule,
-                                                 baseline_uniform, jitter=1e-9):
+                                                 baseline_uniform):
             for B in list(problem.prior_infos) + list(b_mats):
                 np.testing.assert_allclose(B, B.T, atol=1e-12)
                 assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
@@ -82,8 +82,7 @@ class TestPlanningChain:
         # tracking stacks under the same plan, at the same predicted state
         F = transition_matrix(scenario.grid.interval_length)
         states = [t.initial_state for t in scenario.targets]
-        chain = planning_chain(scenario, schedule, baseline_uniform,
-                               jitter=1e-9)
+        chain = planning_chain(scenario, schedule, baseline_uniform)
         for k, (problem, z, _) in enumerate(chain):
             # the predicted states the chain evaluated the kernels at
             states = [F @ s for s in states]
@@ -111,6 +110,14 @@ class TestPlanningChain:
         allocs, _, _ = plan_allocations(scenario, schedule, policy)
         assert len(allocs) == scenario.grid.num_intervals
         assert len(built) == 1
+        # tracking reads the layout of its caller, so a comparison builds as
+        # many layouts for one trial as for several
+        per_trials = []
+        for n_trials in (1, 3):
+            built.clear()
+            compare_allocations(scenario, [policy], n_trials=n_trials)
+            per_trials.append(len(built))
+        assert per_trials[0] == per_trials[1]
 
 
 class TestCompareAllocations:

@@ -1,0 +1,56 @@
+"""The output comparison of tools/same_outputs.py: the first differing byte,
+and its report and exit code on fixture trees."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+import same_outputs  # noqa: E402
+from same_outputs import first_difference  # noqa: E402
+
+
+@pytest.mark.parametrize("a, b, at", [
+    (b"manifest", b"manifest", -1), (b"", b"", -1),
+    (b"abc", b"abcd", 3), (b"abcd", b"abc", 3),
+    (b"abXd", b"abcd", 2), (b"x", b"y", 0)])
+def test_first_difference(a, b, at):
+    assert first_difference(a, b) == at
+
+
+def _fake_trees(monkeypatch, files):
+    """Make run_tree write files[tree], a {relative path: bytes} dict,
+    instead of running hrcn."""
+    def run_tree(tree, outdir):
+        for name, data in files[tree].items():
+            path = os.path.join(outdir, name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+    monkeypatch.setattr(same_outputs, "run_tree", run_tree)
+
+
+def test_identical_trees_exit_zero(monkeypatch, capsys):
+    same = {"solve.out": b"exit 0\n",
+            os.path.join("run", "results.csv"): b"k\n0\n"}
+    _fake_trees(monkeypatch, {"old": same, "new": dict(same)})
+    assert same_outputs.main(["--parent", "old", "--change", "new"]) == 0
+    out = capsys.readouterr().out
+    assert "solve.out: same (7 bytes)" in out
+    assert "2 of 2 files byte-identical" in out
+
+
+def test_differing_and_missing_files_exit_one(monkeypatch, capsys):
+    _fake_trees(monkeypatch, {
+        "old": {"a.out": b"g = 0.5", "same.out": b"x", "gone.out": b"1"},
+        "new": {"a.out": b"g = 0.6", "same.out": b"x", "new.out": b"2"}})
+    assert same_outputs.main(["--parent", "old", "--change", "new"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "a.out: differs at byte 6" in lines
+    assert "gone.out: missing in change" in lines
+    assert "new.out: missing in parent" in lines
+    assert "same.out: same (1 bytes)" in lines
+    assert lines[-1] == "1 of 4 files byte-identical"

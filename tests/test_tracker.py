@@ -109,37 +109,44 @@ class TestBayesianChain:
             np.testing.assert_allclose(B, np.linalg.inv(P), rtol=1e-9)
 
 
+def _planned_scales(scenario, schedule, policy, seed=0):
+    """info_scale of every interval's allocation under one policy's plan."""
+    layout = AllocationLayout.from_scenario(scenario)
+    return [info_scale(layout, z) for z in
+            plan_allocations(scenario, schedule, policy, seed)[0]]
+
+
 class TestRunTracking:
     @staticmethod
     @pytest.fixture(scope="class")
-    def uniform_allocs(scenario, schedule):
-        return plan_allocations(scenario, schedule, "uniform")[0]
+    def uniform_scales(scenario, schedule):
+        return _planned_scales(scenario, schedule, "uniform")
 
-    def test_seed_determinism(self, scenario, schedule, uniform_allocs):
-        a = run_tracking(scenario, schedule, uniform_allocs, seed=[3, 1])
-        b = run_tracking(scenario, schedule, uniform_allocs, seed=[3, 1])
+    def test_seed_determinism(self, scenario, schedule, uniform_scales):
+        a = run_tracking(scenario, schedule, uniform_scales, seed=[3, 1])
+        b = run_tracking(scenario, schedule, uniform_scales, seed=[3, 1])
         np.testing.assert_array_equal(a.truth, b.truth)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.covs, b.covs)
 
     def test_noise_shared_across_allocations(self, scenario, schedule,
-                                             uniform_allocs):
+                                             uniform_scales):
         # common random numbers: truth does not depend on the allocation
-        other = plan_allocations(scenario, schedule, "random", seed=6)[0]
-        a = run_tracking(scenario, schedule, uniform_allocs, seed=[4, 0])
+        other = _planned_scales(scenario, schedule, "random", seed=6)
+        a = run_tracking(scenario, schedule, uniform_scales, seed=[4, 0])
         b = run_tracking(scenario, schedule, other, seed=[4, 0])
         np.testing.assert_array_equal(a.truth, b.truth)
 
-    def test_shapes_and_metadata(self, scenario, schedule, uniform_allocs):
-        run = run_tracking(scenario, schedule, uniform_allocs, seed=0)
+    def test_shapes_and_metadata(self, scenario, schedule, uniform_scales):
+        run = run_tracking(scenario, schedule, uniform_scales, seed=0)
         q_n, k_n = scenario.n_targets, scenario.grid.num_intervals
         assert run.truth.shape == (q_n, k_n + 1, 4)
         assert run.means.shape == (q_n, k_n, 4)
         assert run.covs.shape == (q_n, k_n, 4, 4)
 
     def test_error_shrinks_from_initialization(self, scenario, schedule,
-                                               uniform_allocs):
-        run = run_tracking(scenario, schedule, uniform_allocs, seed=[5, 0])
+                                               uniform_scales):
+        run = run_tracking(scenario, schedule, uniform_scales, seed=[5, 0])
         init_err = np.linalg.norm(INIT_MEAN_OFFSET[[0, 2]])
         for q in range(scenario.n_targets):
             final_err = np.linalg.norm(run.means[q, -1, [0, 2]]
