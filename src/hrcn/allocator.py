@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.optimize import linprog
 
 from .fusion import inv_psd
 from .scenario import MeasurementSchedule, RadarKind, Scenario
@@ -290,7 +289,6 @@ class FractionalProgram:
     e: np.ndarray          # (N, dim)
     denom_const: np.ndarray  # (N,) receiver noise variances
     constant: float
-    clamped: int = 0       # count of negative weights clamped to zero
 
 
 def assemble_fractional(v_mats: list[np.ndarray],
@@ -316,7 +314,7 @@ def assemble_fractional(v_mats: list[np.ndarray],
     e = np.zeros_like(c)
     e[:, layout.n_radar_vars:] = layout.alpha_c_sq
     return FractionalProgram(c=c, d=d, e=e, denom_const=layout.noise_var,
-                             constant=constant, clamped=clamped)
+                             constant=constant)
 
 
 def f_value(fp: FractionalProgram, z: np.ndarray) -> float:
@@ -341,14 +339,6 @@ def grad_f(fp: FractionalProgram, z: np.ndarray) -> np.ndarray:
 class ProjectionResult:
     z: np.ndarray
     active: list[int]          # indices into the stacked rows [A; -I]
-
-
-def _certify_infeasible(A: np.ndarray, b: np.ndarray) -> Optional[str]:
-    res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
-                  bounds=[(0, None)] * A.shape[1], method="highs")
-    if res.status == 2:
-        return res.message
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,6 +425,21 @@ def _span(face: _Face, g: np.ndarray) -> np.ndarray:
 FEASIBILITY_TOL = 1e-12
 
 
+def _raise_if_farkas(A: np.ndarray, b: np.ndarray, cols: list[int],
+                     y: np.ndarray, thresh: float) -> None:
+    """Raise InfeasibleError if the ray y over the sorted rows cols of
+    [A; -I] is Farkas's certificate that {A z <= b, z >= 0} is empty: its
+    weights w on the rows of A are >= 0, w A >= -FEASIBILITY_TOL max(w |A|)
+    and w b < -thresh sum(w), so no z >= 0 meets A z <= b within thresh."""
+    on_a = [c for c in cols if c < len(b)]
+    w, a_s = y[:len(on_a)], A[on_a]
+    wb = float(w @ b[on_a])
+    if (np.all(w >= 0) and wb < -thresh * w.sum()
+            and np.all(w @ a_s >= -FEASIBILITY_TOL * (w @ np.abs(a_s)).max())):
+        raise InfeasibleError(f"empty polyhedron: infeasible: rows {on_a} "
+                              f"weights {w.tolist()} yᵀb = {wb:.6g}")
+
+
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
             warm: Optional[list[int]] = None,
             faces: Optional[dict] = None) -> ProjectionResult:
@@ -449,10 +454,10 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     and multipliers move affinely to the polish on S + p, and a multiplier
     that reaches zero first takes its row out of S on the way.
     For p in the span of S the step is dual only, along p's coefficients on
-    S (see _span).  A row that cannot be added proves the polyhedron empty;
-    an LP arbitrates, raising InfeasibleError with its certificate, or
-    RuntimeError when it finds a feasible point.  RuntimeError is also raised
-    after 4 * (rows + dim) steps, should rounding make the method cycle.
+    S (see _span).  If no multiplier falls along it, p cannot be added and
+    that dual ray is Farkas's certificate that the polyhedron is empty: once
+    checked (see _raise_if_farkas) it is raised as InfeasibleError, else
+    RuntimeError, as after 4 * (rows + dim) steps, should rounding cycle.
 
     warm, optional, is a guessed active set (row indices into [A; -I]), such
     as the ``active`` of a projection of a nearby point onto the same
@@ -529,9 +534,7 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
                     rows, mult = [cols[i] for i in keep], mult[keep]
                     continue
                 if not primal:
-                    cert = _certify_infeasible(A, b)
-                    if cert is not None:
-                        raise InfeasibleError(f"empty polyhedron: {cert}")
+                    _raise_if_farkas(A, b, cols, slope, thresh)
                     raise RuntimeError(f"projection failed to converge: row "
                                        f"{p} cannot be added to {rows}")
             rows, z, mult, resid = cols, z_new, mult_new, resid_new

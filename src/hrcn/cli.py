@@ -21,19 +21,12 @@ from .allocator import (AllocationLayout, InfeasibleError, IntervalProblem,
 from .harness import (compare_allocations, plan_allocations, planning_chain,
                       save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
-                       load_scenario)
+                       load_scenario, validate)
 from .tracker import run_tracking
 
 
 def _default_outdir() -> str:
     return os.environ.get("HRCN_OUTPUT_DIR", "hrcn_out")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", default=None,
-                   help="scenario YAML (default: packaged default scenario)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output directory")
 
 
 def _scenario(args):
@@ -121,20 +114,20 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario, schedule = _load(args)
-    base = _interval_problem(scenario, schedule, args.interval)
-    rows = []
-    warm = None
+    variants = []
     for value in args.values:
         if args.param == "floor":
             comm = replace(scenario.comm, throughput_floor=np.full(
                 scenario.comm.num_links, value))
-        elif args.param == "comm-budget":
-            comm = replace(scenario.comm, power_budget=value)
         else:
-            raise ValueError(f"unknown sweep parameter '{args.param}'")
-        problem = IntervalProblem.build(
-            replace(scenario, comm=comm), schedule, base.k, base.layout,
-            base.kernels, base.prior_infos)
+            comm = replace(scenario.comm, power_budget=value)
+        variants.append(replace(scenario, comm=comm))
+        validate(variants[-1])
+    base = _interval_problem(scenario, schedule, args.interval)
+    rows, warm = [], None
+    for value, variant in zip(args.values, variants):
+        problem = IntervalProblem.build(variant, schedule, base.k, base.layout,
+                                        base.kernels, base.prior_infos)
         candidates = [adam_solve(problem)[0]]
         if warm is not None:
             candidates.append(adam_solve(
@@ -166,27 +159,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="optimize one interval's allocation")
-    _add_common(p)
     p.add_argument("--interval", type=int, default=0)
 
     p = sub.add_parser("simulate", help="full tracking run under one policy")
-    _add_common(p)
     p.add_argument("--policy", choices=["optimized", "uniform", "random"],
                    default="optimized")
 
     p = sub.add_parser("compare", help="Monte-Carlo policy comparison")
-    _add_common(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--policies", nargs="+",
                    default=["optimized", "uniform", "random"],
                    choices=["optimized", "uniform", "random"])
 
     p = sub.add_parser("sweep", help="sweep a constraint parameter")
-    _add_common(p)
     p.add_argument("--interval", type=int, default=0)
     p.add_argument("--param", choices=["floor", "comm-budget"],
                    default="floor")
     p.add_argument("--values", type=float, nargs="+", required=True)
+    # only simulate and compare draw random numbers; solve writes no file
+    for name, p in sub.choices.items():
+        p.add_argument("--scenario", default=None,
+                       help="scenario YAML (default: packaged default scenario)")
+        if name in ("simulate", "compare"):
+            p.add_argument("--seed", type=int, default=0)
+        if name != "solve":
+            p.add_argument("--out", default=None, help="output directory")
     return parser
 
 

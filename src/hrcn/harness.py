@@ -177,19 +177,19 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
     unknown = set(policies) - set(POLICIES)
     if unknown:
         raise ValueError(f"unknown policies: {sorted(unknown)}")
+    if len(set(policies)) < len(policies):
+        raise ValueError(f"repeated policies: {list(policies)}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     schedule = build_schedule(scenario)
     layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
     lam = lambda_diag(grid.interval_length)
-    counts = schedule.counts
 
+    digest = scenario_fingerprint(scenario)
     result = ExperimentResult(
-        run_id=uuid.uuid5(uuid.NAMESPACE_OID,
-                          f"{scenario_fingerprint(scenario)}:{seed}:{n_trials}").hex,
-        scenario_hash=scenario_fingerprint(scenario),
-        seed=seed, n_trials=n_trials, policies={})
+        run_id=uuid.uuid5(uuid.NAMESPACE_OID, f"{digest}:{seed}:{n_trials}").hex,
+        scenario_hash=digest, seed=seed, n_trials=n_trials, policies={})
 
     for policy in policies:
         bounds: list = []
@@ -204,7 +204,7 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
                 errors[t, k] = run.means[:, k] - run.truth[:, k + 1]
         rmse_k = [rmse(errors[:, k], lam) for k in range(grid.num_intervals)]
         thr = [[throughput_r(j, allocations[k], scenario, layout,
-                             counts[:, :, k])
+                             schedule.counts[:, :, k])
                 for j in range(scenario.comm.num_links)]
                for k in range(grid.num_intervals)]
         result.policies[policy] = PolicyResult(

@@ -2,9 +2,9 @@
 fractional rewrite, projection, baselines, and the alternating solver."""
 
 import os
+import re
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -766,26 +766,78 @@ class TestProject:
     def test_empty_polyhedron_found_mid_solve_raises(self, monkeypatch):
         # x + y <= 1 and -x - y <= -2 from (0.5, 0.5): only the second row
         # is violated, and once it is added at (1, 1) the first one is, in
-        # the span of the set with a multiplier that only rises; the LP
-        # certifies the polyhedron empty
+        # the span of the set with a multiplier that only rises; that dual
+        # ray, weights (1, 1) on both rows, is Farkas's certificate:
+        # (1, 1) A = 0 and (1, 1) b = -1
         A = np.array([[1.0, 1.0], [-1.0, -1.0]])
         b, x = np.array([1.0, -2.0]), np.array([0.5, 0.5])
         polished = record_polishes(monkeypatch)
         with pytest.raises(allocator.InfeasibleError,
-                           match="empty polyhedron: .*infeasible"):
+                           match=r"empty polyhedron: infeasible: rows \[0, 1\] "
+                           r"weights \[1.0, 1.0\] yᵀb = -1$"):
             project(x, A, b)
         assert polished == [(), (1,), (0, 1)]
 
-    def test_blocked_add_in_a_feasible_polyhedron_raises(self, monkeypatch):
-        # the same blocked row, with the LP reporting a feasible polyhedron
-        monkeypatch.setattr(allocator, "linprog",
-                            lambda *args, **kwargs: SimpleNamespace(
-                                status=0, message="Optimization terminated"))
-        with pytest.raises(RuntimeError, match="projection failed to "
-                           "converge: row 0 cannot be added") as info:
-            project(np.array([0.5, 0.5]), np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                    np.array([1.0, -2.0]))
-        assert not isinstance(info.value, allocator.InfeasibleError)
+    def test_blocked_add_with_a_ray_that_fails_the_check_raises(
+            self, monkeypatch):
+        # the same blocked row with p's coefficients on the set scaled: the
+        # ray (1, factor) is still >= 0, but at 0.5 its y^T b = 0 and at 2
+        # its y^T A = (-1, -1), so neither proves the polyhedron empty
+        span = allocator._span
+        for factor in (0.5, 2.0):
+            monkeypatch.setattr(allocator, "_span", lambda face, g, f=factor:
+                                f * span(face, g))
+            with pytest.raises(RuntimeError, match="projection failed to "
+                               "converge: row 0 cannot be added") as info:
+                project(np.array([0.5, 0.5]),
+                        np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                        np.array([1.0, -2.0]))
+            assert not isinstance(info.value, allocator.InfeasibleError)
+
+    def test_every_infeasible_error_carries_a_checked_certificate(self):
+        # random sparse polyhedra, about half of them empty, with a HiGHS LP
+        # as the oracle: no polyhedron the LP finds feasible raises, and
+        # every InfeasibleError names rows and weights w of a certificate
+        # that holds here again (w >= 0, w A >= 0, w b < 0) on a polyhedron
+        # the LP finds empty.  A rounding-spoiled ray raises RuntimeError
+        # instead; that must stay rare
+        from scipy.optimize import linprog
+        rng = np.random.default_rng(11)
+        outcomes = {"projected": 0, "certified": 0, "unproven": 0}
+        for _ in range(600):
+            dim, n_rows = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            A = (rng.normal(size=(n_rows, dim))
+                 * (rng.random((n_rows, dim)) < 0.7))
+            b = rng.normal(size=n_rows)
+            lp = linprog(np.zeros(dim), A_ub=A, b_ub=b,
+                         bounds=[(0, None)] * dim, method="highs")
+            assert lp.status in (0, 2)
+            try:
+                z = project(rng.normal(0, 2, dim), A, b).z
+            except InfeasibleError as exc:
+                found = re.fullmatch(r"empty polyhedron: infeasible: rows "
+                                     r"\[(.*)\] weights \[(.*)\] yᵀb = \S+",
+                                     str(exc))
+                rows = [int(r) for r in found[1].split(",")]
+                w = np.array([float(x) for x in found[2].split(",")])
+                assert lp.status == 2
+                assert np.all(w >= 0)
+                wa = w @ A[rows]
+                assert np.all(wa >= -1e-12 * (w @ np.abs(A[rows])).max())
+                assert w @ b[rows] < 0
+                outcomes["certified"] += 1
+            except RuntimeError:
+                assert lp.status == 2
+                outcomes["unproven"] += 1
+            else:
+                assert lp.status == 0
+                # rows of the active set are held to project's 1e-9 polish
+                # bound
+                assert (A @ z - b).max() <= 1e-9 * max(1.0, np.abs(z).max())
+                assert z.min() >= 0
+                outcomes["projected"] += 1
+        assert min(outcomes["projected"], outcomes["certified"]) >= 200
+        assert outcomes["unproven"] <= 0.01 * outcomes["certified"], outcomes
 
     def test_cycling_past_the_step_limit_raises(self, monkeypatch):
         # the unit box from (2, 2) with polishes whose multipliers on the

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, and output files."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import hrcn
 from hrcn import cli, harness
 from hrcn.allocator import AllocationLayout
 from hrcn.cli import main
@@ -75,6 +78,28 @@ class TestUsage:
             main(["simulate", "--policy", "greedy"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["solve", "--seed", "1"],
+                                      ["solve", "--out", "x"],
+                                      ["sweep", "--values", "1", "--seed", "1"]])
+    def test_options_a_command_does_not_read_exit_two(self, argv, capsys):
+        # solve writes no file, and neither solve nor sweep draws a number
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_import_loads_no_scipy_optimize(self):
+        # a fresh interpreter, so no other test's imports are counted
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(hrcn.__file__))]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, hrcn.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "'scipy.optimize')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestSimulate:
     def test_writes_track_history(self, tmp_path, capsys):
@@ -142,6 +167,22 @@ class TestSweep:
             rows = fh.read().strip().splitlines()[1:]
         g_values = [float(r.split(",")[1]) for r in rows]
         assert all(a >= b - 1e-9 for a, b in zip(g_values, g_values[1:]))
+
+    @pytest.mark.parametrize("param,value,message", [
+        ("floor", "-1", "throughput_floor must be >= 0"),
+        ("floor", "nan", "throughput_floor must be >= 0"),
+        ("comm-budget", "nan", "power_budget must be > 0")])
+    def test_invalid_swept_scenario_exits_one(self, param, value, message,
+                                              tmp_path, capsys):
+        # each swept scenario is validated like a loaded file, before any
+        # value of the sweep is solved
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--param", param, "--values", "0.5", value,
+                     "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: comm.{message}\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         outdir = str(tmp_path / "envout")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hrcn import harness
 from hrcn.allocator import (AllocationLayout, IntervalProblem,
                             baseline_uniform, compute_kernels, info_scale,
                             lambda_diag)
@@ -170,6 +171,24 @@ class TestCompareAllocations:
     def test_zero_trials_rejected(self, scenario):
         with pytest.raises(ValueError, match="n_trials"):
             compare_allocations(scenario, ["uniform"], n_trials=0)
+
+    def test_repeated_policy_rejected(self, scenario):
+        # the result holds one entry per policy, so a repeat would be run
+        # and then overwritten
+        with pytest.raises(ValueError, match="repeated policies"):
+            compare_allocations(scenario, ["uniform", "uniform"], n_trials=1)
+
+    def test_fingerprints_the_scenario_once(self, scenario, monkeypatch):
+        calls = []
+
+        def counted(sc):
+            calls.append(sc)
+            return scenario_fingerprint(sc)
+
+        monkeypatch.setattr(harness, "scenario_fingerprint", counted)
+        result = compare_allocations(scenario, ["uniform"], n_trials=1)
+        assert calls == [scenario]
+        assert result.scenario_hash == scenario_fingerprint(scenario)
 
 
 class TestResultFiles:
