@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .fusion import inv_psd
 from .scenario import MeasurementSchedule, RadarKind, Scenario
@@ -125,27 +124,29 @@ def compute_kernels(scenario: Scenario, schedule: MeasurementSchedule,
                      for q, s in enumerate(predicted_states)])
 
 
-def bayesian_B(z: np.ndarray, problem: "IntervalProblem") -> list[np.ndarray]:
-    """Per-target Bayesian information B^q(z) = sum_i scale_i D_i + prior."""
+def bayesian_B(z: np.ndarray, problem: "IntervalProblem") -> np.ndarray:
+    """(Q, 4, 4) per-target Bayesian information
+    B^q(z) = sum_i scale_i D_i + prior."""
     B = problem.prior_infos + np.einsum(
         "iq,qiab->qab", info_scale(problem.layout, z), problem.kernels)
-    return list(0.5 * (B + np.swapaxes(B, 1, 2)))
+    return 0.5 * (B + np.swapaxes(B, 1, 2))
 
 
-def _weighted_crb(b_mats: list[np.ndarray], t0: float) -> list[float]:
-    """Per-target Tr(Lambda B^{-1} Lambda^T) of informations B^q, a singular
-    B^q inverted with inv_psd's jitter."""
+def _weighted_crb(b_mats: np.ndarray, t0: float) -> list[float]:
+    """Per-target Tr(Lambda B^{-1} Lambda^T) of the informations B^q
+    (Q, 4, 4), a singular B^q inverted with inv_psd's jitter."""
     lam2 = lambda_diag(t0) ** 2
-    return [float(lam2 @ np.diag(inv_psd(B)[0])) for B in b_mats]
+    diag = np.diagonal(inv_psd(np.asarray(b_mats))[0], axis1=1, axis2=2)
+    return (lam2 @ diag[..., None])[:, 0].tolist()
 
 
-def crb_metric(b_mats: list[np.ndarray], t0: float) -> float:
+def crb_metric(b_mats: np.ndarray, t0: float) -> float:
     """Bayesian-CRB tracking metric of per-target informations B^q: sum over
     targets of 1 / Tr(Lambda B^{-1} Lambda^T).  Larger is better."""
     return sum(1.0 / c for c in _weighted_crb(b_mats, t0))
 
 
-def root_bcrb(b_mats: list[np.ndarray], t0: float) -> float:
+def root_bcrb(b_mats: np.ndarray, t0: float) -> float:
     """Sum over targets of sqrt(Tr(Lambda B^{-1} Lambda^T)): the bound that
     the weighted tracking RMSE is scored against."""
     return sum(float(np.sqrt(c)) for c in _weighted_crb(b_mats, t0))
@@ -270,13 +271,14 @@ class IntervalProblem:
 
 
 def inner_v_update(B: np.ndarray, lam_inv: np.ndarray) -> np.ndarray:
-    """Closed-form minimizer of the trace-constrained inner problem:
-    normalized inverse of diag(lam_inv) B diag(lam_inv)."""
+    """Closed-form minimizer of the trace-constrained inner problem, for
+    each information of the stack B (..., 4, 4): normalized inverse of
+    diag(lam_inv) B diag(lam_inv)."""
     A = (lam_inv[:, None] * B) * lam_inv[None, :]
     Ainv, _ = inv_psd(A)
-    V = Ainv / np.trace(Ainv)
+    V = Ainv / np.trace(Ainv, axis1=-2, axis2=-1)[..., None, None]
     # renormalize so the trace constraint holds exactly
-    return V / np.trace(V)
+    return V / np.trace(V, axis1=-2, axis2=-1)[..., None, None]
 
 
 @dataclass
@@ -291,7 +293,7 @@ class FractionalProgram:
     constant: float
 
 
-def assemble_fractional(v_mats: list[np.ndarray],
+def assemble_fractional(v_mats: np.ndarray,
                         problem: IntervalProblem) -> FractionalProgram:
     """Rewrite the outer objective for fixed slack matrices as a sum of
     linear-fractional terms in z."""
@@ -347,8 +349,7 @@ class _Face:
     everything about it that does not depend on the point projected: the
     rows S_A of A in S with their right-hand sides b_S, the coordinates Z
     whose nonnegativity row is in S, A_S with the columns Z cleared, and its
-    Gram matrix with dgetrf's LU factors (None when there are no rows of A,
-    or when the Gram matrix is singular)."""
+    Gram matrix."""
 
     on_a: np.ndarray
     zero: np.ndarray
@@ -356,7 +357,6 @@ class _Face:
     b_s: np.ndarray
     a_free: np.ndarray
     gram: np.ndarray
-    lu: Optional[tuple]
 
 
 def _face(faces: dict, A: np.ndarray, b: np.ndarray, rows: list[int]) -> _Face:
@@ -371,26 +371,20 @@ def _face(faces: dict, A: np.ndarray, b: np.ndarray, rows: list[int]) -> _Face:
     a_s = A[on_a]
     a_free = a_s.copy()
     a_free[:, zero] = 0.0
-    gram = a_free @ a_free.T
-    lu = None
-    if on_a.size:
-        # dgetrf rejects a 0x0 matrix, and info > 0 flags a singular one
-        lu_, piv, info = dgetrf(gram)
-        if info == 0:
-            lu = (lu_, piv)
     face = faces[key] = _Face(on_a=on_a, zero=zero, a_s=a_s, b_s=b[on_a],
-                              a_free=a_free, gram=gram, lu=lu)
+                              a_free=a_free, gram=a_free @ a_free.T)
     return face
 
 
 def _gram_solve(face: _Face, rhs: np.ndarray) -> np.ndarray:
     """m with (A_SF A_SF^T) m = rhs on the rows S_A of a face."""
-    if face.lu is not None:
-        return dgetrs(*face.lu, rhs)[0]
-    if face.on_a.size:
+    if not face.on_a.size:
+        return rhs
+    try:
+        return np.linalg.solve(face.gram, rhs)
+    except np.linalg.LinAlgError:
         # singular: a duplicated row, or a row of A with its support in Z
         return np.linalg.lstsq(face.gram, rhs, rcond=None)[0]
-    return rhs
 
 
 def _polish(z_raw: np.ndarray, face: _Face, A: np.ndarray, b: np.ndarray):
@@ -645,8 +639,7 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
         return res
 
     for it in range(MAX_OUTER):
-        b_mats = bayesian_B(z, problem)
-        v_mats = [inner_v_update(B, lam_inv) for B in b_mats]
+        v_mats = inner_v_update(bayesian_B(z, problem), lam_inv)
         fp = assemble_fractional(v_mats, problem)
         f_cur = f_value(fp, z)
         if not np.isfinite(f_cur):

@@ -75,7 +75,7 @@ def cmd_simulate(args) -> int:
     layout = AllocationLayout.from_scenario(scenario)
     run = run_tracking(scenario, schedule,
                        [info_scale(layout, z) for z in allocations],
-                       seed=[args.seed, 0])
+                       [[args.seed, 0]])
     outdir = args.out or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "track_history.csv")
@@ -88,9 +88,9 @@ def cmd_simulate(args) -> int:
         for q in range(scenario.n_targets):
             for k in range(scenario.grid.num_intervals):
                 writer.writerow([0, q, k,
-                                 *map(repr, run.truth[q, k + 1]),
-                                 *map(repr, run.means[q, k]),
-                                 repr(float(np.trace(run.covs[q, k])))])
+                                 *map(repr, run.truth[0, q, k + 1]),
+                                 *map(repr, run.means[0, q, k]),
+                                 repr(float(np.trace(run.covs[0, q, k])))])
     print(f"policy {args.policy}: per-interval g = "
           + ", ".join(f"{g:.4g}" for g in g_values))
     print(f"track history written to {path}")

@@ -3,16 +3,15 @@ stacked interval measurements, its Fisher information, and the one-step
 predicted information that seeds the Bayesian recursion."""
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from . import _kernels
 
 
 class FusionError(RuntimeError):
-    pass
+    """A fix that cannot be fused; raised by ils_mle with the failing batch
+    member (see _kernels.member_error)."""
 
 
 class RankDeficiencyError(FusionError):
@@ -28,10 +27,11 @@ class StackedMeasurements:
     """All (range, bearing) measurements for one target in one interval.
 
     Rows are ordered radar by radar, then by measurement time, matching the
-    stacked-likelihood convention.
+    stacked-likelihood convention.  values may carry leading batch axes: a
+    batch of fixes of the same rows, such as one per Monte-Carlo trial.
     """
 
-    values: np.ndarray     # (M, 2) range, bearing
+    values: np.ndarray     # (..., M, 2) range, bearing
     times: np.ndarray      # (M,)
     radar_xy: np.ndarray   # (M, 2)
     cov_diag: np.ndarray   # (M, 2) diag of each measurement covariance
@@ -39,32 +39,28 @@ class StackedMeasurements:
     t_fuse: float = 0.0
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.times.shape[0]
 
 
 @dataclass
 class CompositeMeasurement:
-    estimate: np.ndarray    # (4,) fused state at the fusion time
-    covariance: np.ndarray  # (4, 4) CRB of the estimate
-    iterations: int
-    step_norm: float
-    jittered: bool = False
+    """The fused fixes of one (batched) ils_mle call."""
+
+    estimate: np.ndarray    # (..., 4) fused state at the fusion time
+    covariance: np.ndarray  # (..., 4, 4) CRB of the estimate
+    iterations: int         # Gauss-Newton steps, summed over the batch
+    step_norm: np.ndarray   # (...,) each member's last step norm
+    jittered: int = 0       # members whose information took the jitter
 
 
 def fim(stack: StackedMeasurements, eval_state: np.ndarray) -> np.ndarray:
-    """Fisher information of the stacked measurements at eval_state:
-    sum of H^T Sigma^{-1} H with H chained through the backward CV map."""
+    """(..., 4, 4) Fisher information of the stacked measurements at each
+    state eval_state (..., 4): sum of H^T Sigma^{-1} H with H chained
+    through the backward CV map."""
     return _kernels.fim_accumulate(np.asarray(eval_state, dtype=float),
                                    stack.t_fuse, stack.times, stack.radar_xy,
-                                   1.0 / stack.cov_diag, [0, len(stack)])[0]
-
-
-@cache
-def _identity(n: int) -> np.ndarray:
-    """Read-only n x n identity, shared by every inverse of that order."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+                                   1.0 / stack.cov_diag,
+                                   [0, len(stack)])[..., 0, :, :]
 
 
 # Ridge that inv_psd adds to a singular matrix before it retries the inverse
@@ -75,64 +71,72 @@ GN_TOL = 1e-8
 GN_MAX_ITER = 50
 
 
-def inv_psd(mat: np.ndarray, jitter: float = JITTER
-            ) -> tuple[np.ndarray, bool]:
-    """Inverse of mat, retried as inv(mat + jitter I) when mat is singular
-    (raises LinAlgError when jitter <= 0, as the Kalman update asks).  The
-    flag says whether the jitter was used.
+def inv_psd(mat: np.ndarray, jitter: float = JITTER) -> tuple[np.ndarray, int]:
+    """Inverse of each matrix of the stack mat (..., n, n), a singular
+    member retried as inv(member + jitter I); returns the inverses and the
+    number of members that took the jitter.  With jitter <= 0, as the
+    Kalman update asks, a singular member raises LinAlgError naming it
+    (see _kernels.member_error) instead.
 
-    LAPACK dgesv solves mat X = I, the call np.linalg.inv makes, so the
-    result is bitwise np.linalg.inv's without its wrapper's cost; dgesv
-    copies the identity before writing, so one read-only copy serves all.
+    np.linalg.inv inverts every member as it would alone, so a member's
+    inverse does not depend on the stack it is in.
     """
-    eye = _identity(mat.shape[0])
-    _, _, inv, info = dgesv(mat, eye)
-    jittered = info != 0 and jitter > 0
-    if jittered:
-        _, _, inv, info = dgesv(mat + jitter * eye, eye)
-    if info != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return inv, jittered
+    try:
+        return np.linalg.inv(mat), 0
+    except np.linalg.LinAlgError:
+        singular = _kernels.singular_members(mat)
+    if jitter <= 0:
+        raise _kernels.member_error(np.linalg.LinAlgError, "Singular matrix",
+                                    _kernels.first_member(singular))
+    ridged = np.where(singular[..., None, None],
+                      mat + jitter * np.eye(mat.shape[-1]), mat)
+    return inv_psd(ridged, 0.0)[0], int(singular.sum())
 
 
 def ils_mle(stack: StackedMeasurements,
             init: np.ndarray) -> CompositeMeasurement:
     """Gauss-Newton on the stacked weighted least squares, to a step below
-    GN_TOL.
+    GN_TOL, for each fix of the stack from its initial state init (..., 4).
 
     Bearing residuals are wrapped to (-pi, pi] before weighting.  Raises
     RankDeficiencyError on unobservable geometry and DivergenceError after
-    GN_MAX_ITER steps.  The rank test is Gauss-Newton's, on its first
-    normal matrix: the Fisher information at init.
+    GN_MAX_ITER steps, naming the first failing member of a batch.  The
+    rank test is Gauss-Newton's, on its first normal matrix: the Fisher
+    information at init.
     """
     init = np.asarray(init, dtype=float)
     if not np.all(np.isfinite(init)):
         raise ValueError("initial state must be finite")
     if len(stack) < 2:
-        raise RankDeficiencyError(
-            f"{2 * len(stack)} equations cannot determine 4 state components")
+        # the rows are shared, so every member fails, the first one first
+        raise _kernels.member_error(
+            RankDeficiencyError, f"{2 * len(stack)} equations cannot "
+            "determine 4 state components", 0 if init.ndim > 1 else None)
     s, iters, step_norm, status = _kernels.gauss_newton(
         stack.values, stack.times, stack.radar_xy, 1.0 / stack.cov_diag,
         stack.t_fuse, init, GN_TOL, GN_MAX_ITER)
-    if status < 0:
-        raise RankDeficiencyError("stacked Jacobians are jointly rank-deficient")
-    if status == 0:
-        raise DivergenceError(f"no convergence in {GN_MAX_ITER} iterations "
-                              f"(last step {step_norm:.3e})")
+    if np.any(status < 0):
+        raise _kernels.member_error(
+            RankDeficiencyError, "stacked Jacobians are jointly rank-deficient",
+            _kernels.first_member(status < 0))
+    if np.any(status == 0):
+        member = _kernels.first_member(status == 0)
+        raise _kernels.member_error(
+            DivergenceError, f"no convergence in {GN_MAX_ITER} iterations "
+            f"(last step {step_norm.flat[member or 0]:.3e})", member)
     info = fim(stack, s)
     cov, jittered = inv_psd(info)
-    cov = 0.5 * (cov + cov.T)
-    return CompositeMeasurement(estimate=s, covariance=cov,
-                                iterations=int(iters),
-                                step_norm=float(step_norm),
-                                jittered=jittered)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return CompositeMeasurement(estimate=s, covariance=cov, iterations=iters,
+                                step_norm=step_norm, jittered=jittered)
 
 
 def prior_information(prev_info: np.ndarray, F: np.ndarray,
                       Gamma: np.ndarray) -> np.ndarray:
-    """One-step predicted information [Gamma + F B^{-1} F^T]^{-1}, each
-    inverse jittered when singular."""
+    """One-step predicted information [Gamma + F B^{-1} F^T]^{-1} of each
+    information B of the stack prev_info (..., 4, 4), with process noise
+    Gamma (..., 4, 4); each inverse jittered when singular."""
     prev_inv, _ = inv_psd(prev_info)
     pred_cov = Gamma + F @ prev_inv @ F.T
     out, _ = inv_psd(pred_cov)
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))

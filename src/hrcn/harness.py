@@ -55,17 +55,17 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
     grid = scenario.grid
     F = transition_matrix(grid.interval_length)
     states = [t.initial_state for t in scenario.targets]
-    infos = [np.linalg.inv(np.diag(INIT_COV_DIAG))
-             for _ in scenario.targets]
-    gammas = [process_noise_cov(grid.interval_length, t.process_noise_intensity)
-              for t in scenario.targets]
+    infos = np.array([np.linalg.inv(np.diag(INIT_COV_DIAG))
+                      for _ in scenario.targets])
+    gammas = np.array([process_noise_cov(grid.interval_length,
+                                         t.process_noise_intensity)
+                       for t in scenario.targets])
     for k in range(grid.num_intervals):
         states = [F @ s for s in states]
         problem = IntervalProblem.build(
             scenario, schedule, k, layout,
             compute_kernels(scenario, schedule, k, states),
-            [prior_information(b, F, gamma)
-             for b, gamma in zip(infos, gammas)])
+            prior_information(infos, F, gammas))
         z = allocate(problem)
         if z is None:
             yield problem, None, None
@@ -196,12 +196,12 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
         allocations, g_values, traces = plan_allocations(
             scenario, schedule, policy, seed, bounds=bounds)
         scales = [info_scale(layout, z) for z in allocations]
+        run = run_tracking(scenario, schedule, scales,
+                           [[seed, t] for t in range(n_trials)])
         errors = np.zeros((n_trials, grid.num_intervals,
                            scenario.n_targets, 4))
-        for t in range(n_trials):
-            run = run_tracking(scenario, schedule, scales, seed=[seed, t])
-            for k in range(grid.num_intervals):
-                errors[t, k] = run.means[:, k] - run.truth[:, k + 1]
+        for k in range(grid.num_intervals):
+            errors[:, k] = run.means[:, :, k] - run.truth[:, :, k + 1]
         rmse_k = [rmse(errors[:, k], lam) for k in range(grid.num_intervals)]
         thr = [[throughput_r(j, allocations[k], scenario, layout,
                              schedule.counts[:, :, k])

@@ -237,18 +237,26 @@ def validate(scenario: Scenario) -> None:
         if r.kind is RadarKind.PAR:
             _require(r.time_budget is not None and r.time_budget > 0,
                      f"{where}: time_budget must be > 0")
+        for name in ("fixed_dwell", "fixed_power", "power_budget",
+                     "time_budget"):
+            value = getattr(r, name)
+            _require(value is None or np.isfinite(value),
+                     f"{where}: {name} must be finite")
 
     comm = scenario.comm
     n = scenario.n_radars
     _require(comm.num_links >= 1, "comm.num_links must be >= 1")
     _require(comm.noise_var > 0, "comm.noise_var must be > 0")
     _require(comm.power_budget > 0, "comm.power_budget must be > 0")
+    _require(np.isfinite(comm.power_budget), "comm.power_budget must be finite")
     floor_shapes = ((comm.num_links,), (comm.num_links, grid.num_intervals))
     _require(comm.throughput_floor.shape in floor_shapes,
              f"comm.throughput_floor must have shape {floor_shapes[0]} or "
              f"{floor_shapes[1]}, got {comm.throughput_floor.shape}")
     _require(np.all(comm.throughput_floor >= 0),
              "comm.throughput_floor must be >= 0")
+    _require(np.all(np.isfinite(comm.throughput_floor)),
+             "comm.throughput_floor must be finite")
     _require(comm.radar_to_comm_gain.shape == (comm.num_links, n),
              "comm.radar_to_comm_gain must be J x N")
     _require(comm.comm_to_radar_gain.shape == (n, comm.num_links),

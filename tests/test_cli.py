@@ -88,17 +88,30 @@ class TestUsage:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_import_loads_no_scipy_optimize(self):
-        # a fresh interpreter, so no other test's imports are counted
+    @staticmethod
+    def _fresh_modules(code: str, prefix: str) -> str:
+        """The modules under prefix that a fresh interpreter holds after
+        code, so no other test's imports are counted."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(hrcn.__file__))]
             + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("import sys, hrcn.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith("
-                "'scipy.optimize')))")
+        code += (f"; print(sorted(m for m in sys.modules "
+                 f"if m.startswith({prefix!r})))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_import_loads_no_scipy_optimize(self):
+        assert self._fresh_modules("import sys, hrcn.cli",
+                                   "scipy.optimize") == "[]"
+
+    def test_compare_loads_no_scipy(self, tmp_path):
+        # scipy is not a dependency: a whole run, tracking included, works
+        # on numpy alone
+        code = ("import sys, hrcn.cli; rc = hrcn.cli.main(['compare', "
+                f"'--trials', '1', '--out', {str(tmp_path)!r}]); "
+                "assert rc == 0")
+        assert self._fresh_modules(code, "scipy") == "[]"
 
 
 class TestSimulate:
@@ -171,7 +184,9 @@ class TestSweep:
     @pytest.mark.parametrize("param,value,message", [
         ("floor", "-1", "throughput_floor must be >= 0"),
         ("floor", "nan", "throughput_floor must be >= 0"),
-        ("comm-budget", "nan", "power_budget must be > 0")])
+        ("comm-budget", "nan", "power_budget must be > 0"),
+        ("floor", "inf", "throughput_floor must be finite"),
+        ("comm-budget", "inf", "power_budget must be finite")])
     def test_invalid_swept_scenario_exits_one(self, param, value, message,
                                               tmp_path, capsys):
         # each swept scenario is validated like a loaded file, before any

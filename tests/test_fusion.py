@@ -4,7 +4,7 @@ the one-step predicted information."""
 import numpy as np
 import pytest
 
-from hrcn import fusion
+from hrcn import _kernels, fusion
 from hrcn.fusion import (JITTER, DivergenceError, RankDeficiencyError,
                          StackedMeasurements, fim, ils_mle, inv_psd,
                          prior_information)
@@ -102,6 +102,50 @@ class TestIlsMle:
         assert np.all(np.abs(cm.estimate - state) <= 5.0 * sd)
 
 
+class TestBatchedGaussNewton:
+    def test_members_stop_as_they_would_alone(self):
+        # one batch on one row set: a member that converges at once, one so
+        # far away that its first normal matrix is rank-deficient, and one
+        # that is still moving at the iteration cap
+        noisy = make_stack(noise_rng=np.random.default_rng(5))
+        y = np.stack([make_stack().values, noisy.values, noisy.values])
+        s0 = np.stack([TRUE_STATE,
+                       TRUE_STATE + np.array([1e12, 0.0, 1e12, 0.0]),
+                       TRUE_STATE + np.array([3000.0, 50.0, -3000.0, -50.0])])
+        args = (noisy.times, noisy.radar_xy, 1.0 / noisy.cov_diag,
+                noisy.t_fuse)
+        states, steps, norms, status = _kernels.gauss_newton(
+            y, *args, s0, 1e-8, 4)
+        assert status.tolist() == [1, -1, 0]
+        assert type(steps) is int
+        alone_steps = 0
+        for i in range(3):
+            state, n, norm, st = _kernels.gauss_newton(y[i], *args, s0[i],
+                                                       1e-8, 4)
+            alone_steps += n
+            assert st.shape == () and int(st) == status[i]
+            assert states[i].tobytes() == state.tobytes()
+            assert norms[i].tobytes() == norm.tobytes()
+        assert steps == alone_steps == 5
+        assert states[1].tobytes() == s0[1].tobytes()  # no step taken
+
+    def test_failures_name_the_member(self):
+        noisy = make_stack(noise_rng=np.random.default_rng(5))
+        batch = StackedMeasurements(
+            values=np.stack([noisy.values] * 3), times=noisy.times,
+            radar_xy=noisy.radar_xy, cov_diag=noisy.cov_diag,
+            radar_ids=noisy.radar_ids, t_fuse=noisy.t_fuse)
+        init = np.stack([TRUE_STATE] * 3)
+        init[2, ::2] += 1e12
+        with pytest.raises(RankDeficiencyError,
+                           match="rank-deficient in batch member 2") as exc:
+            ils_mle(batch, init)
+        assert exc.value.member == 2
+        cm = ils_mle(batch, init[:2])
+        assert cm.estimate.shape == (2, 4) and cm.jittered == 0
+        assert cm.estimate[0].tobytes() == cm.estimate[1].tobytes()
+
+
 class TestFim:
     def test_matches_bruteforce(self):
         stack = make_stack()
@@ -179,3 +223,18 @@ class TestInvPsd:
             singular + 1e-6 * np.eye(4)).tobytes()
         # the identity the inverses solve against is never written
         assert inv_psd(np.eye(4), 0.0)[0].tobytes() == np.eye(4).tobytes()
+
+    def test_stack_jitters_only_its_singular_member(self):
+        rng = np.random.default_rng(7)
+        W = rng.normal(size=(3, 4, 4))
+        stack = W @ np.swapaxes(W, 1, 2) + 1e-3 * np.eye(4)
+        stack[1] = np.diag([1.0, 2.0, 0.0, 3.0])
+        inv, jittered = inv_psd(stack, 1e-6)
+        assert jittered == 1
+        for i in (0, 2):
+            assert inv[i].tobytes() == np.linalg.inv(stack[i]).tobytes()
+        assert inv[1].tobytes() == np.linalg.inv(
+            stack[1] + 1e-6 * np.eye(4)).tobytes()
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="Singular matrix in batch member 1"):
+            inv_psd(stack, 0.0)

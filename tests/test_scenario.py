@@ -246,6 +246,26 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="rcs"):
             load_scenario(_mutated_default(tmp_path, mutate))
 
+    @pytest.mark.parametrize("section,key,message", [
+        ("comm", "power_budget", "comm.power_budget must be finite"),
+        ("comm", "throughput_floor", "comm.throughput_floor must be finite"),
+        ("mmr", "power_budget", "power_budget must be finite"),
+        ("mmr", "fixed_dwell", "fixed_dwell must be finite"),
+        ("par", "time_budget", "time_budget must be finite"),
+        ("par", "fixed_power", "fixed_power must be finite")])
+    def test_infinite_budget_rejected(self, tmp_path, section, key, message):
+        # an infinite budget, dwell, power or floor would reach the solver
+        # as inf and NaN; the file is refused when it is loaded
+        def mutate(raw):
+            if section == "comm":
+                raw["comm"][key] = (float("inf") if key == "power_budget"
+                                    else [0.5, float("inf"), 0.5])
+            else:
+                sec = next(r for r in raw["radars"] if r["kind"] == section)
+                sec[key] = float("inf")
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
     @pytest.mark.parametrize("floor", [1.0, [1.0, 1.0], [[1.0, 1.0]] * 3],
                              ids=["scalar", "two-of-three-links",
                                   "three-by-two"])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hrcn.allocator import AllocationLayout, info_scale
-from hrcn.fusion import CompositeMeasurement, prior_information
+from hrcn import fusion
+from hrcn.fusion import CompositeMeasurement, FusionError, prior_information
 from hrcn.harness import plan_allocations
 from hrcn.kinematics import measure, process_noise_cov, transition_matrix
 from hrcn.sensing import const_kernel
@@ -123,8 +124,8 @@ class TestRunTracking:
         return _planned_scales(scenario, schedule, "uniform")
 
     def test_seed_determinism(self, scenario, schedule, uniform_scales):
-        a = run_tracking(scenario, schedule, uniform_scales, seed=[3, 1])
-        b = run_tracking(scenario, schedule, uniform_scales, seed=[3, 1])
+        a = run_tracking(scenario, schedule, uniform_scales, [[3, 1]])
+        b = run_tracking(scenario, schedule, uniform_scales, [[3, 1]])
         np.testing.assert_array_equal(a.truth, b.truth)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.covs, b.covs)
@@ -133,24 +134,42 @@ class TestRunTracking:
                                              uniform_scales):
         # common random numbers: truth does not depend on the allocation
         other = _planned_scales(scenario, schedule, "random", seed=6)
-        a = run_tracking(scenario, schedule, uniform_scales, seed=[4, 0])
-        b = run_tracking(scenario, schedule, other, seed=[4, 0])
+        a = run_tracking(scenario, schedule, uniform_scales, [[4, 0]])
+        b = run_tracking(scenario, schedule, other, [[4, 0]])
         np.testing.assert_array_equal(a.truth, b.truth)
 
+    def test_batch_equals_single_trials_bitwise(self, scenario, schedule,
+                                                uniform_scales):
+        # a trial's noise and arithmetic do not depend on its batch
+        batch = run_tracking(scenario, schedule, uniform_scales,
+                             [[7, t] for t in range(3)])
+        for t in range(3):
+            alone = run_tracking(scenario, schedule, uniform_scales, [[7, t]])
+            for name in ("truth", "means", "covs"):
+                assert (getattr(batch, name)[t].tobytes()
+                        == getattr(alone, name)[0].tobytes()), name
+
+    def test_failure_names_target_interval_and_trial(
+            self, scenario, schedule, uniform_scales, monkeypatch):
+        monkeypatch.setattr(fusion, "GN_MAX_ITER", 1)
+        with pytest.raises(FusionError,
+                           match="target 0 interval 0 trial 0: no convergence"):
+            run_tracking(scenario, schedule, uniform_scales, [[7, 0], [7, 1]])
+
     def test_shapes_and_metadata(self, scenario, schedule, uniform_scales):
-        run = run_tracking(scenario, schedule, uniform_scales, seed=0)
+        run = run_tracking(scenario, schedule, uniform_scales, [0, 1])
         q_n, k_n = scenario.n_targets, scenario.grid.num_intervals
-        assert run.truth.shape == (q_n, k_n + 1, 4)
-        assert run.means.shape == (q_n, k_n, 4)
-        assert run.covs.shape == (q_n, k_n, 4, 4)
+        assert run.truth.shape == (2, q_n, k_n + 1, 4)
+        assert run.means.shape == (2, q_n, k_n, 4)
+        assert run.covs.shape == (2, q_n, k_n, 4, 4)
 
     def test_error_shrinks_from_initialization(self, scenario, schedule,
                                                uniform_scales):
-        run = run_tracking(scenario, schedule, uniform_scales, seed=[5, 0])
+        run = run_tracking(scenario, schedule, uniform_scales, [[5, 0]])
         init_err = np.linalg.norm(INIT_MEAN_OFFSET[[0, 2]])
         for q in range(scenario.n_targets):
-            final_err = np.linalg.norm(run.means[q, -1, [0, 2]]
-                                       - run.truth[q, -1, [0, 2]])
+            final_err = np.linalg.norm(run.means[0, q, -1, [0, 2]]
+                                       - run.truth[0, q, -1, [0, 2]])
             assert final_err < init_err
 
 

@@ -7,7 +7,9 @@ Each tree runs the same ``hrcn`` commands in one process of its own, with
 its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
 
 * ``hrcn compare --trials 3 --seed 1`` on the packaged default scenario and
-  on ``large_net(0)``;
+  on ``large_net(0)``, and ``hrcn compare --trials 100 --seed 0`` on the
+  default scenario, a full-size Monte-Carlo batch;
+* ``hrcn simulate --seed 1``, a single tracking trial;
 * ``hrcn solve --interval k`` for every interval of every floor variant of
   the ``solve-sweep`` benchmark workload at seeds 0 and 3;
 * ``hrcn sweep --values 0.5 1.0 1.5``, and the same sweep of the
@@ -52,6 +54,9 @@ run("compare-default", ["compare", "--trials", "3", "--seed", "1",
 run("compare-large-net", ["compare", "--trials", "3", "--seed", "1",
                           "--scenario", "large_net.yaml",
                           "--out", "compare-large-net"])
+run("compare-100", ["compare", "--trials", "100", "--seed", "0",
+                    "--out", "compare-100"])
+run("simulate", ["simulate", "--seed", "1", "--out", "simulate"])
 base = load_scenario(default_scenario_path())
 schedule = build_schedule(base)
 for seed in SEEDS:
