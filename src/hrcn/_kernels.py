@@ -1,9 +1,10 @@
 """Hot numeric kernels: the Fisher information of stacked (range, bearing)
 rows and the Gauss-Newton refinement loop used by every fusion call.
 
-Both are plain numpy and take leading batch axes on the state: a batch of
-states shares one row set (times, radar positions and weights) and differs
-only in the state and, for Gauss-Newton, in the measured values.  A single
+Both are plain numpy and take leading batch axes on the state and on the
+weights: a batch of states shares one row set (times and radar positions)
+and differs in the state, in the weights, which broadcast against the
+states' batch axes, and, for Gauss-Newton, in the measured values.  A single
 state is simply a call with no batch axis.  One chained-Jacobian pass covers
 a whole row set, and the contiguous (..., 2M, 4) view J of its output gives
 each normal matrix J^T W J, and Gauss-Newton's J^T W r, as one stacked BLAS
@@ -48,11 +49,15 @@ def _chain_jacobian(state_fuse, dt_back, radar_xy):
 def _weighted_rows(state_fuse, dt_back, radar_xy, w):
     """The chained Jacobian pass as Gauss-Newton and the information sums
     read it: J (..., 2M, 4), the contiguous view of its rows, W J^T
-    (..., 4, 2M) with w (2M,) the inverse variances in J's row order, and
-    the ranges and bearings."""
+    (..., 4, 2M) with w (..., 2M) the inverse variances in J's row order,
+    and the ranges and bearings.
+
+    W J^T is the transpose of the contiguous product w J, so its memory
+    layout, and the BLAS call that multiplies it, do not depend on whether
+    w carries batch axes."""
     H, r, th = _chain_jacobian(state_fuse, dt_back, radar_xy)
     J = H.reshape(H.shape[:-3] + (-1, 4))
-    return J, w * np.swapaxes(J, -1, -2), r, th
+    return J, np.swapaxes(w[..., None] * J, -1, -2), r, th
 
 
 def fim_accumulate(state_fuse, t_fuse, times, radar_xy, winv, start):
@@ -61,12 +66,13 @@ def fim_accumulate(state_fuse, t_fuse, times, radar_xy, winv, start):
     measurements; an empty segment gives zero.
 
     times: (M,) measurement times; radar_xy: (M, 2) radar positions;
-    winv: (M, 2) inverse variances of (range, bearing); start: (S+1,)
-    nondecreasing row offsets from 0 to M.  H is the chained Jacobian with
-    respect to the fusion-time state.
+    winv: (..., M, 2) inverse variances of (range, bearing), whose batch
+    axes broadcast against the states'; start: (S+1,) nondecreasing row
+    offsets from 0 to M.  H is the chained Jacobian with respect to the
+    fusion-time state.
     """
     J, WJt, _, _ = _weighted_rows(state_fuse, t_fuse - times, radar_xy,
-                                  winv.reshape(-1))
+                                  winv.reshape(winv.shape[:-2] + (-1,)))
     edges = 2 * np.asarray(start)
     row = np.arange(J.shape[-2])
     member = (edges[:-1, None] <= row) & (row < edges[1:, None])  # (S, 2M)
@@ -106,8 +112,8 @@ def member_error(cls, message: str, member):
 def gauss_newton(y, times, radar_xy, winv, t_fuse, s0, tol, max_iter):
     """Weighted Gauss-Newton on stacked (range, bearing) measurements, for
     a batch of initial states s0 (..., 4) with their measured values
-    y (..., M, 2) on one row set: times (M,), radar_xy (M, 2) and inverse
-    variances winv (M, 2).
+    y (..., M, 2) and inverse variances winv (..., M, 2), whose batch axes
+    broadcast against s0's, on one row set: times (M,) and radar_xy (M, 2).
 
     Returns (states, steps, step_norms, status): the (..., 4) states, the
     Python int number of steps taken summed over the batch, each member's
@@ -122,16 +128,16 @@ def gauss_newton(y, times, radar_xy, winv, t_fuse, s0, tol, max_iter):
     batch = np.shape(s0)[:-1]
     m = len(times)
     dt_back = t_fuse - times
-    w = winv.reshape(-1)
     s = np.array(s0, dtype=float).reshape(-1, 4)
     y = np.asarray(y, dtype=float).reshape(-1, m, 2)
+    w = np.broadcast_to(winv, batch + (m, 2)).reshape(-1, 2 * m)
     n = s.shape[0]
     iters = np.zeros(n, dtype=int)
     step_norm = np.full(n, np.inf)
     status = np.zeros(n, dtype=int)
     live = np.arange(n)  # the members still moving
     for it in range(max_iter):
-        J, WJt, r, th = _weighted_rows(s[live], dt_back, radar_xy, w)
+        J, WJt, r, th = _weighted_rows(s[live], dt_back, radar_xy, w[live])
         res = np.empty((live.size, 2 * m))  # in the row order of J
         np.subtract(y[live, :, 0], r, out=res[:, 0::2])
         bearing_res = res[:, 1::2]

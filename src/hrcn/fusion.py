@@ -29,12 +29,14 @@ class StackedMeasurements:
     Rows are ordered radar by radar, then by measurement time, matching the
     stacked-likelihood convention.  values may carry leading batch axes: a
     batch of fixes of the same rows, such as one per Monte-Carlo trial.
+    cov_diag may carry batch axes too, which broadcast against those of
+    values: the same rows weighted per allocation plan.
     """
 
     values: np.ndarray     # (..., M, 2) range, bearing
     times: np.ndarray      # (M,)
     radar_xy: np.ndarray   # (M, 2)
-    cov_diag: np.ndarray   # (M, 2) diag of each measurement covariance
+    cov_diag: np.ndarray   # (..., M, 2) diag of each measurement covariance
     radar_ids: np.ndarray  # (M,) int
     t_fuse: float = 0.0
 

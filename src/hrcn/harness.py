@@ -7,7 +7,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional
 
@@ -17,7 +17,7 @@ from .allocator import (AllocationLayout, IntervalProblem, adam_solve,
                         baseline_random, baseline_uniform, bayesian_B,
                         compute_kernels, crb_metric, info_scale, lambda_diag,
                         root_bcrb, throughput_r)
-from .fusion import prior_information
+from .fusion import FusionError, prior_information
 from .kinematics import process_noise_cov, transition_matrix
 from .scenario import MeasurementSchedule, Scenario, build_schedule
 from .tracker import INIT_COV_DIAG, run_tracking
@@ -171,8 +171,10 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
                         seed: int = 0) -> ExperimentResult:
     """Full pipeline per policy with common random numbers across policies.
 
-    Every trial reuses the same noise streams regardless of policy, so RMSE
-    differences come from the allocations alone.
+    Every policy is planned, then all of them are tracked in one batched
+    run: every trial reuses the same noise streams regardless of policy, so
+    RMSE differences come from the allocations alone.  A tracking failure
+    is raised as the same exception class, naming the policy.
     """
     unknown = set(policies) - set(POLICIES)
     if unknown:
@@ -191,18 +193,25 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
         run_id=uuid.uuid5(uuid.NAMESPACE_OID, f"{digest}:{seed}:{n_trials}").hex,
         scenario_hash=digest, seed=seed, n_trials=n_trials, policies={})
 
+    plans = []
     for policy in policies:
         bounds: list = []
         allocations, g_values, traces = plan_allocations(
             scenario, schedule, policy, seed, bounds=bounds)
-        scales = [info_scale(layout, z) for z in allocations]
-        run = run_tracking(scenario, schedule, scales,
+        plans.append((allocations, g_values, traces, bounds))
+    try:
+        run = run_tracking(scenario, schedule,
+                           [[info_scale(layout, z) for z in allocations]
+                            for allocations, *_ in plans],
                            [[seed, t] for t in range(n_trials)])
-        errors = np.zeros((n_trials, grid.num_intervals,
-                           scenario.n_targets, 4))
-        for k in range(grid.num_intervals):
-            errors[:, k] = run.means[:, :, k] - run.truth[:, :, k + 1]
-        rmse_k = [rmse(errors[:, k], lam) for k in range(grid.num_intervals)]
+    except (FusionError, np.linalg.LinAlgError) as exc:
+        raise type(exc)(f"policy {policies[exc.plan]}: {exc}") from exc
+
+    for p, (policy, (allocations, g_values, traces, bounds)) in enumerate(
+            zip(policies, plans)):
+        errors = run.means[p] - run.truth[:, :, 1:]
+        rmse_k = [rmse(errors[:, :, k], lam)
+                  for k in range(grid.num_intervals)]
         thr = [[throughput_r(j, allocations[k], scenario, layout,
                              schedule.counts[:, :, k])
                 for j in range(scenario.comm.num_links)]
@@ -229,7 +238,8 @@ def save_result(result: ExperimentResult, outdir: str) -> tuple[str, str]:
     os.makedirs(outdir, exist_ok=True)
     manifest = os.path.join(outdir, "manifest.json")
     with open(manifest, "w") as fh:
-        json.dump(asdict(result), fh, indent=1, sort_keys=True)
+        # the result's dataclasses encode as their attribute dicts, in place
+        json.dump(result, fh, indent=1, sort_keys=True, default=vars)
     csv_path = os.path.join(outdir, "results.csv")
     n_links = max(len(p.throughput[0]) if p.throughput else 0
                   for p in result.policies.values())

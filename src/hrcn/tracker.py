@@ -59,32 +59,38 @@ def kf_update(predicted: TrackState, cm: CompositeMeasurement) -> TrackState:
 
 @dataclass
 class TrackingResult:
-    """A full K-interval run of T trials: per (trial, target, interval)
-    truth and filtered state."""
+    """A full K-interval run of T trials under P allocation plans: per
+    (trial, target, interval) the truth, which every plan shares, and per
+    plan the filtered state.  means and covs have no plan axis when the run
+    was given a single plan without one."""
 
     truth: np.ndarray      # (T, Q, K+1, 4) truth at fusion times t_1..t_{K+1}
-    means: np.ndarray      # (T, Q, K, 4) filtered means at t_2..t_{K+1}
-    covs: np.ndarray       # (T, Q, K, 4, 4)
+    means: np.ndarray      # ([P,] T, Q, K, 4) filtered means at t_2..t_{K+1}
+    covs: np.ndarray       # ([P,] T, Q, K, 4, 4)
 
 
 def _stack_interval(rows: IntervalRows, scale: np.ndarray,
                     truth_k: np.ndarray, t_k: float, t_fuse: float,
                     noise_draws: np.ndarray) -> StackedMeasurements:
     """Simulate and stack one target's measurements in one interval, for
-    one interval-start truth truth_k (4,) or a batch of them (..., 4).
+    one interval-start truth truth_k (4,) or a batch of them (..., 4), under
+    one allocation plan or a batch of plans.
 
-    rows are the interval's schedule rows and scale (N,) the info_scale of
-    every radar on this target: a row's covariance is its kernel over its
-    radar's scale.  noise_draws (..., rows, 2) are pre-drawn standard
-    normals, one pair per schedule row, so noise streams pair across
-    allocation policies; a radar with zero energy consumes its draws and
-    stacks no rows.
+    rows are the interval's schedule rows and scale (..., N) the info_scale
+    of every radar on this target under each plan: a row's covariance is its
+    kernel over its radar's scale.  Every plan must give the same radars
+    zero energy; the stack's batch axes are the plans' followed by the
+    truths'.  noise_draws (..., rows, 2) are pre-drawn standard normals, one
+    pair per schedule row and truth, so noise streams pair across allocation
+    plans; a radar with zero energy consumes its draws and stacks no rows.
     """
-    row_scale = scale[rows.radar]
-    keep = row_scale > 0
+    row_scale = scale[..., rows.radar]
+    keep = row_scale[(0,) * (row_scale.ndim - 1)] > 0
     times = rows.times[keep]
     radar_xy = rows.radar_xy[keep]
-    cov = rows.kernel[keep] / row_scale[keep, None]
+    cov = rows.kernel[keep] / row_scale[..., keep, None]
+    cov = cov.reshape(cov.shape[:-2] + (1,) * (truth_k.ndim - 1)
+                      + cov.shape[-2:])
     # constant-velocity motion from the interval start: x_k + (t - t_k) v_k
     truth_k = truth_k[..., None, :]
     drift = np.zeros_like(truth_k)
@@ -97,24 +103,44 @@ def _stack_interval(rows: IntervalRows, scale: np.ndarray,
         radar_ids=rows.radar[keep], t_fuse=t_fuse)
 
 
-def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
-                 scales: list[np.ndarray], seeds: list) -> TrackingResult:
-    """Closed-loop simulate-fuse-filter runs over all fusion intervals, one
-    trial per seed of seeds, batched over the trials.
+def _kept_row_groups(keep: np.ndarray) -> list[np.ndarray]:
+    """The plans, as index arrays, that keep the same rows: keep (P, M) is
+    each plan's mask of the rows it stacks.  Groups come in the order of
+    their first plan."""
+    groups: dict = {}
+    for p, mask in enumerate(keep):
+        groups.setdefault(mask.tobytes(), []).append(p)
+    return [np.array(plans) for plans in groups.values()]
 
-    scales[k] (N, Q) is the allocator's info_scale of interval k's
-    allocation: the weight of every radar's measurements on every target.
+
+def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
+                 scales, seeds: list) -> TrackingResult:
+    """Closed-loop simulate-fuse-filter runs over all fusion intervals, one
+    trial per seed of seeds, for one allocation plan or a batch of plans,
+    batched over the plans and the trials.
+
+    scales (K, N, Q), or (P, K, N, Q) for P plans, holds the allocator's
+    info_scale of every interval's allocation under each plan: the weight of
+    every radar's measurements on every target.  The result's means and
+    covs carry the plan axis in front when scales does.
 
     Deterministic under fixed seeds: each trial draws its process noise and
     its measurement noise from separate child streams of its seed, in a fixed
-    (interval, target) order, so the same seed pairs the noise across
-    different allocation sequences, and a trial's result does not depend on
-    the other trials of the batch.  Raises the failure of a fix or a Kalman
-    update as the same exception class, naming the target, the interval and
-    the trial.
+    (interval, target) order, so every plan of the batch sees the same truth
+    and the same noise, and a member's result does not depend on the other
+    plans and trials of the batch.  In each (interval, target), the plans
+    that keep the same rows (give the same radars zero energy) are fused in
+    one call, the rest in a call of their own.  Raises the failure of a fix
+    or a Kalman update as the same exception class, naming the target, the
+    interval and the trial, and the plan, also kept as the exception's plan
+    attribute, when scales has a plan axis.
     """
+    scales = np.asarray(scales, dtype=float)
+    plan_axis = scales.ndim == 4
+    scales = scales.reshape((-1,) + scales.shape[-3:])
     grid = scenario.grid
     q_n, k_n, t_n = scenario.n_targets, grid.num_intervals, len(seeds)
+    p_n = scales.shape[0]
     F = transition_matrix(grid.interval_length)
     # row offsets of each (interval, target) block in the measurement draws
     offsets = np.cumsum([0] + [len(schedule.rows[q][k].times)
@@ -128,15 +154,15 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
         meas_rng.standard_normal(out=meas_draws[t])
 
     truth = np.zeros((t_n, q_n, k_n + 1, 4))
-    means = np.zeros((t_n, q_n, k_n, 4))
-    covs = np.zeros((t_n, q_n, k_n, 4, 4))
+    means = np.zeros((p_n, t_n, q_n, k_n, 4))
+    covs = np.zeros((p_n, t_n, q_n, k_n, 4, 4))
 
     tracks, gammas, chols = [], [], []
     for q, tgt in enumerate(scenario.targets):
         truth[:, q, 0] = tgt.initial_state
         tracks.append(TrackState(
-            mean=np.tile(tgt.initial_state + INIT_MEAN_OFFSET, (t_n, 1)),
-            cov=np.tile(np.diag(INIT_COV_DIAG), (t_n, 1, 1))))
+            mean=np.tile(tgt.initial_state + INIT_MEAN_OFFSET, (p_n, t_n, 1)),
+            cov=np.tile(np.diag(INIT_COV_DIAG), (p_n, t_n, 1, 1))))
         gammas.append(process_noise_cov(grid.interval_length,
                                         tgt.process_noise_intensity))
         chols.append(np.linalg.cholesky(gammas[q])
@@ -149,18 +175,33 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
             noise = (np.zeros(4) if chols[q] is None
                      else (chols[q] @ proc_draws[:, k, q, :, None])[..., 0])
             truth[:, q, k + 1] = (F @ truth[:, q, k, :, None])[..., 0] + noise
-            predicted = kf_predict(tracks[q], grid.interval_length, gammas[q])
+            # every plan predicts; each group of plans then updates its part
+            track = kf_predict(tracks[q], grid.interval_length, gammas[q])
+            rows = schedule.rows[q][k]
             block = k * q_n + q
-            stack = _stack_interval(
-                schedule.rows[q][k], scales[k][:, q], truth[:, q, k], t_k,
-                t_fuse, meas_draws[:, offsets[block]:offsets[block + 1]])
-            try:
-                tracks[q] = kf_update(predicted, ils_mle(stack, predicted.mean))
-            except (FusionError, np.linalg.LinAlgError) as exc:
-                raise type(exc)(
-                    f"fusion failed for target {q} interval {k} trial "
-                    f"{exc.member}: {exc}") from exc
-            means[:, q, k] = tracks[q].mean
-            covs[:, q, k] = tracks[q].cov
+            draws = meas_draws[:, offsets[block]:offsets[block + 1]]
+            for plans in _kept_row_groups(scales[:, k, rows.radar, q] > 0):
+                prior = TrackState(mean=track.mean[plans],
+                                   cov=track.cov[plans])
+                stack = _stack_interval(rows, scales[plans, k, :, q],
+                                        truth[:, q, k], t_k, t_fuse, draws)
+                try:
+                    post = kf_update(prior, ils_mle(stack, prior.mean))
+                except (FusionError, np.linalg.LinAlgError) as exc:
+                    plan, trial = divmod(exc.member, t_n)
+                    plan = int(plans[plan]) if plan_axis else None
+                    failure = type(exc)(
+                        "fusion failed for "
+                        + ("" if plan is None else f"plan {plan} ")
+                        + f"target {q} interval {k} trial {trial}: {exc}")
+                    failure.plan = plan
+                    raise failure from exc
+                track.mean[plans] = post.mean
+                track.cov[plans] = post.cov
+            tracks[q] = track
+            means[:, :, q, k] = track.mean
+            covs[:, :, q, k] = track.cov
 
+    if not plan_axis:
+        means, covs = means[0], covs[0]
     return TrackingResult(truth=truth, means=means, covs=covs)

@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from hrcn import harness
+from hrcn import fusion, harness
 from hrcn.allocator import (AllocationLayout, IntervalProblem,
                             baseline_uniform, compute_kernels, info_scale,
                             lambda_diag)
-from hrcn.fusion import fim
+from hrcn.fusion import FusionError, fim
 from hrcn.harness import (compare_allocations, plan_allocations,
                           planning_chain, rmse, save_result,
                           scenario_fingerprint)
@@ -177,6 +177,30 @@ class TestCompareAllocations:
         # and then overwritten
         with pytest.raises(ValueError, match="repeated policies"):
             compare_allocations(scenario, ["uniform", "uniform"], n_trials=1)
+
+    def test_tracks_every_policy_in_one_run(self, scenario, monkeypatch):
+        # a reordered subset gives each policy the result it has alone
+        runs, run_tracking = [], harness.run_tracking
+
+        def counted(*args):
+            runs.append(args)
+            return run_tracking(*args)
+
+        monkeypatch.setattr(harness, "run_tracking", counted)
+        both = compare_allocations(scenario, ["random", "optimized"],
+                                   n_trials=2, seed=1)
+        assert len(runs) == 1
+        for policy in ("optimized", "random"):
+            alone = compare_allocations(scenario, [policy], n_trials=2,
+                                        seed=1).policies[policy]
+            assert both.policies[policy] == alone
+
+    def test_failure_names_the_policy(self, scenario, monkeypatch):
+        monkeypatch.setattr(fusion, "GN_MAX_ITER", 1)
+        with pytest.raises(FusionError, match="policy random: fusion failed "
+                           "for plan 0 target 0 interval 0 trial 0"):
+            compare_allocations(scenario, ["random", "optimized"],
+                                n_trials=2, seed=1)
 
     def test_fingerprints_the_scenario_once(self, scenario, monkeypatch):
         calls = []

@@ -1,18 +1,29 @@
 """Kalman filtering over fusion intervals and the closed-loop tracking run."""
 
+import dataclasses
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from hrcn.allocator import AllocationLayout, info_scale
 from hrcn import fusion
-from hrcn.fusion import CompositeMeasurement, FusionError, prior_information
-from hrcn.harness import plan_allocations
+from hrcn.fusion import (CompositeMeasurement, FusionError,
+                         RankDeficiencyError, prior_information)
+from hrcn.harness import POLICIES, plan_allocations
 from hrcn.kinematics import measure, process_noise_cov, transition_matrix
+from hrcn.scenario import RadarKind, build_schedule, validate
 from hrcn.sensing import const_kernel
-from hrcn.tracker import (INIT_MEAN_OFFSET, TrackState, _stack_interval,
-                          kf_predict, kf_update, run_tracking)
+from hrcn.tracker import (INIT_MEAN_OFFSET, TrackState, _kept_row_groups,
+                          _stack_interval, kf_predict, kf_update,
+                          run_tracking)
 
-from conftest import radar_times
+from conftest import kind_indices, radar_times
+
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+from scenarios import large_net  # noqa: E402
 
 
 def _cm(estimate, cov):
@@ -156,12 +167,77 @@ class TestRunTracking:
                            match="target 0 interval 0 trial 0: no convergence"):
             run_tracking(scenario, schedule, uniform_scales, [[7, 0], [7, 1]])
 
+    @pytest.mark.parametrize("net", ["default", "large_net"])
+    def test_plan_batch_equals_single_plans_bitwise(self, scenario, schedule,
+                                                    net):
+        # a plan's noise and arithmetic do not depend on the other plans,
+        # whether they share its fusion call or not
+        if net == "large_net":
+            scenario = large_net(0)
+            schedule = build_schedule(scenario)
+        plans = [_planned_scales(scenario, schedule, policy, seed=1)
+                 for policy in POLICIES]
+        seeds = [[1, t] for t in range(3)]
+        groups = [_kept_row_groups(
+            np.array(plans)[:, k, schedule.rows[q][k].radar, q] > 0)
+            for k in range(scenario.grid.num_intervals)
+            for q in range(scenario.n_targets)]
+        assert any(len(g) > 1 for g in groups)           # a dropped-rows call
+        assert any(len(p) > 1 for g in groups for p in g)  # a shared call
+        batch = run_tracking(scenario, schedule, plans, seeds)
+        for p, scales in enumerate(plans):
+            alone = run_tracking(scenario, schedule, scales, seeds)
+            assert batch.truth.tobytes() == alone.truth.tobytes()
+            for name in ("means", "covs"):
+                assert (getattr(batch, name)[p].tobytes()
+                        == getattr(alone, name).tobytes()), (p, name)
+
+    @pytest.mark.parametrize("max_iter, factor, where", [
+        (1, 1.0, "plan 0 target 0 interval 0 trial 0"),
+        # the noisier plan 1 is the first to need 7 steps, in a fusion call
+        # it shares with plan 0
+        (7, 1e-2, "plan 1 target 0 interval 1 trial 1")])
+    def test_failure_names_plan_target_interval_and_trial(
+            self, scenario, schedule, uniform_scales, monkeypatch, max_iter,
+            factor, where):
+        monkeypatch.setattr(fusion, "GN_MAX_ITER", max_iter)
+        scales = np.array(uniform_scales)
+        with pytest.raises(FusionError, match=f"fusion failed for {where}: "
+                           "no convergence") as info:
+            run_tracking(scenario, schedule, [scales, factor * scales],
+                         [[7, 0], [7, 1]])
+        assert info.value.plan == int(where.split()[1])
+
+    def test_lone_radar_plan_raises_rank_deficiency_naming_it(self, scenario):
+        # with the MSR looking at each target once an interval, a plan that
+        # leaves it alone on target 1 stacks a single row there
+        msr = kind_indices(scenario, RadarKind.MSR)[0]
+        radars = list(scenario.radars)
+        radars[msr] = dataclasses.replace(
+            radars[msr], revisit_interval=np.full(
+                scenario.n_targets, scenario.grid.interval_length))
+        sc = dataclasses.replace(scenario, radars=radars)
+        validate(sc)
+        sch = build_schedule(sc)
+        assert np.all(sch.counts[msr] == 1)
+        uniform = np.array(_planned_scales(sc, sch, "uniform"))
+        lone = np.zeros_like(uniform)
+        lone[:, :, 0] = uniform[:, :, 0]
+        lone[:, msr, 1] = uniform[:, msr, 1]
+        with pytest.raises(RankDeficiencyError, match="plan 1 target 1 "
+                           "interval 0 trial 0: 2 equations") as info:
+            run_tracking(sc, sch, [uniform, lone], [[7, 0], [7, 1]])
+        assert info.value.plan == 1
+
     def test_shapes_and_metadata(self, scenario, schedule, uniform_scales):
-        run = run_tracking(scenario, schedule, uniform_scales, [0, 1])
+        # one plan without the plan axis, then batches of one and two plans
         q_n, k_n = scenario.n_targets, scenario.grid.num_intervals
-        assert run.truth.shape == (2, q_n, k_n + 1, 4)
-        assert run.means.shape == (2, q_n, k_n, 4)
-        assert run.covs.shape == (2, q_n, k_n, 4, 4)
+        for scales, lead in ((uniform_scales, ()), ([uniform_scales], (1,)),
+                             ([uniform_scales] * 2, (2,))):
+            run = run_tracking(scenario, schedule, scales, [0, 1])
+            assert run.truth.shape == (2, q_n, k_n + 1, 4)
+            assert run.means.shape == lead + (2, q_n, k_n, 4)
+            assert run.covs.shape == lead + (2, q_n, k_n, 4, 4)
 
     def test_error_shrinks_from_initialization(self, scenario, schedule,
                                                uniform_scales):

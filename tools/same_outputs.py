@@ -9,6 +9,9 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
 * ``hrcn compare --trials 3 --seed 1`` on the packaged default scenario and
   on ``large_net(0)``, and ``hrcn compare --trials 100 --seed 0`` on the
   default scenario, a full-size Monte-Carlo batch;
+* ``hrcn compare --trials 3 --seed 1`` on the default scenario with
+  ``--policies random optimized``, a reordered subset of the policies
+  tracked together, and with ``--policies uniform``, a batch of one plan;
 * ``hrcn simulate --seed 1``, a single tracking trial;
 * ``hrcn solve --interval k`` for every interval of every floor variant of
   the ``solve-sweep`` benchmark workload at seeds 0 and 3;
@@ -56,6 +59,10 @@ run("compare-large-net", ["compare", "--trials", "3", "--seed", "1",
                           "--out", "compare-large-net"])
 run("compare-100", ["compare", "--trials", "100", "--seed", "0",
                     "--out", "compare-100"])
+for name, policies in (("compare-subset", ["random", "optimized"]),
+                       ("compare-uniform", ["uniform"])):
+    run(name, ["compare", "--trials", "3", "--seed", "1",
+               "--policies", *policies, "--out", name])
 run("simulate", ["simulate", "--seed", "1", "--out", "simulate"])
 base = load_scenario(default_scenario_path())
 schedule = build_schedule(base)
