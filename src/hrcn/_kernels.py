@@ -2,13 +2,14 @@
 rows and the Gauss-Newton refinement loop used by every fusion call.
 
 Both are plain numpy and take leading batch axes on the state and on the
-weights: a batch of states shares one row set (times and radar positions)
-and differs in the state, in the weights, which broadcast against the
-states' batch axes, and, for Gauss-Newton, in the measured values.  A single
-state is simply a call with no batch axis.  One chained-Jacobian pass covers
-a whole row set, and the contiguous (..., 2M, 4) view J of its output gives
-each normal matrix J^T W J, and Gauss-Newton's J^T W r, as one stacked BLAS
-matrix product.  fim_accumulate returns one 4x4 per segment of rows: one per
+weights: a batch of states shares one row set (times and radar positions),
+or for the information sums stacks row sets of one length, and differs in
+the state, in the weights, which broadcast against the states' batch axes,
+and, for Gauss-Newton, in the measured values.  A single state is simply a
+call with no batch axis.  One chained-Jacobian pass covers a whole row set,
+and the contiguous (..., 2M, 4) view J of its output gives each normal
+matrix J^T W J, and Gauss-Newton's J^T W r, as one stacked BLAS matrix
+product.  fim_accumulate returns one 4x4 per segment of rows: one per
 radar for the planning kernels, a single segment for a fusion fix.
 Gauss-Newton solves with np.linalg.solve and checks the rank of its first
 normal matrix, which is the Fisher information at the initial state.
@@ -26,15 +27,15 @@ USING_NUMBA = False
 
 def _chain_jacobian(state_fuse, dt_back, radar_xy):
     """(..., M, 2, 4) Jacobians of the (range, bearing) measurements taken
-    dt_back (M,) seconds before the fusion time, with respect to the
-    fusion-time states (..., 4), plus the (..., M) ranges and four-quadrant
-    bearings.
+    dt_back (..., M) seconds before the fusion time by radars at radar_xy
+    (..., M, 2), with respect to the fusion-time states (..., 4), plus the
+    (..., M) ranges and four-quadrant bearings.  The batch axes broadcast.
 
     The state is propagated backward by dt_back before measuring, so the
     position partials pick up a -dt_back coupling into the velocity columns.
     """
     state = state_fuse[..., None, :]
-    rel = state[..., 0::2] - dt_back[:, None] * state[..., 1::2] - radar_xy
+    rel = state[..., 0::2] - dt_back[..., None] * state[..., 1::2] - radar_xy
     dx, dy = rel[..., 0], rel[..., 1]
     r2 = dx * dx + dy * dy
     r = np.sqrt(r2)
@@ -42,7 +43,7 @@ def _chain_jacobian(state_fuse, dt_back, radar_xy):
     np.divide(rel, r[..., None], out=H[..., 0, 0::2])      # dx/r, dy/r
     np.divide(rel[..., ::-1], r2[..., None], out=H[..., 1, 0::2])
     H[..., 1, 0] *= -1.0                                   # -dy/r2, dx/r2
-    np.multiply(H[..., 0::2], -dt_back[:, None, None], out=H[..., 1::2])
+    np.multiply(H[..., 0::2], -dt_back[..., None, None], out=H[..., 1::2])
     return H, r, np.arctan2(dy, dx)
 
 
@@ -66,17 +67,17 @@ def fim_accumulate(state_fuse, t_fuse, times, radar_xy, winv, start):
     measurements; an empty segment gives zero.
 
     times: (M,) measurement times; radar_xy: (M, 2) radar positions;
-    winv: (..., M, 2) inverse variances of (range, bearing), whose batch
-    axes broadcast against the states'; start: (S+1,) nondecreasing row
-    offsets from 0 to M.  H is the chained Jacobian with respect to the
-    fusion-time state.
+    winv: (M, 2) inverse variances of (range, bearing); start: (S+1,)
+    nondecreasing row offsets from 0 to M.  These and t_fuse may carry batch
+    axes, which broadcast against the states': a row set of length M per
+    member.  H is the chained Jacobian with respect to the fusion-time state.
     """
     J, WJt, _, _ = _weighted_rows(state_fuse, t_fuse - times, radar_xy,
                                   winv.reshape(winv.shape[:-2] + (-1,)))
     edges = 2 * np.asarray(start)
     row = np.arange(J.shape[-2])
-    member = (edges[:-1, None] <= row) & (row < edges[1:, None])  # (S, 2M)
-    return (member[:, None, :] * WJt[..., None, :, :]) @ J[..., None, :, :]
+    member = (edges[..., :-1, None] <= row) & (row < edges[..., 1:, None])
+    return (member[..., None, :] * WJt[..., None, :, :]) @ J[..., None, :, :]
 
 
 def singular_members(mats):
@@ -102,10 +103,10 @@ def first_member(mask):
 
 def member_error(cls, message: str, member):
     """cls(message) about batch member `member` (see first_member): named
-    in the message and kept as the exception's member attribute."""
+    in the message, kept as the exception's member and message as reason."""
     exc = cls(message if member is None
               else f"{message} in batch member {member}")
-    exc.member = member
+    exc.member, exc.reason = member, message
     return exc
 
 

@@ -8,13 +8,13 @@ on the resulting sum of linear-fractional functions.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .fusion import inv_psd
-from .scenario import MeasurementSchedule, RadarKind, Scenario
+from .scenario import IntervalRows, MeasurementSchedule, RadarKind, Scenario
 from .sensing import info_kernel_D
 
 
@@ -116,12 +116,24 @@ def info_scale(layout: AllocationLayout, z: np.ndarray) -> np.ndarray:
 
 
 def compute_kernels(scenario: Scenario, schedule: MeasurementSchedule,
-                    k: int, predicted_states: list[np.ndarray]) -> np.ndarray:
-    """(Q, N, 4, 4) information kernels D for interval k: each target's
-    schedule rows evaluated at its predicted prior state."""
-    _, t_fuse = scenario.grid.boundary(k)
-    return np.array([info_kernel_D(schedule.rows[q][k], t_fuse, s)
-                     for q, s in enumerate(predicted_states)])
+                    predicted_states: np.ndarray) -> np.ndarray:
+    """(K', Q, N, 4, 4) information kernels D of the intervals 0..K'-1: each
+    target's schedule rows evaluated at its predicted prior state, from
+    predicted_states (K', Q, 4).  The row sets of one length share one
+    info_kernel_D call, with no padding rows, so each keeps the bits of a
+    call of its own whatever order BLAS sums in."""
+    k_n, q_n = np.shape(predicted_states)[:2]
+    states = np.reshape(predicted_states, (-1, 4))
+    t_fuse = np.repeat([scenario.grid.boundary(k)[1] for k in range(k_n)], q_n)
+    sets = [schedule.rows[q][k] for k in range(k_n) for q in range(q_n)]
+    lengths = [len(rows.times) for rows in sets]
+    kernels = np.empty((len(sets), scenario.n_radars, 4, 4))
+    for m in set(lengths):
+        at = [b for b, length in enumerate(lengths) if length == m]
+        rows = IntervalRows(*(np.array([getattr(sets[b], f.name) for b in at])
+                              for f in fields(IntervalRows)))
+        kernels[at] = info_kernel_D(rows, t_fuse[at, None], states[at])
+    return kernels.reshape(k_n, q_n, -1, 4, 4)
 
 
 def bayesian_B(z: np.ndarray, problem: "IntervalProblem") -> np.ndarray:
@@ -173,69 +185,64 @@ def throughput_r(j: int, z: np.ndarray, scenario: Scenario,
 
 
 def _constraint_rows(scenario: Scenario, layout: AllocationLayout,
-                     counts: np.ndarray, k: int
-                     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Linear inequality system A z <= b for interval k, whose measurement
-    counts are counts (N, Q).
+                     counts: np.ndarray, ks
+                     ) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+    """Linear inequality systems A z <= b, (K', R, dim) and (K', R), of the
+    intervals ks (K',) with measurement counts (K', N, Q), their row labels
+    and preconditioners (K', dim), each coordinate's even budget share.
 
     Rows: one linearized throughput floor per link, one power budget per MMR,
-    one dwell budget per PAR, one base-station power budget.  Raises
-    InfeasibleError when a throughput row is violated even with zero
-    optimized radar resources and the full base-station budget on that link.
+    one dwell budget per PAR, one base-station power budget.
     """
     t0 = scenario.grid.interval_length
     comm = scenario.comm
-    links = np.arange(comm.num_links)
+    n_links, n_r = comm.num_links, layout.n_radar_vars
+    links = np.arange(n_links)
     opt = layout.var >= 0
+    cols = layout.var[opt]                  # every optimized (radar, target)
+    radars = list(layout.mmr + layout.par)  # in the order of their blocks
+    alpha = comm.alpha_r_sq
+    floors = comm.throughput_floor
+    gain = np.expm1(floors.T[ks] if floors.ndim == 2 else floors[None])
+    A = np.zeros((len(ks), n_links + len(radars) + 1, layout.dim))
+    b = np.empty(A.shape[:2])
 
     # expm1(eps_j) * (radar interference + sigma_c^2 T0) <= P_c^j T0, with
     # the interference split into optimized and fixed (MSR) energies
-    gain = np.array([np.expm1(comm.floor(j, k)) for j in links])
-    coef = (gain[:, None, None] * counts * comm.alpha_r_sq[:, :, None]
+    coef = (gain[:, :, None, None] * counts[:, None] * alpha[:, :, None]
             * layout.factor[:, None])
-    thr = np.zeros((comm.num_links, layout.dim))
-    thr[:, layout.var[opt]] = coef[:, opt]
-    thr[links, layout.n_radar_vars + links] = -t0
-    fixed = np.einsum("iq,ji,i->j", counts, comm.alpha_r_sq, layout.fixed_energy)
-    bound = -gain * (fixed + comm.noise_var * t0)
-    unreachable = np.flatnonzero(bound < -t0 * comm.power_budget)
-    if unreachable.size:
-        j = unreachable[0]
-        raise InfeasibleError(
-            f"throughput floor of link {j} unreachable: fixed interference "
-            f"alone requires more than the base-station budget "
-            f"(row 'throughput[{j}]')")
-    rows, rhs = list(thr), list(bound)
-    labels = [f"throughput[{j}]" for j in links]
-
-    for i in layout.mmr + layout.par:
-        a = np.zeros(layout.dim)
-        a[layout.var[i]] = counts[i]
-        rows.append(a)
-        rhs.append(layout.budget[i])
-        labels.append(f"{'power' if i in layout.mmr else 'time'}_budget[{i}]")
-
-    a = np.zeros(layout.dim)
-    a[layout.n_radar_vars:] = 1.0
-    rows.append(a)
-    rhs.append(comm.power_budget)
-    labels.append("bs_power_budget")
-
-    return np.array(rows), np.array(rhs), labels
+    A[:, :n_links, cols] = coef[:, :, opt]
+    A[:, links, n_r + links] = -t0
+    fixed = np.einsum("kiq,ji,i->kj", counts, alpha, layout.fixed_energy)
+    b[:, :n_links] = -gain * (fixed + comm.noise_var * t0)
+    # each radar's budget row weighs its block of z by the counts
+    A[:, n_links + cols // layout.n_targets, cols] = counts[:, opt]
+    b[:, n_links:-1] = layout.budget[radars]
+    A[:, -1, n_r:] = 1.0
+    b[:, -1] = comm.power_budget
+    labels = ([f"throughput[{j}]" for j in links]
+              + [f"{'power' if i in layout.mmr else 'time'}_budget[{i}]"
+                 for i in radars] + ["bs_power_budget"])
+    precond = np.empty((len(ks), layout.dim))
+    precond[:, cols] = (layout.budget / np.maximum(1, counts.sum(axis=-1))
+                        )[:, np.nonzero(opt)[0]]
+    precond[:, n_r:] = comm.power_budget / n_links
+    return A, b, labels, precond
 
 
 def assemble_constraints(scenario: Scenario, schedule: MeasurementSchedule,
                          k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The constraint rows (A, b, labels) of interval k that
     IntervalProblem.build assembles, for a caller that holds no problem."""
-    return _constraint_rows(scenario, AllocationLayout.from_scenario(scenario),
-                            schedule.counts[:, :, k], k)
+    p = IntervalProblem.build(scenario, schedule, k,
+                              AllocationLayout.from_scenario(scenario), (), ())
+    return p.A, p.b, p.labels
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalProblem:
-    """The allocation problem of fusion interval k, built once (see build)
-    and read by the solver, the baselines and the metric g."""
+    """The allocation problem of fusion interval k, built once (see build
+    and horizon) and read by the solver, the baselines and the metric g."""
 
     layout: AllocationLayout
     k: int
@@ -248,22 +255,39 @@ class IntervalProblem:
     kernels: np.ndarray      # (Q, N, 4, 4) at the predicted target states
     prior_infos: np.ndarray  # (Q, 4, 4) predicted prior informations
 
+    def __post_init__(self):
+        # a floor that all of the base-station budget b[-1] cannot meet
+        j = np.flatnonzero(self.b[:self.layout.n_links] < -self.t0 * self.b[-1])
+        if j.size:
+            raise InfeasibleError(
+                f"throughput floor of link {j[0]} unreachable: fixed "
+                f"interference alone requires more than the base-station "
+                f"budget (row 'throughput[{j[0]}]')")
+
+    @classmethod
+    def horizon(cls, scenario: Scenario, schedule: MeasurementSchedule,
+                layout: AllocationLayout, ks, kernels):
+        """problem(i, prior_infos): the problem of interval ks[i] of ks (K',),
+        with kernels[i] of kernels (K', Q, N, 4, 4); the rows and
+        preconditioners of every interval are assembled in one pass."""
+        counts = schedule.counts[:, :, ks].transpose(2, 0, 1)
+        A, b, labels, precond = _constraint_rows(scenario, layout, counts, ks)
+
+        def problem(i, prior_infos):
+            return cls(layout=layout, k=int(ks[i]),
+                       t0=scenario.grid.interval_length, counts=counts[i],
+                       A=A[i], b=b[i], labels=labels, precond=precond[i],
+                       kernels=np.asarray(kernels[i]),
+                       prior_infos=np.asarray(prior_infos))
+        return problem
+
     @classmethod
     def build(cls, scenario: Scenario, schedule: MeasurementSchedule, k: int,
               layout: AllocationLayout, kernels, prior_infos
               ) -> "IntervalProblem":
-        """Raises InfeasibleError as _constraint_rows does."""
-        counts = schedule.counts[:, :, k]
-        A, b, labels = _constraint_rows(scenario, layout, counts, k)
-        comm = scenario.comm
-        precond = np.ones(layout.dim)
-        for i in layout.mmr + layout.par:
-            precond[layout.var[i]] = layout.budget[i] / max(1, counts[i].sum())
-        precond[layout.n_radar_vars:] = comm.power_budget / comm.num_links
-        return cls(layout=layout, k=k, t0=scenario.grid.interval_length,
-                   counts=counts, A=A, b=b, labels=labels, precond=precond,
-                   kernels=np.asarray(kernels),
-                   prior_infos=np.asarray(prior_infos))
+        """Interval k's problem: the one-interval case of horizon."""
+        return cls.horizon(scenario, schedule, layout, [k], [kernels])(
+            0, prior_infos)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ def _interval_problem(scenario, schedule, k):
         raise ValueError(f"interval {k} is outside the "
                          f"{scenario.grid.num_intervals}-interval fusion grid")
 
-    def uniform_before_k(problem):
+    def uniform(problem):
         return baseline_uniform(problem) if problem.k < k else None
 
-    *_, (problem, _, _) = planning_chain(scenario, schedule, uniform_before_k)
+    *_, (problem, _, _) = planning_chain(scenario, schedule, uniform, last=k)
     return problem
 
 

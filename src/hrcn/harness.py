@@ -40,32 +40,34 @@ def rmse(errors: np.ndarray, lam: np.ndarray) -> float:
 
 
 def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
-                   allocate):
-    """The planning recursion over the fusion grid.
+                   allocate, last: Optional[int] = None):
+    """The planning recursion over the fusion grid, through interval last.
 
-    For each interval k, every target's prior is predicted along the
-    noise-free truth trajectory, and the interval's IntervalProblem is built
-    with the information kernels at the predicted states, on one layout of
-    the scenario.  The interval is allocated with z = allocate(problem), and
-    the Bayesian information B(z) seeds the next interval's priors.  Yields
-    (problem, z, b_mats) per interval.  When allocate returns None the chain
-    ends with (problem, None, None).
+    Every target's prior is predicted along the noise-free truth trajectory,
+    and the kernels at the predicted states and the constraint rows of the
+    intervals through last (by default all) are built in one pass, on one
+    layout of the scenario.  Each interval k is then allocated with
+    z = allocate(problem), and the Bayesian information B(z) seeds the next
+    interval's priors.  Yields (problem, z, b_mats) per interval.  When
+    allocate returns None the chain ends with (problem, None, None).
     """
     layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
+    n = grid.num_intervals if last is None else last + 1
     F = transition_matrix(grid.interval_length)
-    states = [t.initial_state for t in scenario.targets]
+    states = [np.array([t.initial_state for t in scenario.targets])]
+    for _ in range(n):
+        states.append((F @ states[-1][..., None])[..., 0])
+    problems = IntervalProblem.horizon(
+        scenario, schedule, layout, np.arange(n),
+        compute_kernels(scenario, schedule, states[1:]))
     infos = np.array([np.linalg.inv(np.diag(INIT_COV_DIAG))
                       for _ in scenario.targets])
     gammas = np.array([process_noise_cov(grid.interval_length,
                                          t.process_noise_intensity)
                        for t in scenario.targets])
-    for k in range(grid.num_intervals):
-        states = [F @ s for s in states]
-        problem = IntervalProblem.build(
-            scenario, schedule, k, layout,
-            compute_kernels(scenario, schedule, k, states),
-            prior_information(infos, F, gammas))
+    for k in range(n):
+        problem = problems(k, prior_information(infos, F, gammas))
         z = allocate(problem)
         if z is None:
             yield problem, None, None

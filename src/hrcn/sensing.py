@@ -20,16 +20,17 @@ def const_kernel(radar: "RadarNode", rcs: float) -> np.ndarray:
                      rcs * radar.beamwidth ** 2 * radar.bearing_const])
 
 
-def info_kernel_D(rows: "IntervalRows", t_fuse: float,
+def info_kernel_D(rows: "IntervalRows", t_fuse,
                   prior_state: np.ndarray) -> np.ndarray:
-    """(N, 4, 4) resource-independent information kernels of one target's
-    interval rows: per radar, the sum over its scheduled measurements of
-    H^T C^{-1} H with C the row's constant kernel.
+    """(..., N, 4, 4) resource-independent information kernels of a
+    target's interval rows: per radar, the sum over its scheduled
+    measurements of H^T C^{-1} H with C the row's constant kernel.
 
     H is the Jacobian with respect to the fusion-time state, evaluated at the
     predicted prior back-propagated to each measurement time.  A radar with
-    no rows gets the zero matrix.
+    no rows gets the zero matrix.  Row sets of one length stack, with the
+    fusion times and prior states (..., 4), as fim_accumulate's batch axes.
     """
     return _kernels.fim_accumulate(np.asarray(prior_state, dtype=float),
-                                   float(t_fuse), rows.times, rows.radar_xy,
+                                   t_fuse, rows.times, rows.radar_xy,
                                    1.0 / rows.kernel, rows.start)

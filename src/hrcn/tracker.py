@@ -193,7 +193,8 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
                     failure = type(exc)(
                         "fusion failed for "
                         + ("" if plan is None else f"plan {plan} ")
-                        + f"target {q} interval {k} trial {trial}: {exc}")
+                        + f"target {q} interval {k} trial {trial}: "
+                        + exc.reason)
                     failure.plan = plan
                     raise failure from exc
                 track.mean[plans] = post.mean

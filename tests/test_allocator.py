@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hrcn import allocator, harness
+from hrcn import _kernels, allocator, harness
 from hrcn.allocator import (AllocationLayout, InfeasibleError,
                             IntervalProblem, adam_solve, assemble_constraints,
                             assemble_fractional, baseline_random,
@@ -57,7 +57,7 @@ def problem(scenario, schedule, layout):
                                                  tgt.process_noise_intensity))
              for tgt in scenario.targets]
     return IntervalProblem.build(scenario, schedule, 0, layout,
-                                 compute_kernels(scenario, schedule, 0, states),
+                                 compute_kernels(scenario, schedule, [states])[0],
                                  infos)
 
 
@@ -66,7 +66,7 @@ def mini_problem(sc, sch, kernels=None, infos=None):
     prior informations, by default the kernels at the initial state and a
     loose prior."""
     if kernels is None:
-        kernels = compute_kernels(sc, sch, 0, [sc.targets[0].initial_state])
+        kernels = compute_kernels(sc, sch, [[sc.targets[0].initial_state]])[0]
     if infos is None:
         infos = [np.eye(4) * 1e-4]
     return IntervalProblem.build(sc, sch, 0, AllocationLayout.from_scenario(sc),
@@ -384,6 +384,159 @@ class TestAssembleConstraints:
             assert labels == prob.labels
             ks.append(prob.k)
         assert ks == list(range(scenario.grid.num_intervals))
+
+
+def chain_states(scenario) -> np.ndarray:
+    """(K, Q, 4) predicted target states of the planning chain: the initial
+    states carried forward one interval at a time."""
+    F = transition_matrix(scenario.grid.interval_length)
+    states = [np.array([t.initial_state for t in scenario.targets])]
+    for _ in range(scenario.grid.num_intervals):
+        states.append(np.array([F @ s for s in states[-1]]))
+    return np.array(states[1:])
+
+
+def kernel_oracle(scenario, schedule, states) -> np.ndarray:
+    """(K', Q, N, 4, 4) kernels from one fim_accumulate call per (interval,
+    target) at the states (K', Q, 4), each on its own unstacked rows."""
+    out = np.empty(states.shape[:2] + (scenario.n_radars, 4, 4))
+    for k in range(states.shape[0]):
+        t_fuse = scenario.grid.boundary(k)[1]
+        for q in range(states.shape[1]):
+            rows = schedule.rows[q][k]
+            out[k, q] = _kernels.fim_accumulate(
+                states[k, q], t_fuse, rows.times, rows.radar_xy,
+                1.0 / rows.kernel, rows.start)
+    return out
+
+
+def silent_radar_scenario(scenario):
+    """The default scenario with its last radar first looking after the
+    horizon, so it has no rows at all, and every radar first looking at
+    target 1 near the end of interval 1: target 1 has no rows in interval 0
+    and a row set of 5 in interval 1, where the other sets hold 14."""
+    radars = [replace(r, initial_time=np.array([r.initial_time[0], 11.0]))
+              for r in scenario.radars]
+    radars[-1] = replace(radars[-1], initial_time=np.full(2, 1000.0))
+    return replace(scenario, radars=radars)
+
+
+class TestComputeKernels:
+    @pytest.mark.parametrize("net", ["default", "large_net", "silent_radar"])
+    def test_bit_equal_to_one_call_per_interval_and_target(self, scenario,
+                                                           net):
+        sc = {"default": scenario, "large_net": large_net(0),
+              "silent_radar": silent_radar_scenario(scenario)}[net]
+        sch = build_schedule(sc)
+        states = chain_states(sc)
+        want = kernel_oracle(sc, sch, states)
+        got = compute_kernels(sc, sch, states)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # a shorter horizon is the same prefix
+        assert compute_kernels(sc, sch, states[:3]).tobytes() == \
+            want[:3].tobytes()
+        if net == "silent_radar":
+            assert sch.counts[-1].sum() == 0 and sch.counts[:, 1, 0].sum() == 0
+            assert np.all(got[:, :, -1] == 0.0)
+            assert np.all(got[0, 1] == 0.0)
+            # an empty, a short and a full row set of target 1
+            assert [len(sch.rows[1][k].times) for k in range(3)] == [0, 5, 14]
+
+
+def rows_oracle(scenario, layout, counts, k):
+    """Interval k's (A, b, labels, precond), with counts (N, Q), assembled
+    row by row and radar by radar."""
+    t0 = scenario.grid.interval_length
+    comm = scenario.comm
+    rows, rhs, labels = [], [], []
+    for j in range(comm.num_links):
+        gain = np.expm1(comm.floor(j, k))
+        a = np.zeros(layout.dim)
+        for i, q in zip(*np.nonzero(layout.var >= 0)):
+            a[layout.var[i, q]] = (gain * counts[i, q] * comm.alpha_r_sq[j, i]
+                                   * layout.factor[i])
+        a[layout.n_radar_vars + j] = -t0
+        fixed = np.einsum("iq,i,i->", counts, comm.alpha_r_sq[j],
+                          layout.fixed_energy)
+        rows.append(a)
+        rhs.append(-gain * (fixed + comm.noise_var * t0))
+        labels.append(f"throughput[{j}]")
+    precond = np.zeros(layout.dim)
+    for i in layout.mmr + layout.par:
+        a = np.zeros(layout.dim)
+        a[layout.var[i]] = counts[i]
+        rows.append(a)
+        rhs.append(layout.budget[i])
+        labels.append(f"{'power' if i in layout.mmr else 'time'}_budget[{i}]")
+        precond[layout.var[i]] = layout.budget[i] / max(1, counts[i].sum())
+    a = np.zeros(layout.dim)
+    a[layout.n_radar_vars:] = 1.0
+    rows.append(a)
+    rhs.append(comm.power_budget)
+    labels.append("bs_power_budget")
+    precond[layout.n_radar_vars:] = comm.power_budget / comm.num_links
+    return np.array(rows), np.array(rhs), labels, precond
+
+
+def per_interval_floors(scenario):
+    """The scenario with (J, K) throughput floors: each link's floor scaled
+    from half to one and a half times its value over the intervals."""
+    k_n = scenario.grid.num_intervals
+    floors = (scenario.comm.throughput_floor[:, None]
+              * np.linspace(0.5, 1.5, k_n)[None, :])
+    return replace(scenario, comm=replace(scenario.comm,
+                                          throughput_floor=floors))
+
+
+class TestHorizonRows:
+    @pytest.mark.parametrize("net", ["default", "per_interval_floors",
+                                     "large_net"])
+    def test_stacked_rows_equal_the_one_interval_rows(self, scenario, net):
+        sc = {"default": scenario, "large_net": large_net(0),
+              "per_interval_floors": per_interval_floors(scenario)}[net]
+        sch = build_schedule(sc)
+        lay = AllocationLayout.from_scenario(sc)
+        k_n = sc.grid.num_intervals
+        kernels = np.zeros((k_n, sc.n_targets, sc.n_radars, 4, 4))
+        problems = IntervalProblem.horizon(sc, sch, lay, np.arange(k_n),
+                                           kernels)
+        infos = np.zeros((sc.n_targets, 4, 4))
+        for k in range(k_n):
+            stacked = problems(k, infos)
+            alone = IntervalProblem.build(sc, sch, k, lay, kernels[k], infos)
+            A, b, labels, precond = rows_oracle(sc, lay, sch.counts[:, :, k], k)
+            assert stacked.k == alone.k == k
+            for prob in (stacked, alone):
+                assert prob.A.tobytes() == A.tobytes()
+                assert prob.b.tobytes() == b.tobytes()
+                assert prob.precond.tobytes() == precond.tobytes()
+                assert prob.labels == labels
+                assert prob.counts.tolist() == sch.counts[:, :, k].tolist()
+        if net == "per_interval_floors":
+            # the floors differ from interval to interval, and so do the rows
+            assert problems(0, infos).b[0] != problems(k_n - 1, infos).b[0]
+
+    def test_unreachable_floor_raises_when_its_interval_is_built(
+            self, scenario, schedule):
+        sc = per_interval_floors(scenario)
+        sc.comm.throughput_floor[1, 3] = 50.0
+        lay = AllocationLayout.from_scenario(sc)
+        k_n = sc.grid.num_intervals
+        problems = IntervalProblem.horizon(
+            sc, schedule, lay, np.arange(k_n),
+            np.zeros((k_n, sc.n_targets, sc.n_radars, 4, 4)))
+        infos = np.zeros((sc.n_targets, 4, 4))
+        for k in (0, 2, 4, 9):
+            assert problems(k, infos).k == k
+        message = ("throughput floor of link 1 unreachable: fixed "
+                   "interference alone requires more than the base-station "
+                   "budget (row 'throughput[1]')")
+        with pytest.raises(InfeasibleError) as info:
+            problems(3, infos)
+        assert str(info.value) == message
+        with pytest.raises(InfeasibleError, match=re.escape(message)):
+            assemble_constraints(sc, schedule, 3)
 
 
 class TestInnerVUpdate:

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 import hrcn
-from hrcn import cli, harness
+from hrcn import allocator, cli, harness
 from hrcn.allocator import AllocationLayout
 from hrcn.cli import main
 from hrcn.scenario import build_schedule, default_scenario_path
@@ -65,6 +66,52 @@ class TestSolve:
         assert main(["solve", "--interval", str(k)]) == 0
         assert f"interval {k}: g = " in capsys.readouterr().out
         assert len(built) == 1
+
+
+class TestSolveUnreachableFloor:
+    J = 3  # the interval whose floor is unreachable
+
+    @pytest.fixture
+    def path(self, scenario, tmp_path):
+        """The default scenario with (J, K) floors, link 1's unreachable in
+        interval J only."""
+        with open(default_scenario_path()) as fh:
+            raw = yaml.safe_load(fh)
+        floors = np.repeat(scenario.comm.throughput_floor[:, None],
+                           scenario.grid.num_intervals, axis=1)
+        floors[1, self.J] = 50.0
+        raw["comm"]["throughput_floor"] = floors.tolist()
+        path = tmp_path / "unreachable_at_j.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        return str(path)
+
+    @pytest.fixture
+    def kernel_times(self, monkeypatch):
+        """The fusion times of every kernel the planning chain computes."""
+        seen, info_kernel_D = [], allocator.info_kernel_D
+
+        def recorded(rows, t_fuse, prior_state):
+            seen.extend(np.ravel(t_fuse).tolist())
+            return info_kernel_D(rows, t_fuse, prior_state)
+
+        monkeypatch.setattr(allocator, "info_kernel_D", recorded)
+        return seen
+
+    def test_exits_one_only_at_its_interval(self, scenario, path,
+                                            kernel_times, capsys):
+        grid = scenario.grid
+        assert main(["solve", "--scenario", path,
+                     "--interval", str(self.J - 1)]) == 0
+        assert f"interval {self.J - 1}: g = " in capsys.readouterr().out
+        assert max(kernel_times) == grid.boundary(self.J - 1)[1]
+        kernel_times.clear()
+        assert main(["solve", "--scenario", path,
+                     "--interval", str(self.J)]) == 1
+        assert capsys.readouterr().err == (
+            "error: throughput floor of link 1 unreachable: fixed "
+            "interference alone requires more than the base-station budget "
+            "(row 'throughput[1]')\n")
+        assert max(kernel_times) == grid.boundary(self.J)[1]
 
 
 class TestUsage:

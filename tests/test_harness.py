@@ -2,12 +2,13 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hrcn import fusion, harness
-from hrcn.allocator import (AllocationLayout, IntervalProblem,
+from hrcn.allocator import (AllocationLayout, InfeasibleError, IntervalProblem,
                             baseline_uniform, compute_kernels, info_scale,
                             lambda_diag)
 from hrcn.fusion import FusionError, fim
@@ -98,6 +99,21 @@ class TestPlanningChain:
                     fim(stack, state), rtol=1e-12)
 
 
+    def test_unreachable_floor_raises_once_the_chain_reaches_it(
+            self, scenario, schedule):
+        floors = np.repeat(scenario.comm.throughput_floor[:, None],
+                           scenario.grid.num_intervals, axis=1)
+        floors[1, 3] = 50.0
+        sc = replace(scenario, comm=replace(scenario.comm,
+                                            throughput_floor=floors))
+        ks = []
+        with pytest.raises(InfeasibleError, match="throughput floor of link "
+                           "1 unreachable"):
+            for problem, z, _ in planning_chain(sc, schedule,
+                                                baseline_uniform):
+                ks.append(problem.k)
+        assert ks == [0, 1, 2]
+
     @pytest.mark.parametrize("policy", ["optimized", "uniform", "random"])
     def test_builds_the_layout_once(self, scenario, schedule, policy,
                                     monkeypatch):
@@ -146,7 +162,7 @@ class TestCompareAllocations:
         F = transition_matrix(t0)
         P0 = np.diag(INIT_COV_DIAG)
         states = [F @ t.initial_state for t in scenario.targets]
-        D = compute_kernels(scenario, schedule, 0, states)
+        D = compute_kernels(scenario, schedule, [states])[0]
         priors = [np.linalg.inv(process_noise_cov(t0, t.process_noise_intensity)
                                 + F @ P0 @ F.T) for t in scenario.targets]
         layout = AllocationLayout.from_scenario(scenario)

@@ -202,8 +202,10 @@ class TestRunTracking:
             factor, where):
         monkeypatch.setattr(fusion, "GN_MAX_ITER", max_iter)
         scales = np.array(uniform_scales)
-        with pytest.raises(FusionError, match=f"fusion failed for {where}: "
-                           "no convergence") as info:
+        # the whole message: the plan and the trial name the batch member
+        with pytest.raises(FusionError, match=rf"^fusion failed for {where}: "
+                           rf"no convergence in {max_iter} iterations "
+                           r"\(last step [0-9.e+-]+\)$") as info:
             run_tracking(scenario, schedule, [scales, factor * scales],
                          [[7, 0], [7, 1]])
         assert info.value.plan == int(where.split()[1])
@@ -225,7 +227,8 @@ class TestRunTracking:
         lone[:, :, 0] = uniform[:, :, 0]
         lone[:, msr, 1] = uniform[:, msr, 1]
         with pytest.raises(RankDeficiencyError, match="plan 1 target 1 "
-                           "interval 0 trial 0: 2 equations") as info:
+                           "interval 0 trial 0: 2 equations cannot "
+                           "determine 4 state components$") as info:
             run_tracking(sc, sch, [uniform, lone], [[7, 0], [7, 1]])
         assert info.value.plan == 1
 

@@ -14,7 +14,12 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
   tracked together, and with ``--policies uniform``, a batch of one plan;
 * ``hrcn simulate --seed 1``, a single tracking trial;
 * ``hrcn solve --interval k`` for every interval of every floor variant of
-  the ``solve-sweep`` benchmark workload at seeds 0 and 3;
+  the ``solve-sweep`` benchmark workload at seeds 0 and 3, and of
+  ``large_net(0)``;
+* ``hrcn solve --interval k`` for every interval, and ``hrcn compare
+  --trials 3 --seed 1``, on the default scenario with per-interval (J, K)
+  floors: interval k takes the k-th of the ``solve-sweep`` floor variants
+  at seed 0, from slack to tight;
 * ``hrcn sweep --values 0.5 1.0 1.5``, and the same sweep of the
   base-station budget over 5, 10 and 40 W.
 
@@ -38,6 +43,7 @@ SOLVE_SEEDS = (0, 3)
 # output directory as the working directory.
 SCRIPT = """
 import contextlib, dataclasses, io, sys
+import numpy as np
 import hrcn.cli
 import scenarios
 import workloads
@@ -76,6 +82,20 @@ for seed in SEEDS:
         for k in range(base.grid.num_intervals):
             run(f"solve-s{seed}-v{v}-k{k}",
                 ["solve", "--scenario", path, "--interval", str(k)])
+net = scenarios.large_net(0)
+for k in range(net.grid.num_intervals):
+    run(f"solve-large-net-k{k}", ["solve", "--scenario", "large_net.yaml",
+                                  "--interval", str(k)])
+k_n = base.grid.num_intervals
+scenarios.to_yaml(dataclasses.replace(base, comm=dataclasses.replace(
+    base.comm, throughput_floor=np.stack(scenarios.floor_variants(
+        base, schedule, 0, k_n), axis=1))), "floor_jk.yaml")
+for k in range(k_n):
+    run(f"solve-floor-jk-k{k}", ["solve", "--scenario", "floor_jk.yaml",
+                                 "--interval", str(k)])
+run("compare-floor-jk", ["compare", "--trials", "3", "--seed", "1",
+                         "--scenario", "floor_jk.yaml",
+                         "--out", "compare-floor-jk"])
 run("sweep", ["sweep", "--values", "0.5", "1.0", "1.5", "--out", "sweep"])
 run("sweep-budget", ["sweep", "--param", "comm-budget", "--values", "5", "10",
                      "40", "--out", "sweep-budget"])
