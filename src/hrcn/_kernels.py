@@ -1,18 +1,19 @@
 """Hot numeric kernels: the Fisher information of stacked (range, bearing)
 rows and the Gauss-Newton refinement loop used by every fusion call.
 
-Both are plain numpy and take leading batch axes on the state and on the
-weights: a batch of states shares one row set (times and radar positions),
-or for the information sums stacks row sets of one length, and differs in
-the state, in the weights, which broadcast against the states' batch axes,
-and, for Gauss-Newton, in the measured values.  A single state is simply a
-call with no batch axis.  One chained-Jacobian pass covers a whole row set,
-and the contiguous (..., 2M, 4) view J of its output gives each normal
-matrix J^T W J, and Gauss-Newton's J^T W r, as one stacked BLAS matrix
-product.  fim_accumulate returns one 4x4 per segment of rows: one per
-radar for the planning kernels, a single segment for a fusion fix.
-Gauss-Newton solves with np.linalg.solve and checks the rank of its first
-normal matrix, which is the Fisher information at the initial state.
+Both are plain numpy and take leading batch axes on the state, on the row
+sets (times and radar positions) and on the weights, which broadcast
+against the states' batch axes: a batch of states may share one row set or
+stack row sets of one length, one per member, and differs in the state, in
+the weights and, for Gauss-Newton, in the measured values.  A single state
+is simply a call with no batch axis.  One chained-Jacobian pass covers all
+the row sets of a call, and the contiguous (..., 2M, 4) view J of its
+output gives each normal matrix J^T W J, and Gauss-Newton's J^T W r, as one
+stacked BLAS matrix product.  fim_accumulate returns one 4x4 per segment
+of rows: one per radar for the planning kernels, a single segment for a
+fusion fix.  Gauss-Newton solves with np.linalg.solve and checks the rank of
+its first normal matrix, which is the Fisher information at the initial
+state.
 
 Every matrix-vector product is written (M @ v[..., None])[..., 0], which
 numpy computes per member exactly as it computes M @ v, so a member's result
@@ -113,8 +114,9 @@ def member_error(cls, message: str, member):
 def gauss_newton(y, times, radar_xy, winv, t_fuse, s0, tol, max_iter):
     """Weighted Gauss-Newton on stacked (range, bearing) measurements, for
     a batch of initial states s0 (..., 4) with their measured values
-    y (..., M, 2) and inverse variances winv (..., M, 2), whose batch axes
-    broadcast against s0's, on one row set: times (M,) and radar_xy (M, 2).
+    y (..., M, 2), each on its row set of M rows: times (..., M), radar_xy
+    (..., M, 2) and inverse variances winv (..., M, 2), whose batch axes
+    broadcast against s0's, as does t_fuse's.
 
     Returns (states, steps, step_norms, status): the (..., 4) states, the
     Python int number of steps taken summed over the batch, each member's
@@ -127,18 +129,21 @@ def gauss_newton(y, times, radar_xy, winv, t_fuse, s0, tol, max_iter):
     np.linalg.LinAlgError naming the first such member (see member_error).
     """
     batch = np.shape(s0)[:-1]
-    m = len(times)
-    dt_back = t_fuse - times
+    m = np.shape(times)[-1]
     s = np.array(s0, dtype=float).reshape(-1, 4)
-    y = np.asarray(y, dtype=float).reshape(-1, m, 2)
-    w = np.broadcast_to(winv, batch + (m, 2)).reshape(-1, 2 * m)
     n = s.shape[0]
+    # every member's values and rows, flat over the batch
+    y = np.asarray(y, dtype=float).reshape(-1, m, 2)
+    dt_back = np.broadcast_to(t_fuse - times, batch + (m,)).reshape(n, m)
+    xy = np.broadcast_to(radar_xy, batch + (m, 2)).reshape(n, m, 2)
+    w = np.broadcast_to(winv, batch + (m, 2)).reshape(n, 2 * m)
     iters = np.zeros(n, dtype=int)
     step_norm = np.full(n, np.inf)
     status = np.zeros(n, dtype=int)
     live = np.arange(n)  # the members still moving
     for it in range(max_iter):
-        J, WJt, r, th = _weighted_rows(s[live], dt_back, radar_xy, w[live])
+        J, WJt, r, th = _weighted_rows(s[live], dt_back[live], xy[live],
+                                       w[live])
         res = np.empty((live.size, 2 * m))  # in the row order of J
         np.subtract(y[live, :, 0], r, out=res[:, 0::2])
         bearing_res = res[:, 1::2]

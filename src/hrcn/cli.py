@@ -15,11 +15,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocator import (AllocationLayout, InfeasibleError, IntervalProblem,
-                        adam_solve, baseline_uniform, info_scale, objective_g,
-                        project)
+from .allocator import (InfeasibleError, IntervalProblem, adam_solve,
+                        baseline_uniform, info_scale, objective_g, project)
 from .harness import (compare_allocations, plan_allocations, planning_chain,
-                      save_result)
+                      planning_horizon, save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
                        load_scenario, validate)
 from .tracker import run_tracking
@@ -70,9 +69,10 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, schedule = _load(args)
+    horizon = planning_horizon(scenario, schedule)
     allocations, g_values, _ = plan_allocations(
-        scenario, schedule, args.policy, args.seed)
-    layout = AllocationLayout.from_scenario(scenario)
+        scenario, schedule, args.policy, args.seed, horizon=horizon)
+    layout, _ = horizon
     run = run_tracking(scenario, schedule,
                        [info_scale(layout, z) for z in allocations],
                        [[args.seed, 0]])

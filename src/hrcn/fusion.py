@@ -28,20 +28,21 @@ class StackedMeasurements:
 
     Rows are ordered radar by radar, then by measurement time, matching the
     stacked-likelihood convention.  values may carry leading batch axes: a
-    batch of fixes of the same rows, such as one per Monte-Carlo trial.
-    cov_diag may carry batch axes too, which broadcast against those of
-    values: the same rows weighted per allocation plan.
+    batch of fixes of M rows each, such as one per Monte-Carlo trial.  The
+    rows (times, radar_xy, radar_ids) and cov_diag may carry batch axes too,
+    which broadcast against those of values: one row set per member, such
+    as a (plan, target) pair, weighted per allocation plan.
     """
 
     values: np.ndarray     # (..., M, 2) range, bearing
-    times: np.ndarray      # (M,)
-    radar_xy: np.ndarray   # (M, 2)
+    times: np.ndarray      # (..., M)
+    radar_xy: np.ndarray   # (..., M, 2)
     cov_diag: np.ndarray   # (..., M, 2) diag of each measurement covariance
-    radar_ids: np.ndarray  # (M,) int
+    radar_ids: np.ndarray  # (..., M) int
     t_fuse: float = 0.0
 
     def __len__(self) -> int:
-        return self.times.shape[0]
+        return self.times.shape[-1]
 
 
 @dataclass
@@ -110,7 +111,7 @@ def ils_mle(stack: StackedMeasurements,
     if not np.all(np.isfinite(init)):
         raise ValueError("initial state must be finite")
     if len(stack) < 2:
-        # the rows are shared, so every member fails, the first one first
+        # every member has M rows, so every member fails, the first one first
         raise _kernels.member_error(
             RankDeficiencyError, f"{2 * len(stack)} equations cannot "
             "determine 4 state components", 0 if init.ndim > 1 else None)

@@ -39,17 +39,15 @@ def rmse(errors: np.ndarray, lam: np.ndarray) -> float:
     return float(per_target.sum())
 
 
-def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
-                   allocate, last: Optional[int] = None):
-    """The planning recursion over the fusion grid, through interval last.
+def planning_horizon(scenario: Scenario, schedule: MeasurementSchedule,
+                     last: Optional[int] = None):
+    """The part of the planning recursion that no policy changes, through
+    interval last (by default all): (layout, problems), the scenario's
+    layout and IntervalProblem.horizon's problems(i, prior_infos).
 
     Every target's prior is predicted along the noise-free truth trajectory,
     and the kernels at the predicted states and the constraint rows of the
-    intervals through last (by default all) are built in one pass, on one
-    layout of the scenario.  Each interval k is then allocated with
-    z = allocate(problem), and the Bayesian information B(z) seeds the next
-    interval's priors.  Yields (problem, z, b_mats) per interval.  When
-    allocate returns None the chain ends with (problem, None, None).
+    intervals are built in one pass, on one layout of the scenario.
     """
     layout = AllocationLayout.from_scenario(scenario)
     grid = scenario.grid
@@ -58,9 +56,25 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
     states = [np.array([t.initial_state for t in scenario.targets])]
     for _ in range(n):
         states.append((F @ states[-1][..., None])[..., 0])
-    problems = IntervalProblem.horizon(
+    return layout, IntervalProblem.horizon(
         scenario, schedule, layout, np.arange(n),
         compute_kernels(scenario, schedule, states[1:]))
+
+
+def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
+                   allocate, last: Optional[int] = None, horizon=None):
+    """The planning recursion over the fusion grid, through interval last.
+
+    On the planning_horizon through last, built here unless one that
+    reaches last is given, each interval k is allocated with
+    z = allocate(problem), and the Bayesian information B(z) seeds the next
+    interval's priors.  Yields (problem, z, b_mats) per interval.  When
+    allocate returns None the chain ends with (problem, None, None).
+    """
+    grid = scenario.grid
+    n = grid.num_intervals if last is None else last + 1
+    _, problems = horizon or planning_horizon(scenario, schedule, last)
+    F = transition_matrix(grid.interval_length)
     infos = np.array([np.linalg.inv(np.diag(INIT_COV_DIAG))
                       for _ in scenario.targets])
     gammas = np.array([process_noise_cov(grid.interval_length,
@@ -77,15 +91,17 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
 
 
 def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
-                     policy: str, seed: int = 0, bounds: Optional[list] = None
+                     policy: str, seed: int = 0, bounds: Optional[list] = None,
+                     horizon=None
                      ) -> tuple[list[np.ndarray], list[float], list[list[dict]]]:
     """Sequential per-interval allocation under one policy.
 
     The planning recursion (planning_chain) evaluates information kernels on
     the noise-free truth trajectory and chains the Bayesian prior through the
-    chosen allocations.  Returns (allocations, per-interval metric values,
-    traces); when a list is passed as bounds, each interval's root_bcrb of
-    the chain's information is appended to it.
+    chosen allocations, on the given full-grid planning_horizon or on one
+    built here.  Returns (allocations, per-interval metric values, traces);
+    when a list is passed as bounds, each interval's root_bcrb of the
+    chain's information is appended to it.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy '{policy}'")
@@ -104,7 +120,8 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
 
     t0 = scenario.grid.interval_length
     allocations, g_values = [], []
-    for _, z, b_mats in planning_chain(scenario, schedule, allocate):
+    for _, z, b_mats in planning_chain(scenario, schedule, allocate,
+                                       horizon=horizon):
         allocations.append(z)
         g_values.append(crb_metric(b_mats, t0))
         if bounds is not None:
@@ -173,10 +190,11 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
                         seed: int = 0) -> ExperimentResult:
     """Full pipeline per policy with common random numbers across policies.
 
-    Every policy is planned, then all of them are tracked in one batched
-    run: every trial reuses the same noise streams regardless of policy, so
-    RMSE differences come from the allocations alone.  A tracking failure
-    is raised as the same exception class, naming the policy.
+    Every policy is planned on one shared planning horizon, then all of
+    them are tracked in one batched run: every trial reuses the same noise
+    streams regardless of policy, so RMSE differences come from the
+    allocations alone.  A tracking failure is raised as the same exception
+    class, naming the policy.
     """
     unknown = set(policies) - set(POLICIES)
     if unknown:
@@ -186,7 +204,8 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     schedule = build_schedule(scenario)
-    layout = AllocationLayout.from_scenario(scenario)
+    horizon = planning_horizon(scenario, schedule)
+    layout, _ = horizon
     grid = scenario.grid
     lam = lambda_diag(grid.interval_length)
 
@@ -199,7 +218,8 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
     for policy in policies:
         bounds: list = []
         allocations, g_values, traces = plan_allocations(
-            scenario, schedule, policy, seed, bounds=bounds)
+            scenario, schedule, policy, seed, bounds=bounds,
+            horizon=horizon)
         plans.append((allocations, g_values, traces, bounds))
     try:
         run = run_tracking(scenario, schedule,

@@ -6,8 +6,6 @@ flat 2-D plane.
 
 import numpy as np
 
-from . import _kernels
-
 
 def transition_matrix(dt: float) -> np.ndarray:
     """4x4 constant-velocity transition matrix for a time step dt.
@@ -60,18 +58,3 @@ def measure(state: np.ndarray, radar_position):
         return float(r), float(th)
     return r, th
 
-
-def measurement_jacobian(state: np.ndarray, radar_position) -> np.ndarray:
-    """2x4 Jacobian of (range, bearing) with respect to the state: the
-    zero-lag case of the fusion's chained Jacobian.
-
-    Velocity columns are exactly zero; the measurement depends on position
-    only.
-    """
-    radar_xy = np.asarray(radar_position, dtype=float).reshape(1, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        H, r, _ = _kernels._chain_jacobian(np.asarray(state, dtype=float),
-                                           np.zeros(1), radar_xy)
-    if r[0] == 0.0:
-        raise ValueError("zero range; Jacobian undefined")
-    return H[0]

@@ -3,6 +3,7 @@ state-space pseudo-measurements with identity measurement matrix and CRB
 covariance."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,55 +70,53 @@ class TrackingResult:
     covs: np.ndarray       # ([P,] T, Q, K, 4, 4)
 
 
-def _stack_interval(rows: IntervalRows, scale: np.ndarray,
+def _stack_interval(rows: IntervalRows, weight: np.ndarray,
                     truth_k: np.ndarray, t_k: float, t_fuse: float,
                     noise_draws: np.ndarray) -> StackedMeasurements:
-    """Simulate and stack one target's measurements in one interval, for
-    one interval-start truth truth_k (4,) or a batch of them (..., 4), under
-    one allocation plan or a batch of plans.
+    """Simulate and stack measurements in one interval, for one member or a
+    batch of members, such as (plan, target) pairs, each on its own rows.
 
-    rows are the interval's schedule rows and scale (..., N) the info_scale
-    of every radar on this target under each plan: a row's covariance is its
-    kernel over its radar's scale.  Every plan must give the same radars
-    zero energy; the stack's batch axes are the plans' followed by the
-    truths'.  noise_draws (..., rows, 2) are pre-drawn standard normals, one
-    pair per schedule row and truth, so noise streams pair across allocation
-    plans; a radar with zero energy consumes its draws and stacks no rows.
+    rows hold the times, radar, radar_xy and kernel of R schedule rows: one
+    target's interval rows, or several targets' one after another.  weight
+    (..., R) is each row's weight under each member, the info_scale of its
+    radar on its target, and zero on a row the member does not stack
+    (another target's, or a radar's given zero energy); every member stacks
+    the same number M of rows, in the order of rows, each with its kernel
+    over its weight as covariance.  truth_k (..., [T,] 4) is each member's
+    interval-start truth in each of T trials.  noise_draws ([T,] R, 2) are
+    pre-drawn standard normals, one pair per row and trial, which every
+    member reads, so noise streams pair across allocation plans and a row
+    that is not stacked still consumes its draws.  The stack's batch axes
+    are the members' followed by the trials'.
     """
-    row_scale = scale[..., rows.radar]
-    keep = row_scale[(0,) * (row_scale.ndim - 1)] > 0
-    times = rows.times[keep]
-    radar_xy = rows.radar_xy[keep]
-    cov = rows.kernel[keep] / row_scale[..., keep, None]
-    cov = cov.reshape(cov.shape[:-2] + (1,) * (truth_k.ndim - 1)
-                      + cov.shape[-2:])
+    keep = weight > 0
+    cols = np.nonzero(keep)[-1].reshape(keep.shape[:-1] + (-1,))
+    n_m = cols.ndim - 1
+    n_t = truth_k.ndim - 1 - n_m
+    # each member's kept rows, with an axis per trial axis before the rows
+    lift = (Ellipsis,) + (None,) * n_t + (slice(None),)
+    times, radar_ids = rows.times[cols][lift], rows.radar[cols][lift]
+    radar_xy = rows.radar_xy[cols][lift + (slice(None),)]
+    cov = (rows.kernel[cols] / np.take_along_axis(weight, cols, -1)[..., None]
+           )[lift + (slice(None),)]
+    draws = np.moveaxis(noise_draws[..., cols, :], range(n_t),
+                        range(n_m, n_m + n_t))
     # constant-velocity motion from the interval start: x_k + (t - t_k) v_k
     truth_k = truth_k[..., None, :]
     drift = np.zeros_like(truth_k)
     drift[..., 0::2] = truth_k[..., 1::2]
-    r, th = measure(truth_k + (times - t_k)[:, None] * drift, radar_xy)
+    r, th = measure(truth_k + (times - t_k)[..., None] * drift, radar_xy)
     return StackedMeasurements(
-        values=(np.stack([r, th], axis=-1)
-                + np.sqrt(cov) * noise_draws[..., keep, :]),
-        times=times, radar_xy=radar_xy, cov_diag=cov,
-        radar_ids=rows.radar[keep], t_fuse=t_fuse)
-
-
-def _kept_row_groups(keep: np.ndarray) -> list[np.ndarray]:
-    """The plans, as index arrays, that keep the same rows: keep (P, M) is
-    each plan's mask of the rows it stacks.  Groups come in the order of
-    their first plan."""
-    groups: dict = {}
-    for p, mask in enumerate(keep):
-        groups.setdefault(mask.tobytes(), []).append(p)
-    return [np.array(plans) for plans in groups.values()]
+        values=np.stack([r, th], axis=-1) + np.sqrt(cov) * draws,
+        times=times, radar_xy=radar_xy, cov_diag=cov, radar_ids=radar_ids,
+        t_fuse=t_fuse)
 
 
 def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
                  scales, seeds: list) -> TrackingResult:
     """Closed-loop simulate-fuse-filter runs over all fusion intervals, one
     trial per seed of seeds, for one allocation plan or a batch of plans,
-    batched over the plans and the trials.
+    batched over the plans, the targets and the trials.
 
     scales (K, N, Q), or (P, K, N, Q) for P plans, holds the allocator's
     info_scale of every interval's allocation under each plan: the weight of
@@ -128,12 +127,14 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     its measurement noise from separate child streams of its seed, in a fixed
     (interval, target) order, so every plan of the batch sees the same truth
     and the same noise, and a member's result does not depend on the other
-    plans and trials of the batch.  In each (interval, target), the plans
-    that keep the same rows (give the same radars zero energy) are fused in
-    one call, the rest in a call of their own.  Raises the failure of a fix
-    or a Kalman update as the same exception class, naming the target, the
+    plans, targets and trials of the batch.  Each interval predicts every
+    track in one step, then fuses and updates its (target, plan) members in
+    one call per number of rows kept (a radar given zero energy stacks no
+    rows), members in (target, plan) order.  Raises the failure of a fix or
+    a Kalman update as the same exception class, naming the target, the
     interval and the trial, and the plan, also kept as the exception's plan
-    attribute, when scales has a plan axis.
+    attribute, when scales has a plan axis: the first failing member of the
+    first call that fails.
     """
     scales = np.asarray(scales, dtype=float)
     plan_axis = scales.ndim == 4
@@ -153,55 +154,66 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
         proc_rng.standard_normal(out=proc_draws[t])
         meas_rng.standard_normal(out=meas_draws[t])
 
+    # truth advances with CV motion plus process noise
+    gammas = np.array([process_noise_cov(grid.interval_length,
+                                         tgt.process_noise_intensity)
+                       for tgt in scenario.targets])
+    noisy = np.array([tgt.process_noise_intensity > 0
+                      for tgt in scenario.targets])
+    chols = np.zeros_like(gammas)
+    chols[noisy] = np.linalg.cholesky(gammas[noisy])
+    noise = (chols @ proc_draws[..., None])[..., 0]
+    noise[:, :, ~noisy] = 0.0
+    initial = np.array([tgt.initial_state for tgt in scenario.targets])
     truth = np.zeros((t_n, q_n, k_n + 1, 4))
+    truth[:, :, 0] = initial
+    for k in range(k_n):
+        truth[:, :, k + 1] = ((F @ truth[:, :, k, :, None])[..., 0]
+                              + noise[:, k])
+
     means = np.zeros((p_n, t_n, q_n, k_n, 4))
     covs = np.zeros((p_n, t_n, q_n, k_n, 4, 4))
-
-    tracks, gammas, chols = [], [], []
-    for q, tgt in enumerate(scenario.targets):
-        truth[:, q, 0] = tgt.initial_state
-        tracks.append(TrackState(
-            mean=np.tile(tgt.initial_state + INIT_MEAN_OFFSET, (p_n, t_n, 1)),
-            cov=np.tile(np.diag(INIT_COV_DIAG), (p_n, t_n, 1, 1))))
-        gammas.append(process_noise_cov(grid.interval_length,
-                                        tgt.process_noise_intensity))
-        chols.append(np.linalg.cholesky(gammas[q])
-                     if tgt.process_noise_intensity > 0 else None)
-
+    track = TrackState(
+        mean=np.tile(initial + INIT_MEAN_OFFSET, (p_n, t_n, 1, 1)),
+        cov=np.tile(np.diag(INIT_COV_DIAG), (p_n, t_n, q_n, 1, 1)))
     for k in range(k_n):
         t_k, t_fuse = grid.boundary(k)
-        for q in range(q_n):
-            # truth advances with CV motion plus process noise
-            noise = (np.zeros(4) if chols[q] is None
-                     else (chols[q] @ proc_draws[:, k, q, :, None])[..., 0])
-            truth[:, q, k + 1] = (F @ truth[:, q, k, :, None])[..., 0] + noise
-            # every plan predicts; each group of plans then updates its part
-            track = kf_predict(tracks[q], grid.interval_length, gammas[q])
-            rows = schedule.rows[q][k]
-            block = k * q_n + q
-            draws = meas_draws[:, offsets[block]:offsets[block + 1]]
-            for plans in _kept_row_groups(scales[:, k, rows.radar, q] > 0):
-                prior = TrackState(mean=track.mean[plans],
-                                   cov=track.cov[plans])
-                stack = _stack_interval(rows, scales[plans, k, :, q],
-                                        truth[:, q, k], t_k, t_fuse, draws)
-                try:
-                    post = kf_update(prior, ils_mle(stack, prior.mean))
-                except (FusionError, np.linalg.LinAlgError) as exc:
-                    plan, trial = divmod(exc.member, t_n)
-                    plan = int(plans[plan]) if plan_axis else None
-                    failure = type(exc)(
-                        "fusion failed for "
-                        + ("" if plan is None else f"plan {plan} ")
-                        + f"target {q} interval {k} trial {trial}: "
-                        + exc.reason)
-                    failure.plan = plan
-                    raise failure from exc
-                track.mean[plans] = post.mean
-                track.cov[plans] = post.cov
-            tracks[q] = track
-            means[:, :, q, k] = track.mean
-            covs[:, :, q, k] = track.cov
+        track = kf_predict(track, grid.interval_length, gammas)
+        # the interval's rows of every target, one target after another as
+        # the noise draws lay them out, and each row's weight on each
+        # (target, plan) member: zero on the other targets' rows
+        blocks = [schedule.rows[q][k] for q in range(q_n)]
+        rows = SimpleNamespace(**{name: np.concatenate(
+            [getattr(b, name) for b in blocks])
+            for name in ("times", "radar", "radar_xy", "kernel")})
+        target = np.repeat(np.arange(q_n), [len(b.times) for b in blocks])
+        weight = np.where(target == np.arange(q_n)[:, None, None],
+                          scales[:, k, rows.radar, target], 0.0)
+        draws = meas_draws[:, offsets[k * q_n]:offsets[(k + 1) * q_n]]
+        kept = np.count_nonzero(weight > 0, axis=-1)
+        for m in dict.fromkeys(kept.ravel().tolist()):
+            targets, plans = np.nonzero(kept == m)
+            prior = TrackState(mean=track.mean[plans, :, targets],
+                               cov=track.cov[plans, :, targets])
+            stack = _stack_interval(rows, weight[targets, plans],
+                                    truth[:, targets, k].swapaxes(0, 1),
+                                    t_k, t_fuse, draws)
+            try:
+                post = kf_update(prior, ils_mle(stack, prior.mean))
+            except (FusionError, np.linalg.LinAlgError) as exc:
+                member, trial = divmod(exc.member, t_n)
+                plan = int(plans[member]) if plan_axis else None
+                failure = type(exc)(
+                    "fusion failed for "
+                    + ("" if plan is None else f"plan {plan} ")
+                    + f"target {targets[member]} interval {k} trial {trial}: "
+                    + exc.reason)
+                failure.plan = plan
+                raise failure from exc
+            track.mean[plans, :, targets] = post.mean
+            track.cov[plans, :, targets] = post.cov
+        means[:, :, :, k] = track.mean
+        covs[:, :, :, k] = track.cov
 
     if not plan_axis:
         means, covs = means[0], covs[0]

@@ -1,10 +1,12 @@
 """Shared fixtures: the packaged default scenario, a small single-radar
 scenario factory for targeted tests, per-kind radar indices, per-radar
-schedule times and floors that the even comm split misses."""
+schedule times, floors that the even comm split misses, and the per-row
+range/bearing Jacobian oracle."""
 
 import numpy as np
 import pytest
 
+from hrcn import _kernels
 from hrcn.scenario import (CommSystem, FusionGrid, RadarKind, RadarNode,
                            Scenario, TargetTruth, build_schedule,
                            default_scenario_path, load_scenario, validate)
@@ -79,3 +81,19 @@ def make_mini_scenario(t0=6.0, num_intervals=1, start_time=0.0,
                                   start_time=start_time))
     validate(sc)
     return sc
+
+
+def measurement_jacobian(state: np.ndarray, radar_position) -> np.ndarray:
+    """2x4 Jacobian of (range, bearing) with respect to the state: the
+    zero-lag case of the fusion's chained Jacobian.
+
+    Velocity columns are exactly zero; the measurement depends on position
+    only.
+    """
+    radar_xy = np.asarray(radar_position, dtype=float).reshape(1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H, r, _ = _kernels._chain_jacobian(np.asarray(state, dtype=float),
+                                           np.zeros(1), radar_xy)
+    if r[0] == 0.0:
+        raise ValueError("zero range; Jacobian undefined")
+    return H[0]

@@ -12,9 +12,10 @@ from hrcn.allocator import (AllocationLayout,
                             throughput_r)
 from hrcn.fusion import StackedMeasurements, fim, ils_mle, prior_information
 from hrcn.harness import compare_allocations, plan_allocations
-from hrcn.kinematics import (measure, measurement_jacobian, process_noise_cov,
-                             transition_matrix)
+from hrcn.kinematics import measure, process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
+
+from conftest import measurement_jacobian
 
 
 def _report(num: int, name: str, ok: bool) -> None:

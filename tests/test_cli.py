@@ -172,6 +172,24 @@ class TestSimulate:
         assert lines[0].startswith("trial,target,k,")
         assert len(lines) == 1 + 2 * 10  # Q=2 targets, K=10 intervals
 
+    def test_builds_the_layout_and_the_kernels_once(self, tmp_path,
+                                                    monkeypatch):
+        built, from_scenario = [], AllocationLayout.from_scenario
+        kernels, compute_kernels = [], harness.compute_kernels
+
+        def counted(scenario):
+            built.append(scenario)
+            return from_scenario(scenario)
+
+        def counted_kernels(*args):
+            kernels.append(args)
+            return compute_kernels(*args)
+
+        monkeypatch.setattr(AllocationLayout, "from_scenario", counted)
+        monkeypatch.setattr(harness, "compute_kernels", counted_kernels)
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        assert len(built) == len(kernels) == 1
+
 
 class TestCompare:
     def test_deterministic_result_files(self, tmp_path):

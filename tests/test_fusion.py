@@ -8,8 +8,9 @@ from hrcn import _kernels, fusion
 from hrcn.fusion import (JITTER, DivergenceError, RankDeficiencyError,
                          StackedMeasurements, fim, ils_mle, inv_psd,
                          prior_information)
-from hrcn.kinematics import (measure, measurement_jacobian, process_noise_cov,
-                             transition_matrix)
+from hrcn.kinematics import measure, process_noise_cov, transition_matrix
+
+from conftest import measurement_jacobian
 
 RADARS = np.array([[0.0, 0.0], [10000.0, 0.0], [0.0, 10000.0]])
 TRUE_STATE = np.array([4000.0, 80.0, 5000.0, -60.0])
@@ -144,6 +145,101 @@ class TestBatchedGaussNewton:
         cm = ils_mle(batch, init[:2])
         assert cm.estimate.shape == (2, 4) and cm.jittered == 0
         assert cm.estimate[0].tobytes() == cm.estimate[1].tobytes()
+
+
+def _member_stacks(n_trials=2):
+    """Three (member, trial) batches of fixes of 9 rows each, every member
+    on its own row set: its radars moved and its times shifted, measuring
+    its own state."""
+    rng = np.random.default_rng(21)
+    sets, states = [], []
+    for i in range(3):
+        shift = np.array([1500.0 * i, -700.0 * i])
+        state = TRUE_STATE + np.array([300.0 * i, 5.0, -200.0 * i, -4.0 * i])
+        vals, times, rxy, cdiag = [], [], [], []
+        for radar in RADARS + shift:
+            for m in range(3):
+                t = 1.5 + 0.5 * i + 1.7 * m
+                r, th = measure(transition_matrix(t - T_FUSE) @ state, radar)
+                cov = np.array([25.0, 1e-6]) * (1.0 + i)
+                vals.append([r, th] + np.sqrt(cov)
+                            * rng.standard_normal((n_trials, 2)))
+                times.append(t)
+                rxy.append(radar)
+                cdiag.append(cov)
+        sets.append((np.swapaxes(vals, 0, 1), times, rxy, cdiag))
+        states.append(state)
+    values, times, rxy, cdiag = (np.array(a) for a in zip(*sets))
+    return StackedMeasurements(
+        values=values, times=times[:, None], radar_xy=rxy[:, None],
+        cov_diag=cdiag[:, None], radar_ids=np.tile(np.repeat(
+            np.arange(3), 3), (3, 1, 1)), t_fuse=T_FUSE), np.array(states)
+
+
+class TestRowSetPerMember:
+    """Members on their own row sets of one length fuse in one call exactly
+    as each would alone."""
+
+    @staticmethod
+    def _alone(batch, i, t):
+        return StackedMeasurements(
+            values=batch.values[i, t], times=batch.times[i, 0],
+            radar_xy=batch.radar_xy[i, 0], cov_diag=batch.cov_diag[i, 0],
+            radar_ids=batch.radar_ids[i, 0], t_fuse=batch.t_fuse)
+
+    def test_gauss_newton_bitwise_per_member(self):
+        batch, states = _member_stacks()
+        s0 = states[:, None] + np.array([[[40.0, 2.0, -30.0, -1.0],
+                                          [-900.0, 9.0, 800.0, 6.0]]])
+        args = (batch.times, batch.radar_xy, 1.0 / batch.cov_diag,
+                batch.t_fuse)
+        out, steps, norms, status = _kernels.gauss_newton(
+            batch.values, *args, s0, 1e-8, 50)
+        assert out.shape == (3, 2, 4) and np.all(status == 1)
+        alone_steps = 0
+        for i in range(3):
+            for t in range(2):
+                one = self._alone(batch, i, t)
+                state, n, norm, st = _kernels.gauss_newton(
+                    one.values, one.times, one.radar_xy, 1.0 / one.cov_diag,
+                    one.t_fuse, s0[i, t], 1e-8, 50)
+                alone_steps += n
+                assert int(st) == status[i, t]
+                assert out[i, t].tobytes() == state.tobytes()
+                assert norms[i, t].tobytes() == norm.tobytes()
+        assert steps == alone_steps
+
+    def test_ils_mle_bitwise_per_member(self):
+        batch, states = _member_stacks()
+        init = np.repeat(states[:, None], 2, axis=1) + 20.0
+        cm = ils_mle(batch, init)
+        for i in range(3):
+            for t in range(2):
+                one = ils_mle(self._alone(batch, i, t), init[i, t])
+                assert cm.estimate[i, t].tobytes() == one.estimate.tobytes()
+                assert (cm.covariance[i, t].tobytes()
+                        == one.covariance.tobytes())
+
+    def test_divergence_names_the_member_that_fails_alone(self,
+                                                          monkeypatch):
+        # member 1 trial 1 (flat member 3) starts far off and is the first
+        # that needs more steps than the cap
+        batch, states = _member_stacks()
+        init = np.repeat(states[:, None], 2, axis=1).copy()
+        init[1, 1] += np.array([8000.0, 130.0, -8000.0, -130.0])
+        monkeypatch.setattr(fusion, "GN_MAX_ITER", 6)
+        with pytest.raises(DivergenceError) as info:
+            ils_mle(batch, init)
+        assert info.value.member == 3
+        for i in range(3):
+            for t in range(2):
+                one = self._alone(batch, i, t)
+                if (i, t) != (1, 1):
+                    ils_mle(one, init[i, t])
+                    continue
+                with pytest.raises(DivergenceError) as alone:
+                    ils_mle(one, init[i, t])
+                assert info.value.reason == str(alone.value)
 
 
 class TestFim:

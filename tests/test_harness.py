@@ -92,8 +92,9 @@ class TestPlanningChain:
             scale = info_scale(problem.layout, z)
             for q, state in enumerate(states):
                 rows = schedule.rows[q][k]
-                stack = _stack_interval(rows, scale[:, q], state, t_k,
-                                        t_fuse, np.zeros((len(rows.times), 2)))
+                stack = _stack_interval(rows, scale[rows.radar, q], state,
+                                        t_k, t_fuse,
+                                        np.zeros((len(rows.times), 2)))
                 np.testing.assert_allclose(
                     np.einsum("i,iab->ab", scale[:, q], problem.kernels[q]),
                     fim(stack, state), rtol=1e-12)
@@ -210,6 +211,31 @@ class TestCompareAllocations:
             alone = compare_allocations(scenario, [policy], n_trials=2,
                                         seed=1).policies[policy]
             assert both.policies[policy] == alone
+
+    def test_plans_every_policy_on_one_horizon(self, scenario, monkeypatch):
+        # the kernels and constraint rows no policy changes are built once,
+        # and each policy gets the plan it has on a horizon of its own
+        built, compute_kernels = [], harness.compute_kernels
+
+        def counted(*args):
+            built.append(args)
+            return compute_kernels(*args)
+
+        monkeypatch.setattr(harness, "compute_kernels", counted)
+        result = compare_allocations(scenario, list(harness.POLICIES),
+                                     n_trials=1, seed=2)
+        assert len(built) == 1
+        schedule = build_schedule(scenario)
+        for policy, pol in result.policies.items():
+            bounds = []
+            allocations, g_values, traces = plan_allocations(
+                scenario, schedule, policy, 2, bounds=bounds)
+            assert pol.allocations == [list(map(float, z))
+                                       for z in allocations]
+            assert pol.g_values == g_values
+            assert pol.root_bcrb == bounds
+            assert pol.traces == traces
+        assert len(built) == 1 + len(harness.POLICIES)
 
     def test_failure_names_the_policy(self, scenario, monkeypatch):
         monkeypatch.setattr(fusion, "GN_MAX_ITER", 1)

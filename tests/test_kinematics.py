@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from hrcn.kinematics import (measure, measurement_jacobian, process_noise_cov,
-                             transition_matrix)
+from hrcn.kinematics import measure, process_noise_cov, transition_matrix
+
+from conftest import measurement_jacobian
 
 
 class TestTransitionMatrix:

@@ -9,13 +9,13 @@ import pytest
 
 from hrcn.allocator import AllocationLayout, info_scale
 from hrcn.harness import plan_allocations
-from hrcn.kinematics import (measure, measurement_jacobian, transition_matrix)
+from hrcn.kinematics import measure, transition_matrix
 from hrcn.scenario import (IntervalRows, RadarKind, build_schedule,
                            default_scenario_path, load_scenario)
 from hrcn.sensing import const_kernel, info_kernel_D
 from hrcn.tracker import _stack_interval
 
-from conftest import kind_indices, make_mini_scenario
+from conftest import kind_indices, make_mini_scenario, measurement_jacobian
 
 
 def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
@@ -32,7 +32,8 @@ def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
     z = np.array([power, comm])
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[0, 0, 0], 2))
-    stack = _stack_interval(sch.rows[0][0], info_scale(lay, z)[:, 0],
+    rows = sch.rows[0][0]
+    stack = _stack_interval(rows, info_scale(lay, z)[rows.radar, 0],
                             sc.targets[0].initial_state, 0.0,
                             sc.grid.boundary(0)[1], draws)
     return stack, const_kernel(sc.radars[0], sc.targets[0].rcs[0])
@@ -49,7 +50,8 @@ def _default_stack(z=None, noise=1.0, seed=11):
         z = plan_allocations(sc, sch, "uniform")[0][0]
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[:, 0, 0].sum(), 2))
-    stack = _stack_interval(sch.rows[0][0], info_scale(lay, z)[:, 0],
+    rows = sch.rows[0][0]
+    stack = _stack_interval(rows, info_scale(lay, z)[rows.radar, 0],
                             sc.targets[0].initial_state, sc.grid.start_time,
                             sc.grid.boundary(0)[1], draws)
     return sc, lay, z, stack

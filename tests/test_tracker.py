@@ -10,12 +10,12 @@ import pytest
 from hrcn.allocator import AllocationLayout, info_scale
 from hrcn import fusion
 from hrcn.fusion import (CompositeMeasurement, FusionError,
-                         RankDeficiencyError, prior_information)
+                         RankDeficiencyError, ils_mle, prior_information)
 from hrcn.harness import POLICIES, plan_allocations
 from hrcn.kinematics import measure, process_noise_cov, transition_matrix
 from hrcn.scenario import RadarKind, build_schedule, validate
 from hrcn.sensing import const_kernel
-from hrcn.tracker import (INIT_MEAN_OFFSET, TrackState, _kept_row_groups,
+from hrcn.tracker import (INIT_COV_DIAG, INIT_MEAN_OFFSET, TrackState,
                           _stack_interval, kf_predict, kf_update,
                           run_tracking)
 
@@ -178,12 +178,12 @@ class TestRunTracking:
         plans = [_planned_scales(scenario, schedule, policy, seed=1)
                  for policy in POLICIES]
         seeds = [[1, t] for t in range(3)]
-        groups = [_kept_row_groups(
-            np.array(plans)[:, k, schedule.rows[q][k].radar, q] > 0)
-            for k in range(scenario.grid.num_intervals)
-            for q in range(scenario.n_targets)]
-        assert any(len(g) > 1 for g in groups)           # a dropped-rows call
-        assert any(len(p) > 1 for g in groups for p in g)  # a shared call
+        kept = [{mask.tobytes() for mask in
+                 np.array(plans)[:, k, schedule.rows[q][k].radar, q] > 0}
+                for k in range(scenario.grid.num_intervals)
+                for q in range(scenario.n_targets)]
+        assert any(len(masks) > 1 for masks in kept)       # dropped rows
+        assert any(len(masks) < len(plans) for masks in kept)  # shared rows
         batch = run_tracking(scenario, schedule, plans, seeds)
         for p, scales in enumerate(plans):
             alone = run_tracking(scenario, schedule, scales, seeds)
@@ -252,6 +252,90 @@ class TestRunTracking:
             assert final_err < init_err
 
 
+def _uneven_rows(scenario):
+    """The scenario with its last PAR revisiting target 1 at 1.5 times its
+    interval, so target 1 keeps fewer rows than target 0 in every
+    interval."""
+    radars = list(scenario.radars)
+    par = kind_indices(scenario, RadarKind.PAR)[-1]
+    radars[par] = dataclasses.replace(radars[par], revisit_interval=(
+        radars[par].revisit_interval * np.array([1.0, 1.5])))
+    sc = dataclasses.replace(scenario, radars=radars)
+    validate(sc)
+    return sc
+
+
+def _per_target_oracle(scenario, schedule, plans, seeds):
+    """run_tracking one (plan, target, interval) at a time, batched over
+    the trials only: per trial the process and measurement draws of the
+    two child streams of its seed, in (interval, target) order, then
+    kf_predict, _stack_interval, ils_mle and kf_update."""
+    grid = scenario.grid
+    q_n, k_n, t_n = scenario.n_targets, grid.num_intervals, len(seeds)
+    F = transition_matrix(grid.interval_length)
+    offsets = np.cumsum([0] + [len(schedule.rows[q][k].times)
+                               for k in range(k_n) for q in range(q_n)])
+    proc, meas = [], []
+    for seed in seeds:
+        proc_rng, meas_rng = [np.random.default_rng(c) for c in
+                              np.random.SeedSequence(seed).spawn(2)]
+        proc.append(proc_rng.standard_normal((k_n, q_n, 4)))
+        meas.append(meas_rng.standard_normal((offsets[-1], 2)))
+    proc, meas = np.array(proc), np.array(meas)
+    truth = np.zeros((t_n, q_n, k_n + 1, 4))
+    means = np.zeros((len(plans), t_n, q_n, k_n, 4))
+    covs = np.zeros((len(plans), t_n, q_n, k_n, 4, 4))
+    for q, tgt in enumerate(scenario.targets):
+        gamma = process_noise_cov(grid.interval_length,
+                                  tgt.process_noise_intensity)
+        chol = np.linalg.cholesky(gamma)
+        truth[:, q, 0] = tgt.initial_state
+        for t in range(t_n):
+            for k in range(k_n):
+                truth[t, q, k + 1] = F @ truth[t, q, k] + chol @ proc[t, k, q]
+        for p, scales in enumerate(plans):
+            track = TrackState(
+                mean=np.tile(tgt.initial_state + INIT_MEAN_OFFSET, (t_n, 1)),
+                cov=np.tile(np.diag(INIT_COV_DIAG), (t_n, 1, 1)))
+            for k in range(k_n):
+                t_k, t_fuse = grid.boundary(k)
+                rows = schedule.rows[q][k]
+                block = k * q_n + q
+                track = kf_predict(track, grid.interval_length, gamma)
+                stack = _stack_interval(
+                    rows, scales[k][rows.radar, q], truth[:, q, k], t_k,
+                    t_fuse, meas[:, offsets[block]:offsets[block + 1]])
+                track = kf_update(track, ils_mle(stack, track.mean))
+                means[p, :, q, k] = track.mean
+                covs[p, :, q, k] = track.cov
+    return truth, means, covs
+
+
+class TestLengthGroupedFusion:
+    def test_matches_per_target_oracle_bytewise(self, scenario):
+        # target 1 keeps fewer rows than target 0 under the uniform plan;
+        # the third plan zeroes radar 0 on target 0 and radar 3 on target 1,
+        # so its two targets keep the same number of rows and share a call
+        sc = _uneven_rows(scenario)
+        sch = build_schedule(sc)
+        uniform = np.array(_planned_scales(sc, sch, "uniform"))
+        cut = uniform.copy()
+        cut[:, 0, 0] = cut[:, 3, 1] = 0.0
+        plans = [uniform, np.array(_planned_scales(sc, sch, "random", 1)),
+                 cut]
+        kept = np.array([[[np.count_nonzero(
+            plan[k, sch.rows[q][k].radar, q]) for q in range(sc.n_targets)]
+            for k in range(sc.grid.num_intervals)] for plan in plans])
+        assert np.all(kept[0, :, 0] > kept[0, :, 1])
+        assert np.all(kept[2, :, 0] == kept[2, :, 1])
+        seeds = [[2, t] for t in range(3)]
+        run = run_tracking(sc, sch, plans, seeds)
+        truth, means, covs = _per_target_oracle(sc, sch, plans, seeds)
+        assert run.truth.tobytes() == truth.tobytes()
+        assert run.means.tobytes() == means.tobytes()
+        assert run.covs.tobytes() == covs.tobytes()
+
+
 def _oracle_stack(scenario, schedule, z, q, k, truth_k, draws):
     """The interval's stacked rows built one measurement at a time:
     transition_matrix(t - t_k) @ truth_k, then scalar measure."""
@@ -299,7 +383,8 @@ class TestStackInterval:
                 truth_k = (transition_matrix(t_k - scenario.grid.start_time)
                            @ tgt.initial_state + rng.normal(size=4))
                 draws = rng.standard_normal((schedule.counts[:, q, k].sum(), 2))
-                got = _stack_interval(schedule.rows[q][k], scale[:, q],
+                rows = schedule.rows[q][k]
+                got = _stack_interval(rows, scale[rows.radar, q],
                                       truth_k, t_k, t_fuse, draws)
                 want = _oracle_stack(scenario, schedule, z, q, k, truth_k,
                                      draws)
@@ -330,5 +415,6 @@ class TestStackInterval:
         x, y = scenario.radars[rows.radar[-1]].position
         draws = np.zeros((len(rows.times), 2))
         with pytest.raises(ValueError, match="coincides"):
-            _stack_interval(rows, scale[:, 0], np.array([x, 0.0, y, 0.0]),
+            _stack_interval(rows, scale[rows.radar, 0],
+                            np.array([x, 0.0, y, 0.0]),
                             t_k, t_fuse, draws)

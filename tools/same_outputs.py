@@ -20,6 +20,9 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
   --trials 3 --seed 1``, on the default scenario with per-interval (J, K)
   floors: interval k takes the k-th of the ``solve-sweep`` floor variants
   at seed 0, from slack to tight;
+* ``hrcn compare --trials 3 --seed 1`` on the default scenario with its
+  last PAR revisiting target 1 at 1.5 times its interval, so the targets
+  keep different numbers of rows in an interval;
 * ``hrcn sweep --values 0.5 1.0 1.5``, and the same sweep of the
   base-station budget over 5, 10 and 40 W.
 
@@ -47,7 +50,8 @@ import numpy as np
 import hrcn.cli
 import scenarios
 import workloads
-from hrcn.scenario import build_schedule, default_scenario_path, load_scenario
+from hrcn.scenario import (RadarKind, build_schedule, default_scenario_path,
+                           load_scenario)
 
 def run(name, argv):
     out, err = io.StringIO(), io.StringIO()
@@ -96,6 +100,16 @@ for k in range(k_n):
 run("compare-floor-jk", ["compare", "--trials", "3", "--seed", "1",
                          "--scenario", "floor_jk.yaml",
                          "--out", "compare-floor-jk"])
+# the last PAR revisits target 1 every 3 s instead of 2, so the targets
+# keep different numbers of rows in an interval
+radars = list(base.radars)
+par = [i for i, r in enumerate(radars) if r.kind is RadarKind.PAR][-1]
+radars[par] = dataclasses.replace(radars[par], revisit_interval=(
+    radars[par].revisit_interval * np.array([1.0, 1.5])))
+scenarios.to_yaml(dataclasses.replace(base, radars=radars), "uneven_rows.yaml")
+run("compare-uneven-rows", ["compare", "--trials", "3", "--seed", "1",
+                            "--scenario", "uneven_rows.yaml",
+                            "--out", "compare-uneven-rows"])
 run("sweep", ["sweep", "--values", "0.5", "1.0", "1.5", "--out", "sweep"])
 run("sweep-budget", ["sweep", "--param", "comm-budget", "--values", "5", "10",
                      "40", "--out", "sweep-budget"])
