@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fusion import inv_psd
+from .fusion import inv_psd, symmetrize
 from .scenario import IntervalRows, MeasurementSchedule, RadarKind, Scenario
 from .sensing import info_kernel_D
 
@@ -139,9 +139,8 @@ def compute_kernels(scenario: Scenario, schedule: MeasurementSchedule,
 def bayesian_B(z: np.ndarray, problem: "IntervalProblem") -> np.ndarray:
     """(Q, 4, 4) per-target Bayesian information
     B^q(z) = sum_i scale_i D_i + prior."""
-    B = problem.prior_infos + np.einsum(
-        "iq,qiab->qab", info_scale(problem.layout, z), problem.kernels)
-    return 0.5 * (B + np.swapaxes(B, 1, 2))
+    return symmetrize(problem.prior_infos + np.einsum(
+        "iq,qiab->qab", info_scale(problem.layout, z), problem.kernels))
 
 
 def _weighted_crb(b_mats: np.ndarray, t0: float) -> list[float]:
@@ -608,14 +607,12 @@ def baseline_random(problem: IntervalProblem,
 # alternating descent-ascent solver
 
 
-# Armijo's sufficient-increase share of the first-order gain along the arc
-ARMIJO_SIGMA = 1e-4
 # first trial step, relative to the per-coordinate budget scale
 STEP_SIZE = 204.8
 # stop once a step changes g by at most this, relative, in either direction
 OBJ_TOL = 1e-6
 MAX_OUTER = 500
-# per line search and per g safeguard
+# per step: halvings of the step length while g falls
 MAX_HALVINGS = 32
 
 
@@ -626,13 +623,13 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     problem.precond, which exists whenever the polyhedron is not empty.
 
     Alternates the closed-form slack update with a projected, preconditioned
-    gradient-ascent step on the fractional rewrite, its length set by the
-    Armijo rule along the projection arc.  A step is accepted only if the
-    CRB metric g does not fall, so g rises monotonically; the solver stops
-    once a step changes g by at most OBJ_TOL relative, when no step raises
-    it, or after MAX_OUTER steps.  Returns the last accepted iterate and one
-    trace record per accepted step, with the projections the step took in
-    "probes".
+    gradient-ascent step on the fractional rewrite.  The first probe is at
+    STEP_SIZE, halved while the CRB metric g falls by more than OBJ_TOL
+    relative, and the step is accepted only if g did not fall, so g rises
+    monotonically; the solver stops once a step changes g by at most
+    OBJ_TOL relative, when no step raises it, or after MAX_OUTER steps.
+    Returns the last accepted iterate and one trace record per accepted
+    step, with the projections the step took in "probes".
     """
     A, b, precond = problem.A, problem.b, problem.precond
     lam_inv = 1.0 / lambda_diag(problem.t0)
@@ -665,27 +662,18 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     for it in range(MAX_OUTER):
         v_mats = inner_v_update(bayesian_B(z, problem), lam_inv)
         fp = assemble_fractional(v_mats, problem)
-        f_cur = f_value(fp, z)
-        if not np.isfinite(f_cur):
+        if not np.isfinite(f_value(fp, z)):
             raise RuntimeError(f"non-finite objective at iteration {it}")
 
         grad_u = precond * grad_f(fp, z)
         peak = np.max(np.abs(grad_u))
         direction = grad_u / peak if peak > 0 else np.zeros_like(u)
 
-        # Armijo rule along the projection arc (Bertsekas 1976): from the
-        # largest step, halve until f rises by a sufficient share of the
-        # first-order gain grad_u . (P(u + eta d) - u)
-        eta, proj, probes = STEP_SIZE, probe(STEP_SIZE), 1
-        while (probes <= MAX_HALVINGS and f_value(fp, precond * proj.z)
-               < f_cur + ARMIJO_SIGMA * float(grad_u @ (proj.z - u))):
-            eta *= 0.5
-            proj = probe(eta)
-            probes += 1
-
         # f, pinned to g at z by the slack update, bounds g from above
-        # elsewhere, so a step that raises f can still lower g: halve while g
-        # falls by more than OBJ_TOL, and stay put unless g did not fall
+        # elsewhere, so a step up the fractional rewrite can still lower g:
+        # from the largest step, halve while g falls by more than OBJ_TOL,
+        # and stay put unless g did not fall
+        eta, proj, probes = STEP_SIZE, probe(STEP_SIZE), 1
         tol = OBJ_TOL * g_cur
         g_new = objective_g(precond * proj.z, problem)
         for _ in range(MAX_HALVINGS):

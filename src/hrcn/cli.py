@@ -17,8 +17,8 @@ import numpy as np
 
 from .allocator import (InfeasibleError, IntervalProblem, adam_solve,
                         baseline_uniform, info_scale, objective_g, project)
-from .harness import (compare_allocations, plan_allocations, planning_chain,
-                      planning_horizon, save_result)
+from .harness import (POLICIES, compare_allocations, plan_allocations,
+                      planning_chain, planning_horizon, save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
                        load_scenario, validate)
 from .tracker import run_tracking
@@ -162,14 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=0)
 
     p = sub.add_parser("simulate", help="full tracking run under one policy")
-    p.add_argument("--policy", choices=["optimized", "uniform", "random"],
-                   default="optimized")
+    p.add_argument("--policy", choices=POLICIES, default="optimized")
 
     p = sub.add_parser("compare", help="Monte-Carlo policy comparison")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--policies", nargs="+",
-                   default=["optimized", "uniform", "random"],
-                   choices=["optimized", "uniform", "random"])
+    p.add_argument("--policies", nargs="+", default=list(POLICIES),
+                   choices=POLICIES)
 
     p = sub.add_parser("sweep", help="sweep a constraint parameter")
     p.add_argument("--interval", type=int, default=0)

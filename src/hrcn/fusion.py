@@ -74,6 +74,11 @@ GN_TOL = 1e-8
 GN_MAX_ITER = 50
 
 
+def symmetrize(mat: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 of each matrix of the stack mat (..., n, n)."""
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
+
+
 def inv_psd(mat: np.ndarray, jitter: float = JITTER) -> tuple[np.ndarray, int]:
     """Inverse of each matrix of the stack mat (..., n, n), a singular
     member retried as inv(member + jitter I); returns the inverses and the
@@ -105,11 +110,14 @@ def ils_mle(stack: StackedMeasurements,
     RankDeficiencyError on unobservable geometry and DivergenceError after
     GN_MAX_ITER steps, naming the first failing member of a batch.  The
     rank test is Gauss-Newton's, on its first normal matrix: the Fisher
-    information at init.
+    information at init.  The values must hold one fix per initial state.
     """
     init = np.asarray(init, dtype=float)
     if not np.all(np.isfinite(init)):
         raise ValueError("initial state must be finite")
+    if stack.values.shape[:-2] != init.shape[:-1]:
+        raise ValueError(f"values for fixes {stack.values.shape[:-2]} do "
+                         f"not match initial states {init.shape[:-1]}")
     if len(stack) < 2:
         # every member has M rows, so every member fails, the first one first
         raise _kernels.member_error(
@@ -129,9 +137,9 @@ def ils_mle(stack: StackedMeasurements,
             f"(last step {step_norm.flat[member or 0]:.3e})", member)
     info = fim(stack, s)
     cov, jittered = inv_psd(info)
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    return CompositeMeasurement(estimate=s, covariance=cov, iterations=iters,
-                                step_norm=step_norm, jittered=jittered)
+    return CompositeMeasurement(estimate=s, covariance=symmetrize(cov),
+                                iterations=iters, step_norm=step_norm,
+                                jittered=jittered)
 
 
 def prior_information(prev_info: np.ndarray, F: np.ndarray,
@@ -141,5 +149,4 @@ def prior_information(prev_info: np.ndarray, F: np.ndarray,
     Gamma (..., 4, 4); each inverse jittered when singular."""
     prev_inv, _ = inv_psd(prev_info)
     pred_cov = Gamma + F @ prev_inv @ F.T
-    out, _ = inv_psd(pred_cov)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return symmetrize(inv_psd(pred_cov)[0])

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._kernels import member_error
 from .fusion import (CompositeMeasurement, FusionError, StackedMeasurements,
-                     ils_mle, inv_psd)
+                     ils_mle, inv_psd, symmetrize)
 from .kinematics import measure, process_noise_cov, transition_matrix
 from .scenario import IntervalRows, MeasurementSchedule, Scenario
 
@@ -27,17 +27,13 @@ INIT_MEAN_OFFSET = np.array([50.0, 5.0, -50.0, -5.0])
 INIT_COV_DIAG = np.array([100.0, 10.0, 100.0, 10.0]) ** 2
 
 
-def _sym(cov: np.ndarray) -> np.ndarray:
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
-
-
 def kf_predict(track: TrackState, t0: float, gamma: np.ndarray) -> TrackState:
     """Constant-velocity prediction over t0 seconds with process noise
     gamma, for a track or a batch of tracks."""
     F = transition_matrix(t0)
     mean = (F @ track.mean[..., None])[..., 0]
     cov = F @ track.cov @ F.T + gamma
-    return TrackState(mean=mean, cov=_sym(cov))
+    return TrackState(mean=mean, cov=symmetrize(cov))
 
 
 def kf_update(predicted: TrackState, cm: CompositeMeasurement) -> TrackState:
@@ -55,7 +51,7 @@ def kf_update(predicted: TrackState, cm: CompositeMeasurement) -> TrackState:
     IK = np.eye(4) - K
     cov = (IK @ P @ np.swapaxes(IK, -1, -2)
            + K @ R @ np.swapaxes(K, -1, -2))
-    return TrackState(mean=mean, cov=_sym(cov))
+    return TrackState(mean=mean, cov=symmetrize(cov))
 
 
 @dataclass

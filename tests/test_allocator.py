@@ -32,7 +32,7 @@ from scenarios import large_net  # noqa: E402
 
 # g of each interval of plan_allocations(default scenario, "optimized") under
 # the line search that grew the step while f rose at all, from 5e-2 up to
-# 12 doublings; the Armijo rule must not lose more than OBJ_TOL of it
+# 12 doublings; the backtracking on g must not lose more than OBJ_TOL of it
 GROWTH_SEARCH_G = [0.004952754526281177, 0.010108736169291161,
                    0.009840758683638302, 0.009469998664426556,
                    0.00912985481980762, 0.008912752184362632,
@@ -1225,9 +1225,8 @@ class TestAdamSolve:
 
     @pytest.mark.parametrize("solves", ["default_solves", "large_net_solves"])
     def test_at_most_five_probes_per_accepted_step(self, solves, request):
-        # the Armijo rule starts at the largest step, which the flat
-        # projection arc mostly accepts; probes count its backtracks and
-        # the g-halvings
+        # each step's first probe is at the largest step, which g mostly
+        # accepts; probes count it and the halvings while g falls
         trace = [rec for solve in request.getfixturevalue(solves)
                  for rec in solve["trace"]]
         assert all(rec["probes"] >= 1 for rec in trace)

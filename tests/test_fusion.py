@@ -1,6 +1,8 @@
 """Composite-measurement fusion: Gauss-Newton MLE, Fisher information, and
 the one-step predicted information."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,9 +144,19 @@ class TestBatchedGaussNewton:
                            match="rank-deficient in batch member 2") as exc:
             ils_mle(batch, init)
         assert exc.value.member == 2
-        cm = ils_mle(batch, init[:2])
+        cm = ils_mle(replace(batch, values=batch.values[:2]), init[:2])
         assert cm.estimate.shape == (2, 4) and cm.jittered == 0
         assert cm.estimate[0].tobytes() == cm.estimate[1].tobytes()
+
+    def test_values_and_states_must_pair_up(self):
+        # values for three fixes against two initial states, and one fix
+        # against three: neither has one fix per state
+        noisy = make_stack(noise_rng=np.random.default_rng(5))
+        batch = replace(noisy, values=np.stack([noisy.values] * 3))
+        with pytest.raises(ValueError, match="do not match"):
+            ils_mle(batch, np.stack([TRUE_STATE] * 2))
+        with pytest.raises(ValueError, match="do not match"):
+            ils_mle(noisy, np.stack([TRUE_STATE] * 3))
 
 
 def _member_stacks(n_trials=2):
