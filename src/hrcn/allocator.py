@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .fusion import inv_psd, symmetrize
-from .scenario import IntervalRows, MeasurementSchedule, RadarKind, Scenario
+from .scenario import (RESOURCE_FIELDS, IntervalRows, MeasurementSchedule,
+                       RadarKind, Scenario)
 from .sensing import info_kernel_D
 
 
@@ -56,16 +57,16 @@ class AllocationLayout:
     def from_scenario(cls, scenario: Scenario) -> "AllocationLayout":
         n, q_n = scenario.n_radars, scenario.n_targets
         factor, fixed_energy, budget = np.zeros(n), np.zeros(n), np.zeros(n)
-        mmr, par = [], []
+        blocks = {kind: [] for kind in RESOURCE_FIELDS}
         for i, node in enumerate(scenario.radars):
-            if node.kind is RadarKind.MMR:
-                mmr.append(i)
-                factor[i], budget[i] = node.fixed_dwell, node.power_budget
-            elif node.kind is RadarKind.PAR:
-                par.append(i)
-                factor[i], budget[i] = node.fixed_power, node.time_budget
+            blocks[node.kind].append(i)
+            fixed, other = (getattr(node, name)
+                            for name in RESOURCE_FIELDS[node.kind])
+            if node.kind is RadarKind.MSR:
+                fixed_energy[i] = fixed * other
             else:
-                fixed_energy[i] = node.fixed_power * node.fixed_dwell
+                factor[i], budget[i] = fixed, other
+        mmr, par = blocks[RadarKind.MMR], blocks[RadarKind.PAR]
         var = np.full((n, q_n), -1)
         for block, i in enumerate(mmr + par):
             var[i] = block * q_n + np.arange(q_n)

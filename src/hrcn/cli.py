@@ -113,6 +113,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Solve one interval per swept value.  Each value keeps the base
+    scenario's kernels and uniform-chained priors, and only A and b change;
+    ``hrcn solve --scenario <variant>`` chains the variant's own priors,
+    which a comm budget moves and a floor does not."""
     scenario, schedule = _load(args)
     variants = []
     for value in args.values:

@@ -6,6 +6,7 @@ Scenario files are YAML with four sections (``grid``, ``radars``, ``comm``,
 the schema documented in the README and the shipped ``data/default.yaml``.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -26,6 +27,15 @@ class RadarKind(Enum):
     MMR = "mmr"  # co-located MIMO radar: power optimized, dwell fixed
     PAR = "par"  # phased array: dwell optimized, power fixed
     MSR = "msr"  # mechanical scanning: both fixed
+
+
+# Each kind's fixed resource, then its budgeted one (an MSR fixes both); the
+# key order is the order in which radars must be listed.
+RESOURCE_FIELDS = {
+    RadarKind.MMR: ("fixed_dwell", "power_budget"),
+    RadarKind.PAR: ("fixed_power", "time_budget"),
+    RadarKind.MSR: ("fixed_dwell", "fixed_power"),
+}
 
 
 @dataclass
@@ -134,12 +144,23 @@ class MeasurementSchedule:
     rows: list = field(repr=False)  # rows[q][k]: IntervalRows
 
 
-_KIND_ORDER = {RadarKind.MMR: 0, RadarKind.PAR: 1, RadarKind.MSR: 2}
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ScenarioError(msg)
+
+
+def _check(prefix: str, name: str, value, bound: Optional[str] = None) -> None:
+    """Raise ScenarioError unless value, a number or an array, meets bound
+    ("> 0" or ">= 0", if given) and is finite.  The bound is checked first,
+    so NaN and a missing value fail it."""
+    is_array = isinstance(value, np.ndarray)
+    if bound is not None:
+        ok = value is not None and (value > 0 if bound == "> 0"
+                                    else value >= 0)
+        if not (ok.all() if is_array else ok):
+            raise ScenarioError(f"{prefix}{name} must be {bound}")
+    if not (np.isfinite(value).all() if is_array else math.isfinite(value)):
+        raise ScenarioError(f"{prefix}{name} must be finite")
 
 
 def _get(section: dict, key: str, where: str):
@@ -171,7 +192,7 @@ def _parse_radar(section: dict, idx: int, n_targets: int) -> RadarNode:
         kind = RadarKind(kind_raw)
     except ValueError:
         raise ScenarioError(f"{where}: unknown radar kind '{kind_raw}'") from None
-    node = RadarNode(
+    return RadarNode(
         id=int(section.get("id", idx + 1)),
         kind=kind,
         position=np.asarray(_get(section, "position", where), dtype=float),
@@ -184,97 +205,68 @@ def _parse_radar(section: dict, idx: int, n_targets: int) -> RadarNode:
                                  n_targets, where),
         revisit_interval=_per_target(_get(section, "revisit_interval", where),
                                      n_targets, where),
+        **{name: float(_get(section, name, where))
+           for name in RESOURCE_FIELDS[kind]},
     )
-    if kind in (RadarKind.MMR, RadarKind.MSR):
-        node.fixed_dwell = float(_get(section, "fixed_dwell", where))
-    if kind in (RadarKind.PAR, RadarKind.MSR):
-        node.fixed_power = float(_get(section, "fixed_power", where))
-    if kind is RadarKind.MMR:
-        node.power_budget = float(_get(section, "power_budget", where))
-    if kind is RadarKind.PAR:
-        node.time_budget = float(_get(section, "time_budget", where))
-    return node
 
 
 def validate(scenario: Scenario) -> None:
     """Check every scenario invariant; raise ScenarioError naming the first
     violation."""
     grid = scenario.grid
-    _require(grid.interval_length > 0, "grid.interval_length must be > 0")
+    _check("grid.", "interval_length", grid.interval_length, "> 0")
     _require(grid.num_intervals >= 1, "grid.num_intervals must be >= 1")
+    _check("grid.", "start_time", grid.start_time)
 
     q_n = scenario.n_targets
     _require(q_n >= 1, "at least one target required")
 
-    order = [_KIND_ORDER[r.kind] for r in scenario.radars]
-    _require(order == sorted(order),
+    kinds = [r.kind for r in scenario.radars]
+    _require(kinds == sorted(kinds, key=list(RESOURCE_FIELDS).index),
              "radars must be listed grouped as MMR, then PAR, then MSR")
 
     for i, r in enumerate(scenario.radars):
-        where = f"radars[{i}]"
-        _require(r.position.shape == (2,), f"{where}: position must be (x, y)")
-        _require(r.bandwidth > 0, f"{where}: bandwidth must be > 0")
-        _require(r.beamwidth > 0, f"{where}: beamwidth must be > 0")
-        _require(r.noise_var > 0, f"{where}: noise_var must be > 0")
-        _require(r.range_const > 0, f"{where}: range_const must be > 0")
-        _require(r.bearing_const > 0, f"{where}: bearing_const must be > 0")
-        _require(np.all(r.revisit_interval > 0),
-                 f"{where}: revisit_interval must be > 0")
-        _require(np.all(r.initial_time >= 0),
-                 f"{where}: initial_time must be >= 0")
-        if r.kind in (RadarKind.MMR, RadarKind.MSR):
-            _require(r.fixed_dwell is not None and r.fixed_dwell > 0,
-                     f"{where}: fixed_dwell must be > 0")
-            _require(np.ptp(r.revisit_interval) == 0,
-                     f"{where}: {r.kind.value} revisit_interval must be "
-                     "identical across targets")
-        if r.kind in (RadarKind.PAR, RadarKind.MSR):
-            _require(r.fixed_power is not None and r.fixed_power > 0,
-                     f"{where}: fixed_power must be > 0")
-        if r.kind is RadarKind.MMR:
-            _require(r.power_budget is not None and r.power_budget > 0,
-                     f"{where}: power_budget must be > 0")
-        if r.kind is RadarKind.PAR:
-            _require(r.time_budget is not None and r.time_budget > 0,
-                     f"{where}: time_budget must be > 0")
-        for name in ("fixed_dwell", "fixed_power", "power_budget",
-                     "time_budget"):
-            value = getattr(r, name)
-            _require(value is None or np.isfinite(value),
-                     f"{where}: {name} must be finite")
+        prefix = f"radars[{i}]: "
+        _require(r.position.shape == (2,), f"{prefix}position must be (x, y)")
+        _check(prefix, "position", r.position)
+        for name in ("bandwidth", "beamwidth", "noise_var", "range_const",
+                     "bearing_const", "revisit_interval",
+                     *RESOURCE_FIELDS[r.kind]):
+            _check(prefix, name, getattr(r, name), "> 0")
+        _check(prefix, "initial_time", r.initial_time, ">= 0")
+        # a scanning radar (MMR, MSR) sweeps past every target once a scan
+        _require(r.kind is RadarKind.PAR
+                 or (r.revisit_interval == r.revisit_interval[0]).all(),
+                 f"{prefix}{r.kind.value} revisit_interval must be "
+                 "identical across targets")
 
     comm = scenario.comm
     n = scenario.n_radars
     _require(comm.num_links >= 1, "comm.num_links must be >= 1")
-    _require(comm.noise_var > 0, "comm.noise_var must be > 0")
-    _require(comm.power_budget > 0, "comm.power_budget must be > 0")
-    _require(np.isfinite(comm.power_budget), "comm.power_budget must be finite")
+    _check("comm.", "noise_var", comm.noise_var, "> 0")
+    _check("comm.", "power_budget", comm.power_budget, "> 0")
     floor_shapes = ((comm.num_links,), (comm.num_links, grid.num_intervals))
     _require(comm.throughput_floor.shape in floor_shapes,
              f"comm.throughput_floor must have shape {floor_shapes[0]} or "
              f"{floor_shapes[1]}, got {comm.throughput_floor.shape}")
-    _require(np.all(comm.throughput_floor >= 0),
-             "comm.throughput_floor must be >= 0")
-    _require(np.all(np.isfinite(comm.throughput_floor)),
-             "comm.throughput_floor must be finite")
+    _check("comm.", "throughput_floor", comm.throughput_floor, ">= 0")
     _require(comm.radar_to_comm_gain.shape == (comm.num_links, n),
              "comm.radar_to_comm_gain must be J x N")
     _require(comm.comm_to_radar_gain.shape == (n, comm.num_links),
              "comm.comm_to_radar_gain must be N x J")
-    _require(np.all(np.isfinite(comm.radar_to_comm_gain))
-             and np.all(np.isfinite(comm.comm_to_radar_gain)),
+    _require(np.isfinite(comm.radar_to_comm_gain).all()
+             and np.isfinite(comm.comm_to_radar_gain).all(),
              "comm gains must be finite")
 
     for t_idx, t in enumerate(scenario.targets):
-        where = f"targets[{t_idx}]"
+        prefix = f"targets[{t_idx}]: "
         _require(t.initial_state.shape == (4,),
-                 f"{where}: initial_state must be [x, vx, y, vy]")
-        _require(np.all(np.isfinite(t.initial_state)),
-                 f"{where}: initial_state must be finite")
-        _require(t.process_noise_intensity >= 0,
-                 f"{where}: process_noise_intensity must be >= 0")
-        _require(t.rcs.shape == (n,), f"{where}: rcs must give one value per radar")
-        _require(np.all(t.rcs > 0), f"{where}: rcs must be > 0")
+                 f"{prefix}initial_state must be [x, vx, y, vy]")
+        _check(prefix, "initial_state", t.initial_state)
+        _check(prefix, "process_noise_intensity", t.process_noise_intensity,
+               ">= 0")
+        _require(t.rcs.shape == (n,), f"{prefix}rcs must give one value per radar")
+        _check(prefix, "rcs", t.rcs, "> 0")
 
 
 _CORE_SCALARS = {f"tag:yaml.org,2002:{name}":

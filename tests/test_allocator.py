@@ -1233,9 +1233,10 @@ class TestAdamSolve:
         assert sum(rec["probes"] for rec in trace) <= 5 * len(trace)
 
     def test_first_probe_accepted_on_a_linear_arc(self):
-        # without comm-to-radar interference every denominator of the
-        # fractional objective is constant, so f is linear along the arc and
-        # its first-order gain is the rise itself
+        # without comm-to-radar interference the downlink powers do not
+        # enter the radar's information, which only grows with its power;
+        # the step raises that power, so g does not fall at the first probe
+        # and the probe is accepted
         sc = make_mini_scenario(comm_to_radar=0.0)
         assert not sc.comm.alpha_c_sq.any()
         sch = build_schedule(sc)

@@ -226,9 +226,13 @@ class TestCompare:
 
 
 class TestSweep:
-    def test_metric_nondecreasing_in_comm_budget(self, tmp_path, capsys):
+    # at --interval 3 each swept problem takes the base scenario's priors,
+    # chained through uniform allocations, so only its A and b change
+    @pytest.mark.parametrize("interval", ["0", "3"])
+    def test_metric_nondecreasing_in_comm_budget(self, tmp_path, capsys,
+                                                 interval):
         out = str(tmp_path / "sweep")
-        assert main(["sweep", "--param", "comm-budget",
+        assert main(["sweep", "--interval", interval, "--param", "comm-budget",
                      "--values", "20", "40", "80", "--out", out]) == 0
         with open(os.path.join(out, "sweep.csv")) as fh:
             rows = fh.read().strip().splitlines()
@@ -236,9 +240,10 @@ class TestSweep:
         g_values = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(g_values, g_values[1:]))
 
-    def test_metric_nonincreasing_in_floor(self, tmp_path, capsys):
+    @pytest.mark.parametrize("interval", ["0", "3"])
+    def test_metric_nonincreasing_in_floor(self, tmp_path, capsys, interval):
         out = str(tmp_path / "sweep")
-        assert main(["sweep", "--param", "floor",
+        assert main(["sweep", "--interval", interval, "--param", "floor",
                      "--values", "0.5", "2.0", "3.0", "--out", out]) == 0
         path = os.path.join(out, "sweep.csv")
         with open(path) as fh:

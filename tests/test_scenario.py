@@ -252,19 +252,73 @@ class TestLoadScenario:
         ("mmr", "power_budget", "power_budget must be finite"),
         ("mmr", "fixed_dwell", "fixed_dwell must be finite"),
         ("par", "time_budget", "time_budget must be finite"),
-        ("par", "fixed_power", "fixed_power must be finite")])
+        ("par", "fixed_power", "fixed_power must be finite"),
+        ("grid", "interval_length", "grid.interval_length must be finite"),
+        ("grid", "start_time", "grid.start_time must be finite"),
+        ("mmr", "position", "position must be finite"),
+        ("mmr", "bandwidth", "bandwidth must be finite"),
+        ("mmr", "beamwidth", "beamwidth must be finite"),
+        ("mmr", "noise_var", ": noise_var must be finite"),
+        ("mmr", "range_const", "range_const must be finite"),
+        ("mmr", "bearing_const", "bearing_const must be finite"),
+        ("mmr", "initial_time", "initial_time must be finite"),
+        ("par", "revisit_interval", "revisit_interval must be finite"),
+        ("comm", "noise_var", "comm.noise_var must be finite"),
+        ("targets", "rcs", "rcs must be finite"),
+        ("targets", "process_noise_intensity",
+         "process_noise_intensity must be finite")])
     def test_infinite_budget_rejected(self, tmp_path, section, key, message):
-        # an infinite budget, dwell, power or floor would reach the solver
-        # as inf and NaN; the file is refused when it is loaded
+        # an infinite number in any field would reach the schedule, the
+        # kernels or the solver as inf and NaN; the file is refused when it
+        # is loaded.  A PAR's revisit intervals may differ across targets,
+        # so its infinite one meets no other check first
         def mutate(raw):
-            if section == "comm":
-                raw["comm"][key] = (float("inf") if key == "power_budget"
-                                    else [0.5, float("inf"), 0.5])
-            else:
+            if section in ("mmr", "par"):
                 sec = next(r for r in raw["radars"] if r["kind"] == section)
+            elif section == "targets":
+                sec = raw["targets"][0]
+            else:
+                sec = raw[section]
+            if isinstance(sec[key], list):
+                sec[key][1] = float("inf")
+            else:
                 sec[key] = float("inf")
         with pytest.raises(ScenarioError, match=message):
             load_scenario(_mutated_default(tmp_path, mutate))
+
+    @pytest.mark.parametrize("kind,key", [
+        ("mmr", "fixed_dwell"), ("mmr", "power_budget"),
+        ("par", "fixed_power"), ("par", "time_budget"),
+        ("msr", "fixed_dwell"), ("msr", "fixed_power")])
+    def test_missing_or_zero_resource_rejected(self, tmp_path, kind, key):
+        # every kind's fixed resource and budget are required and positive
+        def drop(raw):
+            del next(r for r in raw["radars"] if r["kind"] == kind)[key]
+
+        def zero(raw):
+            next(r for r in raw["radars"] if r["kind"] == kind)[key] = 0.0
+        with pytest.raises(ScenarioError,
+                           match=f"missing required field '{key}'"):
+            load_scenario(_mutated_default(tmp_path, drop))
+        with pytest.raises(ScenarioError, match=f"{key} must be > 0"):
+            load_scenario(_mutated_default(tmp_path, zero))
+
+    @pytest.mark.parametrize("kind,keys", [
+        ("mmr", ("fixed_power", "time_budget")),
+        ("par", ("fixed_dwell", "power_budget")),
+        ("msr", ("power_budget", "time_budget"))])
+    def test_resource_of_another_kind_ignored(self, tmp_path, scenario,
+                                              kind, keys):
+        # a field that is no resource of the radar's kind is not read, so
+        # even a value validation would refuse leaves the scenario as it is
+        def mutate(raw):
+            for sec in raw["radars"]:
+                if sec["kind"] == kind:
+                    sec.update(dict.fromkeys(keys, -1.0))
+        loaded = load_scenario(_mutated_default(tmp_path, mutate))
+        assert scenario_fingerprint(loaded) == scenario_fingerprint(scenario)
+        for i in kind_indices(loaded, RadarKind(kind)):
+            assert all(getattr(loaded.radars[i], key) is None for key in keys)
 
     @pytest.mark.parametrize("floor", [1.0, [1.0, 1.0], [[1.0, 1.0]] * 3],
                              ids=["scalar", "two-of-three-links",

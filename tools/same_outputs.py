@@ -24,7 +24,9 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
   last PAR revisiting target 1 at 1.5 times its interval, so the targets
   keep different numbers of rows in an interval;
 * ``hrcn sweep --values 0.5 1.0 1.5``, and the same sweep of the
-  base-station budget over 5, 10 and 40 W.
+  base-station budget over 5, 10 and 40 W, at interval 0;
+* ``hrcn sweep --interval 3`` of the base-station budget over 10, 30 and
+  60 W, whose problems take their priors from the uniform chain.
 
 Every command's stdout (or stderr and exit code, when it fails) and every
 file it writes are kept under one output directory per tree.  The tool then
@@ -113,6 +115,9 @@ run("compare-uneven-rows", ["compare", "--trials", "3", "--seed", "1",
 run("sweep", ["sweep", "--values", "0.5", "1.0", "1.5", "--out", "sweep"])
 run("sweep-budget", ["sweep", "--param", "comm-budget", "--values", "5", "10",
                      "40", "--out", "sweep-budget"])
+run("sweep-budget-k3", ["sweep", "--interval", "3", "--param", "comm-budget",
+                        "--values", "10", "30", "60",
+                        "--out", "sweep-budget-k3"])
 """
 
 
