@@ -4,7 +4,8 @@ IntervalProblem holds one interval's Bayesian-CRB maximin problem over the
 decision vector [MMR powers | PAR dwell times | downlink powers], built once
 and read by the baselines, the metric g and adam_solve.  adam_solve
 alternates a closed-form slack-matrix descent with projected gradient ascent
-on the resulting sum of linear-fractional functions.
+on the resulting sum of linear-fractional functions, each step's first probe
+at the Barzilai-Borwein length of the step before.
 """
 
 import warnings
@@ -608,8 +609,11 @@ def baseline_random(problem: IntervalProblem,
 # alternating descent-ascent solver
 
 
-# first trial step, relative to the per-coordinate budget scale
+# largest first probe, relative to the per-coordinate budget scale, and the
+# first probe of a solve's first step
 STEP_SIZE = 204.8
+# smallest first probe of a Barzilai-Borwein step
+STEP_FLOOR = 1e-8
 # stop once a step changes g by at most this, relative, in either direction
 OBJ_TOL = 1e-6
 MAX_OUTER = 500
@@ -624,11 +628,17 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     problem.precond, which exists whenever the polyhedron is not empty.
 
     Alternates the closed-form slack update with a projected, preconditioned
-    gradient-ascent step on the fractional rewrite.  The first probe is at
-    STEP_SIZE, halved while the CRB metric g falls by more than OBJ_TOL
-    relative, and the step is accepted only if g did not fall, so g rises
-    monotonically; the solver stops once a step changes g by at most
-    OBJ_TOL relative, when no step raises it, or after MAX_OUTER steps.
+    gradient-ascent step on the fractional rewrite.  A step's first probe is
+    the Barzilai-Borwein length s's / s'y of the last accepted step s and the
+    gradient's fall y over it (Barzilai and Borwein, IMA J. Numer. Anal.
+    8(1), 1988; as in the spectral projected gradient of Birgin, Martinez and
+    Raydan, SIAM J. Optim. 10(4), 2000), scaled to the max-normalized
+    direction and clipped to [STEP_FLOOR, STEP_SIZE]; it is STEP_SIZE on the
+    first step and where s'y <= 0.  The probe is halved while the CRB metric
+    g falls by more than OBJ_TOL relative, and the step is accepted only if
+    g did not fall, so g rises monotonically; the solver stops once a step
+    changes g by at most OBJ_TOL relative, when no step raises it, or after
+    MAX_OUTER steps.
     Returns the last accepted iterate and one trace record per accepted
     step, with the projections the step took in "probes".
     """
@@ -660,6 +670,7 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
         last = res.active
         return res
 
+    u_prev = grad_prev = None
     for it in range(MAX_OUTER):
         v_mats = inner_v_update(bayesian_B(z, problem), lam_inv)
         fp = assemble_fractional(v_mats, problem)
@@ -670,11 +681,20 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
         peak = np.max(np.abs(grad_u))
         direction = grad_u / peak if peak > 0 else np.zeros_like(u)
 
+        # Barzilai-Borwein length s's / s'y of the last accepted step s and
+        # the gradient's fall y over it, in units of the normalized direction
+        eta = STEP_SIZE
+        if u_prev is not None:
+            s = u - u_prev
+            sy = s @ (grad_prev - grad_u)
+            if sy > 0:
+                eta = min(max(s @ s / sy * peak, STEP_FLOOR), STEP_SIZE)
+
         # f, pinned to g at z by the slack update, bounds g from above
         # elsewhere, so a step up the fractional rewrite can still lower g:
-        # from the largest step, halve while g falls by more than OBJ_TOL,
+        # from the first probe, halve while g falls by more than OBJ_TOL,
         # and stay put unless g did not fall
-        eta, proj, probes = STEP_SIZE, probe(STEP_SIZE), 1
+        proj, probes = probe(eta), 1
         tol = OBJ_TOL * g_cur
         g_new = objective_g(precond * proj.z, problem)
         for _ in range(MAX_HALVINGS):
@@ -688,7 +708,7 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
             break
 
         step_norm = float(np.linalg.norm(proj.z - u))
-        u = proj.z
+        u_prev, grad_prev, u = u, grad_u, proj.z
         z = precond * u
         trace.append({"iteration": it, "f": f_value(fp, z), "g": g_new,
                       "step_norm": step_norm, "probes": probes,

@@ -163,6 +163,20 @@ def _check(prefix: str, name: str, value, bound: Optional[str] = None) -> None:
         raise ScenarioError(f"{prefix}{name} must be finite")
 
 
+def _integer(prefix: str, name: str, value) -> int:
+    """value as an int; ScenarioError naming the field unless it is an
+    integral number (non-finite numbers are not)."""
+    if isinstance(value, int):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ScenarioError(f"{prefix}{name} must be an integer")
+    return int(number)
+
+
 def _get(section: dict, key: str, where: str):
     if key not in section:
         raise ScenarioError(f"{where}: missing required field '{key}'")
@@ -193,7 +207,7 @@ def _parse_radar(section: dict, idx: int, n_targets: int) -> RadarNode:
     except ValueError:
         raise ScenarioError(f"{where}: unknown radar kind '{kind_raw}'") from None
     return RadarNode(
-        id=int(section.get("id", idx + 1)),
+        id=_integer(f"{where}: ", "id", section.get("id", idx + 1)),
         kind=kind,
         position=np.asarray(_get(section, "position", where), dtype=float),
         bandwidth=float(_get(section, "bandwidth", where)),
@@ -338,7 +352,8 @@ def load_scenario(path) -> Scenario:
     g = raw["grid"]
     grid = FusionGrid(
         interval_length=float(_get(g, "interval_length", "grid")),
-        num_intervals=int(_get(g, "num_intervals", "grid")),
+        num_intervals=_integer("grid.", "num_intervals",
+                               _get(g, "num_intervals", "grid")),
         start_time=float(g.get("start_time", 0.0)),
     )
 
@@ -348,7 +363,7 @@ def load_scenario(path) -> Scenario:
     n = len(radars)
 
     c = raw["comm"]
-    j_n = int(_get(c, "num_links", "comm"))
+    j_n = _integer("comm.", "num_links", _get(c, "num_links", "comm"))
     floor = np.asarray(_get(c, "throughput_floor", "comm"), dtype=float)
     comm = CommSystem(
         num_links=j_n,
@@ -367,7 +382,7 @@ def load_scenario(path) -> Scenario:
     for t_idx, sec in enumerate(targets_raw):
         where = f"targets[{t_idx}]"
         targets.append(TargetTruth(
-            id=int(sec.get("id", t_idx + 1)),
+            id=_integer(f"{where}: ", "id", sec.get("id", t_idx + 1)),
             initial_state=np.asarray(_get(sec, "initial_state", where), dtype=float),
             process_noise_intensity=float(_get(sec, "process_noise_intensity", where)),
             rcs=np.asarray(_get(sec, "rcs", where), dtype=float),

@@ -18,7 +18,7 @@ from hrcn.allocator import (AllocationLayout, InfeasibleError,
                             interference_denominators, lambda_diag,
                             objective_g, project, root_bcrb, throughput_r)
 from hrcn.fusion import JITTER, inv_psd, prior_information
-from hrcn.harness import plan_allocations
+from hrcn.harness import plan_allocations, planning_chain
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import RadarKind, build_schedule
 
@@ -28,7 +28,7 @@ from test_acceptance import _projection_oracle
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
-from scenarios import large_net  # noqa: E402
+from scenarios import floor_variants, large_net  # noqa: E402
 
 # g of each interval of plan_allocations(default scenario, "optimized") under
 # the line search that grew the step while f rose at all, from 5e-2 up to
@@ -38,6 +38,44 @@ GROWTH_SEARCH_G = [0.004952754526281177, 0.010108736169291161,
                    0.00912985481980762, 0.008912752184362632,
                    0.008934574778258623, 0.009306424065808297,
                    0.009794588254319937, 0.010365298030823757]
+
+# plan_allocations(default scenario, "optimized") under the solver whose every
+# step's first probe was at STEP_SIZE; it reaches GROWTH_SEARCH_G within
+# rounding.  Chaining the priors through it fixes each interval's problem,
+# whatever plan the solver under test makes for the intervals before
+STEP_SIZE_PLAN = np.array([
+    [33.3333333333331, 0.0, 50.0, 0.0, 49.99999999999982, 0.0, 0.0, 0.06,
+     0.06000000000000042, 0.0, 0.6474669450656734, 0.6461358917118787,
+     0.647807694723781],
+    [33.333333333333336, 0.0, 17.829328707172763, 15.504004626160691,
+     33.333333333333215, 0.0, 0.0, 0.06000000000000085, 0.04000000000000057,
+     0.0, 0.6475947261876058, 0.6464233992360846, 0.6483188192123635],
+    [33.33333333333346, 0.0, 25.088106389193857, 8.245226944139361,
+     14.483889781582706, 18.84944355175122, 0.0, 0.05999999999999829, 0.04,
+     0.0, 0.6475947261870374, 0.6464233992355162, 0.6483188192123635],
+    [33.333333333333336, 0.0, 33.333333333333336, 0.0, 0.0,
+     33.333333333333215, 0.0, 0.060000000000001275, 0.04, 0.0,
+     0.6475947261876058, 0.6464233992363688, 0.6483188192115108],
+    [9.337349114528001, 23.995984218805333, 21.512361755651455,
+     11.820971577681524, 0.0, 33.333333333333336, 0.0, 0.06000000000000042,
+     0.04000000000000057, 0.0, 0.6475947261876058, 0.6464233992363688,
+     0.6483188192123635],
+    [0.0, 33.333333333333364, 33.33333333333332, 0.0, 0.0, 33.33333333333332,
+     0.010604246627604876, 0.04939575337239518, 0.04, 0.0, 0.6475947261875348,
+     0.6464233992361912, 0.6483188192121503],
+    [0.0, 33.33333333333332, 33.333333333333336, 0.0, 0.0,
+     33.333333333333336, 0.03689110781566678, 0.023108892184333117, 0.0,
+     0.04000000000000007, 0.6475947261876414, 0.6464233992361201,
+     0.6483188192121503],
+    [0.0, 33.333333333333336, 33.33333333333335, 0.0, 0.0, 33.33333333333335,
+     0.05845751642703824, 0.0015424835729618103, 0.0, 0.04,
+     0.6475947261875703, 0.6464233992361912, 0.6483188192121503],
+    [0.0, 33.3333333333331, 33.333333333333336, 0.0, 0.0, 33.333333333333215,
+     0.06000000000000042, 0.0, 0.0, 0.040000000000000285, 0.6475947261876058,
+     0.6464233992358004, 0.6483188192123635],
+    [0.0, 33.333333333333336, 33.33333333333346, 0.0, 0.0,
+     33.333333333333336, 0.059999999999999575, 0.0, 0.0, 0.04,
+     0.6475947261873216, 0.6464233992358004, 0.6483188192123635]])
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +162,32 @@ def recorded_solves(scenario, schedule) -> list[dict]:
         # the solver's start point: the even split, feasible on these inputs
         solve["g_start"] = solve["g_of"](solve["problem"].precond)
     return solves
+
+
+def second_step_first_probe(problem, monkeypatch, scale) -> float:
+    """Length of the first probe of adam_solve(problem)'s second step, with
+    every gradient after the first replaced by the first times scale, so
+    the gradient falls by (1 - scale) times it over the first step.  The
+    direction is max-normalized, so a probe's length is its largest move."""
+    grads, calls = [], []
+    gradient, project_ = allocator.grad_f, allocator.project
+
+    def frozen(fp, z):
+        grads.append(scale * grads[0] if grads else gradient(fp, z))
+        return grads[-1]
+
+    def recording(z_raw, *args, **kwargs):
+        res = project_(z_raw, *args, **kwargs)
+        calls.append((z_raw, res.z))
+        return res
+
+    monkeypatch.setattr(allocator, "grad_f", frozen)
+    monkeypatch.setattr(allocator, "project", recording)
+    _, trace = adam_solve(problem)
+    # the start point's projection, the first step's probes, then the
+    # second step's first probe from the first step's last
+    first = trace[0]["probes"]
+    return float(np.abs(calls[first + 1][0] - calls[first][1]).max())
 
 
 @pytest.fixture(scope="module")
@@ -1224,13 +1288,29 @@ class TestAdamSolve:
         assert recovered > 0
 
     @pytest.mark.parametrize("solves", ["default_solves", "large_net_solves"])
-    def test_at_most_five_probes_per_accepted_step(self, solves, request):
-        # each step's first probe is at the largest step, which g mostly
-        # accepts; probes count it and the halvings while g falls
+    def test_at_most_one_and_a_half_probes_per_accepted_step(self, solves,
+                                                             request):
+        # each step's first probe is at the last step's Barzilai-Borwein
+        # length, which g mostly accepts; probes count it and the halvings
+        # while g falls
         trace = [rec for solve in request.getfixturevalue(solves)
                  for rec in solve["trace"]]
         assert all(rec["probes"] >= 1 for rec in trace)
-        assert sum(rec["probes"] for rec in trace) <= 5 * len(trace)
+        assert sum(rec["probes"] for rec in trace) <= 1.5 * len(trace)
+
+    def test_first_probe_at_step_size_where_the_gradient_rises(
+            self, problem, monkeypatch):
+        # a gradient that doubles over the first step gives s'y < 0: no
+        # Barzilai-Borwein length, and the probe falls back to STEP_SIZE
+        assert second_step_first_probe(problem, monkeypatch, 2.0) == \
+            pytest.approx(allocator.STEP_SIZE, rel=1e-12)
+
+    def test_first_probe_clipped_to_the_step_floor(self, problem,
+                                                   monkeypatch):
+        # a gradient that all but vanishes over the first step gives a
+        # Barzilai-Borwein length far below STEP_FLOOR, which it is raised to
+        assert second_step_first_probe(problem, monkeypatch, 1e-20) == \
+            pytest.approx(allocator.STEP_FLOOR, rel=1e-6)
 
     def test_first_probe_accepted_on_a_linear_arc(self):
         # without comm-to-radar interference the downlink powers do not
@@ -1247,10 +1327,27 @@ class TestAdamSolve:
         assert sch.counts[0, 0, 0] * z[0] == pytest.approx(
             sc.radars[0].power_budget, rel=1e-9)
 
-    def test_plan_g_holds_against_the_growth_search(self, default_solves):
+    def test_plan_g_holds_against_the_growth_search(self, scenario, schedule,
+                                                    default_solves):
+        # a plan with higher g early on chains into different problems
+        # later, where g can read lower, so per interval g is compared on
+        # the problems whose priors chain through STEP_SIZE_PLAN, and over
+        # the solver's own chained plan in sum
         tol = allocator.OBJ_TOL
-        for solve, g_old in zip(default_solves, GROWTH_SEARCH_G, strict=True):
-            assert solve["g_plan"] >= g_old * (1.0 - tol), solve["k"]
+        g_fixed = []
+
+        def allocate(problem):
+            z, _ = adam_solve(problem)
+            g_fixed.append(objective_g(z, problem))
+            return STEP_SIZE_PLAN[problem.k]
+
+        for _ in planning_chain(scenario, schedule, allocate):
+            pass
+        for k, (g, g_old) in enumerate(zip(g_fixed, GROWTH_SEARCH_G,
+                                           strict=True)):
+            assert g >= g_old * (1.0 - tol), k
+        g_plan = sum(solve["g_plan"] for solve in default_solves)
+        assert g_plan >= sum(GROWTH_SEARCH_G) * (1.0 - tol)
 
     def test_max_outer_caps_the_trace(self, scenario, schedule, monkeypatch):
         monkeypatch.setattr(allocator, "MAX_OUTER", 3)
@@ -1266,6 +1363,40 @@ class TestAdamSolve:
             assert len(trace) <= 1, solve["k"]
             g_z0 = solve["g_of"](solve["z"])
             assert solve["g_of"](z) >= g_z0 * (1.0 - 1e-9), solve["k"]
+
+
+class TestSolverOracle:
+    def test_g_within_five_obj_tol_of_an_slsqp_refinement(self, scenario,
+                                                          schedule):
+        # the problems of perfbench's solve-sweep at seed 0: every interval
+        # of 8 throughput-floor variants, its priors chained through
+        # uniform allocations as in `hrcn solve`; SLSQP refines each plan in
+        # budget-normalized coordinates, each row of [A; -I] scaled by
+        # max(1, |b|), and must stay feasible for its g to count
+        from scipy.optimize import minimize
+        gaps = {}
+        for v, floor in enumerate(floor_variants(scenario, schedule, 0, 8)):
+            variant = replace(scenario, comm=replace(scenario.comm,
+                                                     throughput_floor=floor))
+            for problem, _, _ in planning_chain(variant, schedule,
+                                                baseline_uniform):
+                z, _ = adam_solve(problem)
+                g = objective_g(z, problem)
+                scale = problem.precond
+                norm = np.maximum(1.0, np.abs(problem.b))
+                G = np.vstack([problem.A * scale / norm[:, None],
+                               -np.eye(z.size)])
+                h = np.concatenate([problem.b / norm, np.zeros(z.size)])
+                res = minimize(
+                    lambda u: -objective_g(scale * u, problem) / g, z / scale,
+                    method="SLSQP", options={"ftol": 1e-15, "maxiter": 200},
+                    constraints=[{"type": "ineq", "fun": lambda u: h - G @ u,
+                                  "jac": lambda u: -G}])
+                assert (G @ res.x - h).max() <= 1e-9, (v, problem.k)
+                gaps[v, problem.k] = objective_g(scale * res.x, problem) / g - 1
+        assert len(gaps) == 80
+        worst = max(gaps, key=gaps.get)
+        assert gaps[worst] <= 5 * allocator.OBJ_TOL, (worst, gaps[worst])
 
 
 class TestInterferenceDenominators:

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -146,6 +147,14 @@ def _mutated_default(tmp_path, mutate):
     return path
 
 
+def _section(raw: dict, section: str) -> dict:
+    """The first radar of a kind ("mmr", "par"), the first target
+    ("targets") or a top-level section of a parsed scenario file."""
+    if section in ("mmr", "par"):
+        return next(r for r in raw["radars"] if r["kind"] == section)
+    return raw["targets"][0] if section == "targets" else raw[section]
+
+
 class TestLoadScenario:
     def test_default_counts(self, scenario):
         assert scenario.n_radars == 6
@@ -273,18 +282,37 @@ class TestLoadScenario:
         # is loaded.  A PAR's revisit intervals may differ across targets,
         # so its infinite one meets no other check first
         def mutate(raw):
-            if section in ("mmr", "par"):
-                sec = next(r for r in raw["radars"] if r["kind"] == section)
-            elif section == "targets":
-                sec = raw["targets"][0]
-            else:
-                sec = raw[section]
+            sec = _section(raw, section)
             if isinstance(sec[key], list):
                 sec[key][1] = float("inf")
             else:
                 sec[key] = float("inf")
         with pytest.raises(ScenarioError, match=message):
             load_scenario(_mutated_default(tmp_path, mutate))
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("grid", "num_intervals", float("inf"),
+         "grid.num_intervals must be an integer"),
+        ("grid", "num_intervals", 2.5, "grid.num_intervals must be an integer"),
+        ("comm", "num_links", float("nan"), "comm.num_links must be an integer"),
+        ("comm", "num_links", "three", "comm.num_links must be an integer"),
+        ("mmr", "id", float("inf"), "radars[0]: id must be an integer"),
+        ("targets", "id", 1.5, "targets[0]: id must be an integer")])
+    def test_non_integral_count_or_id_rejected(self, tmp_path, section, key,
+                                               value, message):
+        # a count or id is converted to an int, which would overflow on
+        # inf, fail unnamed on nan and drop a fraction silently
+        def mutate(raw):
+            _section(raw, section)[key] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        def mutate(raw):
+            raw["grid"]["num_intervals"] = 4.0
+        sc = load_scenario(_mutated_default(tmp_path, mutate))
+        assert sc.grid.num_intervals == 4
+        assert type(sc.grid.num_intervals) is int
 
     @pytest.mark.parametrize("kind,key", [
         ("mmr", "fixed_dwell"), ("mmr", "power_budget"),
