@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .allocator import (InfeasibleError, IntervalProblem, adam_solve,
-                        baseline_uniform, info_scale, objective_g, project)
+                        baseline_uniform, info_scale, objective_g)
 from .harness import (POLICIES, compare_allocations, plan_allocations,
                       planning_chain, planning_horizon, save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
@@ -70,11 +70,11 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     scenario, schedule = _load(args)
     horizon = planning_horizon(scenario, schedule)
-    allocations, g_values, _ = plan_allocations(
+    allocations, g_values, *_ = plan_allocations(
         scenario, schedule, args.policy, args.seed, horizon=horizon)
     layout, _ = horizon
     run = run_tracking(scenario, schedule,
-                       [info_scale(layout, z) for z in allocations],
+                       [[info_scale(layout, z) for z in allocations]],
                        [[args.seed, 0]])
     outdir = args.out or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
@@ -89,8 +89,8 @@ def cmd_simulate(args) -> int:
             for k in range(scenario.grid.num_intervals):
                 writer.writerow([0, q, k,
                                  *map(repr, run.truth[0, q, k + 1]),
-                                 *map(repr, run.means[0, q, k]),
-                                 repr(float(np.trace(run.covs[0, q, k])))])
+                                 *map(repr, run.means[0, 0, q, k]),
+                                 repr(float(np.trace(run.covs[0, 0, q, k])))])
     print(f"policy {args.policy}: per-interval g = "
           + ", ".join(f"{g:.4g}" for g in g_values))
     print(f"track history written to {path}")
@@ -116,7 +116,9 @@ def cmd_sweep(args) -> int:
     """Solve one interval per swept value.  Each value keeps the base
     scenario's kernels and uniform-chained priors, and only A and b change;
     ``hrcn solve --scenario <variant>`` chains the variant's own priors,
-    which a comm budget moves and a floor does not."""
+    which a comm budget moves and a floor does not.  The first value is
+    solved cold, and each later one continues from the previous value's
+    plan, so the order of the values matters."""
     scenario, schedule = _load(args)
     variants = []
     for value in args.values:
@@ -128,19 +130,14 @@ def cmd_sweep(args) -> int:
         variants.append(replace(scenario, comm=comm))
         validate(variants[-1])
     base = _interval_problem(scenario, schedule, args.interval)
-    rows, warm = [], None
+    rows, z = [], None
     for value, variant in zip(args.values, variants):
         problem = IntervalProblem.build(variant, schedule, base.k, base.layout,
                                         base.kernels, base.prior_infos)
-        candidates = [adam_solve(problem)[0]]
-        if warm is not None:
-            candidates.append(adam_solve(
-                problem, z0=project(warm, problem.A, problem.b).z)[0])
-        scored = [(objective_g(z, problem), z) for z in candidates]
-        g_best, z_best = max(scored, key=lambda t: t[0])
-        warm = z_best
-        rows.append((value, g_best))
-        print(f"{args.param} = {value:.6g} -> g = {g_best:.6g}")
+        z, _ = adam_solve(problem, z)
+        g = objective_g(z, problem)
+        rows.append((value, g))
+        print(f"{args.param} = {value:.6g} -> g = {g:.6g}")
     outdir = args.out or _default_outdir()
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "sweep.csv")

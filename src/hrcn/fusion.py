@@ -29,16 +29,15 @@ class StackedMeasurements:
     Rows are ordered radar by radar, then by measurement time, matching the
     stacked-likelihood convention.  values may carry leading batch axes: a
     batch of fixes of M rows each, such as one per Monte-Carlo trial.  The
-    rows (times, radar_xy, radar_ids) and cov_diag may carry batch axes too,
-    which broadcast against those of values: one row set per member, such
-    as a (plan, target) pair, weighted per allocation plan.
+    rows (times, radar_xy) and cov_diag may carry batch axes too, which
+    broadcast against those of values: one row set per member, such as a
+    (plan, target) pair, weighted per allocation plan.
     """
 
     values: np.ndarray     # (..., M, 2) range, bearing
     times: np.ndarray      # (..., M)
     radar_xy: np.ndarray   # (..., M, 2)
     cov_diag: np.ndarray   # (..., M, 2) diag of each measurement covariance
-    radar_ids: np.ndarray  # (..., M) int
     t_fuse: float = 0.0
 
     def __len__(self) -> int:

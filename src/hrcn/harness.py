@@ -91,17 +91,16 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
 
 
 def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
-                     policy: str, seed: int = 0, bounds: Optional[list] = None,
-                     horizon=None
-                     ) -> tuple[list[np.ndarray], list[float], list[list[dict]]]:
+                     policy: str, seed: int = 0, horizon=None
+                     ) -> tuple[list[np.ndarray], list[float], list[list[dict]],
+                                list[float]]:
     """Sequential per-interval allocation under one policy.
 
     The planning recursion (planning_chain) evaluates information kernels on
     the noise-free truth trajectory and chains the Bayesian prior through the
     chosen allocations, on the given full-grid planning_horizon or on one
-    built here.  Returns (allocations, per-interval metric values, traces);
-    when a list is passed as bounds, each interval's root_bcrb of the
-    chain's information is appended to it.
+    built here.  Returns (allocations, per-interval metric values, traces,
+    per-interval root_bcrb of the chain's information).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy '{policy}'")
@@ -119,14 +118,13 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
         return z
 
     t0 = scenario.grid.interval_length
-    allocations, g_values = [], []
+    allocations, g_values, bounds = [], [], []
     for _, z, b_mats in planning_chain(scenario, schedule, allocate,
                                        horizon=horizon):
         allocations.append(z)
         g_values.append(crb_metric(b_mats, t0))
-        if bounds is not None:
-            bounds.append(root_bcrb(b_mats, t0))
-    return allocations, g_values, traces
+        bounds.append(root_bcrb(b_mats, t0))
+    return allocations, g_values, traces, bounds
 
 
 @dataclass
@@ -214,13 +212,8 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
         run_id=uuid.uuid5(uuid.NAMESPACE_OID, f"{digest}:{seed}:{n_trials}").hex,
         scenario_hash=digest, seed=seed, n_trials=n_trials, policies={})
 
-    plans = []
-    for policy in policies:
-        bounds: list = []
-        allocations, g_values, traces = plan_allocations(
-            scenario, schedule, policy, seed, bounds=bounds,
-            horizon=horizon)
-        plans.append((allocations, g_values, traces, bounds))
+    plans = [plan_allocations(scenario, schedule, policy, seed,
+                              horizon=horizon) for policy in policies]
     try:
         run = run_tracking(scenario, schedule,
                            [[info_scale(layout, z) for z in allocations]

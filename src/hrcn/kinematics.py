@@ -39,12 +39,11 @@ def process_noise_cov(dt: float, intensity: float) -> np.ndarray:
 
 
 def measure(state: np.ndarray, radar_position):
-    """Range and bearing of a state as seen from a radar position.
-
-    One state (4,) gives a (range, bearing) pair of floats; stacked states
-    (M, 4) with positions (M, 2) give two (M,) arrays.  Bearing uses the
-    four-quadrant convention (atan2 of dy, dx), so the measurement is well
-    defined everywhere except at the radar itself.
+    """Range and bearing of states (..., 4) as seen from radar positions
+    (..., 2), as two arrays of the broadcast batch shape (numpy scalars for
+    one state and one position).  Bearing uses the four-quadrant convention
+    (atan2 of dy, dx), so the measurement is well defined everywhere except
+    at the radar itself.
     """
     state = np.asarray(state, dtype=float)
     radar_position = np.asarray(radar_position, dtype=float)
@@ -53,8 +52,5 @@ def measure(state: np.ndarray, radar_position):
     r = np.hypot(dx, dy)
     if np.any(r == 0.0):
         raise ValueError("target coincides with radar position; bearing undefined")
-    th = np.arctan2(dy, dx)
-    if r.ndim == 0:
-        return float(r), float(th)
-    return r, th
+    return r, np.arctan2(dy, dx)
 

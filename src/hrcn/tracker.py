@@ -58,12 +58,11 @@ def kf_update(predicted: TrackState, cm: CompositeMeasurement) -> TrackState:
 class TrackingResult:
     """A full K-interval run of T trials under P allocation plans: per
     (trial, target, interval) the truth, which every plan shares, and per
-    plan the filtered state.  means and covs have no plan axis when the run
-    was given a single plan without one."""
+    plan the filtered state."""
 
     truth: np.ndarray      # (T, Q, K+1, 4) truth at fusion times t_1..t_{K+1}
-    means: np.ndarray      # ([P,] T, Q, K, 4) filtered means at t_2..t_{K+1}
-    covs: np.ndarray       # ([P,] T, Q, K, 4, 4)
+    means: np.ndarray      # (P, T, Q, K, 4) filtered means at t_2..t_{K+1}
+    covs: np.ndarray       # (P, T, Q, K, 4, 4)
 
 
 def _stack_interval(rows: IntervalRows, weight: np.ndarray,
@@ -72,7 +71,7 @@ def _stack_interval(rows: IntervalRows, weight: np.ndarray,
     """Simulate and stack measurements in one interval, for one member or a
     batch of members, such as (plan, target) pairs, each on its own rows.
 
-    rows hold the times, radar, radar_xy and kernel of R schedule rows: one
+    rows hold the times, radar_xy and kernel of R schedule rows: one
     target's interval rows, or several targets' one after another.  weight
     (..., R) is each row's weight under each member, the info_scale of its
     radar on its target, and zero on a row the member does not stack
@@ -91,7 +90,7 @@ def _stack_interval(rows: IntervalRows, weight: np.ndarray,
     n_t = truth_k.ndim - 1 - n_m
     # each member's kept rows, with an axis per trial axis before the rows
     lift = (Ellipsis,) + (None,) * n_t + (slice(None),)
-    times, radar_ids = rows.times[cols][lift], rows.radar[cols][lift]
+    times = rows.times[cols][lift]
     radar_xy = rows.radar_xy[cols][lift + (slice(None),)]
     cov = (rows.kernel[cols] / np.take_along_axis(weight, cols, -1)[..., None]
            )[lift + (slice(None),)]
@@ -104,20 +103,19 @@ def _stack_interval(rows: IntervalRows, weight: np.ndarray,
     r, th = measure(truth_k + (times - t_k)[..., None] * drift, radar_xy)
     return StackedMeasurements(
         values=np.stack([r, th], axis=-1) + np.sqrt(cov) * draws,
-        times=times, radar_xy=radar_xy, cov_diag=cov, radar_ids=radar_ids,
-        t_fuse=t_fuse)
+        times=times, radar_xy=radar_xy, cov_diag=cov, t_fuse=t_fuse)
 
 
 def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
                  scales, seeds: list) -> TrackingResult:
     """Closed-loop simulate-fuse-filter runs over all fusion intervals, one
-    trial per seed of seeds, for one allocation plan or a batch of plans,
-    batched over the plans, the targets and the trials.
+    trial per seed of seeds, for a batch of allocation plans, batched over
+    the plans, the targets and the trials.
 
-    scales (K, N, Q), or (P, K, N, Q) for P plans, holds the allocator's
-    info_scale of every interval's allocation under each plan: the weight of
-    every radar's measurements on every target.  The result's means and
-    covs carry the plan axis in front when scales does.
+    scales (P, K, N, Q) holds the allocator's info_scale of every interval's
+    allocation under each of P plans: the weight of every radar's
+    measurements on every target.  The result's means and covs carry the
+    plan axis in front.
 
     Deterministic under fixed seeds: each trial draws its process noise and
     its measurement noise from separate child streams of its seed, in a fixed
@@ -127,14 +125,15 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     track in one step, then fuses and updates its (target, plan) members in
     one call per number of rows kept (a radar given zero energy stacks no
     rows), members in (target, plan) order.  Raises the failure of a fix or
-    a Kalman update as the same exception class, naming the target, the
-    interval and the trial, and the plan, also kept as the exception's plan
-    attribute, when scales has a plan axis: the first failing member of the
-    first call that fails.
+    a Kalman update as the same exception class, naming the plan, the
+    target, the interval and the trial, with the plan also kept as the
+    exception's plan attribute: the first failing member of the first call
+    that fails.
     """
     scales = np.asarray(scales, dtype=float)
-    plan_axis = scales.ndim == 4
-    scales = scales.reshape((-1,) + scales.shape[-3:])
+    if scales.ndim != 4:
+        raise ValueError("scales must be (plans, intervals, radars, "
+                         f"targets), got shape {scales.shape}")
     grid = scenario.grid
     q_n, k_n, t_n = scenario.n_targets, grid.num_intervals, len(seeds)
     p_n = scales.shape[0]
@@ -198,12 +197,10 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
                 post = kf_update(prior, ils_mle(stack, prior.mean))
             except (FusionError, np.linalg.LinAlgError) as exc:
                 member, trial = divmod(exc.member, t_n)
-                plan = int(plans[member]) if plan_axis else None
+                plan = int(plans[member])
                 failure = type(exc)(
-                    "fusion failed for "
-                    + ("" if plan is None else f"plan {plan} ")
-                    + f"target {targets[member]} interval {k} trial {trial}: "
-                    + exc.reason)
+                    f"fusion failed for plan {plan} target {targets[member]} "
+                    f"interval {k} trial {trial}: {exc.reason}")
                 failure.plan = plan
                 raise failure from exc
             track.mean[plans, :, targets] = post.mean
@@ -211,6 +208,4 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
         means[:, :, :, k] = track.mean
         covs[:, :, :, k] = track.cov
 
-    if not plan_axis:
-        means, covs = means[0], covs[0]
     return TrackingResult(truth=truth, means=means, covs=covs)

@@ -164,7 +164,7 @@ def test_criterion_4_projection_matches_oracle():
 
 def test_criterion_5_solver_feasibility_and_throughput(scenario, schedule):
     """Every solver output satisfies Az <= b, z >= 0, and the floors."""
-    allocs, _, _ = plan_allocations(scenario, schedule, "optimized", seed=0)
+    allocs, *_ = plan_allocations(scenario, schedule, "optimized", seed=0)
     layout = AllocationLayout.from_scenario(scenario)
     ok = True
     for k, z in enumerate(allocs):
@@ -228,7 +228,6 @@ def test_criterion_7_fusion_efficiency():
                                    times=np.array(tms),
                                    radar_xy=np.array(rxy),
                                    cov_diag=np.array(cd),
-                                   radar_ids=np.zeros(len(vals), dtype=int),
                                    t_fuse=t_fuse)
 
     crb_trace = np.trace(np.linalg.inv(fim(stack(), true_state)))

@@ -156,7 +156,7 @@ def recorded_solves(scenario, schedule) -> list[dict]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "adam_solve", recording)
-        _, g_values, _ = plan_allocations(scenario, schedule, "optimized")
+        _, g_values, *_ = plan_allocations(scenario, schedule, "optimized")
     for solve, g in zip(solves, g_values, strict=True):
         solve["g_plan"] = g
         # the solver's start point: the even split, feasible on these inputs
@@ -976,7 +976,7 @@ class TestProject:
 
     def test_optimized_plan_has_no_near_zero_entries(self, scenario, schedule):
         # coordinates held by an active nonnegativity row are exactly 0
-        allocs, _, _ = plan_allocations(scenario, schedule, "optimized")
+        allocs, *_ = plan_allocations(scenario, schedule, "optimized")
         for z in allocs:
             assert not np.any((z > 0) & (z < 1e-6 * z.max()))
 
@@ -1213,12 +1213,14 @@ class TestAdamSolve:
 
     def test_warm_start_leaves_plan_and_trace_unchanged(self, scenario,
                                                         schedule, monkeypatch):
-        z_warm, _, tr_warm = plan_allocations(scenario, schedule, "optimized")
+        z_warm, _, tr_warm, _ = plan_allocations(scenario, schedule,
+                                                 "optimized")
         project = allocator.project
         monkeypatch.setattr(allocator, "project",
                             lambda z, A, b, warm=None, faces=None:
                             project(z, A, b))
-        z_cold, _, tr_cold = plan_allocations(scenario, schedule, "optimized")
+        z_cold, _, tr_cold, _ = plan_allocations(scenario, schedule,
+                                                 "optimized")
         for zw, zc in zip(z_warm, z_cold, strict=True):
             np.testing.assert_array_equal(zw, zc)
         assert tr_warm == tr_cold
@@ -1351,7 +1353,7 @@ class TestAdamSolve:
 
     def test_max_outer_caps_the_trace(self, scenario, schedule, monkeypatch):
         monkeypatch.setattr(allocator, "MAX_OUTER", 3)
-        _, _, traces = plan_allocations(scenario, schedule, "optimized")
+        _, _, traces, _ = plan_allocations(scenario, schedule, "optimized")
         assert max(len(tr) for tr in traces) == 3
 
     def test_restart_from_own_plan_stays_put(self, scenario, schedule,

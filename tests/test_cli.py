@@ -251,6 +251,38 @@ class TestSweep:
         g_values = [float(r.split(",")[1]) for r in rows]
         assert all(a >= b - 1e-9 for a, b in zip(g_values, g_values[1:]))
 
+    def test_one_monotone_solve_per_value_at_scale(self, scenario, tmp_path,
+                                                   capsys, monkeypatch):
+        # every interval, with the floor and the comm budget each swept over
+        # 9 values from 0.1 to 1.6 times the base: 180 problems, each solved
+        # once, the first value of a sweep cold and each later one from the
+        # plan of the value before
+        solves, adam_solve = [], cli.adam_solve
+
+        def counted(problem, z0=None):
+            solves.append(z0 is None)
+            return adam_solve(problem, z0)
+
+        monkeypatch.setattr(cli, "adam_solve", counted)
+        scales = np.linspace(0.1, 1.6, 9)
+        for param, base, sign in (
+                ("floor", scenario.comm.throughput_floor[0], -1.0),
+                ("comm-budget", scenario.comm.power_budget, 1.0)):
+            for k in range(scenario.grid.num_intervals):
+                solves.clear()
+                out = str(tmp_path / f"{param}-{k}")
+                assert main(["sweep", "--interval", str(k), "--param", param,
+                             "--values", *map(str, (base * scales).tolist()),
+                             "--out", out]) == 0
+                assert solves == [True] + [False] * (len(scales) - 1)
+                with open(os.path.join(out, "sweep.csv")) as fh:
+                    g = [float(r.split(",")[1])
+                         for r in fh.read().strip().splitlines()[1:]]
+                assert len(g) == len(scales)
+                # g falls as the floor rises and rises with the budget
+                for a, b in zip(g, g[1:]):
+                    assert sign * (b - a) >= -1e-9 * abs(a), (param, k, g)
+
     @pytest.mark.parametrize("param,value,message", [
         ("floor", "-1", "throughput_floor must be >= 0"),
         ("floor", "nan", "throughput_floor must be >= 0"),

@@ -37,12 +37,9 @@ def make_stack(noise_rng=None, cov_scale=1.0, n_radars=3, times_per=3,
             times.append(t)
             rxy.append(RADARS[i])
             cdiag.append(cov)
-    m_total = len(vals)
     return StackedMeasurements(
         values=np.array(vals), times=np.array(times),
-        radar_xy=np.array(rxy), cov_diag=np.array(cdiag),
-        radar_ids=np.repeat(np.arange(n_radars), times_per)[:m_total],
-        t_fuse=T_FUSE)
+        radar_xy=np.array(rxy), cov_diag=np.array(cdiag), t_fuse=T_FUSE)
 
 
 class TestIlsMle:
@@ -61,8 +58,7 @@ class TestIlsMle:
             values=np.repeat(one.values, 3, axis=0),
             times=np.repeat(one.times, 3),
             radar_xy=np.repeat(one.radar_xy, 3, axis=0),
-            cov_diag=np.repeat(one.cov_diag, 3, axis=0),
-            radar_ids=np.repeat(one.radar_ids, 3), t_fuse=one.t_fuse)
+            cov_diag=np.repeat(one.cov_diag, 3, axis=0), t_fuse=one.t_fuse)
         for stack in (one, repeated):
             with pytest.raises(RankDeficiencyError):
                 ils_mle(stack, TRUE_STATE)
@@ -73,7 +69,7 @@ class TestIlsMle:
         stack_c = StackedMeasurements(
             values=stack1.values, times=stack1.times,
             radar_xy=stack1.radar_xy, cov_diag=3.0 * stack1.cov_diag,
-            radar_ids=stack1.radar_ids, t_fuse=stack1.t_fuse)
+            t_fuse=stack1.t_fuse)
         init = TRUE_STATE + rng.normal(0, 10, 4)
         cm1 = ils_mle(stack1, init)
         cm3 = ils_mle(stack_c, init)
@@ -98,7 +94,8 @@ class TestIlsMle:
         # +-pi and unwrapped residuals would be off by 2 pi
         state = np.array([-5000.0, 10.0, 20.0, 10.0])
         stack = make_stack(noise_rng=np.random.default_rng(8), state=state)
-        wrapped = stack.values[stack.radar_ids < 2, 1]
+        radar_ids = np.repeat(np.arange(3), 3)  # make_stack's row order
+        wrapped = stack.values[radar_ids < 2, 1]
         assert wrapped.min() < -3.0 and wrapped.max() > 3.0
         cm = ils_mle(stack, state + np.array([10.0, 1.0, -10.0, -1.0]))
         sd = np.sqrt(np.diag(cm.covariance))
@@ -137,7 +134,7 @@ class TestBatchedGaussNewton:
         batch = StackedMeasurements(
             values=np.stack([noisy.values] * 3), times=noisy.times,
             radar_xy=noisy.radar_xy, cov_diag=noisy.cov_diag,
-            radar_ids=noisy.radar_ids, t_fuse=noisy.t_fuse)
+            t_fuse=noisy.t_fuse)
         init = np.stack([TRUE_STATE] * 3)
         init[2, ::2] += 1e12
         with pytest.raises(RankDeficiencyError,
@@ -184,8 +181,7 @@ def _member_stacks(n_trials=2):
     values, times, rxy, cdiag = (np.array(a) for a in zip(*sets))
     return StackedMeasurements(
         values=values, times=times[:, None], radar_xy=rxy[:, None],
-        cov_diag=cdiag[:, None], radar_ids=np.tile(np.repeat(
-            np.arange(3), 3), (3, 1, 1)), t_fuse=T_FUSE), np.array(states)
+        cov_diag=cdiag[:, None], t_fuse=T_FUSE), np.array(states)
 
 
 class TestRowSetPerMember:
@@ -197,7 +193,7 @@ class TestRowSetPerMember:
         return StackedMeasurements(
             values=batch.values[i, t], times=batch.times[i, 0],
             radar_xy=batch.radar_xy[i, 0], cov_diag=batch.cov_diag[i, 0],
-            radar_ids=batch.radar_ids[i, 0], t_fuse=batch.t_fuse)
+            t_fuse=batch.t_fuse)
 
     def test_gauss_newton_bitwise_per_member(self):
         batch, states = _member_stacks()
@@ -270,8 +266,7 @@ class TestFim:
         stack = make_stack()
         halved = StackedMeasurements(
             values=stack.values, times=stack.times, radar_xy=stack.radar_xy,
-            cov_diag=0.5 * stack.cov_diag, radar_ids=stack.radar_ids,
-            t_fuse=stack.t_fuse)
+            cov_diag=0.5 * stack.cov_diag, t_fuse=stack.t_fuse)
         np.testing.assert_allclose(fim(halved, TRUE_STATE),
                                    2.0 * fim(stack, TRUE_STATE), rtol=1e-12)
 
@@ -279,7 +274,7 @@ class TestFim:
         empty = StackedMeasurements(
             values=np.zeros((0, 2)), times=np.zeros(0),
             radar_xy=np.zeros((0, 2)), cov_diag=np.zeros((0, 2)),
-            radar_ids=np.zeros(0, dtype=int), t_fuse=T_FUSE)
+            t_fuse=T_FUSE)
         np.testing.assert_array_equal(fim(empty, TRUE_STATE), np.zeros((4, 4)))
 
     def test_sample_covariance_near_crb(self):

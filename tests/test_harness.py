@@ -54,15 +54,17 @@ class TestPlanAllocations:
             plan_allocations(scenario, schedule, "greedy")
 
     def test_uniform_plan_shapes(self, scenario, schedule):
-        allocs, g_values, traces = plan_allocations(scenario, schedule,
-                                                    "uniform")
-        assert len(allocs) == len(g_values) == scenario.grid.num_intervals
+        allocs, g_values, traces, bounds = plan_allocations(
+            scenario, schedule, "uniform")
+        assert (len(allocs) == len(g_values) == len(bounds)
+                == scenario.grid.num_intervals)
         assert all(np.all(z >= 0) for z in allocs)
         assert all(np.isfinite(g) for g in g_values)
+        assert all(np.isfinite(b) and b > 0 for b in bounds)
 
     def test_random_plan_seeded(self, scenario, schedule):
-        a, _, _ = plan_allocations(scenario, schedule, "random", seed=3)
-        b, _, _ = plan_allocations(scenario, schedule, "random", seed=3)
+        a, *_ = plan_allocations(scenario, schedule, "random", seed=3)
+        b, *_ = plan_allocations(scenario, schedule, "random", seed=3)
         for za, zb in zip(a, b):
             np.testing.assert_array_equal(za, zb)
 
@@ -125,7 +127,7 @@ class TestPlanningChain:
             return from_scenario(sc)
 
         monkeypatch.setattr(AllocationLayout, "from_scenario", counted)
-        allocs, _, _ = plan_allocations(scenario, schedule, policy)
+        allocs, *_ = plan_allocations(scenario, schedule, policy)
         assert len(allocs) == scenario.grid.num_intervals
         assert len(built) == 1
         # tracking reads the layout of its caller, so a comparison builds as
@@ -227,9 +229,8 @@ class TestCompareAllocations:
         assert len(built) == 1
         schedule = build_schedule(scenario)
         for policy, pol in result.policies.items():
-            bounds = []
-            allocations, g_values, traces = plan_allocations(
-                scenario, schedule, policy, 2, bounds=bounds)
+            allocations, g_values, traces, bounds = plan_allocations(
+                scenario, schedule, policy, 2)
             assert pol.allocations == [list(map(float, z))
                                        for z in allocations]
             assert pol.g_values == g_values

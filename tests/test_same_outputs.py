@@ -1,5 +1,5 @@
-"""The output comparison of tools/same_outputs.py: the first differing byte,
-and its report and exit code on fixture trees."""
+"""The output comparison of tools/same_outputs.py: the first differing byte
+and line, and its report and exit code on fixture trees."""
 
 import os
 import sys
@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 import same_outputs  # noqa: E402
-from same_outputs import first_difference  # noqa: E402
+from same_outputs import first_difference, first_differing_line  # noqa: E402
 
 
 @pytest.mark.parametrize("a, b, at", [
@@ -18,6 +18,15 @@ from same_outputs import first_difference  # noqa: E402
     (b"abXd", b"abcd", 2), (b"x", b"y", 0)])
 def test_first_difference(a, b, at):
     assert first_difference(a, b) == at
+
+
+@pytest.mark.parametrize("a, b, line", [
+    (b"k,g\n0,0.5\n1,0.25\n", b"k,g\n0,0.5\n1,0.26\n",
+     (3, "1,0.25", "1,0.26")),
+    (b"x\ny\n", b"x\n", (2, "y", "<end of file>")),
+    (b"x\n", b"x", (1, "x", "x"))])
+def test_first_differing_line(a, b, line):
+    assert first_differing_line(a, b) == line
 
 
 def _fake_trees(monkeypatch, files):
@@ -54,3 +63,15 @@ def test_differing_and_missing_files_exit_one(monkeypatch, capsys):
     assert "new.out: missing in parent" in lines
     assert "same.out: same (1 bytes)" in lines
     assert lines[-1] == "1 of 4 files byte-identical"
+
+
+def test_report_names_the_first_differing_line(monkeypatch, capsys):
+    _fake_trees(monkeypatch, {
+        "old": {"sweep.csv": b"floor,g_value\n0.5,0.0125\n1.0,0.0100\n"},
+        "new": {"sweep.csv": b"floor,g_value\n0.5,0.0125\n1.0,0.0101\n"}})
+    assert same_outputs.main(["--parent", "old", "--change", "new"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "sweep.csv: differs at byte 34",
+        "  parent line 3: 1.0,0.0100",
+        "  change line 3: 1.0,0.0101",
+        "0 of 1 files byte-identical"]

@@ -42,7 +42,7 @@ def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
 def _default_stack(z=None, noise=1.0, seed=11):
     """Stacked measurements of target 0 in interval 0 of the default
     scenario (uniform allocation unless z is given), with standard-normal
-    draws scaled by `noise`."""
+    draws scaled by `noise`, and the radar index of each stacked row."""
     sc = load_scenario(default_scenario_path())
     sch = build_schedule(sc)
     lay = AllocationLayout.from_scenario(sc)
@@ -51,10 +51,10 @@ def _default_stack(z=None, noise=1.0, seed=11):
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[:, 0, 0].sum(), 2))
     rows = sch.rows[0][0]
-    stack = _stack_interval(rows, info_scale(lay, z)[rows.radar, 0],
-                            sc.targets[0].initial_state, sc.grid.start_time,
-                            sc.grid.boundary(0)[1], draws)
-    return sc, lay, z, stack
+    weight = info_scale(lay, z)[rows.radar, 0]
+    stack = _stack_interval(rows, weight, sc.targets[0].initial_state,
+                            sc.grid.start_time, sc.grid.boundary(0)[1], draws)
+    return sc, lay, z, stack, rows.radar[weight > 0]
 
 
 class TestMeasCov:
@@ -86,11 +86,11 @@ class TestMeasCov:
 
     def test_factorization_recovers_kernel(self):
         # every radar kind: covariance times P*T / denominator is the kernel
-        sc, lay, z, stack = _default_stack()
+        sc, lay, z, stack, radar_ids = _default_stack()
         scale = info_scale(lay, z)[:, 0]
-        assert set(stack.radar_ids) >= {lay.mmr[0], lay.par[0],
-                                        kind_indices(sc, RadarKind.MSR)[0]}
-        for row, i in enumerate(stack.radar_ids):
+        assert set(radar_ids) >= {lay.mmr[0], lay.par[0],
+                                  kind_indices(sc, RadarKind.MSR)[0]}
+        for row, i in enumerate(radar_ids):
             kernel = const_kernel(sc.radars[i], sc.targets[0].rcs[i])
             np.testing.assert_allclose(stack.cov_diag[row] * scale[i], kernel,
                                        rtol=1e-14)
@@ -98,23 +98,25 @@ class TestMeasCov:
     def test_zero_energy_rejected(self):
         # a radar with zero energy stacks no rows but still consumes its
         # draws, so every other radar's rows are unchanged
-        sc, lay, z, full = _default_stack()
+        sc, lay, z, full, full_ids = _default_stack()
         off = lay.mmr[0]
         z0 = z.copy()
         z0[lay.var[off]] = 0.0
-        _, _, _, cut = _default_stack(z=z0)
-        keep = full.radar_ids != off
-        assert np.any(full.radar_ids > off) and not np.all(keep)
-        assert off not in cut.radar_ids
+        *_, cut, cut_ids = _default_stack(z=z0)
+        keep = full_ids != off
+        assert np.any(full_ids > off) and not np.all(keep)
+        assert off not in cut_ids and len(cut) == len(cut_ids)
+        assert not np.any(np.all(cut.radar_xy == sc.radars[off].position,
+                                 axis=-1))
         np.testing.assert_array_equal(cut.values, full.values[keep])
         np.testing.assert_array_equal(cut.cov_diag, full.cov_diag[keep])
 
 
 class TestSimulateMeasurement:
     def test_noiseless_limit(self):
-        sc, _, _, stack = _default_stack(noise=0.0)
+        sc, _, _, stack, radar_ids = _default_stack(noise=0.0)
         truth = sc.targets[0].initial_state
-        for row, i in enumerate(stack.radar_ids):
+        for row, i in enumerate(radar_ids):
             s_t = transition_matrix(stack.times[row] - sc.grid.start_time) @ truth
             r0, th0 = measure(s_t, sc.radars[i].position)
             assert tuple(stack.values[row]) == (pytest.approx(r0),

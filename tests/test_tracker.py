@@ -135,8 +135,8 @@ class TestRunTracking:
         return _planned_scales(scenario, schedule, "uniform")
 
     def test_seed_determinism(self, scenario, schedule, uniform_scales):
-        a = run_tracking(scenario, schedule, uniform_scales, [[3, 1]])
-        b = run_tracking(scenario, schedule, uniform_scales, [[3, 1]])
+        a = run_tracking(scenario, schedule, [uniform_scales], [[3, 1]])
+        b = run_tracking(scenario, schedule, [uniform_scales], [[3, 1]])
         np.testing.assert_array_equal(a.truth, b.truth)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.covs, b.covs)
@@ -145,27 +145,32 @@ class TestRunTracking:
                                              uniform_scales):
         # common random numbers: truth does not depend on the allocation
         other = _planned_scales(scenario, schedule, "random", seed=6)
-        a = run_tracking(scenario, schedule, uniform_scales, [[4, 0]])
-        b = run_tracking(scenario, schedule, other, [[4, 0]])
+        a = run_tracking(scenario, schedule, [uniform_scales], [[4, 0]])
+        b = run_tracking(scenario, schedule, [other], [[4, 0]])
         np.testing.assert_array_equal(a.truth, b.truth)
 
     def test_batch_equals_single_trials_bitwise(self, scenario, schedule,
                                                 uniform_scales):
         # a trial's noise and arithmetic do not depend on its batch
-        batch = run_tracking(scenario, schedule, uniform_scales,
+        batch = run_tracking(scenario, schedule, [uniform_scales],
                              [[7, t] for t in range(3)])
         for t in range(3):
-            alone = run_tracking(scenario, schedule, uniform_scales, [[7, t]])
-            for name in ("truth", "means", "covs"):
-                assert (getattr(batch, name)[t].tobytes()
-                        == getattr(alone, name)[0].tobytes()), name
+            alone = run_tracking(scenario, schedule, [uniform_scales],
+                                 [[7, t]])
+            assert batch.truth[t].tobytes() == alone.truth[0].tobytes()
+            for name in ("means", "covs"):
+                assert (getattr(batch, name)[:, t].tobytes()
+                        == getattr(alone, name)[:, 0].tobytes()), name
 
     def test_failure_names_target_interval_and_trial(
             self, scenario, schedule, uniform_scales, monkeypatch):
         monkeypatch.setattr(fusion, "GN_MAX_ITER", 1)
-        with pytest.raises(FusionError,
-                           match="target 0 interval 0 trial 0: no convergence"):
-            run_tracking(scenario, schedule, uniform_scales, [[7, 0], [7, 1]])
+        with pytest.raises(FusionError, match="^fusion failed for plan 0 "
+                           "target 0 interval 0 trial 0: no convergence"
+                           ) as info:
+            run_tracking(scenario, schedule, [uniform_scales],
+                         [[7, 0], [7, 1]])
+        assert info.value.plan == 0
 
     @pytest.mark.parametrize("net", ["default", "large_net"])
     def test_plan_batch_equals_single_plans_bitwise(self, scenario, schedule,
@@ -186,11 +191,11 @@ class TestRunTracking:
         assert any(len(masks) < len(plans) for masks in kept)  # shared rows
         batch = run_tracking(scenario, schedule, plans, seeds)
         for p, scales in enumerate(plans):
-            alone = run_tracking(scenario, schedule, scales, seeds)
+            alone = run_tracking(scenario, schedule, [scales], seeds)
             assert batch.truth.tobytes() == alone.truth.tobytes()
             for name in ("means", "covs"):
                 assert (getattr(batch, name)[p].tobytes()
-                        == getattr(alone, name).tobytes()), (p, name)
+                        == getattr(alone, name)[0].tobytes()), (p, name)
 
     @pytest.mark.parametrize("max_iter, factor, where", [
         (1, 1.0, "plan 0 target 0 interval 0 trial 0"),
@@ -233,21 +238,23 @@ class TestRunTracking:
         assert info.value.plan == 1
 
     def test_shapes_and_metadata(self, scenario, schedule, uniform_scales):
-        # one plan without the plan axis, then batches of one and two plans
+        # batches of one and two plans; one plan needs the plan axis too
         q_n, k_n = scenario.n_targets, scenario.grid.num_intervals
-        for scales, lead in ((uniform_scales, ()), ([uniform_scales], (1,)),
-                             ([uniform_scales] * 2, (2,))):
-            run = run_tracking(scenario, schedule, scales, [0, 1])
+        for p_n in (1, 2):
+            run = run_tracking(scenario, schedule, [uniform_scales] * p_n,
+                               [0, 1])
             assert run.truth.shape == (2, q_n, k_n + 1, 4)
-            assert run.means.shape == lead + (2, q_n, k_n, 4)
-            assert run.covs.shape == lead + (2, q_n, k_n, 4, 4)
+            assert run.means.shape == (p_n, 2, q_n, k_n, 4)
+            assert run.covs.shape == (p_n, 2, q_n, k_n, 4, 4)
+        with pytest.raises(ValueError, match="scales must be"):
+            run_tracking(scenario, schedule, uniform_scales, [0, 1])
 
     def test_error_shrinks_from_initialization(self, scenario, schedule,
                                                uniform_scales):
-        run = run_tracking(scenario, schedule, uniform_scales, [[5, 0]])
+        run = run_tracking(scenario, schedule, [uniform_scales], [[5, 0]])
         init_err = np.linalg.norm(INIT_MEAN_OFFSET[[0, 2]])
         for q in range(scenario.n_targets):
-            final_err = np.linalg.norm(run.means[0, q, -1, [0, 2]]
+            final_err = np.linalg.norm(run.means[0, 0, q, -1, [0, 2]]
                                        - run.truth[0, q, -1, [0, 2]])
             assert final_err < init_err
 
@@ -342,7 +349,7 @@ def _oracle_stack(scenario, schedule, z, q, k, truth_k, draws):
     layout = AllocationLayout.from_scenario(scenario)
     scale = info_scale(layout, z)[:, q]
     t_k, _ = scenario.grid.boundary(k)
-    vals, times, rxy, cdiag, rid = [], [], [], [], []
+    vals, times, rxy, cdiag = [], [], [], []
     pos = 0
     for i, radar in enumerate(scenario.radars):
         kern = const_kernel(radar, scenario.targets[q].rcs[i])
@@ -359,13 +366,11 @@ def _oracle_stack(scenario, schedule, z, q, k, truth_k, draws):
             times.append(t)
             rxy.append(radar.position)
             cdiag.append(cov)
-            rid.append(i)
     assert pos == len(draws)
     return {"values": np.array(vals, dtype=float).reshape(-1, 2),
             "times": np.array(times, dtype=float),
             "radar_xy": np.array(rxy, dtype=float).reshape(-1, 2),
-            "cov_diag": np.array(cdiag, dtype=float).reshape(-1, 2),
-            "radar_ids": np.array(rid, dtype=int)}
+            "cov_diag": np.array(cdiag, dtype=float).reshape(-1, 2)}
 
 
 class TestStackInterval:
@@ -390,7 +395,9 @@ class TestStackInterval:
                                      draws)
                 assert got.t_fuse == t_fuse
                 if zero_radar is not None:
-                    assert zero_radar not in got.radar_ids
+                    assert not np.any(np.all(
+                        got.radar_xy
+                        == scenario.radars[zero_radar].position, axis=-1))
                 for name, expected in want.items():
                     actual = getattr(got, name)
                     assert actual.dtype == expected.dtype, name

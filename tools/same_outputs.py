@@ -30,7 +30,8 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
 
 Every command's stdout (or stderr and exit code, when it fails) and every
 file it writes are kept under one output directory per tree.  The tool then
-reports, per file, ``same`` or the offset of the first differing byte, and
+reports, per file, ``same`` or the offset of the first differing byte
+followed by the first differing line of each tree with its line number, and
 exits 1 unless every file is byte-identical and present in both trees.
 
 Standard library only.
@@ -149,6 +150,18 @@ def first_difference(a: bytes, b: bytes) -> int:
     return next((i for i in range(n) if a[i] != b[i]), n)
 
 
+def first_differing_line(a: bytes, b: bytes) -> tuple:
+    """(1-based number, line of a, line of b) of the first line where two
+    differing text files differ, each line without its line ending; a file
+    that ends first reads "<end of file>" there."""
+    lines_a, lines_b = (blob.decode(errors="replace").splitlines(True)
+                        for blob in (a, b))
+    n = min(len(lines_a), len(lines_b))
+    at = next((i for i in range(n) if lines_a[i] != lines_b[i]), n)
+    return (at + 1, *(lines[at].rstrip("\r\n") if at < len(lines)
+                      else "<end of file>" for lines in (lines_a, lines_b)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent source tree")
@@ -177,7 +190,10 @@ def main(argv=None) -> int:
             if at < 0:
                 print(f"{name}: same ({len(sides[0])} bytes)")
             else:
+                line, parent, change = first_differing_line(*sides)
                 print(f"{name}: differs at byte {at}")
+                print(f"  parent line {line}: {parent}")
+                print(f"  change line {line}: {change}")
                 bad += 1
     print(f"{len(names) - bad} of {len(names)} files byte-identical")
     return 1 if bad else 0
