@@ -9,7 +9,7 @@ at the Barzilai-Borwein length of the step before.
 """
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -145,24 +145,30 @@ def bayesian_B(z: np.ndarray, problem: "IntervalProblem") -> np.ndarray:
         "iq,qiab->qab", info_scale(problem.layout, z), problem.kernels))
 
 
-def _weighted_crb(b_mats: np.ndarray, t0: float) -> list[float]:
-    """Per-target Tr(Lambda B^{-1} Lambda^T) of the informations B^q
-    (Q, 4, 4), a singular B^q inverted with inv_psd's jitter."""
-    lam2 = lambda_diag(t0) ** 2
-    diag = np.diagonal(inv_psd(np.asarray(b_mats))[0], axis1=1, axis2=2)
-    return (lam2 @ diag[..., None])[:, 0].tolist()
+def _weighted_crb(b_mats: np.ndarray, lam: np.ndarray):
+    """(B^{-1}, c, g) of the informations b_mats (..., 4, 4): each inverse, a
+    singular B inverted with inv_psd's jitter, its weighted CRB trace
+    c = Tr(Lambda B^{-1} Lambda^T) with Lambda = diag(lam), and the metric
+    g = sum of 1 / c."""
+    inv = inv_psd(np.asarray(b_mats))[0]
+    crb = (lam ** 2 @ np.diagonal(inv, axis1=-2, axis2=-1)[..., None])[..., 0]
+    return inv, crb, sum(1.0 / c for c in np.ravel(crb).tolist())
 
 
 def crb_metric(b_mats: np.ndarray, t0: float) -> float:
     """Bayesian-CRB tracking metric of per-target informations B^q: sum over
     targets of 1 / Tr(Lambda B^{-1} Lambda^T).  Larger is better."""
-    return sum(1.0 / c for c in _weighted_crb(b_mats, t0))
+    return _weighted_crb(b_mats, lambda_diag(t0))[2]
 
 
-def root_bcrb(b_mats: np.ndarray, t0: float) -> float:
-    """Sum over targets of sqrt(Tr(Lambda B^{-1} Lambda^T)): the bound that
-    the weighted tracking RMSE is scored against."""
-    return sum(float(np.sqrt(c)) for c in _weighted_crb(b_mats, t0))
+def crb_metric_and_bound(b_mats: np.ndarray, t0: float
+                         ) -> tuple[float, float]:
+    """crb_metric of per-target informations B^q and, from the same
+    inverses, their root-BCRB: the sum over targets of
+    sqrt(Tr(Lambda B^{-1} Lambda^T)), the bound that the weighted tracking
+    RMSE is scored against."""
+    _, crb, g = _weighted_crb(b_mats, lambda_diag(t0))
+    return g, sum(float(np.sqrt(c)) for c in crb.tolist())
 
 
 def objective_g(z: np.ndarray, problem: "IntervalProblem") -> float:
@@ -295,34 +301,46 @@ class IntervalProblem:
 # inner descent and fractional form
 
 
+def _slack(inv: np.ndarray, crb: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Slack matrices Lambda B^{-1} Lambda / Tr(Lambda B^{-1} Lambda) from the
+    inverses and weighted traces of _weighted_crb, Lambda = diag(lam)."""
+    return lam[:, None] * inv * lam / np.asarray(crb)[..., None, None]
+
+
 def inner_v_update(B: np.ndarray, lam_inv: np.ndarray) -> np.ndarray:
     """Closed-form minimizer of the trace-constrained inner problem, for
     each information of the stack B (..., 4, 4): normalized inverse of
     diag(lam_inv) B diag(lam_inv)."""
-    A = (lam_inv[:, None] * B) * lam_inv[None, :]
-    Ainv, _ = inv_psd(A)
-    V = Ainv / np.trace(Ainv, axis1=-2, axis2=-1)[..., None, None]
-    # renormalize so the trace constraint holds exactly
-    return V / np.trace(V, axis1=-2, axis2=-1)[..., None, None]
+    lam = 1.0 / lam_inv
+    inv, crb, _ = _weighted_crb(B, lam)
+    return _slack(inv, crb, lam)
 
 
 @dataclass
 class FractionalProgram:
-    """Data of the outer maximization: sum_i (c_i^T z + d_i)/(e_i^T z + s_i)
-    plus a z-independent constant."""
+    """Data of the outer maximization for fixed slack matrices:
+    sum_i num_i(z) / den_i(z) plus a z-independent constant.  Radar i's
+    numerator num_i = sum_q w[i, q] E[i, q](z) weighs its echo energies
+    (AllocationLayout.energies), and its denominator is
+    den_i = alpha_c[i] . P_c + sigma_i^2 (interference_denominators)."""
 
-    c: np.ndarray          # (N, dim)
-    d: np.ndarray          # (N,)
-    e: np.ndarray          # (N, dim)
-    denom_const: np.ndarray  # (N,) receiver noise variances
+    layout: AllocationLayout
+    w: np.ndarray          # (N, Q) weight of radar i's energy on target q
     constant: float
+    # num_i is linear in z: slope[i, q] = w[i, q] factor_i on radar i's
+    # variable for target q, 0 on an MSR's row, plus its fixed energies' part
+    slope: np.ndarray = field(init=False)      # (N, Q)
+    intercept: np.ndarray = field(init=False)  # (N,)
+
+    def __post_init__(self):
+        self.slope = self.w * self.layout.factor[:, None]
+        self.intercept = self.w.sum(axis=1) * self.layout.fixed_energy
 
 
 def assemble_fractional(v_mats: np.ndarray,
                         problem: IntervalProblem) -> FractionalProgram:
     """Rewrite the outer objective for fixed slack matrices as a sum of
     linear-fractional terms in z."""
-    layout = problem.layout
     lam_inv = 1.0 / lambda_diag(problem.t0)
     lv = lam_inv[None, :, None] * np.asarray(v_mats)  # Lambda^{-1} V^q
     constant = float(np.einsum("qai,qab,qbi->", lv, problem.prior_infos, lv))
@@ -333,29 +351,34 @@ def assemble_fractional(v_mats: np.ndarray,
         warnings.warn(f"clamped {clamped} negative fractional weights to zero",
                       RuntimeWarning, stacklevel=2)
         w = np.maximum(w, 0.0)
+    return FractionalProgram(layout=problem.layout, w=w, constant=constant)
 
-    opt = layout.var >= 0
-    c = np.zeros((len(layout.factor), layout.dim))
-    c[np.nonzero(opt)[0], layout.var[opt]] = (w * layout.factor[:, None])[opt]
-    d = (w * layout.fixed_energy[:, None]).sum(axis=1)
-    e = np.zeros_like(c)
-    e[:, layout.n_radar_vars:] = layout.alpha_c_sq
-    return FractionalProgram(c=c, d=d, e=e, denom_const=layout.noise_var,
-                             constant=constant)
+
+def _num_den(fp: FractionalProgram, z: np.ndarray):
+    """(N,) numerators and denominators of the fractional terms at z.  An
+    MSR's var row is -1: its slope 0 weighs z[-1], so a finite z leaves it
+    its fixed energies' part."""
+    layout = fp.layout
+    return ((fp.slope * z[layout.var]).sum(axis=1) + fp.intercept,
+            interference_denominators(layout, z))
 
 
 def f_value(fp: FractionalProgram, z: np.ndarray) -> float:
-    num = fp.c @ z + fp.d
-    den = fp.e @ z + fp.denom_const
-    return float(np.sum(num / den)) + fp.constant
+    num, den = _num_den(fp, z)
+    return float((num / den).sum()) + fp.constant
 
 
 def grad_f(fp: FractionalProgram, z: np.ndarray) -> np.ndarray:
-    """Exact quotient-rule gradient of the fractional objective."""
-    num = fp.c @ z + fp.d
-    den = fp.e @ z + fp.denom_const
-    return ((fp.c * den[:, None] - fp.e * num[:, None])
-            / (den ** 2)[:, None]).sum(axis=0)
+    """Exact quotient-rule gradient of the fractional objective: term i
+    moves with radar i's variable on target q by w[i, q] factor_i / den_i,
+    and with downlink j's power by -num_i alpha_c[i, j] / den_i^2."""
+    layout = fp.layout
+    num, den = _num_den(fp, z)
+    opt = layout.var >= 0
+    grad = np.zeros(layout.dim)
+    grad[layout.var[opt]] = (fp.slope / den[:, None])[opt]
+    grad[layout.n_radar_vars:] = -(num / den ** 2) @ layout.alpha_c_sq
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +611,7 @@ def baseline_uniform(problem: IntervalProblem) -> np.ndarray:
 
 
 def baseline_random(problem: IntervalProblem,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: "np.random.Generator") -> np.ndarray:
     """Random direction per resource block, scaled so each budget binds,
     then projected onto the constraint polyhedron."""
     layout = problem.layout
@@ -628,7 +651,12 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     problem.precond, which exists whenever the polyhedron is not empty.
 
     Alternates the closed-form slack update with a projected, preconditioned
-    gradient-ascent step on the fractional rewrite.  A step's first probe is
+    gradient-ascent step on the fractional rewrite.  The slack update pins
+    the rewrite f to g at z, and f bounds g from above elsewhere, so by the
+    envelope theorem grad_f at z is grad g: the ascent direction is the
+    gradient of g.  Each probe builds B(z) once and inverts it once; its
+    inverse gives g there and, once the probe is accepted, the next step's
+    slack matrices.  A step's first probe is
     the Barzilai-Borwein length s's / s'y of the last accepted step s and the
     gradient's fall y over it (Barzilai and Borwein, IMA J. Numer. Anal.
     8(1), 1988; as in the spectral projected gradient of Birgin, Martinez and
@@ -643,7 +671,7 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     step, with the projections the step took in "probes".
     """
     A, b, precond = problem.A, problem.b, problem.precond
-    lam_inv = 1.0 / lambda_diag(problem.t0)
+    lam = lambda_diag(problem.t0)
 
     # all iterates live in budget-normalized coordinates u = z / scale, so the
     # projection geometry and the step size are unitless across watts/seconds
@@ -654,6 +682,8 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     u = project(u0, A_u, b).z
     z = precond * u
     g_cur = objective_g(z, problem)
+    # B^{-1} at the start point; every later step's is its accepted probe's
+    inv, crb, _ = _weighted_crb(bayesian_B(z, problem), lam)
     trace: list[dict] = []
     faces: dict = {}
     # the first probe's guess: the rows of [A_u; -I] tight at u
@@ -661,19 +691,19 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     last = [*np.flatnonzero(tight).tolist(),
             *(len(b) + np.flatnonzero(u == 0)).tolist()]
 
-    def probe(eta: float) -> ProjectionResult:
+    def probe(eta: float):
         # line-search probes share A_u and b, so each starts from the active
         # set of the one before and reuses the faces factored so far; the
-        # module-level name keeps project patchable
+        # module-level names keep project and bayesian_B patchable.  Returns
+        # the projection and _weighted_crb's (B^{-1}, c, g) there
         nonlocal last
         res = project(u + eta * direction, A_u, b, warm=last, faces=faces)
         last = res.active
-        return res
+        return res, _weighted_crb(bayesian_B(precond * res.z, problem), lam)
 
     u_prev = grad_prev = None
     for it in range(MAX_OUTER):
-        v_mats = inner_v_update(bayesian_B(z, problem), lam_inv)
-        fp = assemble_fractional(v_mats, problem)
+        fp = assemble_fractional(_slack(inv, crb, lam), problem)
         if not np.isfinite(f_value(fp, z)):
             raise RuntimeError(f"non-finite objective at iteration {it}")
 
@@ -694,22 +724,21 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
         # elsewhere, so a step up the fractional rewrite can still lower g:
         # from the first probe, halve while g falls by more than OBJ_TOL,
         # and stay put unless g did not fall
-        proj, probes = probe(eta), 1
-        tol = OBJ_TOL * g_cur
-        g_new = objective_g(precond * proj.z, problem)
+        proj, (inv_new, crb_new, g_new) = probe(eta)
+        probes, tol = 1, OBJ_TOL * g_cur
         for _ in range(MAX_HALVINGS):
             if g_new >= g_cur - tol:
                 break
             eta *= 0.5
-            proj = probe(eta)
+            proj, (inv_new, crb_new, g_new) = probe(eta)
             probes += 1
-            g_new = objective_g(precond * proj.z, problem)
         if g_new < g_cur:
             break
 
         step_norm = float(np.linalg.norm(proj.z - u))
         u_prev, grad_prev, u = u, grad_u, proj.z
         z = precond * u
+        inv, crb = inv_new, crb_new
         trace.append({"iteration": it, "f": f_value(fp, z), "g": g_new,
                       "step_norm": step_norm, "probes": probes,
                       "active": [problem.labels[a] for a in proj.active

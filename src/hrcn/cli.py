@@ -87,10 +87,9 @@ def cmd_simulate(args) -> int:
                          "cov_trace"])
         for q in range(scenario.n_targets):
             for k in range(scenario.grid.num_intervals):
-                writer.writerow([0, q, k,
-                                 *map(repr, run.truth[0, q, k + 1]),
-                                 *map(repr, run.means[0, 0, q, k]),
-                                 repr(float(np.trace(run.covs[0, 0, q, k])))])
+                writer.writerow([0, q, k, *(repr(float(x)) for x in (
+                    *run.truth[0, q, k + 1], *run.means[0, 0, q, k],
+                    np.trace(run.covs[0, 0, q, k])))])
     print(f"policy {args.policy}: per-interval g = "
           + ", ".join(f"{g:.4g}" for g in g_values))
     print(f"track history written to {path}")

@@ -15,8 +15,8 @@ import numpy as np
 
 from .allocator import (AllocationLayout, IntervalProblem, adam_solve,
                         baseline_random, baseline_uniform, bayesian_B,
-                        compute_kernels, crb_metric, info_scale, lambda_diag,
-                        root_bcrb, throughput_r)
+                        compute_kernels, crb_metric_and_bound, info_scale,
+                        lambda_diag, throughput_r)
 from .fusion import FusionError, prior_information
 from .kinematics import process_noise_cov, transition_matrix
 from .scenario import MeasurementSchedule, Scenario, build_schedule
@@ -122,8 +122,9 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
     for _, z, b_mats in planning_chain(scenario, schedule, allocate,
                                        horizon=horizon):
         allocations.append(z)
-        g_values.append(crb_metric(b_mats, t0))
-        bounds.append(root_bcrb(b_mats, t0))
+        g, bound = crb_metric_and_bound(b_mats, t0)
+        g_values.append(g)
+        bounds.append(bound)
     return allocations, g_values, traces, bounds
 
 

@@ -14,9 +14,10 @@ from hrcn.allocator import (AllocationLayout, InfeasibleError,
                             IntervalProblem, adam_solve, assemble_constraints,
                             assemble_fractional, baseline_random,
                             baseline_uniform, bayesian_B, compute_kernels,
-                            crb_metric, f_value, grad_f, inner_v_update,
+                            crb_metric, crb_metric_and_bound, f_value,
+                            grad_f, inner_v_update,
                             interference_denominators, lambda_diag,
-                            objective_g, project, root_bcrb, throughput_r)
+                            objective_g, project, throughput_r)
 from hrcn.fusion import JITTER, inv_psd, prior_information
 from hrcn.harness import plan_allocations, planning_chain
 from hrcn.kinematics import process_noise_cov, transition_matrix
@@ -267,7 +268,7 @@ class TestObjectiveG:
         c = float(lambda_diag(6.0) ** 2 @ np.diag(inv))
         assert np.isfinite(c)
         assert crb_metric([B], 6.0) == 1.0 / c
-        assert root_bcrb([B], 6.0) == float(np.sqrt(c))
+        assert crb_metric_and_bound([B], 6.0) == (1.0 / c, float(np.sqrt(c)))
 
     def test_monotone_in_radar_resources(self, layout, problem):
         z = baseline_uniform(problem)
@@ -636,8 +637,7 @@ class TestFractionalProgram:
                                                  problem):
         v0 = [np.zeros((4, 4)) for _ in range(scenario.n_targets)]
         fp = assemble_fractional(v0, problem)
-        np.testing.assert_array_equal(fp.c, 0.0)
-        np.testing.assert_array_equal(fp.d, 0.0)
+        np.testing.assert_array_equal(fp.w, 0.0)
         rng = np.random.default_rng(2)
         z = rng.uniform(0, 10, layout.dim)
         assert f_value(fp, z) == pytest.approx(fp.constant)
@@ -677,6 +677,30 @@ class TestFractionalProgram:
             lo[idx] -= h
             num = (f_value(fp, hi) - f_value(fp, lo)) / (2 * h)
             assert g[idx] == pytest.approx(num, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("solves", ["default_solves", "large_net_solves"])
+    def test_slack_update_pins_f_to_g_and_grad_f_to_grad_g(self, solves,
+                                                           request):
+        # envelope theorem: with V the slack update of B(z), f(z) = g(z)
+        # and grad_f(z) is the gradient of g, so the solver ascends g
+        problem = request.getfixturevalue(solves)[0]["problem"]
+        z = problem.precond
+        lam_inv = 1.0 / lambda_diag(problem.t0)
+        fp = assemble_fractional(inner_v_update(bayesian_B(z, problem),
+                                                lam_inv), problem)
+        assert f_value(fp, z) == pytest.approx(objective_g(z, problem),
+                                               rel=1e-12)
+        numeric = np.empty(z.size)
+        for idx in range(z.size):
+            h = 1e-5 * max(1.0, abs(z[idx]))
+            hi, lo = z.copy(), z.copy()
+            hi[idx] += h
+            lo[idx] -= h
+            numeric[idx] = (objective_g(hi, problem)
+                            - objective_g(lo, problem)) / (2 * h)
+        grad = grad_f(fp, z)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6,
+                                   atol=1e-6 * np.abs(numeric).max())
 
 
 class TestProject:
@@ -1211,6 +1235,38 @@ class TestAdamSolve:
         assert np.all(A @ z <= b + 1e-9)
         assert np.all(z >= 0)
 
+    @pytest.mark.parametrize("which", ["default_plan", "floor_variant"])
+    def test_one_information_and_one_inverse_per_probe(
+            self, which, scenario, schedule, default_solves, monkeypatch):
+        # a probe builds B(z) once and inverts it once: g there, and the
+        # next step's slack matrices once it is accepted, come from that
+        # inverse.  The start point takes two of each (objective_g, then
+        # the first slack matrices) and one projection before the probes
+        # and one after them, so every count is the probes' plus 2
+        if which == "default_plan":
+            problems = [solve["problem"] for solve in default_solves]
+        else:
+            # the tightest solve-sweep floor variant at seed 0, interval 3
+            floor = floor_variants(scenario, schedule, 0, 8)[-1]
+            variant = replace(scenario, comm=replace(scenario.comm,
+                                                     throughput_floor=floor))
+            problems = [next(p for p, _, _ in planning_chain(
+                variant, schedule, baseline_uniform) if p.k == 3)]
+        counts = {}
+        for name in ("bayesian_B", "inv_psd", "project"):
+            def counted(*args, _name=name, _fn=getattr(allocator, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(allocator, name, counted)
+        for problem in problems:
+            counts.update(bayesian_B=0, inv_psd=0, project=0)
+            _, trace = adam_solve(problem)
+            probes = counts["project"] - 2
+            assert probes >= sum(rec["probes"] for rec in trace) > 0
+            assert counts["bayesian_B"] == counts["inv_psd"] == probes + 2, \
+                (problem.k, counts)
+
     def test_warm_start_leaves_plan_and_trace_unchanged(self, scenario,
                                                         schedule, monkeypatch):
         z_warm, _, tr_warm, _ = plan_allocations(scenario, schedule,
@@ -1268,20 +1324,23 @@ class TestAdamSolve:
     def test_halved_step_recovers_ascent_where_g_falls(
             self, scenario, schedule, default_solves, monkeypatch):
         # f bounds g from above, so a step that raises f can lower g; the
-        # solver then halves the step instead of stopping there
+        # solver then halves the step instead of stopping there.  g of the
+        # start point and of every probe is read from the inverse that
+        # yields it, the start point's twice (objective_g, then the slack)
         tol = allocator.OBJ_TOL
-        evaluated, objective = [], allocator.objective_g
+        evaluated, weighted_crb = [], allocator._weighted_crb
 
-        def recording(*args, **kwargs):
-            evaluated.append(objective(*args, **kwargs))
-            return evaluated[-1]
+        def recording(*args):
+            terms = weighted_crb(*args)
+            evaluated.append(terms[2])
+            return terms
 
-        monkeypatch.setattr(allocator, "objective_g", recording)
+        monkeypatch.setattr(allocator, "_weighted_crb", recording)
         recovered = 0
         for solve in default_solves:
             evaluated.clear()
             _, trace = adam_solve(solve["problem"])
-            g_prev, start = evaluated[0], 1
+            g_prev, start = evaluated[0], 2
             for rec in trace:
                 end = evaluated.index(rec["g"], start)
                 probes = evaluated[start:end]

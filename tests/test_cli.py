@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and output files."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import yaml
 
 import hrcn
 from hrcn import allocator, cli, harness
-from hrcn.allocator import AllocationLayout
+from hrcn.allocator import AllocationLayout, info_scale
 from hrcn.cli import main
 from hrcn.scenario import build_schedule, default_scenario_path
+from hrcn.tracker import run_tracking
 
 from conftest import floors_the_even_comm_split_misses
 
@@ -152,6 +154,12 @@ class TestUsage:
         assert self._fresh_modules("import sys, hrcn.cli",
                                    "scipy.optimize") == "[]"
 
+    def test_solve_loads_no_numpy_random(self):
+        # solve draws no number, so numpy's random module stays unloaded
+        code = ("import sys, hrcn.cli; "
+                "assert hrcn.cli.main(['solve']) == 0")
+        assert self._fresh_modules(code, "numpy.random") == "[]"
+
     def test_compare_loads_no_scipy(self, tmp_path):
         # scipy is not a dependency: a whole run, tracking included, works
         # on numpy alone
@@ -162,15 +170,32 @@ class TestUsage:
 
 
 class TestSimulate:
-    def test_writes_track_history(self, tmp_path, capsys):
+    def test_writes_track_history(self, scenario, schedule, tmp_path,
+                                  capsys):
         out = str(tmp_path / "run")
-        assert main(["simulate", "--policy", "uniform", "--out", out]) == 0
+        assert main(["simulate", "--policy", "uniform", "--seed", "1",
+                     "--out", out]) == 0
         path = os.path.join(out, "track_history.csv")
         assert os.path.exists(path)
         with open(path) as fh:
-            lines = fh.read().strip().splitlines()
-        assert lines[0].startswith("trial,target,k,")
-        assert len(lines) == 1 + 2 * 10  # Q=2 targets, K=10 intervals
+            rows = list(csv.reader(fh))
+        assert rows[0][:3] == ["trial", "target", "k"]
+        assert len(rows) == 1 + 2 * 10  # Q=2 targets, K=10 intervals
+        # every cell is a number, each state the run's own to the last bit
+        layout = AllocationLayout.from_scenario(scenario)
+        allocations, *_ = harness.plan_allocations(scenario, schedule,
+                                                   "uniform", 1)
+        run = run_tracking(scenario, schedule,
+                           [[info_scale(layout, z) for z in allocations]],
+                           [[1, 0]])
+        for row in rows[1:]:
+            trial, q, k, *cells = row
+            values = [float(cell) for cell in cells]
+            q, k = int(q), int(k)
+            assert trial == "0"
+            assert values[:4] == run.truth[0, q, k + 1].tolist()
+            assert values[4:8] == run.means[0, 0, q, k].tolist()
+            assert values[8] == float(np.trace(run.covs[0, 0, q, k]))
 
     def test_builds_the_layout_and_the_kernels_once(self, tmp_path,
                                                     monkeypatch):

@@ -1,5 +1,6 @@
 """The output comparison of tools/same_outputs.py: the first differing byte
-and line, and its report and exit code on fixture trees."""
+and line, the numeric fields that differ, and its report and exit code on
+fixture trees."""
 
 import os
 import sys
@@ -9,7 +10,8 @@ import pytest
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 import same_outputs  # noqa: E402
-from same_outputs import first_difference, first_differing_line  # noqa: E402
+from same_outputs import (first_difference, first_differing_line,  # noqa: E402
+                          numeric_difference)
 
 
 @pytest.mark.parametrize("a, b, at", [
@@ -74,4 +76,19 @@ def test_report_names_the_first_differing_line(monkeypatch, capsys):
         "sweep.csv: differs at byte 34",
         "  parent line 3: 1.0,0.0100",
         "  change line 3: 1.0,0.0101",
+        "  1 of 4 numeric fields differ, largest relative difference 9.90e-03",
         "0 of 1 files byte-identical"]
+
+
+@pytest.mark.parametrize("a, b, report", [
+    # every field compared by position, names such as "link1" not fields
+    (b"Pc[link1] = 0.5\ng = 1e-3, 2.0 (-4)\n",
+     b"Pc[link1] = 0.5\ng = 1.5e-3, 2.0 (-3)\n",
+     "2 of 4 numeric fields differ, largest relative difference 3.33e-01"),
+    (b"x = 0.0\n", b"x = -0.0\n", "0 of 1 numeric fields differ"),
+    # a solve whose trace gained a step
+    (b'{"g": [0.1, 0.2]}', b'{"g": [0.1, 0.2, 0.3]}',
+     "numeric fields: 2 in parent, 3 in change"),
+    (b"\xff\xfe", b"\xff\xff", "")])
+def test_numeric_difference(a, b, report):
+    assert numeric_difference(a, b) == report

@@ -31,7 +31,10 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
 Every command's stdout (or stderr and exit code, when it fails) and every
 file it writes are kept under one output directory per tree.  The tool then
 reports, per file, ``same`` or the offset of the first differing byte
-followed by the first differing line of each tree with its line number, and
+followed by the first differing line of each tree with its line number and,
+for a text file, how many of its numeric fields differ, compared by
+position, and the largest relative difference among them (or, when the
+trees' files hold different numbers of numeric fields, both counts).  It
 exits 1 unless every file is byte-identical and present in both trees.
 
 Standard library only.
@@ -39,11 +42,16 @@ Standard library only.
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 SOLVE_SEEDS = (0, 3)
+
+# a number that is a field of its own, not part of a name such as "link1"
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"(?![\w.])")
 
 # Runs inside a tree, with its src/ and perfbench/ on sys.path and the
 # output directory as the working directory.
@@ -162,6 +170,25 @@ def first_differing_line(a: bytes, b: bytes) -> tuple:
                       else "<end of file>" for lines in (lines_a, lines_b)))
 
 
+def numeric_difference(a: bytes, b: bytes) -> str:
+    """How the numeric fields of two text files differ, compared by
+    position: the count that differ and the largest relative difference
+    |x - y| / max(|x|, |y|) among them, or both counts when the files hold
+    different numbers of fields; "" for a file that is not UTF-8 text."""
+    try:
+        fields = [[float(x) for x in NUMBER.findall(blob.decode())]
+                  for blob in (a, b)]
+    except UnicodeDecodeError:
+        return ""
+    if len(fields[0]) != len(fields[1]):
+        return (f"numeric fields: {len(fields[0])} in parent, "
+                f"{len(fields[1])} in change")
+    rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(*fields)
+           if x != y]
+    return (f"{len(rel)} of {len(fields[0])} numeric fields differ"
+            + (f", largest relative difference {max(rel):.2e}" if rel else ""))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent source tree")
@@ -194,6 +221,9 @@ def main(argv=None) -> int:
                 print(f"{name}: differs at byte {at}")
                 print(f"  parent line {line}: {parent}")
                 print(f"  change line {line}: {change}")
+                numeric = numeric_difference(*sides)
+                if numeric:
+                    print(f"  {numeric}")
                 bad += 1
     print(f"{len(names) - bad} of {len(names)} files byte-identical")
     return 1 if bad else 0
