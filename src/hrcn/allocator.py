@@ -48,6 +48,8 @@ class AllocationLayout:
     n_targets: int
     n_links: int
     var: np.ndarray           # (N, Q) int, index into z or -1
+    opt: np.ndarray           # (N, Q) bool, var >= 0: the optimized pairs
+    cols: np.ndarray          # var[opt], their indices into z in that order
     factor: np.ndarray        # (N,)
     fixed_energy: np.ndarray  # (N,)
     budget: np.ndarray        # (N,)
@@ -71,8 +73,10 @@ class AllocationLayout:
         var = np.full((n, q_n), -1)
         for block, i in enumerate(mmr + par):
             var[i] = block * q_n + np.arange(q_n)
+        opt = var >= 0
         return cls(mmr=tuple(mmr), par=tuple(par), n_targets=q_n,
-                   n_links=scenario.comm.num_links, var=var, factor=factor,
+                   n_links=scenario.comm.num_links, var=var, opt=opt,
+                   cols=var[opt], factor=factor,
                    fixed_energy=fixed_energy, budget=budget,
                    noise_var=np.array([r.noise_var for r in scenario.radars]),
                    alpha_c_sq=scenario.comm.alpha_c_sq)
@@ -90,7 +94,7 @@ class AllocationLayout:
 
     def energies(self, z: np.ndarray) -> np.ndarray:
         """(N, Q) echo energy P*T of every radar on every target under z."""
-        return np.where(self.var >= 0, z[self.var] * self.factor[:, None],
+        return np.where(self.opt, z[self.var] * self.factor[:, None],
                         self.fixed_energy[:, None])
 
 
@@ -205,8 +209,7 @@ def _constraint_rows(scenario: Scenario, layout: AllocationLayout,
     comm = scenario.comm
     n_links, n_r = comm.num_links, layout.n_radar_vars
     links = np.arange(n_links)
-    opt = layout.var >= 0
-    cols = layout.var[opt]                  # every optimized (radar, target)
+    opt, cols = layout.opt, layout.cols
     radars = list(layout.mmr + layout.par)  # in the order of their blocks
     alpha = comm.alpha_r_sq
     floors = comm.throughput_floor
@@ -374,9 +377,8 @@ def grad_f(fp: FractionalProgram, z: np.ndarray) -> np.ndarray:
     and with downlink j's power by -num_i alpha_c[i, j] / den_i^2."""
     layout = fp.layout
     num, den = _num_den(fp, z)
-    opt = layout.var >= 0
     grad = np.zeros(layout.dim)
-    grad[layout.var[opt]] = (fp.slope / den[:, None])[opt]
+    grad[layout.cols] = (fp.slope / den[:, None])[layout.opt]
     grad[layout.n_radar_vars:] = -(num / den ** 2) @ layout.alpha_c_sq
     return grad
 

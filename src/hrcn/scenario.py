@@ -286,53 +286,105 @@ def validate(scenario: Scenario) -> None:
 _CORE_SCALARS = {f"tag:yaml.org,2002:{name}":
                  getattr(SafeConstructor, f"construct_yaml_{name}")
                  for name in ("str", "int", "float", "bool", "null")}
-_SEQ, _MAP = "tag:yaml.org,2002:seq", "tag:yaml.org,2002:map"
 
 
-class _NotWalked(Exception):
-    """The document holds a node outside what _walk builds."""
+class _Fallback(Exception):
+    """The document holds something outside what _build_document builds."""
 
 
-def _walk(node, ctor: SafeConstructor, seen: set):
-    """The object SafeConstructor builds from a composed node, for the
-    subset scenario files use: core-tagged scalars, and sequences and
-    mappings with scalar keys, each container reached once.  Anything else
-    (merge keys, timestamps, other tags, aliased containers) raises
-    _NotWalked."""
-    if isinstance(node, yaml.ScalarNode):
-        if node.tag in _CORE_SCALARS:
-            return _CORE_SCALARS[node.tag](ctor, node)
-    elif id(node) not in seen:
-        seen.add(id(node))
-        if node.tag == _SEQ:
-            return [_walk(item, ctor, seen) for item in node.value]
-        if node.tag == _MAP and all(key.tag in _CORE_SCALARS
-                                    for key, _ in node.value):
-            return {_walk(key, ctor, seen): _walk(value, ctor, seen)
-                    for key, value in node.value}
-    raise _NotWalked
+def _scalar(loader, tag, value: str, plain: bool):
+    """The object yaml.load builds from one scalar event: a tag of None or
+    "!" resolved as BaseResolver.resolve does without path resolvers, then
+    the tag's SafeConstructor method.  Raises _Fallback for a tag outside
+    the five core scalar tags, and where the constructor fails on the value
+    (ValueError; KeyError and IndexError, the LookupErrors of a bad bool and
+    an empty int or float)."""
+    if tag is None or tag == "!":
+        tag = yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG
+        resolvers = loader.yaml_implicit_resolvers
+        if plain:
+            for resolved, regexp in (resolvers.get(value[:1], [])
+                                     + resolvers.get(None, [])):
+                if regexp.match(value):
+                    tag = resolved
+                    break
+    if tag not in _CORE_SCALARS:
+        raise _Fallback
+    try:
+        return _CORE_SCALARS[tag](loader, yaml.ScalarNode(tag, value))
+    except (ValueError, LookupError):
+        raise _Fallback from None
+
+
+def _build_document(loader):
+    """yaml.load's object for the one document of loader's event stream,
+    built in one pass: containers are lists on a stack (a mapping's as its
+    keys and values in turn, made a dict at its end), and each distinct
+    (tag, value, plain) scalar is built once by _scalar.
+
+    Raises _Fallback, having read part of the stream, at an anchor or
+    alias, a collection tag other than "!", a non-scalar mapping key, or a
+    second document."""
+    get_event = loader.get_event
+    get_event()  # stream start
+    if isinstance(get_event(), yaml.StreamEndEvent):
+        return None
+    built = {}
+    top, in_map, stack = [], False, []
+    while True:
+        event = get_event()
+        cls = event.__class__
+        if cls is yaml.ScalarEvent:
+            if event.anchor is not None:
+                raise _Fallback
+            key = (event.tag, event.value, event.implicit[0])
+            if key not in built:
+                built[key] = _scalar(loader, *key)
+            top.append(built[key])
+        elif cls is yaml.MappingStartEvent or cls is yaml.SequenceStartEvent:
+            if (event.anchor is not None or event.tag not in (None, "!")
+                    or (in_map and len(top) % 2 == 0)):
+                raise _Fallback
+            stack.append((top, in_map))
+            top, in_map = [], cls is yaml.MappingStartEvent
+        elif cls is yaml.MappingEndEvent or cls is yaml.SequenceEndEvent:
+            value = top
+            if in_map:
+                pairs = iter(top)
+                value = dict(zip(pairs, pairs))
+            top, in_map = stack.pop()
+            top.append(value)
+        elif cls is yaml.DocumentEndEvent:
+            break
+        else:  # an alias
+            raise _Fallback
+    if not isinstance(get_event(), yaml.StreamEndEvent):
+        raise _Fallback
+    return top[0]
 
 
 def _load_yaml(stream):
-    """yaml.load's object for the one document in stream, under libyaml's
-    parser where PyYAML has it and SafeLoader's resolver either way, built
-    by walking the node tree instead of PyYAML's per-node constructor
-    machinery.
+    """yaml.load's object for the one document in stream (a string or a
+    seekable file), parsed by libyaml where PyYAML has it and by SafeLoader
+    otherwise, with SafeLoader's resolver and scalar constructors either
+    way, built by _build_document.
 
-    A document outside the walked subset, or with an explicitly tagged
-    scalar that fails to convert (ValueError, KeyError), is built whole by a
-    SafeConstructor, which alone keeps yaml.load's object sharing, the order
-    in which its construction errors surface, and the node tree its
-    merge-key handling rewrites."""
-    root = yaml.compose(stream, Loader=getattr(yaml, "CSafeLoader",
-                                               yaml.SafeLoader))
-    if root is None:
-        return None
-    ctor = SafeConstructor()
+    A document outside that subset is built by yaml.load from the start of
+    the stream again, which alone keeps yaml.load's object sharing, its
+    merge-key handling and the order in which its errors surface; a file
+    keeps its name in the error marks."""
+    loader_cls = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    start = stream.tell() if hasattr(stream, "seek") else None
+    loader = loader_cls(stream)
     try:
-        return _walk(root, ctor, set())
-    except (_NotWalked, ValueError, KeyError):
-        return ctor.construct_document(root)
+        return _build_document(loader)
+    except _Fallback:
+        pass
+    finally:
+        loader.dispose()
+    if start is not None:
+        stream.seek(start)
+    return yaml.load(stream, Loader=loader_cls)
 
 
 def load_scenario(path) -> Scenario:

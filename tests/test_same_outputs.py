@@ -80,6 +80,23 @@ def test_report_names_the_first_differing_line(monkeypatch, capsys):
         "0 of 1 files byte-identical"]
 
 
+def test_keep_leaves_both_output_trees(tmp_path, monkeypatch, capsys):
+    files = {"old": {os.path.join("run", "results.csv"): b"k\n0\n"},
+             "new": {os.path.join("run", "results.csv"): b"k\n1\n"}}
+    _fake_trees(monkeypatch, files)
+    keep = tmp_path / "kept"
+    args = ["--parent", "old", "--change", "new", "--keep", str(keep)]
+    assert same_outputs.main(args) == 1
+    for side, tree in (("parent", "old"), ("change", "new")):
+        assert same_outputs.files_under(keep / side) == set(files[tree])
+        assert ((keep / side / "run" / "results.csv").read_bytes()
+                == files[tree][os.path.join("run", "results.csv")])
+    capsys.readouterr()
+    # kept outputs are never mixed with a later run's
+    with pytest.raises(FileExistsError):
+        same_outputs.main(args)
+
+
 @pytest.mark.parametrize("a, b, report", [
     # every field compared by position, names such as "link1" not fields
     (b"Pc[link1] = 0.5\ng = 1e-3, 2.0 (-4)\n",

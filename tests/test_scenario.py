@@ -3,13 +3,13 @@
 import dataclasses
 import os
 import pathlib
+import random
 import re
 import sys
 
 import numpy as np
 import pytest
 import yaml
-from yaml.constructor import SafeConstructor
 
 from hrcn.harness import scenario_fingerprint
 from hrcn.scenario import (IntervalRows, MeasurementSchedule, RadarKind,
@@ -22,15 +22,18 @@ from conftest import kind_indices, make_mini_scenario, radar_times
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 import scenarios  # noqa: E402
+import workloads  # noqa: E402
 
 # One YAML feature per document: the loader must build each as yaml.load
-# does, whether it walks the node tree or hands the document to PyYAML
+# does, whether in its one pass over the events or by handing the document
+# to yaml.load, which it does for the FALLS_BACK ones
 YAML_FEATURES = {
     "alias": "a: &x {k: [1, 2]}\nb: *x\n",
     "recursive_anchor": "loop: &loop [1, *loop]\n",
     "merge_key": "base: &b {x: 1.5, y: 2}\nm:\n  <<: *b\n  y: 3\n",
     "explicit_float": "v: !!float 3\n",
     "timestamp": "d: 2001-12-14\n",
+    "set_tag": "s: !!set {a, b}\n",
     "tilde_null": "n: ~\n",
     "yes_bool": "f: yes\n",
     "hex_int": "h: 0x1F\n",
@@ -38,14 +41,32 @@ YAML_FEATURES = {
     "inf": "i: .inf\n",
 }
 YAML_FEATURES["all"] = "".join(YAML_FEATURES.values())
+FALLS_BACK = {"alias", "recursive_anchor", "merge_key", "timestamp", "set_tag",
+              "all"}
+
+# Scalars of generated documents: core-schema look-alikes, plain, quoted and
+# explicitly tagged.  "1e3" has no dot, so it resolves to a str
+_PLAIN = ["0x1F", "0o17", "017", "1:30", "1_000", "-42", "+7", "0", "0b101",
+          ".inf", "-.Inf", ".nan", ".NaN", "1.5e3", "1e3", "-2.25", "6.",
+          "1_000.5", "190:20:30.15", "yes", "Off", "TRUE", "n", "~", "null",
+          "abc", "x_y", "2.0.1"]
+_QUOTED = ['"0x1F"', "'yes'", '"~"', "'1.5e3'", '".nan"', "''", '"017"',
+           "'Off'", '"null"', '"1:30"']
+_TAGGED = ["!!float 3", "!!str 12", "!!int '7'", "! 12", "!!bool 'yes'",
+           "!!null ''", "!!str ~"]
+_KEYS = ["a", "b", "0x1F", "7", "1.5", "-.inf", ".nan", "yes", "Off", "~",
+         "null", "1e3", "'7'", '"yes"', "017"]
 
 
 def _same(a, b, pairs=None) -> bool:
-    """Equal values of identical types, containers compared in order; a
-    pair of containers already under comparison counts as equal, so
-    recursive documents compare."""
+    """Equal values of identical types, floats by repr (so NaN matches NaN
+    and -0.0 does not match 0.0), containers compared in order; a pair of
+    containers already under comparison counts as equal, so recursive
+    documents compare."""
     if type(a) is not type(b):
         return False
+    if isinstance(a, float):
+        return repr(a) == repr(b)
     if not isinstance(a, (list, dict)):
         return a == b
     pairs = set() if pairs is None else pairs
@@ -60,12 +81,82 @@ def _same(a, b, pairs=None) -> bool:
     return len(a) == len(b) and all(_same(x, y, pairs) for x, y in zip(a, b))
 
 
+def _random_node(rng, depth=0):
+    """("scalar", text), ("seq", [nodes]) or ("map", [(key, node)]): a
+    container at the top, at most three containers deep."""
+    if depth == 3 or (depth and rng.random() < 0.45):
+        pool = rng.choice([_PLAIN, _PLAIN, _QUOTED, _TAGGED])
+        return "scalar", rng.choice(pool)
+    items = [_random_node(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if rng.random() < 0.5:
+        return "seq", items
+    return "map", [(rng.choice(_KEYS), item) for item in items]
+
+
+def _flow(node) -> str:
+    kind, value = node
+    if kind == "scalar":
+        return value
+    if kind == "seq":
+        return "[" + ", ".join(_flow(item) for item in value) + "]"
+    return "{" + ", ".join(f"{k}: {_flow(v)}" for k, v in value) + "}"
+
+
+def _block(node, rng, indent) -> list:
+    """Lines of node in block style at indent, each nested container in
+    flow or block style at random; an empty one is always flow."""
+    kind, value = node
+    pad = " " * indent
+    if kind == "scalar" or not value or rng.random() < 0.3:
+        return [pad + _flow(node)]
+    lines = []
+    for item in value:
+        head = pad + ("-" if kind == "seq" else f"{item[0]}:")
+        child = item if kind == "seq" else item[1]
+        if child[0] != "scalar" and child[1]:
+            lines += [head] + _block(child, rng, indent + 2)
+        elif child == ("scalar", "''") and rng.random() < 0.5:
+            lines.append(head)  # an empty plain scalar: null
+        else:
+            lines.append(f"{head} {_flow(child)}")
+    return lines
+
+
+def _random_document(rng) -> str:
+    """A document in the subset _load_yaml builds in one pass."""
+    lines = _block(_random_node(rng), rng, 0)
+    start = rng.choice(["", "---\n", "--- # start\n"])
+    return start + "\n".join(lines) + rng.choice(["\n", "\n...\n", ""])
+
+
+def _fallbacks(monkeypatch) -> list:
+    """Record the arguments of every yaml.load call, the fallback of
+    _load_yaml, from now on."""
+    calls, load = [], yaml.load
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+    monkeypatch.setattr(yaml, "load", record)
+    return calls
+
+
 def _scenario_text(source, tmp_path) -> str:
-    """The packaged default, or a block-style dump of large_net(0)."""
+    """The packaged default, a block-style dump of large_net(0), or the v-th
+    solve-sweep floor variant of the default at seed 0 ("floor_v<v>")."""
     if source == "default":
         return pathlib.Path(default_scenario_path()).read_text()
-    path = tmp_path / "large_net.yaml"
-    scenarios.to_yaml(scenarios.large_net(0), str(path))
+    path = tmp_path / f"{source}.yaml"
+    if source == "large_net":
+        scenarios.to_yaml(scenarios.large_net(0), str(path))
+    else:
+        base = load_scenario(default_scenario_path())
+        floor = scenarios.floor_variants(
+            base, build_schedule(base), 0,
+            workloads.SolveSweepWorkload.n_variants)[
+                int(source.removeprefix("floor_v"))]
+        scenarios.to_yaml(dataclasses.replace(base, comm=dataclasses.replace(
+            base.comm, throughput_floor=floor)), str(path))
     return path.read_text()
 
 
@@ -206,21 +297,61 @@ class TestLoadScenario:
             "expected ',' or ']', but got '<stream end>'\n"
             f'  in "{path}", line 1, column 20')
 
-    @pytest.mark.parametrize("source", ["default", "large_net"])
+    @pytest.mark.parametrize("source", ["default", "large_net"] + [
+        f"floor_v{v}" for v in range(workloads.SolveSweepWorkload.n_variants)])
     def test_scenario_files_walked_as_yaml_load_builds_them(
             self, tmp_path, monkeypatch, source):
+        # every file the benchmarked commands load is built in one pass
         text = _scenario_text(source, tmp_path)
         want = yaml.load(text, Loader=yaml.SafeLoader)
-
-        def refuse(*args):
-            raise AssertionError("scenario file left the node-tree walk")
-        monkeypatch.setattr(SafeConstructor, "construct_document", refuse)
+        calls = _fallbacks(monkeypatch)
         assert _same(_load_yaml(text), want)
+        assert calls == []
 
     @pytest.mark.parametrize("feature", list(YAML_FEATURES))
-    def test_yaml_features_built_as_yaml_load_builds_them(self, feature):
+    def test_yaml_features_built_as_yaml_load_builds_them(self, monkeypatch,
+                                                          feature):
         text = YAML_FEATURES[feature]
-        assert _same(_load_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
+        want = yaml.load(text, Loader=yaml.SafeLoader)
+        calls = _fallbacks(monkeypatch)
+        assert _same(_load_yaml(text), want)
+        assert len(calls) == (feature in FALLS_BACK)
+
+    @pytest.mark.parametrize("parser", ["libyaml", "python"])
+    def test_generated_documents_built_as_yaml_load_builds_them(
+            self, monkeypatch, parser):
+        if parser == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        rng = random.Random(29)
+        texts = [_random_document(rng) for _ in range(200)]
+        wants = [yaml.load(text, Loader=yaml.SafeLoader) for text in texts]
+        calls = _fallbacks(monkeypatch)
+        for text, want in zip(texts, wants):
+            assert _same(_load_yaml(text), want), text
+        assert calls == []
+
+    @pytest.mark.parametrize("parser", ["libyaml", "python"])
+    @pytest.mark.parametrize("text, mark", [
+        ("a: &x 1\nb: *y\n", "line 2, column 4"),
+        ("a: 1\n? [1]\n: 2\n", "line 2, column 3"),
+        ("a: !!int ''\nb: [x\n", "line 3, column 1"),
+        ("a: 1\n---\nb: 2\n", "line 2, column 1")],
+        ids=["undefined-alias", "list-key", "bad-int-then-parse-error",
+             "second-document"])
+    def test_fallback_errors_name_the_file(self, tmp_path, monkeypatch,
+                                           parser, text, mark):
+        # a document handed to yaml.load is read again from its start, so
+        # its error is yaml.load's, marked with the file and position
+        if parser == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "fallback.yaml"
+        path.write_text(text)
+        with open(path) as fh, pytest.raises(yaml.YAMLError) as ref:
+            yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"parse error in {path}: {ref.value}"
+        assert f'in "{path}", {mark}' in str(info.value)
 
     @pytest.mark.parametrize("text", [
         "a: {b: !foo 1}\nc: !bar 2\n", "a: {b: !!int abc}\nc: !foo 1\n",

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Byte-compare the output files of two source trees.
 
-    python3 tools/same_outputs.py --parent ../hrcn-parent --change .
+    python3 tools/same_outputs.py --parent ../hrcn-parent --change . \
+        [--keep DIR]
 
 Each tree runs the same ``hrcn`` commands in one process of its own, with
 its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
@@ -36,11 +37,15 @@ for a text file, how many of its numeric fields differ, compared by
 position, and the largest relative difference among them (or, when the
 trees' files hold different numbers of numeric fields, both counts).  It
 exits 1 unless every file is byte-identical and present in both trees.
+The output directories live in a temporary directory deleted on exit, or,
+with ``--keep DIR``, in ``DIR/parent`` and ``DIR/change``, which must not
+exist yet and are kept.
 
 Standard library only.
 """
 
 import argparse
+import contextlib
 import os
 import re
 import subprocess
@@ -193,8 +198,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent source tree")
     parser.add_argument("--change", required=True, help="changed source tree")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the outputs to DIR/parent and DIR/change "
+                        "and keep them")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+    with (contextlib.nullcontext(args.keep) if args.keep else
+          tempfile.TemporaryDirectory(prefix="same-outputs-")) as tmp:
         dirs = {}
         for side in ("parent", "change"):
             dirs[side] = os.path.join(tmp, side)
