@@ -9,14 +9,14 @@ at the Barzilai-Borwein length of the step before.
 """
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .fusion import inv_psd, symmetrize
-from .scenario import (RESOURCE_FIELDS, IntervalRows, MeasurementSchedule,
-                       RadarKind, Scenario)
+from .scenario import (RESOURCE_FIELDS, MeasurementSchedule, RadarKind,
+                       Scenario)
 from .sensing import info_kernel_D
 
 
@@ -131,14 +131,18 @@ def compute_kernels(scenario: Scenario, schedule: MeasurementSchedule,
     k_n, q_n = np.shape(predicted_states)[:2]
     states = np.reshape(predicted_states, (-1, 4))
     t_fuse = np.repeat([scenario.grid.boundary(k)[1] for k in range(k_n)], q_n)
-    sets = [schedule.rows[q][k] for k in range(k_n) for q in range(q_n)]
-    lengths = [len(rows.times) for rows in sets]
-    kernels = np.empty((len(sets), scenario.n_radars, 4, 4))
-    for m in set(lengths):
-        at = [b for b, length in enumerate(lengths) if length == m]
-        rows = IntervalRows(*(np.array([getattr(sets[b], f.name) for b in at])
-                              for f in fields(IntervalRows)))
-        kernels[at] = info_kernel_D(rows, t_fuse[at, None], states[at])
+    bounds = schedule.bounds[:k_n * q_n + 1]
+    lengths = np.diff(bounds)
+    # each (interval, target) block's radar offsets into its rows
+    start = np.zeros((len(lengths), scenario.n_radars + 1), dtype=int)
+    np.cumsum(schedule.counts[:, :, :k_n].T.reshape(len(lengths), -1),
+              axis=1, out=start[:, 1:])
+    kernels = np.empty((len(lengths), scenario.n_radars, 4, 4))
+    for m in set(lengths.tolist()):
+        at = np.flatnonzero(lengths == m)
+        rows = schedule.rows[bounds[at, None] + np.arange(m)]
+        kernels[at] = info_kernel_D(rows, start[at], t_fuse[at, None],
+                                    states[at])
     return kernels.reshape(k_n, q_n, -1, 4, 4)
 
 

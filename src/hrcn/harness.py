@@ -77,9 +77,9 @@ def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
     F = transition_matrix(grid.interval_length)
     infos = np.array([np.linalg.inv(np.diag(INIT_COV_DIAG))
                       for _ in scenario.targets])
-    gammas = np.array([process_noise_cov(grid.interval_length,
-                                         t.process_noise_intensity)
-                       for t in scenario.targets])
+    gammas = process_noise_cov(grid.interval_length,
+                               [t.process_noise_intensity
+                                for t in scenario.targets])
     for k in range(n):
         problem = problems(k, prior_information(infos, F, gammas))
         z = allocate(problem)

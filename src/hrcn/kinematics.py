@@ -20,21 +20,23 @@ def transition_matrix(dt: float) -> np.ndarray:
     return F
 
 
-def process_noise_cov(dt: float, intensity: float) -> np.ndarray:
-    """Continuous white-noise-acceleration process covariance over dt seconds.
+def process_noise_cov(dt: float, intensity) -> np.ndarray:
+    """Continuous white-noise-acceleration process covariance over dt seconds,
+    (..., 4, 4) for intensities of shape (...).
 
     Per axis the 2x2 block is intensity * [[dt^3/3, dt^2/2], [dt^2/2, dt]],
     lifted block-diagonally to the 4-state layout.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if intensity < 0:
+    intensity = np.asarray(intensity, dtype=float)
+    if np.any(intensity < 0):
         raise ValueError(f"intensity must be nonnegative, got {intensity}")
-    block = intensity * np.array([[dt ** 3 / 3.0, dt ** 2 / 2.0],
-                                  [dt ** 2 / 2.0, dt]])
-    G = np.zeros((4, 4))
-    G[:2, :2] = block
-    G[2:, 2:] = block
+    block = intensity[..., None, None] * np.array(
+        [[dt ** 3 / 3.0, dt ** 2 / 2.0], [dt ** 2 / 2.0, dt]])
+    G = np.zeros(intensity.shape + (4, 4))
+    G[..., :2, :2] = block
+    G[..., 2:, 2:] = block
     return G
 
 

@@ -7,6 +7,7 @@ the schema documented in the README and the shipped ``data/default.yaml``.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -121,27 +122,32 @@ class Scenario:
 
 
 @dataclass
-class IntervalRows:
-    """Every scheduled measurement of one target in one fusion interval,
-    radar by radar and then by time: the stacking order of the interval's
-    likelihood."""
+class MeasurementRows:
+    """Scheduled measurements, one row each; indexing by a slice or an
+    integer array of any shape indexes every column alike."""
 
     times: np.ndarray     # (M,)
     radar: np.ndarray     # (M,) int, radar index
     radar_xy: np.ndarray  # (M, 2)
     kernel: np.ndarray    # (M, 2) constant noise kernel of the radar on the target
-    start: np.ndarray     # (N+1,) radar i's rows are start[i]:start[i+1]
+
+    def __getitem__(self, index) -> "MeasurementRows":
+        return MeasurementRows(self.times[index], self.radar[index],
+                               self.radar_xy[index], self.kernel[index])
 
 
 @dataclass
 class MeasurementSchedule:
-    """Per (radar, target, interval) measurement counts, and per (target,
-    interval) the stacked measurement rows.  The rows carry each radar's
-    constant kernel, so a scenario whose radar constants or target RCS
-    change needs a new schedule."""
+    """Per (radar, target, interval) measurement counts, and every scheduled
+    measurement in one row table sorted by (interval, target, radar, time):
+    the rows of target q in interval k, the stacking order of their
+    likelihood, are block b = k * Q + q, rows[bounds[b]:bounds[b + 1]].
+    The rows carry each radar's constant kernel, so a scenario whose radar
+    constants or target RCS change needs a new schedule."""
 
     counts: np.ndarray  # (N, Q, K) int
-    rows: list = field(repr=False)  # rows[q][k]: IntervalRows
+    rows: MeasurementRows = field(repr=False)
+    bounds: np.ndarray  # (K * Q + 1,) int, block offsets into rows
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -165,26 +171,48 @@ def _check(prefix: str, name: str, value, bound: Optional[str] = None) -> None:
 
 def _integer(prefix: str, name: str, value) -> int:
     """value as an int; ScenarioError naming the field unless it is an
-    integral number (non-finite numbers are not)."""
-    if isinstance(value, int):
-        return int(value)
+    integral number (non-finite numbers and bools are not)."""
+    if type(value) is int:
+        return value
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not number.is_integer():
+    if isinstance(value, bool) or not number.is_integer():
         raise ScenarioError(f"{prefix}{name} must be an integer")
     return int(number)
 
 
 def _get(section: dict, key: str, where: str):
-    if key not in section:
-        raise ScenarioError(f"{where}: missing required field '{key}'")
-    return section[key]
+    """section[key]; ScenarioError naming the field if it is missing, or
+    naming where if section is no mapping."""
+    try:
+        return section[key]
+    except KeyError:
+        raise ScenarioError(
+            f"{where}: missing required field '{key}'") from None
+    except TypeError:
+        raise ScenarioError(f"{where} must be a mapping") from None
 
 
-def _per_target(value, n_targets: int, where: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _numeric(convert, section: dict, key: str, where: str):
+    """convert(_get(section, key, where)), convert being float or _floats;
+    ScenarioError naming the field if convert refuses its value's type."""
+    value = _get(section, key, where)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}: {key} must be numeric, got "
+                            f"{reprlib.repr(value)}") from None
+
+
+def _per_target(section: dict, key: str, n_targets: int,
+                where: str) -> np.ndarray:
+    arr = np.atleast_1d(_numeric(_floats, section, key, where))
     if arr.size == 1:
         arr = np.full(n_targets, arr[0])
     _require(arr.size == n_targets,
@@ -192,8 +220,8 @@ def _per_target(value, n_targets: int, where: str) -> np.ndarray:
     return arr
 
 
-def _complex_matrix(rows, shape: tuple[int, int], where: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+def _complex_matrix(arr: np.ndarray, shape: tuple[int, int],
+                    where: str) -> np.ndarray:
     _require(arr.shape == (*shape, 2),
              f"{where}: expected {shape[0]}x{shape[1]} [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -209,17 +237,16 @@ def _parse_radar(section: dict, idx: int, n_targets: int) -> RadarNode:
     return RadarNode(
         id=_integer(f"{where}: ", "id", section.get("id", idx + 1)),
         kind=kind,
-        position=np.asarray(_get(section, "position", where), dtype=float),
-        bandwidth=float(_get(section, "bandwidth", where)),
-        beamwidth=float(_get(section, "beamwidth", where)),
-        noise_var=float(_get(section, "noise_var", where)),
-        range_const=float(_get(section, "range_const", where)),
-        bearing_const=float(_get(section, "bearing_const", where)),
-        initial_time=_per_target(_get(section, "initial_time", where),
-                                 n_targets, where),
-        revisit_interval=_per_target(_get(section, "revisit_interval", where),
-                                     n_targets, where),
-        **{name: float(_get(section, name, where))
+        position=_numeric(_floats, section, "position", where),
+        bandwidth=_numeric(float, section, "bandwidth", where),
+        beamwidth=_numeric(float, section, "beamwidth", where),
+        noise_var=_numeric(float, section, "noise_var", where),
+        range_const=_numeric(float, section, "range_const", where),
+        bearing_const=_numeric(float, section, "bearing_const", where),
+        initial_time=_per_target(section, "initial_time", n_targets, where),
+        revisit_interval=_per_target(section, "revisit_interval", n_targets,
+                                     where),
+        **{name: _numeric(float, section, name, where)
            for name in RESOURCE_FIELDS[kind]},
     )
 
@@ -400,13 +427,16 @@ def load_scenario(path) -> Scenario:
     for section in ("grid", "radars", "comm", "targets"):
         if section not in raw:
             raise ScenarioError(f"missing section '{section}'")
+    for section in ("radars", "targets"):
+        _require(isinstance(raw[section], list), f"{section} must be a list")
 
     g = raw["grid"]
     grid = FusionGrid(
-        interval_length=float(_get(g, "interval_length", "grid")),
+        interval_length=_numeric(float, g, "interval_length", "grid"),
         num_intervals=_integer("grid.", "num_intervals",
                                _get(g, "num_intervals", "grid")),
-        start_time=float(g.get("start_time", 0.0)),
+        start_time=(_numeric(float, g, "start_time", "grid")
+                    if "start_time" in g else 0.0),
     )
 
     targets_raw = raw["targets"]
@@ -416,28 +446,30 @@ def load_scenario(path) -> Scenario:
 
     c = raw["comm"]
     j_n = _integer("comm.", "num_links", _get(c, "num_links", "comm"))
-    floor = np.asarray(_get(c, "throughput_floor", "comm"), dtype=float)
     comm = CommSystem(
         num_links=j_n,
-        noise_var=float(_get(c, "noise_var", "comm")),
-        power_budget=float(_get(c, "power_budget", "comm")),
-        throughput_floor=floor,
+        noise_var=_numeric(float, c, "noise_var", "comm"),
+        power_budget=_numeric(float, c, "power_budget", "comm"),
+        throughput_floor=_numeric(_floats, c, "throughput_floor", "comm"),
         radar_to_comm_gain=_complex_matrix(
-            _get(c, "radar_to_comm_gain", "comm"), (j_n, n),
+            _numeric(_floats, c, "radar_to_comm_gain", "comm"), (j_n, n),
             "comm.radar_to_comm_gain"),
         comm_to_radar_gain=_complex_matrix(
-            _get(c, "comm_to_radar_gain", "comm"), (n, j_n),
+            _numeric(_floats, c, "comm_to_radar_gain", "comm"), (n, j_n),
             "comm.comm_to_radar_gain"),
     )
 
     targets = []
     for t_idx, sec in enumerate(targets_raw):
         where = f"targets[{t_idx}]"
+        # the required fields first, so _get names a target that is no
+        # mapping
         targets.append(TargetTruth(
+            initial_state=_numeric(_floats, sec, "initial_state", where),
+            process_noise_intensity=_numeric(
+                float, sec, "process_noise_intensity", where),
+            rcs=_numeric(_floats, sec, "rcs", where),
             id=_integer(f"{where}: ", "id", sec.get("id", t_idx + 1)),
-            initial_state=np.asarray(_get(sec, "initial_state", where), dtype=float),
-            process_noise_intensity=float(_get(sec, "process_noise_intensity", where)),
-            rcs=np.asarray(_get(sec, "rcs", where), dtype=float),
         ))
 
     scenario = Scenario(radars=radars, comm=comm, targets=targets, grid=grid)
@@ -452,13 +484,13 @@ def default_scenario_path() -> str:
 
 def build_schedule(scenario: Scenario) -> MeasurementSchedule:
     """Derive the measurement times per (radar, target, interval) and lay
-    them out as one row set per (target, interval).
+    them out as one row table, block by (interval, target) block.
 
     Times are the arithmetic progression initial_time + n * revisit_interval
     up to the horizon, each in the half-open window (t_k, t_{k+1}] that
-    contains it; boundary points belong to the interval they close.  A
-    target's times are laid out radar by radar, sorted stably by interval,
-    and each interval's rows are a slice of the sorted arrays.
+    contains it; boundary points belong to the interval they close.  The
+    times are laid out target by target and radar by radar, then sorted
+    stably by (interval, target) block.
     """
     grid = scenario.grid
     n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
@@ -467,34 +499,32 @@ def build_schedule(scenario: Scenario) -> MeasurementSchedule:
     edges = grid.start_time + np.arange(k_n + 1) * grid.interval_length
     lo, hi, horizon = edges[:-1], edges[1:], edges[-1]
     positions = np.array([r.position for r in scenario.radars], dtype=float)
-    counts = np.zeros((n, q_n, k_n), dtype=int)
-    rows = []
-    for q, target in enumerate(scenario.targets):
-        kernels = np.array([const_kernel(r, target.rcs[i])
-                            for i, r in enumerate(scenario.radars)])
-        pts = []
+    kernels = np.array([[const_kernel(r, target.rcs[i])
+                         for i, r in enumerate(scenario.radars)]
+                        for target in scenario.targets])
+    pts = []
+    for q in range(q_n):
         for radar in scenario.radars:
             t0 = radar.initial_time[q]
             rev = radar.revisit_interval[q]
             n_pts = max(0, int(np.floor((horizon - t0) / rev)) + 1)
             p = t0 + rev * np.arange(n_pts)
             pts.append(p[p <= horizon])
-        times = np.concatenate(pts)
-        radar = np.repeat(np.arange(n), [len(p) for p in pts])
-        # the first window closing at or after each time, kept if it opened
-        # before it
-        k = np.minimum(np.searchsorted(hi, times), k_n - 1)
-        keep = (lo[k] < times) & (times <= hi[k])
-        sel = np.flatnonzero(keep)[np.argsort(k[keep], kind="stable")]
-        times, radar, k = times[sel], radar[sel], k[sel]
-        counts[:, q] = np.bincount(radar * k_n + k,
-                                   minlength=n * k_n).reshape(n, k_n)
-        bounds = np.searchsorted(k, np.arange(k_n + 1))
-        start = np.zeros((k_n, n + 1), dtype=int)
-        np.cumsum(counts[:, q].T, axis=1, out=start[:, 1:])
-        radar_xy, kernel = positions[radar], kernels[radar]
-        rows.append([IntervalRows(times=times[a:b], radar=radar[a:b],
-                                  radar_xy=radar_xy[a:b], kernel=kernel[a:b],
-                                  start=start[kk])
-                     for kk, (a, b) in enumerate(zip(bounds, bounds[1:]))])
-    return MeasurementSchedule(counts=counts, rows=rows)
+    times = np.concatenate(pts)
+    target, radar = np.divmod(np.repeat(np.arange(q_n * n),
+                                        [len(p) for p in pts]), n)
+    # the first window closing at or after each time, kept if it opened
+    # before it
+    k = np.minimum(np.searchsorted(hi, times), k_n - 1)
+    keep = (lo[k] < times) & (times <= hi[k])
+    block = k * q_n + target
+    sel = np.flatnonzero(keep)[np.argsort(block[keep], kind="stable")]
+    radar, target, k = radar[sel], target[sel], k[sel]
+    counts = np.bincount((radar * q_n + target) * k_n + k,
+                         minlength=n * q_n * k_n).reshape(n, q_n, k_n)
+    return MeasurementSchedule(
+        counts=counts,
+        rows=MeasurementRows(times=times[sel], radar=radar,
+                             radar_xy=positions[radar],
+                             kernel=kernels[target, radar]),
+        bounds=np.searchsorted(block[sel], np.arange(k_n * q_n + 1)))

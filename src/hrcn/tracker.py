@@ -3,7 +3,6 @@ state-space pseudo-measurements with identity measurement matrix and CRB
 covariance."""
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -11,7 +10,7 @@ from ._kernels import member_error
 from .fusion import (CompositeMeasurement, FusionError, StackedMeasurements,
                      ils_mle, inv_psd, symmetrize)
 from .kinematics import measure, process_noise_cov, transition_matrix
-from .scenario import IntervalRows, MeasurementSchedule, Scenario
+from .scenario import MeasurementRows, MeasurementSchedule, Scenario
 
 
 @dataclass
@@ -65,37 +64,31 @@ class TrackingResult:
     covs: np.ndarray       # (P, T, Q, K, 4, 4)
 
 
-def _stack_interval(rows: IntervalRows, weight: np.ndarray,
+def _stack_interval(rows: MeasurementRows, weight: np.ndarray,
                     truth_k: np.ndarray, t_k: float, t_fuse: float,
                     noise_draws: np.ndarray) -> StackedMeasurements:
-    """Simulate and stack measurements in one interval, for one member or a
-    batch of members, such as (plan, target) pairs, each on its own rows.
+    """Simulate and stack measurements in one interval for a batch of G
+    members, such as (plan, target) pairs, each on its own rows, in T
+    trials.
 
     rows hold the times, radar_xy and kernel of R schedule rows: one
-    target's interval rows, or several targets' one after another.  weight
-    (..., R) is each row's weight under each member, the info_scale of its
-    radar on its target, and zero on a row the member does not stack
-    (another target's, or a radar's given zero energy); every member stacks
-    the same number M of rows, in the order of rows, each with its kernel
-    over its weight as covariance.  truth_k (..., [T,] 4) is each member's
-    interval-start truth in each of T trials.  noise_draws ([T,] R, 2) are
-    pre-drawn standard normals, one pair per row and trial, which every
-    member reads, so noise streams pair across allocation plans and a row
-    that is not stacked still consumes its draws.  The stack's batch axes
-    are the members' followed by the trials'.
+    interval's rows of one target or of several.  weight (G, R) is each
+    row's weight under each member, the info_scale of its radar on its
+    target, and zero on a row the member does not stack (another target's,
+    or a radar's given zero energy); every member stacks the same number M
+    of rows, in the order of rows, each with its kernel over its weight as
+    covariance.  truth_k (G, T, 4) is each member's interval-start truth in
+    each trial.  noise_draws (T, R, 2) are pre-drawn standard normals, one
+    pair per row and trial, which every member reads, so noise streams pair
+    across allocation plans and a row that is not stacked still consumes
+    its draws.  The stack's values are (G, T, M, 2) and its rows (G, 1, M).
     """
-    keep = weight > 0
-    cols = np.nonzero(keep)[-1].reshape(keep.shape[:-1] + (-1,))
-    n_m = cols.ndim - 1
-    n_t = truth_k.ndim - 1 - n_m
-    # each member's kept rows, with an axis per trial axis before the rows
-    lift = (Ellipsis,) + (None,) * n_t + (slice(None),)
-    times = rows.times[cols][lift]
-    radar_xy = rows.radar_xy[cols][lift + (slice(None),)]
-    cov = (rows.kernel[cols] / np.take_along_axis(weight, cols, -1)[..., None]
-           )[lift + (slice(None),)]
-    draws = np.moveaxis(noise_draws[..., cols, :], range(n_t),
-                        range(n_m, n_m + n_t))
+    cols = np.nonzero(weight > 0)[1].reshape(len(weight), -1)
+    times = rows.times[cols][:, None]
+    radar_xy = rows.radar_xy[cols][:, None]
+    cov = (rows.kernel[cols]
+           / np.take_along_axis(weight, cols, 1)[..., None])[:, None]
+    draws = noise_draws[:, cols].swapaxes(0, 1)
     # constant-velocity motion from the interval start: x_k + (t - t_k) v_k
     truth_k = truth_k[..., None, :]
     drift = np.zeros_like(truth_k)
@@ -138,11 +131,9 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     q_n, k_n, t_n = scenario.n_targets, grid.num_intervals, len(seeds)
     p_n = scales.shape[0]
     F = transition_matrix(grid.interval_length)
-    # row offsets of each (interval, target) block in the measurement draws
-    offsets = np.cumsum([0] + [len(schedule.rows[q][k].times)
-                               for k in range(k_n) for q in range(q_n)])
+    bounds = schedule.bounds
     proc_draws = np.empty((t_n, k_n, q_n, 4))
-    meas_draws = np.empty((t_n, offsets[-1], 2))
+    meas_draws = np.empty((t_n, bounds[-1], 2))
     for t, seed in enumerate(seeds):
         proc_rng, meas_rng = [np.random.default_rng(c) for c in
                               np.random.SeedSequence(seed).spawn(2)]
@@ -150,11 +141,10 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
         meas_rng.standard_normal(out=meas_draws[t])
 
     # truth advances with CV motion plus process noise
-    gammas = np.array([process_noise_cov(grid.interval_length,
-                                         tgt.process_noise_intensity)
-                       for tgt in scenario.targets])
-    noisy = np.array([tgt.process_noise_intensity > 0
-                      for tgt in scenario.targets])
+    intensity = np.array([tgt.process_noise_intensity
+                          for tgt in scenario.targets])
+    gammas = process_noise_cov(grid.interval_length, intensity)
+    noisy = intensity > 0
     chols = np.zeros_like(gammas)
     chols[noisy] = np.linalg.cholesky(gammas[noisy])
     noise = (chols @ proc_draws[..., None])[..., 0]
@@ -174,17 +164,15 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     for k in range(k_n):
         t_k, t_fuse = grid.boundary(k)
         track = kf_predict(track, grid.interval_length, gammas)
-        # the interval's rows of every target, one target after another as
-        # the noise draws lay them out, and each row's weight on each
-        # (target, plan) member: zero on the other targets' rows
-        blocks = [schedule.rows[q][k] for q in range(q_n)]
-        rows = SimpleNamespace(**{name: np.concatenate(
-            [getattr(b, name) for b in blocks])
-            for name in ("times", "radar", "radar_xy", "kernel")})
-        target = np.repeat(np.arange(q_n), [len(b.times) for b in blocks])
+        # the interval's rows, target by target as the noise draws lay them
+        # out, and each row's weight on each (target, plan) member: zero on
+        # the other targets' rows
+        edges = bounds[k * q_n:(k + 1) * q_n + 1]
+        rows = schedule.rows[edges[0]:edges[-1]]
+        target = np.repeat(np.arange(q_n), np.diff(edges))
         weight = np.where(target == np.arange(q_n)[:, None, None],
                           scales[:, k, rows.radar, target], 0.0)
-        draws = meas_draws[:, offsets[k * q_n]:offsets[(k + 1) * q_n]]
+        draws = meas_draws[:, edges[0]:edges[-1]]
         kept = np.count_nonzero(weight > 0, axis=-1)
         for m in dict.fromkeys(kept.ravel().tolist()):
             targets, plans = np.nonzero(kept == m)

@@ -1,15 +1,18 @@
 """Shared fixtures: the packaged default scenario, a small single-radar
-scenario factory for targeted tests, per-kind radar indices, per-radar
-schedule times, floors that the even comm split misses, and the per-row
-range/bearing Jacobian oracle."""
+scenario factory for targeted tests, per-kind radar indices, schedule
+blocks and per-radar schedule times, one member's stacked measurements,
+floors that the even comm split misses, and the per-row range/bearing
+Jacobian oracle."""
 
 import numpy as np
 import pytest
 
 from hrcn import _kernels
+from hrcn.fusion import StackedMeasurements
 from hrcn.scenario import (CommSystem, FusionGrid, RadarKind, RadarNode,
                            Scenario, TargetTruth, build_schedule,
                            default_scenario_path, load_scenario, validate)
+from hrcn.tracker import _stack_interval
 
 
 @pytest.fixture(scope="session")
@@ -27,11 +30,32 @@ def kind_indices(scenario, kind):
     return [i for i, r in enumerate(scenario.radars) if r.kind is kind]
 
 
+def block(schedule, q, k):
+    """(rows, start): the schedule rows of target q in interval k, block
+    k * Q + q of the row table, and their radar offsets, radar i's rows
+    being rows[start[i]:start[i + 1]]."""
+    b = k * schedule.counts.shape[1] + q
+    rows = schedule.rows[schedule.bounds[b]:schedule.bounds[b + 1]]
+    return rows, np.concatenate(([0], np.cumsum(schedule.counts[:, q, k])))
+
+
 def radar_times(schedule, i, q, k):
     """Measurement times of radar i on target q in interval k: radar i's
-    block of the schedule rows rows[q][k]."""
-    rows = schedule.rows[q][k]
-    return rows.times[rows.start[i]:rows.start[i + 1]]
+    part of block (q, k)."""
+    rows, start = block(schedule, q, k)
+    return rows.times[start[i]:start[i + 1]]
+
+
+def stack_alone(rows, weight, truth_k, t_k, t_fuse, draws):
+    """tracker._stack_interval for one member in one trial, weight (R,),
+    truth_k (4,) and draws (R, 2), with the stack's member and trial axes
+    taken off: values (M, 2), times (M,)."""
+    stack = _stack_interval(rows, weight[None], truth_k[None, None], t_k,
+                            t_fuse, draws[None])
+    return StackedMeasurements(**{
+        name: getattr(stack, name)[0, 0]
+        for name in ("values", "times", "radar_xy", "cov_diag")},
+        t_fuse=stack.t_fuse)
 
 
 def floors_the_even_comm_split_misses(scenario, schedule):

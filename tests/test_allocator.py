@@ -23,7 +23,7 @@ from hrcn.harness import plan_allocations, planning_chain
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import RadarKind, build_schedule
 
-from conftest import (floors_the_even_comm_split_misses, kind_indices,
+from conftest import (block, floors_the_even_comm_split_misses, kind_indices,
                       make_mini_scenario)
 from test_acceptance import _projection_oracle
 
@@ -468,10 +468,10 @@ def kernel_oracle(scenario, schedule, states) -> np.ndarray:
     for k in range(states.shape[0]):
         t_fuse = scenario.grid.boundary(k)[1]
         for q in range(states.shape[1]):
-            rows = schedule.rows[q][k]
+            rows, start = block(schedule, q, k)
             out[k, q] = _kernels.fim_accumulate(
                 states[k, q], t_fuse, rows.times, rows.radar_xy,
-                1.0 / rows.kernel, rows.start)
+                1.0 / rows.kernel, start)
     return out
 
 
@@ -506,7 +506,8 @@ class TestComputeKernels:
             assert np.all(got[:, :, -1] == 0.0)
             assert np.all(got[0, 1] == 0.0)
             # an empty, a short and a full row set of target 1
-            assert [len(sch.rows[1][k].times) for k in range(3)] == [0, 5, 14]
+            assert [len(block(sch, 1, k)[0].times) for k in range(3)] == [
+                0, 5, 14]
 
 
 def rows_oracle(scenario, layout, counts, k):

@@ -92,9 +92,9 @@ class TestSolveUnreachableFloor:
         """The fusion times of every kernel the planning chain computes."""
         seen, info_kernel_D = [], allocator.info_kernel_D
 
-        def recorded(rows, t_fuse, prior_state):
+        def recorded(rows, start, t_fuse, prior_state):
             seen.extend(np.ravel(t_fuse).tolist())
-            return info_kernel_D(rows, t_fuse, prior_state)
+            return info_kernel_D(rows, start, t_fuse, prior_state)
 
         monkeypatch.setattr(allocator, "info_kernel_D", recorded)
         return seen

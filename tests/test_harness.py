@@ -17,8 +17,9 @@ from hrcn.harness import (compare_allocations, plan_allocations,
                           scenario_fingerprint)
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
-from hrcn.tracker import INIT_COV_DIAG, _stack_interval
+from hrcn.tracker import INIT_COV_DIAG
 
+from conftest import block, stack_alone
 
 LAM = lambda_diag(6.0)
 
@@ -93,10 +94,10 @@ class TestPlanningChain:
             t_k, t_fuse = scenario.grid.boundary(k)
             scale = info_scale(problem.layout, z)
             for q, state in enumerate(states):
-                rows = schedule.rows[q][k]
-                stack = _stack_interval(rows, scale[rows.radar, q], state,
-                                        t_k, t_fuse,
-                                        np.zeros((len(rows.times), 2)))
+                rows = block(schedule, q, k)[0]
+                stack = stack_alone(rows, scale[rows.radar, q], state,
+                                    t_k, t_fuse,
+                                    np.zeros((len(rows.times), 2)))
                 np.testing.assert_allclose(
                     np.einsum("i,iab->ab", scale[:, q], problem.kernels[q]),
                     fim(stack, state), rtol=1e-12)

@@ -60,6 +60,22 @@ class TestProcessNoiseCov:
         with pytest.raises(ValueError):
             process_noise_cov(0.0, 1.0)
 
+    def test_intensity_vector_gives_each_scalar_cov_bitwise(self):
+        # one (Q, 4, 4) stack for Q targets, each member the scalar
+        # intensity times the per-axis block, as one call per target gives
+        dt, intensities = 6.0, [0.0, 0.5, 1.0, 3.7]
+        G = process_noise_cov(dt, intensities)
+        assert G.shape == (4, 4, 4)
+        for q, intensity in enumerate(intensities):
+            block = intensity * np.array([[dt ** 3 / 3.0, dt ** 2 / 2.0],
+                                          [dt ** 2 / 2.0, dt]])
+            want = np.zeros((4, 4))
+            want[:2, :2] = want[2:, 2:] = block
+            assert G[q].tobytes() == want.tobytes()
+            assert process_noise_cov(dt, intensity).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="nonnegative"):
+            process_noise_cov(dt, [1.0, -0.5])
+
 
 class TestMeasure:
     def test_on_axis_east(self):

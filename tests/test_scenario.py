@@ -12,12 +12,12 @@ import pytest
 import yaml
 
 from hrcn.harness import scenario_fingerprint
-from hrcn.scenario import (IntervalRows, MeasurementSchedule, RadarKind,
-                           ScenarioError, _load_yaml, build_schedule,
-                           default_scenario_path, load_scenario)
+from hrcn.scenario import (MeasurementRows, RadarKind, ScenarioError,
+                           _load_yaml, build_schedule, default_scenario_path,
+                           load_scenario)
 from hrcn.sensing import const_kernel
 
-from conftest import kind_indices, make_mini_scenario, radar_times
+from conftest import block, kind_indices, make_mini_scenario, radar_times
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -162,7 +162,9 @@ def _scenario_text(source, tmp_path) -> str:
 
 def _reference_schedule(scenario):
     """Reference layout, radar by radar: each radar's times cut per window
-    by two searchsorted calls, concatenated interval by interval."""
+    by two searchsorted calls, concatenated interval by interval.  Returns
+    (counts, rows) with rows[q][k] the (rows, radar offsets) of target q in
+    interval k."""
     grid = scenario.grid
     n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
     lo, hi = np.array([grid.boundary(k) for k in range(k_n)]).T
@@ -186,13 +188,13 @@ def _reference_schedule(scenario):
         rows_q = []
         for k in range(k_n):
             radar = np.repeat(np.arange(n), counts[:, q, k])
-            rows_q.append(IntervalRows(
+            rows_q.append((MeasurementRows(
                 times=np.concatenate([p[a[k]:b[k]]
                                       for p, a, b in zip(pts, first, last)]),
-                radar=radar, radar_xy=positions[radar], kernel=kernels[radar],
-                start=np.concatenate(([0], np.cumsum(counts[:, q, k])))))
+                radar=radar, radar_xy=positions[radar], kernel=kernels[radar]),
+                np.concatenate(([0], np.cumsum(counts[:, q, k])))))
         rows.append(rows_q)
-    return MeasurementSchedule(counts=counts, rows=rows)
+    return counts, rows
 
 
 def _random_network(rng):
@@ -428,13 +430,41 @@ class TestLoadScenario:
         ("comm", "num_links", float("nan"), "comm.num_links must be an integer"),
         ("comm", "num_links", "three", "comm.num_links must be an integer"),
         ("mmr", "id", float("inf"), "radars[0]: id must be an integer"),
-        ("targets", "id", 1.5, "targets[0]: id must be an integer")])
+        ("targets", "id", 1.5, "targets[0]: id must be an integer"),
+        ("grid", "num_intervals", True,
+         "grid.num_intervals must be an integer")])
     def test_non_integral_count_or_id_rejected(self, tmp_path, section, key,
                                                value, message):
         # a count or id is converted to an int, which would overflow on
-        # inf, fail unnamed on nan and drop a fraction silently
+        # inf, fail unnamed on nan, drop a fraction silently and read a
+        # bool as 0 or 1
         def mutate(raw):
             _section(raw, section)[key] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("targets",), None, "targets must be a list"),
+        (("radars",), 5, "radars must be a list"),
+        (("grid",), None, "grid must be a mapping"),
+        (("comm",), None, "comm must be a mapping"),
+        (("radars", 0), None, "radars[0] must be a mapping"),
+        (("targets", 0), [1, 2], "targets[0] must be a mapping"),
+        (("radars", 0, "bandwidth"), "wide",
+         "radars[0]: bandwidth must be numeric, got 'wide'"),
+        (("radars", 0, "position"), [0.0, "north"],
+         "radars[0]: position must be numeric")],
+        ids=["null-targets", "int-radars", "null-grid", "null-comm",
+             "null-radar", "list-target", "str-bandwidth", "str-position"])
+    def test_wrong_type_rejected_naming_it(self, tmp_path, path, value,
+                                           message):
+        # a section or a field of the wrong type is named, not left to
+        # surface as the TypeError, AttributeError or bare ValueError of
+        # the code that reads it
+        def mutate(raw):
+            for key in path[:-1]:
+                raw = raw[key]
+            raw[path[-1]] = value
         with pytest.raises(ScenarioError, match=re.escape(message)):
             load_scenario(_mutated_default(tmp_path, mutate))
 
@@ -560,16 +590,23 @@ class TestBuildSchedule:
         networks = [scenario] + [_random_network(rng) for _ in range(60)]
         on_boundary = 0
         for sc in networks:
-            got, want = build_schedule(sc), _reference_schedule(sc)
-            _assert_bitwise(got.counts, want.counts)
+            got, (counts, want) = build_schedule(sc), _reference_schedule(sc)
+            _assert_bitwise(got.counts, counts)
+            # the table's blocks, (interval, target) in turn, end to end
+            assert got.bounds[0] == 0
+            assert got.bounds[-1] == len(got.rows.times)
+            _assert_bitwise(np.diff(got.bounds),
+                            counts.sum(axis=0).T.ravel())
             for q in range(sc.n_targets):
                 for k in range(sc.grid.num_intervals):
-                    for name in ("times", "radar", "radar_xy", "kernel",
-                                 "start"):
-                        _assert_bitwise(getattr(got.rows[q][k], name),
-                                        getattr(want.rows[q][k], name))
+                    (rows, start), (want_rows, want_start) = (
+                        block(got, q, k), want[q][k])
+                    _assert_bitwise(start, want_start)
+                    for name in ("times", "radar", "radar_xy", "kernel"):
+                        _assert_bitwise(getattr(rows, name),
+                                        getattr(want_rows, name))
                     t_close = sc.grid.boundary(k)[1]
-                    on_boundary += int(np.sum(got.rows[q][k].times == t_close))
+                    on_boundary += int(np.sum(rows.times == t_close))
         # the draws do put measurements exactly on t_{k+1}
         assert on_boundary > 0
 
@@ -593,8 +630,8 @@ class TestBuildSchedule:
         for num_intervals in (6, 4):
             for when, k in ((t[3], 2), (t[2] + 0.7, 3), (t[4], 3)):
                 sc = one_time(when, num_intervals)
-                got, want = build_schedule(sc), _reference_schedule(sc)
-                _assert_bitwise(got.counts, want.counts)
+                got = build_schedule(sc)
+                _assert_bitwise(got.counts, _reference_schedule(sc)[0])
                 np.testing.assert_array_equal(
                     got.counts[0, 0], np.eye(num_intervals, dtype=int)[k])
 

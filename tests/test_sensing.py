@@ -10,12 +10,12 @@ import pytest
 from hrcn.allocator import AllocationLayout, info_scale
 from hrcn.harness import plan_allocations
 from hrcn.kinematics import measure, transition_matrix
-from hrcn.scenario import (IntervalRows, RadarKind, build_schedule,
+from hrcn.scenario import (MeasurementRows, RadarKind, build_schedule,
                            default_scenario_path, load_scenario)
 from hrcn.sensing import const_kernel, info_kernel_D
-from hrcn.tracker import _stack_interval
 
-from conftest import kind_indices, make_mini_scenario, measurement_jacobian
+from conftest import (block, kind_indices, make_mini_scenario,
+                      measurement_jacobian, stack_alone)
 
 
 def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
@@ -32,10 +32,10 @@ def _stack(power=2.0, dwell=1.0, comm=0.0, gain=1.0, noise_var=1.0,
     z = np.array([power, comm])
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[0, 0, 0], 2))
-    rows = sch.rows[0][0]
-    stack = _stack_interval(rows, info_scale(lay, z)[rows.radar, 0],
-                            sc.targets[0].initial_state, 0.0,
-                            sc.grid.boundary(0)[1], draws)
+    rows = block(sch, 0, 0)[0]
+    stack = stack_alone(rows, info_scale(lay, z)[rows.radar, 0],
+                        sc.targets[0].initial_state, 0.0,
+                        sc.grid.boundary(0)[1], draws)
     return stack, const_kernel(sc.radars[0], sc.targets[0].rcs[0])
 
 
@@ -50,10 +50,10 @@ def _default_stack(z=None, noise=1.0, seed=11):
         z = plan_allocations(sc, sch, "uniform")[0][0]
     draws = noise * np.random.default_rng(seed).standard_normal(
         (sch.counts[:, 0, 0].sum(), 2))
-    rows = sch.rows[0][0]
+    rows = block(sch, 0, 0)[0]
     weight = info_scale(lay, z)[rows.radar, 0]
-    stack = _stack_interval(rows, weight, sc.targets[0].initial_state,
-                            sc.grid.start_time, sc.grid.boundary(0)[1], draws)
+    stack = stack_alone(rows, weight, sc.targets[0].initial_state,
+                        sc.grid.start_time, sc.grid.boundary(0)[1], draws)
     return sc, lay, z, stack, rows.radar[weight > 0]
 
 
@@ -136,16 +136,16 @@ class TestSimulateMeasurement:
         np.testing.assert_array_equal(a.cov_diag, b.cov_diag)
 
 
-def _rows(radar_xy, times, kernels) -> IntervalRows:
-    """One target's interval rows from per-radar positions, measurement
-    times and constant kernels."""
+def _rows(radar_xy, times, kernels):
+    """(rows, start): one target's interval rows from per-radar positions,
+    measurement times and constant kernels, and their radar offsets."""
     counts = [len(t) for t in times]
     radar = np.repeat(np.arange(len(counts)), counts)
-    return IntervalRows(
+    return MeasurementRows(
         times=np.concatenate([np.asarray(t, dtype=float) for t in times]),
         radar=radar, radar_xy=np.asarray(radar_xy, dtype=float)[radar],
         kernel=np.asarray(kernels, dtype=float)[radar],
-        start=np.concatenate(([0], np.cumsum(counts))))
+    ), np.concatenate(([0], np.cumsum(counts)))
 
 
 KERNEL = np.array([4.0, 0.25])
@@ -157,13 +157,13 @@ class TestInfoKernelD:
     def test_empty_schedule_gives_zero(self):
         rows = _rows([(0.0, 0.0), (500.0, -200.0)], [[], [2.0, 4.0]],
                      [KERNEL, KERNEL])
-        D = info_kernel_D(rows, 6.0, self.STATE)
+        D = info_kernel_D(*rows, 6.0, self.STATE)
         assert D.shape == (2, 4, 4)
         np.testing.assert_array_equal(D[0], np.zeros((4, 4)))
         assert np.trace(D[1]) > 0
 
     def test_single_measurement_rank_at_most_two(self):
-        D = info_kernel_D(_rows([(0.0, 0.0)], [[3.0]], [KERNEL]), 6.0,
+        D = info_kernel_D(*_rows([(0.0, 0.0)], [[3.0]], [KERNEL]), 6.0,
                           self.STATE)[0]
         assert np.linalg.matrix_rank(D, tol=1e-8 * np.trace(D)) <= 2
 
@@ -177,7 +177,7 @@ class TestInfoKernelD:
         kernels = np.array([KERNEL, [4.0, 0.2], [9.0, 0.01], [0.5, 2.0],
                             [1.0, 1.0]])
         t_fuse = 6.0
-        D = info_kernel_D(_rows(positions, times, kernels), t_fuse,
+        D = info_kernel_D(*_rows(positions, times, kernels), t_fuse,
                           self.STATE)
         assert D.shape == (5, 4, 4)
         for i in (1, 4):
@@ -198,8 +198,9 @@ class TestInfoKernelD:
             state = rng.uniform(-5000, 5000, 4)
             radar = rng.uniform(-5000, 5000, (1, 2))
             times = np.sort(rng.uniform(0.5, 6.0, 4))
-            D3 = info_kernel_D(_rows(radar, [times[:3]], [KERNEL]), 6.0,
+            D3 = info_kernel_D(*_rows(radar, [times[:3]], [KERNEL]), 6.0,
                                state)[0]
-            D4 = info_kernel_D(_rows(radar, [times], [KERNEL]), 6.0, state)[0]
+            D4 = info_kernel_D(*_rows(radar, [times], [KERNEL]), 6.0,
+                               state)[0]
             np.testing.assert_allclose(D4, D4.T, atol=1e-18)
             assert np.min(np.linalg.eigvalsh(D4 - D3)) >= -1e-12

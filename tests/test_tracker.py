@@ -19,7 +19,7 @@ from hrcn.tracker import (INIT_COV_DIAG, INIT_MEAN_OFFSET, TrackState,
                           _stack_interval, kf_predict, kf_update,
                           run_tracking)
 
-from conftest import kind_indices, radar_times
+from conftest import block, kind_indices, radar_times, stack_alone
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -184,7 +184,7 @@ class TestRunTracking:
                  for policy in POLICIES]
         seeds = [[1, t] for t in range(3)]
         kept = [{mask.tobytes() for mask in
-                 np.array(plans)[:, k, schedule.rows[q][k].radar, q] > 0}
+                 np.array(plans)[:, k, block(schedule, q, k)[0].radar, q] > 0}
                 for k in range(scenario.grid.num_intervals)
                 for q in range(scenario.n_targets)]
         assert any(len(masks) > 1 for masks in kept)       # dropped rows
@@ -276,18 +276,18 @@ def _per_target_oracle(scenario, schedule, plans, seeds):
     """run_tracking one (plan, target, interval) at a time, batched over
     the trials only: per trial the process and measurement draws of the
     two child streams of its seed, in (interval, target) order, then
-    kf_predict, _stack_interval, ils_mle and kf_update."""
+    kf_predict, _stack_interval, ils_mle and kf_update on a batch of one
+    member."""
     grid = scenario.grid
     q_n, k_n, t_n = scenario.n_targets, grid.num_intervals, len(seeds)
     F = transition_matrix(grid.interval_length)
-    offsets = np.cumsum([0] + [len(schedule.rows[q][k].times)
-                               for k in range(k_n) for q in range(q_n)])
+    bounds = schedule.bounds
     proc, meas = [], []
     for seed in seeds:
         proc_rng, meas_rng = [np.random.default_rng(c) for c in
                               np.random.SeedSequence(seed).spawn(2)]
         proc.append(proc_rng.standard_normal((k_n, q_n, 4)))
-        meas.append(meas_rng.standard_normal((offsets[-1], 2)))
+        meas.append(meas_rng.standard_normal((bounds[-1], 2)))
     proc, meas = np.array(proc), np.array(meas)
     truth = np.zeros((t_n, q_n, k_n + 1, 4))
     means = np.zeros((len(plans), t_n, q_n, k_n, 4))
@@ -302,19 +302,20 @@ def _per_target_oracle(scenario, schedule, plans, seeds):
                 truth[t, q, k + 1] = F @ truth[t, q, k] + chol @ proc[t, k, q]
         for p, scales in enumerate(plans):
             track = TrackState(
-                mean=np.tile(tgt.initial_state + INIT_MEAN_OFFSET, (t_n, 1)),
-                cov=np.tile(np.diag(INIT_COV_DIAG), (t_n, 1, 1)))
+                mean=np.tile(tgt.initial_state + INIT_MEAN_OFFSET,
+                             (1, t_n, 1)),
+                cov=np.tile(np.diag(INIT_COV_DIAG), (1, t_n, 1, 1)))
             for k in range(k_n):
                 t_k, t_fuse = grid.boundary(k)
-                rows = schedule.rows[q][k]
-                block = k * q_n + q
+                rows = block(schedule, q, k)[0]
+                b = k * q_n + q
                 track = kf_predict(track, grid.interval_length, gamma)
                 stack = _stack_interval(
-                    rows, scales[k][rows.radar, q], truth[:, q, k], t_k,
-                    t_fuse, meas[:, offsets[block]:offsets[block + 1]])
+                    rows, scales[k][rows.radar, q][None], truth[None, :, q, k],
+                    t_k, t_fuse, meas[:, bounds[b]:bounds[b + 1]])
                 track = kf_update(track, ils_mle(stack, track.mean))
-                means[p, :, q, k] = track.mean
-                covs[p, :, q, k] = track.cov
+                means[p, :, q, k] = track.mean[0]
+                covs[p, :, q, k] = track.cov[0]
     return truth, means, covs
 
 
@@ -331,7 +332,8 @@ class TestLengthGroupedFusion:
         plans = [uniform, np.array(_planned_scales(sc, sch, "random", 1)),
                  cut]
         kept = np.array([[[np.count_nonzero(
-            plan[k, sch.rows[q][k].radar, q]) for q in range(sc.n_targets)]
+            plan[k, block(sch, q, k)[0].radar, q])
+            for q in range(sc.n_targets)]
             for k in range(sc.grid.num_intervals)] for plan in plans])
         assert np.all(kept[0, :, 0] > kept[0, :, 1])
         assert np.all(kept[2, :, 0] == kept[2, :, 1])
@@ -388,9 +390,9 @@ class TestStackInterval:
                 truth_k = (transition_matrix(t_k - scenario.grid.start_time)
                            @ tgt.initial_state + rng.normal(size=4))
                 draws = rng.standard_normal((schedule.counts[:, q, k].sum(), 2))
-                rows = schedule.rows[q][k]
-                got = _stack_interval(rows, scale[rows.radar, q],
-                                      truth_k, t_k, t_fuse, draws)
+                rows = block(schedule, q, k)[0]
+                got = stack_alone(rows, scale[rows.radar, q], truth_k, t_k,
+                                  t_fuse, draws)
                 want = _oracle_stack(scenario, schedule, z, q, k, truth_k,
                                      draws)
                 assert got.t_fuse == t_fuse
@@ -418,10 +420,9 @@ class TestStackInterval:
         scale = info_scale(
             layout, plan_allocations(scenario, schedule, "uniform")[0][0])
         t_k, t_fuse = scenario.grid.boundary(0)
-        rows = schedule.rows[0][0]
+        rows = block(schedule, 0, 0)[0]
         x, y = scenario.radars[rows.radar[-1]].position
         draws = np.zeros((len(rows.times), 2))
         with pytest.raises(ValueError, match="coincides"):
-            _stack_interval(rows, scale[rows.radar, 0],
-                            np.array([x, 0.0, y, 0.0]),
-                            t_k, t_fuse, draws)
+            stack_alone(rows, scale[rows.radar, 0],
+                        np.array([x, 0.0, y, 0.0]), t_k, t_fuse, draws)

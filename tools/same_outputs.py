@@ -24,6 +24,12 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
 * ``hrcn compare --trials 3 --seed 1`` on the default scenario with its
   last PAR revisiting target 1 at 1.5 times its interval, so the targets
   keep different numbers of rows in an interval;
+* ``hrcn solve --interval k`` for every interval, and ``hrcn compare
+  --trials 3 --seed 1``, on the default scenario with every radar's first
+  look at target 1 one interval later, so target 1 has no rows in interval
+  0: an empty block of the schedule's row table.  Planning runs on the
+  prior alone there, and compare exits 1 with the fusion's
+  ``RankDeficiencyError``, whose text is compared too;
 * ``hrcn sweep --values 0.5 1.0 1.5``, and the same sweep of the
   base-station budget over 5, 10 and 40 W, at interval 0;
 * ``hrcn sweep --interval 3`` of the base-station budget over 10, 30 and
@@ -126,6 +132,18 @@ scenarios.to_yaml(dataclasses.replace(base, radars=radars), "uneven_rows.yaml")
 run("compare-uneven-rows", ["compare", "--trials", "3", "--seed", "1",
                             "--scenario", "uneven_rows.yaml",
                             "--out", "compare-uneven-rows"])
+# every radar first looks at target 1 one interval later: no rows of target
+# 1 in interval 0
+later = np.array([0.0, base.grid.interval_length])
+scenarios.to_yaml(dataclasses.replace(base, radars=[dataclasses.replace(
+    r, initial_time=r.initial_time + later) for r in base.radars]),
+    "empty_block.yaml")
+for k in range(k_n):
+    run(f"solve-empty-block-k{k}", ["solve", "--scenario", "empty_block.yaml",
+                                    "--interval", str(k)])
+run("compare-empty-block", ["compare", "--trials", "3", "--seed", "1",
+                            "--scenario", "empty_block.yaml",
+                            "--out", "compare-empty-block"])
 run("sweep", ["sweep", "--values", "0.5", "1.0", "1.5", "--out", "sweep"])
 run("sweep-budget", ["sweep", "--param", "comm-budget", "--values", "5", "10",
                      "40", "--out", "sweep-budget"])
