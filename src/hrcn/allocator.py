@@ -314,15 +314,6 @@ def _slack(inv: np.ndarray, crb: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return lam[:, None] * inv * lam / np.asarray(crb)[..., None, None]
 
 
-def inner_v_update(B: np.ndarray, lam_inv: np.ndarray) -> np.ndarray:
-    """Closed-form minimizer of the trace-constrained inner problem, for
-    each information of the stack B (..., 4, 4): normalized inverse of
-    diag(lam_inv) B diag(lam_inv)."""
-    lam = 1.0 / lam_inv
-    inv, crb, _ = _weighted_crb(B, lam)
-    return _slack(inv, crb, lam)
-
-
 @dataclass
 class FractionalProgram:
     """Data of the outer maximization for fixed slack matrices:

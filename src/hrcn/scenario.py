@@ -199,15 +199,30 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is a bool or a list holding one at any depth, checked
+    a nesting level at a time."""
+    if value.__class__ is not list:
+        return value.__class__ is bool
+    while True:
+        types = set(map(type, value))
+        if bool in types or list not in types:
+            return bool in types
+        value = [x for v in value if v.__class__ is list for x in v]
+
+
 def _numeric(convert, section: dict, key: str, where: str):
     """convert(_get(section, key, where)), convert being float or _floats;
-    ScenarioError naming the field if convert refuses its value's type."""
+    ScenarioError naming the field if its value is or holds a bool, which
+    float would read as 0 or 1, or if convert refuses its value's type."""
     value = _get(section, key, where)
     try:
-        return convert(value)
+        if not _holds_bool(value):
+            return convert(value)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: {key} must be numeric, got "
-                            f"{reprlib.repr(value)}") from None
+        pass
+    raise ScenarioError(f"{where}: {key} must be numeric, got "
+                        f"{reprlib.repr(value)}")
 
 
 def _per_target(section: dict, key: str, n_targets: int,

@@ -64,12 +64,22 @@ class TrackingResult:
     covs: np.ndarray       # (P, T, Q, K, 4, 4)
 
 
+def _noise_free(rows: MeasurementRows, state: np.ndarray,
+                t_state) -> np.ndarray:
+    """Noise-free (range, bearing) (..., R, 2) of R rows: each row's state
+    (..., R, 4), known at time t_state (R,), moved at constant velocity to
+    the row's time, x + (t - t_state) v, and seen from the row's radar."""
+    drift = np.zeros_like(state)
+    drift[..., 0::2] = state[..., 1::2]
+    return np.stack(measure(state + (rows.times - t_state)[..., None] * drift,
+                            rows.radar_xy), axis=-1)
+
+
 def _stack_interval(rows: MeasurementRows, weight: np.ndarray,
-                    truth_k: np.ndarray, t_k: float, t_fuse: float,
-                    noise_draws: np.ndarray) -> StackedMeasurements:
-    """Simulate and stack measurements in one interval for a batch of G
-    members, such as (plan, target) pairs, each on its own rows, in T
-    trials.
+                    clean: np.ndarray, noise_draws: np.ndarray,
+                    t_fuse: float) -> StackedMeasurements:
+    """Stack measurements in one interval for a batch of G members, such
+    as (plan, target) pairs, each on its own rows, in T trials.
 
     rows hold the times, radar_xy and kernel of R schedule rows: one
     interval's rows of one target or of several.  weight (G, R) is each
@@ -77,26 +87,20 @@ def _stack_interval(rows: MeasurementRows, weight: np.ndarray,
     target, and zero on a row the member does not stack (another target's,
     or a radar's given zero energy); every member stacks the same number M
     of rows, in the order of rows, each with its kernel over its weight as
-    covariance.  truth_k (G, T, 4) is each member's interval-start truth in
-    each trial.  noise_draws (T, R, 2) are pre-drawn standard normals, one
-    pair per row and trial, which every member reads, so noise streams pair
+    covariance.  clean (T, R, 2) is each row's noise-free value in each
+    trial.  noise_draws (T, R, 2) are pre-drawn standard normals, one pair
+    per row and trial, which every member reads, so noise streams pair
     across allocation plans and a row that is not stacked still consumes
     its draws.  The stack's values are (G, T, M, 2) and its rows (G, 1, M).
     """
     cols = np.nonzero(weight > 0)[1].reshape(len(weight), -1)
-    times = rows.times[cols][:, None]
-    radar_xy = rows.radar_xy[cols][:, None]
     cov = (rows.kernel[cols]
            / np.take_along_axis(weight, cols, 1)[..., None])[:, None]
-    draws = noise_draws[:, cols].swapaxes(0, 1)
-    # constant-velocity motion from the interval start: x_k + (t - t_k) v_k
-    truth_k = truth_k[..., None, :]
-    drift = np.zeros_like(truth_k)
-    drift[..., 0::2] = truth_k[..., 1::2]
-    r, th = measure(truth_k + (times - t_k)[..., None] * drift, radar_xy)
+    values = (clean[:, cols].swapaxes(0, 1)
+              + np.sqrt(cov) * noise_draws[:, cols].swapaxes(0, 1))
     return StackedMeasurements(
-        values=np.stack([r, th], axis=-1) + np.sqrt(cov) * draws,
-        times=times, radar_xy=radar_xy, cov_diag=cov, t_fuse=t_fuse)
+        values=values, times=rows.times[cols][:, None],
+        radar_xy=rows.radar_xy[cols][:, None], cov_diag=cov, t_fuse=t_fuse)
 
 
 def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
@@ -112,16 +116,16 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
 
     Deterministic under fixed seeds: each trial draws its process noise and
     its measurement noise from separate child streams of its seed, in a fixed
-    (interval, target) order, so every plan of the batch sees the same truth
-    and the same noise, and a member's result does not depend on the other
-    plans, targets and trials of the batch.  Each interval predicts every
-    track in one step, then fuses and updates its (target, plan) members in
-    one call per number of rows kept (a radar given zero energy stacks no
-    rows), members in (target, plan) order.  Raises the failure of a fix or
-    a Kalman update as the same exception class, naming the plan, the
-    target, the interval and the trial, with the plan also kept as the
-    exception's plan attribute: the first failing member of the first call
-    that fails.
+    (interval, target) order, and builds its truth and every row's noise-free
+    value once, so every plan sees the same truth and the same noise, and a
+    member's result does not depend on the other plans, targets and trials
+    of the batch.  Each interval predicts every track in one step, then
+    fuses and updates its (target, plan) members in one call per number of
+    rows kept (a radar given zero energy stacks no rows), members in
+    (target, plan) order.  Raises the failure of a fix or a Kalman update
+    as the same exception class, naming the plan, the target, the interval
+    and the trial, with the plan also kept as the exception's plan
+    attribute: the first failing member of the first call that fails.
     """
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 4:
@@ -155,6 +159,11 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     for k in range(k_n):
         truth[:, :, k + 1] = ((F @ truth[:, :, k, :, None])[..., 0]
                               + noise[:, k])
+    # each row's interval and target, and its noise-free value in every trial
+    row_k, row_q = np.divmod(np.repeat(np.arange(k_n * q_n), np.diff(bounds)),
+                             q_n)
+    clean = _noise_free(schedule.rows, truth[:, row_q, row_k],
+                        grid.boundary(row_k)[0])
 
     means = np.zeros((p_n, t_n, q_n, k_n, 4))
     covs = np.zeros((p_n, t_n, q_n, k_n, 4, 4))
@@ -162,25 +171,23 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
         mean=np.tile(initial + INIT_MEAN_OFFSET, (p_n, t_n, 1, 1)),
         cov=np.tile(np.diag(INIT_COV_DIAG), (p_n, t_n, q_n, 1, 1)))
     for k in range(k_n):
-        t_k, t_fuse = grid.boundary(k)
+        t_fuse = grid.boundary(k)[1]
         track = kf_predict(track, grid.interval_length, gammas)
         # the interval's rows, target by target as the noise draws lay them
         # out, and each row's weight on each (target, plan) member: zero on
         # the other targets' rows
-        edges = bounds[k * q_n:(k + 1) * q_n + 1]
-        rows = schedule.rows[edges[0]:edges[-1]]
-        target = np.repeat(np.arange(q_n), np.diff(edges))
+        lo, hi = bounds[k * q_n], bounds[(k + 1) * q_n]
+        rows, target = schedule.rows[lo:hi], row_q[lo:hi]
         weight = np.where(target == np.arange(q_n)[:, None, None],
                           scales[:, k, rows.radar, target], 0.0)
-        draws = meas_draws[:, edges[0]:edges[-1]]
+        clean_k, draws = clean[:, lo:hi], meas_draws[:, lo:hi]
         kept = np.count_nonzero(weight > 0, axis=-1)
         for m in dict.fromkeys(kept.ravel().tolist()):
             targets, plans = np.nonzero(kept == m)
             prior = TrackState(mean=track.mean[plans, :, targets],
                                cov=track.cov[plans, :, targets])
-            stack = _stack_interval(rows, weight[targets, plans],
-                                    truth[:, targets, k].swapaxes(0, 1),
-                                    t_k, t_fuse, draws)
+            stack = _stack_interval(rows, weight[targets, plans], clean_k,
+                                    draws, t_fuse)
             try:
                 post = kf_update(prior, ils_mle(stack, prior.mean))
             except (FusionError, np.linalg.LinAlgError) as exc:

@@ -1,18 +1,19 @@
 """Shared fixtures: the packaged default scenario, a small single-radar
 scenario factory for targeted tests, per-kind radar indices, schedule
 blocks and per-radar schedule times, one member's stacked measurements,
-floors that the even comm split misses, and the per-row range/bearing
-Jacobian oracle."""
+the solver's closed-form slack matrices, floors that the even comm split
+misses, and the per-row range/bearing Jacobian oracle."""
 
 import numpy as np
 import pytest
 
 from hrcn import _kernels
+from hrcn.allocator import _slack, _weighted_crb
 from hrcn.fusion import StackedMeasurements
 from hrcn.scenario import (CommSystem, FusionGrid, RadarKind, RadarNode,
                            Scenario, TargetTruth, build_schedule,
                            default_scenario_path, load_scenario, validate)
-from hrcn.tracker import _stack_interval
+from hrcn.tracker import _noise_free, _stack_interval
 
 
 @pytest.fixture(scope="session")
@@ -48,14 +49,24 @@ def radar_times(schedule, i, q, k):
 
 def stack_alone(rows, weight, truth_k, t_k, t_fuse, draws):
     """tracker._stack_interval for one member in one trial, weight (R,),
-    truth_k (4,) and draws (R, 2), with the stack's member and trial axes
-    taken off: values (M, 2), times (M,)."""
-    stack = _stack_interval(rows, weight[None], truth_k[None, None], t_k,
-                            t_fuse, draws[None])
+    truth_k (4,) at time t_k and draws (R, 2), its rows' noise-free values
+    from tracker._noise_free, with the stack's member and trial axes taken
+    off: values (M, 2), times (M,)."""
+    clean = _noise_free(rows, truth_k, t_k)
+    stack = _stack_interval(rows, weight[None], clean[None], draws[None],
+                            t_fuse)
     return StackedMeasurements(**{
         name: getattr(stack, name)[0, 0]
         for name in ("values", "times", "radar_xy", "cov_diag")},
         t_fuse=stack.t_fuse)
+
+
+def inner_v_update(B, lam_inv):
+    """Closed-form minimizer of the trace-constrained inner problem, for
+    each information of the stack B (..., 4, 4): normalized inverse of
+    diag(lam_inv) B diag(lam_inv), from the solver's own slack code."""
+    lam = 1.0 / lam_inv
+    return _slack(*_weighted_crb(B, lam)[:2], lam)
 
 
 def floors_the_even_comm_split_misses(scenario, schedule):

@@ -8,14 +8,13 @@ import numpy as np
 from hrcn.allocator import (AllocationLayout,
                             assemble_constraints, assemble_fractional,
                             baseline_random, bayesian_B, f_value, grad_f,
-                            inner_v_update, lambda_diag, objective_g, project,
-                            throughput_r)
+                            lambda_diag, objective_g, project, throughput_r)
 from hrcn.fusion import StackedMeasurements, fim, ils_mle, prior_information
 from hrcn.harness import compare_allocations, plan_allocations
 from hrcn.kinematics import measure, process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
 
-from conftest import measurement_jacobian
+from conftest import inner_v_update, measurement_jacobian
 
 
 def _report(num: int, name: str, ok: bool) -> None:

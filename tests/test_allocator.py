@@ -15,16 +15,15 @@ from hrcn.allocator import (AllocationLayout, InfeasibleError,
                             assemble_fractional, baseline_random,
                             baseline_uniform, bayesian_B, compute_kernels,
                             crb_metric, crb_metric_and_bound, f_value,
-                            grad_f, inner_v_update,
-                            interference_denominators, lambda_diag,
+                            grad_f, interference_denominators, lambda_diag,
                             objective_g, project, throughput_r)
 from hrcn.fusion import JITTER, inv_psd, prior_information
 from hrcn.harness import plan_allocations, planning_chain
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import RadarKind, build_schedule
 
-from conftest import (block, floors_the_even_comm_split_misses, kind_indices,
-                      make_mini_scenario)
+from conftest import (block, floors_the_even_comm_split_misses,
+                      inner_v_update, kind_indices, make_mini_scenario)
 from test_acceptance import _projection_oracle
 
 sys.path.insert(0, os.path.join(

@@ -468,6 +468,30 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=re.escape(message)):
             load_scenario(_mutated_default(tmp_path, mutate))
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("radars", 0, "bandwidth"), True,
+         "radars[0]: bandwidth must be numeric, got True"),
+        (("radars", 0, "position"), [True, 0.0],
+         "radars[0]: position must be numeric, got [True, 0.0]"),
+        (("targets", 0, "process_noise_intensity"), False,
+         "targets[0]: process_noise_intensity must be numeric, got False"),
+        (("grid", "interval_length"), True,
+         "grid: interval_length must be numeric, got True"),
+        (("comm", "throughput_floor"), [2.0, False, 2.0],
+         "comm: throughput_floor must be numeric, got [2.0, False, 2.0]")],
+        ids=["bandwidth", "position", "intensity", "interval-length",
+             "throughput-floor"])
+    def test_bool_number_rejected_naming_it(self, tmp_path, path, value,
+                                            message):
+        # float() reads a bool as 0 or 1, so a bool in a number or an array
+        # would load silently as a number
+        def mutate(raw):
+            for key in path[:-1]:
+                raw = raw[key]
+            raw[path[-1]] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
     def test_integral_float_count_accepted(self, tmp_path):
         def mutate(raw):
             raw["grid"]["num_intervals"] = 4.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hrcn.allocator import AllocationLayout, info_scale
-from hrcn import fusion
+from hrcn import fusion, tracker
 from hrcn.fusion import (CompositeMeasurement, FusionError,
                          RankDeficiencyError, ils_mle, prior_information)
 from hrcn.harness import POLICIES, plan_allocations
@@ -16,8 +16,8 @@ from hrcn.kinematics import measure, process_noise_cov, transition_matrix
 from hrcn.scenario import RadarKind, build_schedule, validate
 from hrcn.sensing import const_kernel
 from hrcn.tracker import (INIT_COV_DIAG, INIT_MEAN_OFFSET, TrackState,
-                          _stack_interval, kf_predict, kf_update,
-                          run_tracking)
+                          _noise_free, _stack_interval, kf_predict,
+                          kf_update, run_tracking)
 
 from conftest import block, kind_indices, radar_times, stack_alone
 
@@ -172,6 +172,48 @@ class TestRunTracking:
                          [[7, 0], [7, 1]])
         assert info.value.plan == 0
 
+    @pytest.mark.parametrize("p_n", [1, 3])
+    def test_measures_every_row_once(self, scenario, schedule, monkeypatch,
+                                     p_n):
+        # every row's noise-free value in every trial comes from one measure
+        # call, however many plans and fusion calls the run has
+        plans = [_planned_scales(scenario, schedule, policy, seed=1)
+                 for policy in POLICIES[:p_n]]
+        shapes = []
+
+        def counted(state, radar_xy):
+            shapes.append(np.shape(state)[:-1])
+            return measure(state, radar_xy)
+        monkeypatch.setattr(tracker, "measure", counted)
+        seeds = [[3, t] for t in range(2)]
+        run_tracking(scenario, schedule, plans, seeds)
+        assert shapes == [(len(seeds), schedule.bounds[-1])]
+
+    def test_zero_intensity_target_moves_without_noise(self, scenario,
+                                                       schedule):
+        # target 0's truth is the constant-velocity prediction bit for bit
+        # while target 1's is noisy, and plans still batch bitwise
+        sc = dataclasses.replace(scenario, targets=[dataclasses.replace(
+            scenario.targets[0], process_noise_intensity=0.0),
+            *scenario.targets[1:]])
+        validate(sc)
+        plans = [_planned_scales(sc, schedule, policy, seed=1)
+                 for policy in POLICIES]
+        seeds = [[5, t] for t in range(3)]
+        batch = run_tracking(sc, schedule, plans, seeds)
+        F = transition_matrix(sc.grid.interval_length)
+        for t in range(len(seeds)):
+            for k in range(sc.grid.num_intervals):
+                before, after = batch.truth[t, :, k], batch.truth[t, :, k + 1]
+                assert after[0].tobytes() == (F @ before[0]).tobytes()
+                assert np.all(after[1] != F @ before[1])
+        for p, scales in enumerate(plans):
+            alone = run_tracking(sc, schedule, [scales], seeds)
+            assert batch.truth.tobytes() == alone.truth.tobytes()
+            for name in ("means", "covs"):
+                assert (getattr(batch, name)[p].tobytes()
+                        == getattr(alone, name)[0].tobytes()), (p, name)
+
     @pytest.mark.parametrize("net", ["default", "large_net"])
     def test_plan_batch_equals_single_plans_bitwise(self, scenario, schedule,
                                                     net):
@@ -276,8 +318,8 @@ def _per_target_oracle(scenario, schedule, plans, seeds):
     """run_tracking one (plan, target, interval) at a time, batched over
     the trials only: per trial the process and measurement draws of the
     two child streams of its seed, in (interval, target) order, then
-    kf_predict, _stack_interval, ils_mle and kf_update on a batch of one
-    member."""
+    kf_predict, _noise_free of its rows from the interval-start truth,
+    _stack_interval, ils_mle and kf_update on a batch of one member."""
     grid = scenario.grid
     q_n, k_n, t_n = scenario.n_targets, grid.num_intervals, len(seeds)
     F = transition_matrix(grid.interval_length)
@@ -310,9 +352,10 @@ def _per_target_oracle(scenario, schedule, plans, seeds):
                 rows = block(schedule, q, k)[0]
                 b = k * q_n + q
                 track = kf_predict(track, grid.interval_length, gamma)
+                clean = _noise_free(rows, truth[:, q, k, None], t_k)
                 stack = _stack_interval(
-                    rows, scales[k][rows.radar, q][None], truth[None, :, q, k],
-                    t_k, t_fuse, meas[:, bounds[b]:bounds[b + 1]])
+                    rows, scales[k][rows.radar, q][None], clean,
+                    meas[:, bounds[b]:bounds[b + 1]], t_fuse)
                 track = kf_update(track, ils_mle(stack, track.mean))
                 means[p, :, q, k] = track.mean[0]
                 covs[p, :, q, k] = track.cov[0]

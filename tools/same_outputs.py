@@ -30,6 +30,10 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
   0: an empty block of the schedule's row table.  Planning runs on the
   prior alone there, and compare exits 1 with the fusion's
   ``RankDeficiencyError``, whose text is compared too;
+* ``hrcn compare --trials 3 --seed 1`` and ``hrcn simulate --seed 1`` on
+  the default scenario with target 0 at zero process-noise intensity, so
+  one target's truth is the noise-free constant-velocity recursion and the
+  other's is noisy;
 * ``hrcn sweep --values 0.5 1.0 1.5``, and the same sweep of the
   base-station budget over 5, 10 and 40 W, at interval 0;
 * ``hrcn sweep --interval 3`` of the base-station budget over 10, 30 and
@@ -144,6 +148,17 @@ for k in range(k_n):
 run("compare-empty-block", ["compare", "--trials", "3", "--seed", "1",
                             "--scenario", "empty_block.yaml",
                             "--out", "compare-empty-block"])
+# target 0 moves without process noise: its truth is the constant-velocity
+# prediction, while target 1's is noisy
+scenarios.to_yaml(dataclasses.replace(base, targets=[dataclasses.replace(
+    base.targets[0], process_noise_intensity=0.0), *base.targets[1:]]),
+    "quiet_target.yaml")
+run("compare-quiet-target", ["compare", "--trials", "3", "--seed", "1",
+                             "--scenario", "quiet_target.yaml",
+                             "--out", "compare-quiet-target"])
+run("simulate-quiet-target", ["simulate", "--seed", "1",
+                              "--scenario", "quiet_target.yaml",
+                              "--out", "simulate-quiet-target"])
 run("sweep", ["sweep", "--values", "0.5", "1.0", "1.5", "--out", "sweep"])
 run("sweep-budget", ["sweep", "--param", "comm-budget", "--values", "5", "10",
                      "40", "--out", "sweep-budget"])
