@@ -8,6 +8,7 @@ on the resulting sum of linear-fractional functions, each step's first probe
 at the Barzilai-Borwein length of the step before.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -130,7 +131,7 @@ def compute_kernels(scenario: Scenario, schedule: MeasurementSchedule,
     call of its own whatever order BLAS sums in."""
     k_n, q_n = np.shape(predicted_states)[:2]
     states = np.reshape(predicted_states, (-1, 4))
-    t_fuse = np.repeat([scenario.grid.boundary(k)[1] for k in range(k_n)], q_n)
+    t_fuse = np.repeat(scenario.grid.boundary(np.arange(k_n))[1], q_n)
     bounds = schedule.bounds[:k_n * q_n + 1]
     lengths = np.diff(bounds)
     # each (interval, target) block's radar offsets into its rows
@@ -163,25 +164,19 @@ def _weighted_crb(b_mats: np.ndarray, lam: np.ndarray):
     return inv, crb, sum(1.0 / c for c in np.ravel(crb).tolist())
 
 
-def crb_metric(b_mats: np.ndarray, t0: float) -> float:
-    """Bayesian-CRB tracking metric of per-target informations B^q: sum over
-    targets of 1 / Tr(Lambda B^{-1} Lambda^T).  Larger is better."""
-    return _weighted_crb(b_mats, lambda_diag(t0))[2]
-
-
 def crb_metric_and_bound(b_mats: np.ndarray, t0: float
                          ) -> tuple[float, float]:
-    """crb_metric of per-target informations B^q and, from the same
-    inverses, their root-BCRB: the sum over targets of
-    sqrt(Tr(Lambda B^{-1} Lambda^T)), the bound that the weighted tracking
-    RMSE is scored against."""
+    """Bayesian-CRB tracking metric g of per-target informations B^q, the
+    sum over targets of 1 / Tr(Lambda B^{-1} Lambda^T) (larger is better),
+    and from the same inverses their root-BCRB, the sum of the square roots
+    of those traces, which the weighted tracking RMSE is scored against."""
     _, crb, g = _weighted_crb(b_mats, lambda_diag(t0))
     return g, sum(float(np.sqrt(c)) for c in crb.tolist())
 
 
 def objective_g(z: np.ndarray, problem: "IntervalProblem") -> float:
-    """crb_metric of the Bayesian information under allocation z."""
-    return crb_metric(bayesian_B(z, problem), problem.t0)
+    """The metric g of the Bayesian information under allocation z."""
+    return _weighted_crb(bayesian_B(z, problem), lambda_diag(problem.t0))[2]
 
 
 def throughput_r(j: int, z: np.ndarray, scenario: Scenario,
@@ -280,28 +275,25 @@ class IntervalProblem:
 
     @classmethod
     def horizon(cls, scenario: Scenario, schedule: MeasurementSchedule,
-                layout: AllocationLayout, ks, kernels):
-        """problem(i, prior_infos): the problem of interval ks[i] of ks (K',),
-        with kernels[i] of kernels (K', Q, N, 4, 4); the rows and
-        preconditioners of every interval are assembled in one pass."""
+                layout: AllocationLayout, ks, kernels) -> list:
+        """One constructor per interval ks[i] of ks (K',), which makes its
+        problem from prior_infos, with kernels[i] of kernels (K', Q, N, 4, 4);
+        every interval's rows and preconditioners are assembled in one pass."""
         counts = schedule.counts[:, :, ks].transpose(2, 0, 1)
         A, b, labels, precond = _constraint_rows(scenario, layout, counts, ks)
-
-        def problem(i, prior_infos):
-            return cls(layout=layout, k=int(ks[i]),
-                       t0=scenario.grid.interval_length, counts=counts[i],
-                       A=A[i], b=b[i], labels=labels, precond=precond[i],
-                       kernels=np.asarray(kernels[i]),
-                       prior_infos=np.asarray(prior_infos))
-        return problem
+        return [functools.partial(
+            cls, layout=layout, k=int(k), t0=scenario.grid.interval_length,
+            counts=counts[i], A=A[i], b=b[i], labels=labels,
+            precond=precond[i], kernels=np.asarray(kernels[i]))
+            for i, k in enumerate(ks)]
 
     @classmethod
     def build(cls, scenario: Scenario, schedule: MeasurementSchedule, k: int,
               layout: AllocationLayout, kernels, prior_infos
               ) -> "IntervalProblem":
         """Interval k's problem: the one-interval case of horizon."""
-        return cls.horizon(scenario, schedule, layout, [k], [kernels])(
-            0, prior_infos)
+        return cls.horizon(scenario, schedule, layout, [k], [kernels])[0](
+            prior_infos=np.asarray(prior_infos))
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +633,22 @@ MAX_OUTER = 500
 MAX_HALVINGS = 32
 
 
+def start_point(problem: IntervalProblem,
+                z0: Optional[np.ndarray]) -> np.ndarray:
+    """adam_solve's start point u in budget-normalized coordinates
+    u = z / problem.precond: the projection there of z0, or, for z0 None,
+    of the preconditioner's even split problem.precond (u = 1), which
+    exists whenever the polyhedron is not empty."""
+    precond = problem.precond
+    u0 = (np.ones(len(precond)) if z0 is None
+          else np.asarray(z0, dtype=float) / precond)
+    return project(u0, problem.A * precond[None, :], problem.b).z
+
+
 def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
                ) -> tuple[np.ndarray, list[dict]]:
-    """Alternating descent-ascent on one interval's problem, from the
-    projection of z0 or else of the preconditioner's even split
-    problem.precond, which exists whenever the polyhedron is not empty.
+    """Alternating descent-ascent on one interval's problem, from
+    start_point(problem, z0).
 
     Alternates the closed-form slack update with a projected, preconditioned
     gradient-ascent step on the fractional rewrite.  The slack update pins
@@ -673,10 +676,7 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     # all iterates live in budget-normalized coordinates u = z / scale, so the
     # projection geometry and the step size are unitless across watts/seconds
     A_u = A * precond[None, :]
-
-    u0 = (np.ones(len(precond)) if z0 is None
-          else np.asarray(z0, dtype=float) / precond)
-    u = project(u0, A_u, b).z
+    u = start_point(problem, z0)
     z = precond * u
     g_cur = objective_g(z, problem)
     # B^{-1} at the start point; every later step's is its accepted probe's

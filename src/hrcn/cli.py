@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from .allocator import (InfeasibleError, IntervalProblem, adam_solve,
-                        baseline_uniform, info_scale, objective_g)
+                        baseline_uniform, info_scale, objective_g,
+                        start_point)
 from .harness import (POLICIES, compare_allocations, plan_allocations,
                       planning_chain, planning_horizon, save_result)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
@@ -38,15 +39,23 @@ def _load(args) -> tuple:
 
 
 def _interval_problem(scenario, schedule, k):
-    """Interval k's problem, its priors chained through uniform allocations."""
+    """Interval k's problem, its priors chained through uniform allocations
+    or, in an interval whose even comm split misses a floor, through the
+    point the solver starts from there (start_point)."""
     if not 0 <= k < scenario.grid.num_intervals:
         raise ValueError(f"interval {k} is outside the "
                          f"{scenario.grid.num_intervals}-interval fusion grid")
 
     def uniform(problem):
-        return baseline_uniform(problem) if problem.k < k else None
+        if problem.k == k:
+            return None
+        try:
+            return baseline_uniform(problem)
+        except InfeasibleError:
+            return problem.precond * start_point(problem, None)
 
-    *_, (problem, _, _) = planning_chain(scenario, schedule, uniform, last=k)
+    *_, (problem, _, _) = planning_chain(
+        scenario, planning_horizon(scenario, schedule, k), uniform)
     return problem
 
 

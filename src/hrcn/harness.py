@@ -43,7 +43,7 @@ def planning_horizon(scenario: Scenario, schedule: MeasurementSchedule,
                      last: Optional[int] = None):
     """The part of the planning recursion that no policy changes, through
     interval last (by default all): (layout, problems), the scenario's
-    layout and IntervalProblem.horizon's problems(i, prior_infos).
+    layout and IntervalProblem.horizon's constructors, one per interval.
 
     Every target's prior is predicted along the noise-free truth trajectory,
     and the kernels at the predicted states and the constraint rows of the
@@ -61,27 +61,24 @@ def planning_horizon(scenario: Scenario, schedule: MeasurementSchedule,
         compute_kernels(scenario, schedule, states[1:]))
 
 
-def planning_chain(scenario: Scenario, schedule: MeasurementSchedule,
-                   allocate, last: Optional[int] = None, horizon=None):
-    """The planning recursion over the fusion grid, through interval last.
+def planning_chain(scenario: Scenario, horizon, allocate):
+    """The planning recursion over the intervals of a planning_horizon.
 
-    On the planning_horizon through last, built here unless one that
-    reaches last is given, each interval k is allocated with
-    z = allocate(problem), and the Bayesian information B(z) seeds the next
-    interval's priors.  Yields (problem, z, b_mats) per interval.  When
-    allocate returns None the chain ends with (problem, None, None).
+    Each interval's problem is allocated with z = allocate(problem), and
+    the Bayesian information B(z) seeds the next interval's priors.  Yields
+    (problem, z, b_mats) per interval.  When allocate returns None the
+    chain ends with (problem, None, None).
     """
+    _, problems = horizon
     grid = scenario.grid
-    n = grid.num_intervals if last is None else last + 1
-    _, problems = horizon or planning_horizon(scenario, schedule, last)
     F = transition_matrix(grid.interval_length)
     infos = np.array([np.linalg.inv(np.diag(INIT_COV_DIAG))
                       for _ in scenario.targets])
     gammas = process_noise_cov(grid.interval_length,
                                [t.process_noise_intensity
                                 for t in scenario.targets])
-    for k in range(n):
-        problem = problems(k, prior_information(infos, F, gammas))
+    for make in problems:
+        problem = make(prior_infos=prior_information(infos, F, gammas))
         z = allocate(problem)
         if z is None:
             yield problem, None, None
@@ -98,8 +95,8 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
 
     The planning recursion (planning_chain) evaluates information kernels on
     the noise-free truth trajectory and chains the Bayesian prior through the
-    chosen allocations, on the given full-grid planning_horizon or on one
-    built here.  Returns (allocations, per-interval metric values, traces,
+    chosen allocations, over the given planning_horizon's intervals or the
+    full grid's.  Returns (allocations, per-interval metric values, traces,
     per-interval root_bcrb of the chain's information).
     """
     if policy not in POLICIES:
@@ -119,8 +116,9 @@ def plan_allocations(scenario: Scenario, schedule: MeasurementSchedule,
 
     t0 = scenario.grid.interval_length
     allocations, g_values, bounds = [], [], []
-    for _, z, b_mats in planning_chain(scenario, schedule, allocate,
-                                       horizon=horizon):
+    for _, z, b_mats in planning_chain(
+            scenario, horizon or planning_horizon(scenario, schedule),
+            allocate):
         allocations.append(z)
         g, bound = crb_metric_and_bound(b_mats, t0)
         g_values.append(g)

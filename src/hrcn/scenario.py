@@ -97,10 +97,10 @@ class FusionGrid:
     num_intervals: int       # K
     start_time: float = 0.0  # t_1
 
-    def boundary(self, k: int) -> tuple[float, float]:
-        """Half-open window (t_k, t_{k+1}] of fusion interval k (0-based),
-        with t_k = start_time + k * interval_length, so that consecutive
-        windows share their edge."""
+    def boundary(self, k):
+        """Half-open window (t_k, t_{k+1}] of fusion interval k (0-based), or
+        edge arrays for an index array k: t_k = start_time + k *
+        interval_length, so that consecutive windows share their edge."""
         return (self.start_time + k * self.interval_length,
                 self.start_time + (k + 1) * self.interval_length)
 
@@ -336,20 +336,13 @@ class _Fallback(Exception):
 
 def _scalar(loader, tag, value: str, plain: bool):
     """The object yaml.load builds from one scalar event: a tag of None or
-    "!" resolved as BaseResolver.resolve does without path resolvers, then
-    the tag's SafeConstructor method.  Raises _Fallback for a tag outside
-    the five core scalar tags, and where the constructor fails on the value
+    "!" resolved by the loader's resolve, as its composer does, then the
+    tag's SafeConstructor method.  Raises _Fallback for a tag outside the
+    five core scalar tags, and where the constructor fails on the value
     (ValueError; KeyError and IndexError, the LookupErrors of a bad bool and
     an empty int or float)."""
     if tag is None or tag == "!":
-        tag = yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG
-        resolvers = loader.yaml_implicit_resolvers
-        if plain:
-            for resolved, regexp in (resolvers.get(value[:1], [])
-                                     + resolvers.get(None, [])):
-                if regexp.match(value):
-                    tag = resolved
-                    break
+        tag = loader.resolve(yaml.ScalarNode, value, (plain, False))
     if tag not in _CORE_SCALARS:
         raise _Fallback
     try:
@@ -509,10 +502,8 @@ def build_schedule(scenario: Scenario) -> MeasurementSchedule:
     """
     grid = scenario.grid
     n, q_n, k_n = scenario.n_radars, scenario.n_targets, grid.num_intervals
-    # one edge array, as FusionGrid.boundary computes them, so the windows
-    # partition (t_1, horizon]
-    edges = grid.start_time + np.arange(k_n + 1) * grid.interval_length
-    lo, hi, horizon = edges[:-1], edges[1:], edges[-1]
+    lo, hi = grid.boundary(np.arange(k_n))
+    horizon = hi[-1]
     positions = np.array([r.position for r in scenario.radars], dtype=float)
     kernels = np.array([[const_kernel(r, target.rcs[i])
                          for i, r in enumerate(scenario.radars)]

@@ -122,7 +122,8 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     of the batch.  Each interval predicts every track in one step, then
     fuses and updates its (target, plan) members in one call per number of
     rows kept (a radar given zero energy stacks no rows), members in
-    (target, plan) order.  Raises the failure of a fix or a Kalman update
+    (target, plan) order; a member that keeps no rows, as planning does,
+    keeps its prediction.  Raises the failure of a fix or a Kalman update
     as the same exception class, naming the plan, the target, the interval
     and the trial, with the plan also kept as the exception's plan
     attribute: the first failing member of the first call that fails.
@@ -182,7 +183,8 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
                           scales[:, k, rows.radar, target], 0.0)
         clean_k, draws = clean[:, lo:hi], meas_draws[:, lo:hi]
         kept = np.count_nonzero(weight > 0, axis=-1)
-        for m in dict.fromkeys(kept.ravel().tolist()):
+        # a member that keeps no rows keeps its prediction
+        for m in dict.fromkeys(kept[kept > 0].tolist()):
             targets, plans = np.nonzero(kept == m)
             prior = TrackState(mean=track.mean[plans, :, targets],
                                cov=track.cov[plans, :, targets])

@@ -14,11 +14,11 @@ from hrcn.allocator import (AllocationLayout, InfeasibleError,
                             IntervalProblem, adam_solve, assemble_constraints,
                             assemble_fractional, baseline_random,
                             baseline_uniform, bayesian_B, compute_kernels,
-                            crb_metric, crb_metric_and_bound, f_value,
+                            crb_metric_and_bound, f_value,
                             grad_f, interference_denominators, lambda_diag,
                             objective_g, project, throughput_r)
 from hrcn.fusion import JITTER, inv_psd, prior_information
-from hrcn.harness import plan_allocations, planning_chain
+from hrcn.harness import plan_allocations, planning_chain, planning_horizon
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import RadarKind, build_schedule
 
@@ -266,7 +266,7 @@ class TestObjectiveG:
         inv, _ = inv_psd(B + JITTER * np.eye(4), 0.0)
         c = float(lambda_diag(6.0) ** 2 @ np.diag(inv))
         assert np.isfinite(c)
-        assert crb_metric([B], 6.0) == 1.0 / c
+        assert allocator._weighted_crb([B], lambda_diag(6.0))[2] == 1.0 / c
         assert crb_metric_and_bound([B], 6.0) == (1.0 / c, float(np.sqrt(c)))
 
     def test_monotone_in_radar_resources(self, layout, problem):
@@ -438,7 +438,8 @@ class TestAssembleConstraints:
         if net == "large_net":
             scenario = large_net(0)
             schedule = build_schedule(scenario)
-        chain = harness.planning_chain(scenario, schedule, baseline_uniform)
+        chain = harness.planning_chain(
+            scenario, planning_horizon(scenario, schedule), baseline_uniform)
         ks = []
         for prob, _, _ in chain:
             A, b, labels = assemble_constraints(scenario, schedule, prob.k)
@@ -568,7 +569,7 @@ class TestHorizonRows:
                                            kernels)
         infos = np.zeros((sc.n_targets, 4, 4))
         for k in range(k_n):
-            stacked = problems(k, infos)
+            stacked = problems[k](prior_infos=infos)
             alone = IntervalProblem.build(sc, sch, k, lay, kernels[k], infos)
             A, b, labels, precond = rows_oracle(sc, lay, sch.counts[:, :, k], k)
             assert stacked.k == alone.k == k
@@ -580,7 +581,8 @@ class TestHorizonRows:
                 assert prob.counts.tolist() == sch.counts[:, :, k].tolist()
         if net == "per_interval_floors":
             # the floors differ from interval to interval, and so do the rows
-            assert problems(0, infos).b[0] != problems(k_n - 1, infos).b[0]
+            assert (problems[0](prior_infos=infos).b[0]
+                    != problems[k_n - 1](prior_infos=infos).b[0])
 
     def test_unreachable_floor_raises_when_its_interval_is_built(
             self, scenario, schedule):
@@ -593,12 +595,12 @@ class TestHorizonRows:
             np.zeros((k_n, sc.n_targets, sc.n_radars, 4, 4)))
         infos = np.zeros((sc.n_targets, 4, 4))
         for k in (0, 2, 4, 9):
-            assert problems(k, infos).k == k
+            assert problems[k](prior_infos=infos).k == k
         message = ("throughput floor of link 1 unreachable: fixed "
                    "interference alone requires more than the base-station "
                    "budget (row 'throughput[1]')")
         with pytest.raises(InfeasibleError) as info:
-            problems(3, infos)
+            problems[3](prior_infos=infos)
         assert str(info.value) == message
         with pytest.raises(InfeasibleError, match=re.escape(message)):
             assemble_constraints(sc, schedule, 3)
@@ -1251,7 +1253,8 @@ class TestAdamSolve:
             variant = replace(scenario, comm=replace(scenario.comm,
                                                      throughput_floor=floor))
             problems = [next(p for p, _, _ in planning_chain(
-                variant, schedule, baseline_uniform) if p.k == 3)]
+                variant, planning_horizon(variant, schedule),
+                baseline_uniform) if p.k == 3)]
         counts = {}
         for name in ("bayesian_B", "inv_psd", "project"):
             def counted(*args, _name=name, _fn=getattr(allocator, name),
@@ -1402,7 +1405,8 @@ class TestAdamSolve:
             g_fixed.append(objective_g(z, problem))
             return STEP_SIZE_PLAN[problem.k]
 
-        for _ in planning_chain(scenario, schedule, allocate):
+        for _ in planning_chain(scenario, planning_horizon(scenario, schedule),
+                                allocate):
             pass
         for k, (g, g_old) in enumerate(zip(g_fixed, GROWTH_SEARCH_G,
                                            strict=True)):
@@ -1439,8 +1443,9 @@ class TestSolverOracle:
         for v, floor in enumerate(floor_variants(scenario, schedule, 0, 8)):
             variant = replace(scenario, comm=replace(scenario.comm,
                                                      throughput_floor=floor))
-            for problem, _, _ in planning_chain(variant, schedule,
-                                                baseline_uniform):
+            for problem, _, _ in planning_chain(
+                    variant, planning_horizon(variant, schedule),
+                    baseline_uniform):
                 z, _ = adam_solve(problem)
                 g = objective_g(z, problem)
                 scale = problem.precond

@@ -41,8 +41,9 @@ class TestSolve:
         assert main(["solve", "--scenario", path]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [0, 1, 5, 9])
     def test_solves_where_the_even_comm_split_misses_a_floor(
-            self, scenario, schedule, tmp_path, capsys):
+            self, scenario, schedule, tmp_path, capsys, k):
         with open(default_scenario_path()) as fh:
             raw = yaml.safe_load(fh)
         raw["comm"]["throughput_floor"] = [
@@ -50,8 +51,9 @@ class TestSolve:
                                                                 schedule)]
         path = tmp_path / "split_missed.yaml"
         path.write_text(yaml.safe_dump(raw))
-        assert main(["solve", "--scenario", str(path), "--interval", "0"]) == 0
-        assert "interval 0: g = " in capsys.readouterr().out
+        assert main(["solve", "--scenario", str(path),
+                     "--interval", str(k)]) == 0
+        assert f"interval {k}: g = " in capsys.readouterr().out
 
     def test_missing_scenario_exits_one(self, capsys):
         assert main(["solve", "--scenario", "/nonexistent.yaml"]) == 1

@@ -13,8 +13,8 @@ from hrcn.allocator import (AllocationLayout, InfeasibleError, IntervalProblem,
                             lambda_diag)
 from hrcn.fusion import FusionError, fim
 from hrcn.harness import (compare_allocations, plan_allocations,
-                          planning_chain, rmse, save_result,
-                          scenario_fingerprint)
+                          planning_chain, planning_horizon, rmse,
+                          save_result, scenario_fingerprint)
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
 from hrcn.tracker import INIT_COV_DIAG
@@ -73,8 +73,9 @@ class TestPlanAllocations:
 class TestPlanningChain:
     def test_information_symmetric_psd(self, scenario, schedule):
         n = 0
-        for problem, _, b_mats in planning_chain(scenario, schedule,
-                                                 baseline_uniform):
+        for problem, _, b_mats in planning_chain(
+                scenario, planning_horizon(scenario, schedule),
+                baseline_uniform):
             for B in list(problem.prior_infos) + list(b_mats):
                 np.testing.assert_allclose(B, B.T, atol=1e-12)
                 assert np.min(np.linalg.eigvalsh(B)) >= -1e-12
@@ -87,7 +88,8 @@ class TestPlanningChain:
         # tracking stacks under the same plan, at the same predicted state
         F = transition_matrix(scenario.grid.interval_length)
         states = [t.initial_state for t in scenario.targets]
-        chain = planning_chain(scenario, schedule, baseline_uniform)
+        chain = planning_chain(scenario, planning_horizon(scenario, schedule),
+                               baseline_uniform)
         for k, (problem, z, _) in enumerate(chain):
             # the predicted states the chain evaluated the kernels at
             states = [F @ s for s in states]
@@ -113,10 +115,25 @@ class TestPlanningChain:
         ks = []
         with pytest.raises(InfeasibleError, match="throughput floor of link "
                            "1 unreachable"):
-            for problem, z, _ in planning_chain(sc, schedule,
-                                                baseline_uniform):
+            for problem, z, _ in planning_chain(
+                    sc, planning_horizon(sc, schedule), baseline_uniform):
                 ks.append(problem.k)
         assert ks == [0, 1, 2]
+
+    @pytest.mark.parametrize("policy", ["optimized", "uniform", "random"])
+    def test_partial_horizon_plans_its_intervals_of_the_full_plan(
+            self, scenario, schedule, policy):
+        # the horizon alone decides how far the chain runs
+        full = plan_allocations(scenario, schedule, policy)
+        part = plan_allocations(scenario, schedule, policy,
+                                horizon=planning_horizon(scenario, schedule,
+                                                         last=2))
+        allocations, g_values, traces, bounds = part
+        assert len(allocations) == 3
+        assert ([z.tobytes() for z in allocations]
+                == [z.tobytes() for z in full[0][:3]])
+        assert g_values == full[1][:3] and bounds == full[3][:3]
+        assert traces == full[2][:3]
 
     @pytest.mark.parametrize("policy", ["optimized", "uniform", "random"])
     def test_builds_the_layout_once(self, scenario, schedule, policy,

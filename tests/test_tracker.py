@@ -279,6 +279,37 @@ class TestRunTracking:
             run_tracking(sc, sch, [uniform, lone], [[7, 0], [7, 1]])
         assert info.value.plan == 1
 
+    def test_member_without_rows_keeps_its_prediction(self, scenario):
+        # every radar first looks at target 1 one interval later, so no
+        # member keeps a row of it in interval 0: its track there is the
+        # prediction of the initial track, as in planning, under every plan
+        later = np.array([0.0, scenario.grid.interval_length])
+        sc = dataclasses.replace(scenario, radars=[dataclasses.replace(
+            r, initial_time=r.initial_time + later) for r in scenario.radars])
+        validate(sc)
+        sch = build_schedule(sc)
+        assert not sch.counts[:, 1, 0].any() and sch.counts[:, 0, 0].any()
+        plans = [_planned_scales(sc, sch, policy, seed=1)
+                 for policy in POLICIES]
+        seeds = [[1, t] for t in range(3)]
+        batch = run_tracking(sc, sch, plans, seeds)
+        gammas = process_noise_cov(sc.grid.interval_length,
+                                   [t.process_noise_intensity
+                                    for t in sc.targets])
+        predicted = kf_predict(TrackState(
+            mean=sc.targets[1].initial_state + INIT_MEAN_OFFSET,
+            cov=np.diag(INIT_COV_DIAG)), sc.grid.interval_length, gammas[1])
+        for p, scales in enumerate(plans):
+            for t in range(len(seeds)):
+                assert (batch.means[p, t, 1, 0].tobytes()
+                        == predicted.mean.tobytes()), (p, t)
+                assert (batch.covs[p, t, 1, 0].tobytes()
+                        == predicted.cov.tobytes()), (p, t)
+            alone = run_tracking(sc, sch, [scales], seeds)
+            for name in ("means", "covs"):
+                assert (getattr(batch, name)[p].tobytes()
+                        == getattr(alone, name)[0].tobytes()), (p, name)
+
     def test_shapes_and_metadata(self, scenario, schedule, uniform_scales):
         # batches of one and two plans; one plan needs the plan axis too
         q_n, k_n = scenario.n_targets, scenario.grid.num_intervals

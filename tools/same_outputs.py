@@ -5,7 +5,8 @@
         [--keep DIR]
 
 Each tree runs the same ``hrcn`` commands in one process of its own, with
-its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
+its own ``src/hrcn``, ``perfbench/scenarios.py`` and ``tests/conftest.py``
+on the path:
 
 * ``hrcn compare --trials 3 --seed 1`` on the packaged default scenario and
   on ``large_net(0)``, and ``hrcn compare --trials 100 --seed 0`` on the
@@ -28,8 +29,13 @@ its own ``src/hrcn`` and ``perfbench/scenarios.py`` on the path:
   --trials 3 --seed 1``, on the default scenario with every radar's first
   look at target 1 one interval later, so target 1 has no rows in interval
   0: an empty block of the schedule's row table.  Planning runs on the
-  prior alone there, and compare exits 1 with the fusion's
-  ``RankDeficiencyError``, whose text is compared too;
+  prior alone there, and tracking keeps target 1's prediction;
+* ``hrcn solve --interval k`` for every interval, and ``hrcn sweep
+  --interval 3`` of the base-station budget over 20 and 30 W, on the
+  default scenario with the floors of ``tests/conftest.py``'s
+  ``floors_the_even_comm_split_misses``: from interval 1 on, the problems
+  chain their priors through the solver's start point wherever the even
+  comm split misses a floor;
 * ``hrcn compare --trials 3 --seed 1`` and ``hrcn simulate --seed 1`` on
   the default scenario with target 0 at zero process-noise intensity, so
   one target's truth is the noise-free constant-velocity recursion and the
@@ -68,14 +74,15 @@ SOLVE_SEEDS = (0, 3)
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"(?![\w.])")
 
-# Runs inside a tree, with its src/ and perfbench/ on sys.path and the
-# output directory as the working directory.
+# Runs inside a tree, with its src/, perfbench/ and tests/ on sys.path and
+# the output directory as the working directory.
 SCRIPT = """
 import contextlib, dataclasses, io, sys
 import numpy as np
 import hrcn.cli
 import scenarios
 import workloads
+from conftest import floors_the_even_comm_split_misses
 from hrcn.scenario import (RadarKind, build_schedule, default_scenario_path,
                            load_scenario)
 
@@ -148,6 +155,17 @@ for k in range(k_n):
 run("compare-empty-block", ["compare", "--trials", "3", "--seed", "1",
                             "--scenario", "empty_block.yaml",
                             "--out", "compare-empty-block"])
+# link 0's floor is one the even comm split misses
+scenarios.to_yaml(dataclasses.replace(base, comm=dataclasses.replace(
+    base.comm, throughput_floor=floors_the_even_comm_split_misses(
+        base, schedule))), "split_missed.yaml")
+for k in range(k_n):
+    run(f"solve-split-missed-k{k}",
+        ["solve", "--scenario", "split_missed.yaml", "--interval", str(k)])
+run("sweep-split-missed-k3", ["sweep", "--scenario", "split_missed.yaml",
+                              "--interval", "3", "--param", "comm-budget",
+                              "--values", "20", "30",
+                              "--out", "sweep-split-missed-k3"])
 # target 0 moves without process noise: its truth is the constant-velocity
 # prediction, while target 1's is noisy
 scenarios.to_yaml(dataclasses.replace(base, targets=[dataclasses.replace(
@@ -172,7 +190,7 @@ def run_tree(tree: str, outdir: str) -> None:
     tree = os.path.abspath(tree)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+        [os.path.join(tree, name) for name in ("src", "perfbench", "tests")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     env.pop("HRCN_OUTPUT_DIR", None)
     code = f"SEEDS = {SOLVE_SEEDS!r}\n" + SCRIPT
