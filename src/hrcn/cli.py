@@ -158,6 +158,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int of at least low, else a usage error, which
+    argparse reports with the option's name."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -174,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICIES, default="optimized")
 
     p = sub.add_parser("compare", help="Monte-Carlo policy comparison")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--policies", nargs="+", default=list(POLICIES),
                    choices=POLICIES)
 
@@ -188,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", default=None,
                        help="scenario YAML (default: packaged default scenario)")
         if name in ("simulate", "compare"):
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
         if name != "solve":
             p.add_argument("--out", default=None, help="output directory")
     return parser

@@ -30,8 +30,10 @@ class StackedMeasurements:
     stacked-likelihood convention.  values may carry leading batch axes: a
     batch of fixes of M rows each, such as one per Monte-Carlo trial.  The
     rows (times, radar_xy) and cov_diag may carry batch axes too, which
-    broadcast against those of values: one row set per member, such as a
-    (plan, target) pair, weighted per allocation plan.
+    broadcast against those of values: one row set per member, or one
+    weighting per allocation plan of a row set they share.  A row of
+    infinite cov_diag carries no information: fusion weighs it by 0 and
+    does not count it as an equation.
     """
 
     values: np.ndarray     # (..., M, 2) range, bearing
@@ -107,8 +109,9 @@ def ils_mle(stack: StackedMeasurements,
 
     Bearing residuals are wrapped to (-pi, pi] before weighting.  Raises
     RankDeficiencyError on unobservable geometry and DivergenceError after
-    GN_MAX_ITER steps, naming the first failing member of a batch.  The
-    rank test is Gauss-Newton's, on its first normal matrix: the Fisher
+    GN_MAX_ITER steps, naming the first failing member of a batch.  A
+    member with fewer than 2 rows of finite variance fails first; the rank
+    test is then Gauss-Newton's, on its first normal matrix: the Fisher
     information at init.  The values must hold one fix per initial state.
     """
     init = np.asarray(init, dtype=float)
@@ -117,11 +120,14 @@ def ils_mle(stack: StackedMeasurements,
     if stack.values.shape[:-2] != init.shape[:-1]:
         raise ValueError(f"values for fixes {stack.values.shape[:-2]} do "
                          f"not match initial states {init.shape[:-1]}")
-    if len(stack) < 2:
-        # every member has M rows, so every member fails, the first one first
+    # a row of infinite variance carries no information, so it is no equation
+    finite = np.broadcast_to(np.isfinite(stack.cov_diag).all(axis=-1).sum(
+        axis=-1), init.shape[:-1])
+    if np.any(finite < 2):
+        member = _kernels.first_member(finite < 2)
         raise _kernels.member_error(
-            RankDeficiencyError, f"{2 * len(stack)} equations cannot "
-            "determine 4 state components", 0 if init.ndim > 1 else None)
+            RankDeficiencyError, f"{2 * finite.flat[member or 0]} equations "
+            "cannot determine 4 state components", member)
     s, iters, step_norm, status = _kernels.gauss_newton(
         stack.values, stack.times, stack.radar_xy, 1.0 / stack.cov_diag,
         stack.t_fuse, init, GN_TOL, GN_MAX_ITER)

@@ -78,29 +78,29 @@ def _noise_free(rows: MeasurementRows, state: np.ndarray,
 def _stack_interval(rows: MeasurementRows, weight: np.ndarray,
                     clean: np.ndarray, noise_draws: np.ndarray,
                     t_fuse: float) -> StackedMeasurements:
-    """Stack measurements in one interval for a batch of G members, such
-    as (plan, target) pairs, each on its own rows, in T trials.
+    """Stack one target's measurements in one interval for a batch of G
+    members, such as the target under G allocation plans, in T trials.
 
-    rows hold the times, radar_xy and kernel of R schedule rows: one
-    interval's rows of one target or of several.  weight (G, R) is each
-    row's weight under each member, the info_scale of its radar on its
-    target, and zero on a row the member does not stack (another target's,
-    or a radar's given zero energy); every member stacks the same number M
-    of rows, in the order of rows, each with its kernel over its weight as
-    covariance.  clean (T, R, 2) is each row's noise-free value in each
-    trial.  noise_draws (T, R, 2) are pre-drawn standard normals, one pair
-    per row and trial, which every member reads, so noise streams pair
-    across allocation plans and a row that is not stacked still consumes
-    its draws.  The stack's values are (G, T, M, 2) and its rows (G, 1, M).
+    rows hold the times, radar_xy and kernel of the block's M schedule
+    rows, which every member stacks in their order.  weight (G, M) is each
+    row's weight under each member, the info_scale of its radar on the
+    target: a row's covariance is its kernel over its weight, and a row of
+    zero weight (a radar given zero energy) has infinite variance, so
+    Gauss-Newton and fim give it an inverse variance of 0.  clean (T, M, 2)
+    is each row's noise-free value in each trial.  noise_draws (T, M, 2)
+    are pre-drawn standard normals, one pair per row and trial, which every
+    member reads, so noise streams pair across allocation plans; a row of
+    zero weight takes its noise-free value.  The stack's values are
+    (G, T, M, 2), its cov_diag (G, 1, M, 2), and its rows (M,) shared.
     """
-    cols = np.nonzero(weight > 0)[1].reshape(len(weight), -1)
-    cov = (rows.kernel[cols]
-           / np.take_along_axis(weight, cols, 1)[..., None])[:, None]
-    values = (clean[:, cols].swapaxes(0, 1)
-              + np.sqrt(cov) * noise_draws[:, cols].swapaxes(0, 1))
+    cov = np.divide(rows.kernel, weight[..., None],
+                    out=np.zeros(weight.shape + (2,)),
+                    where=(weight > 0)[..., None])
+    values = clean + np.sqrt(cov)[:, None] * noise_draws
+    cov[weight <= 0] = np.inf
     return StackedMeasurements(
-        values=values, times=rows.times[cols][:, None],
-        radar_xy=rows.radar_xy[cols][:, None], cov_diag=cov, t_fuse=t_fuse)
+        values=values, times=rows.times, radar_xy=rows.radar_xy,
+        cov_diag=cov[:, None], t_fuse=t_fuse)
 
 
 def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
@@ -120,13 +120,14 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     value once, so every plan sees the same truth and the same noise, and a
     member's result does not depend on the other plans, targets and trials
     of the batch.  Each interval predicts every track in one step, then
-    fuses and updates its (target, plan) members in one call per number of
-    rows kept (a radar given zero energy stacks no rows), members in
-    (target, plan) order; a member that keeps no rows, as planning does,
-    keeps its prediction.  Raises the failure of a fix or a Kalman update
-    as the same exception class, naming the plan, the target, the interval
-    and the trial, with the plan also kept as the exception's plan
-    attribute: the first failing member of the first call that fails.
+    fuses and updates each target's plans in one call, targets in order,
+    on all of the target's rows (a radar given zero energy keeps its rows
+    at infinite variance); a plan that gives every row of a target zero
+    weight, as planning does, keeps its prediction there.  Raises the
+    failure of a fix or a Kalman update as the same exception class,
+    naming the plan, the target, the interval and the trial, with the plan
+    also kept as the exception's plan attribute: the first failing member
+    of the first call that fails.
     """
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 4:
@@ -174,34 +175,30 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     for k in range(k_n):
         t_fuse = grid.boundary(k)[1]
         track = kf_predict(track, grid.interval_length, gammas)
-        # the interval's rows, target by target as the noise draws lay them
-        # out, and each row's weight on each (target, plan) member: zero on
-        # the other targets' rows
-        lo, hi = bounds[k * q_n], bounds[(k + 1) * q_n]
-        rows, target = schedule.rows[lo:hi], row_q[lo:hi]
-        weight = np.where(target == np.arange(q_n)[:, None, None],
-                          scales[:, k, rows.radar, target], 0.0)
-        clean_k, draws = clean[:, lo:hi], meas_draws[:, lo:hi]
-        kept = np.count_nonzero(weight > 0, axis=-1)
-        # a member that keeps no rows keeps its prediction
-        for m in dict.fromkeys(kept[kept > 0].tolist()):
-            targets, plans = np.nonzero(kept == m)
-            prior = TrackState(mean=track.mean[plans, :, targets],
-                               cov=track.cov[plans, :, targets])
-            stack = _stack_interval(rows, weight[targets, plans], clean_k,
-                                    draws, t_fuse)
+        for q in range(q_n):
+            lo, hi = bounds[k * q_n + q], bounds[k * q_n + q + 1]
+            rows = schedule.rows[lo:hi]
+            weight = scales[:, k, rows.radar, q]
+            # a plan that gives every row zero weight keeps its prediction
+            plans = np.flatnonzero((weight > 0).any(axis=-1))
+            if not plans.size:
+                continue
+            prior = TrackState(mean=track.mean[plans, :, q],
+                               cov=track.cov[plans, :, q])
+            stack = _stack_interval(rows, weight[plans], clean[:, lo:hi],
+                                    meas_draws[:, lo:hi], t_fuse)
             try:
                 post = kf_update(prior, ils_mle(stack, prior.mean))
             except (FusionError, np.linalg.LinAlgError) as exc:
                 member, trial = divmod(exc.member, t_n)
                 plan = int(plans[member])
                 failure = type(exc)(
-                    f"fusion failed for plan {plan} target {targets[member]} "
-                    f"interval {k} trial {trial}: {exc.reason}")
+                    f"fusion failed for plan {plan} target {q} interval {k} "
+                    f"trial {trial}: {exc.reason}")
                 failure.plan = plan
                 raise failure from exc
-            track.mean[plans, :, targets] = post.mean
-            track.cov[plans, :, targets] = post.cov
+            track.mean[plans, :, q] = post.mean
+            track.cov[plans, :, q] = post.cov
         means[:, :, :, k] = track.mean
         covs[:, :, :, k] = track.cov
 

@@ -50,14 +50,17 @@ def radar_times(schedule, i, q, k):
 def stack_alone(rows, weight, truth_k, t_k, t_fuse, draws):
     """tracker._stack_interval for one member in one trial, weight (R,),
     truth_k (4,) at time t_k and draws (R, 2), its rows' noise-free values
-    from tracker._noise_free, with the stack's member and trial axes taken
-    off: values (M, 2), times (M,)."""
+    from tracker._noise_free, cut to the rows the member fuses: those of
+    positive weight, a row of zero weight being stacked at infinite
+    variance.  The stack's member and trial axes are taken off: values
+    (M, 2), times (M,)."""
     clean = _noise_free(rows, truth_k, t_k)
     stack = _stack_interval(rows, weight[None], clean[None], draws[None],
                             t_fuse)
-    return StackedMeasurements(**{
-        name: getattr(stack, name)[0, 0]
-        for name in ("values", "times", "radar_xy", "cov_diag")},
+    fused = weight > 0
+    return StackedMeasurements(
+        values=stack.values[0, 0, fused], times=stack.times[fused],
+        radar_xy=stack.radar_xy[fused], cov_diag=stack.cov_diag[0, 0, fused],
         t_fuse=stack.t_fuse)
 
 

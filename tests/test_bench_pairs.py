@@ -1,6 +1,6 @@
 """The paired-benchmark summary of tools/bench_pairs.py on synthetic runs:
-seed lists, per-metric comparison, the claim rule and the regression
-verdict."""
+seed lists, the per-pair progress line, per-metric comparison, the claim
+rule and the regression verdict."""
 
 import os
 import sys
@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 from bench_pairs import (  # noqa: E402
-    claim_verdict, compare, regression_verdict, seed_list)
+    claim_verdict, compare, progress_line, regression_verdict, seed_list)
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 
@@ -24,6 +24,15 @@ def _shifted(values, by):
     ("7", [7]), ("12-12", [12])])
 def test_seed_list(text, seeds):
     assert seed_list(text) == seeds
+
+
+def test_progress_line_shows_wall_time_and_peak_rss_of_both_sides():
+    pair = {"seed": 3, "workload": "large-net", "first": "parent",
+            "parent": {"wall_s": 0.04612, "peak_rss_mb": 61.24},
+            "change": {"wall_s": 0.04291, "peak_rss_mb": 62.66}}
+    assert progress_line(pair) == (
+        "seed 3 large-net: wall_s parent 0.0461 change 0.0429, "
+        "peak_rss_mb parent 61.2 change 62.7")
 
 
 class TestCompare:

@@ -139,6 +139,30 @@ class TestUsage:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["simulate", "--seed", "-1"],
+         "argument --seed: must be >= 0, got -1"),
+        (["compare", "--trials", "0"],
+         "argument --trials: must be >= 1, got 0"),
+        (["compare", "--trials", "-3"],
+         "argument --trials: must be >= 1, got -3")])
+    def test_out_of_range_count_exits_two_naming_the_flag(self, argv,
+                                                          message, capsys):
+        # a negative seed would reach numpy's SeedSequence, and zero trials
+        # compare_allocations, whose messages do not name the flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_integer_count_keeps_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--trials", "x"])
+        assert exc.value.code == 2
+        assert ("argument --trials: invalid int value: 'x'"
+                in capsys.readouterr().err)
+
     @staticmethod
     def _fresh_modules(code: str, prefix: str) -> str:
         """The modules under prefix that a fresh interpreter holds after

@@ -145,6 +145,35 @@ class TestBatchedGaussNewton:
         assert cm.estimate.shape == (2, 4) and cm.jittered == 0
         assert cm.estimate[0].tobytes() == cm.estimate[1].tobytes()
 
+    def test_rows_of_infinite_variance_are_no_equations(self):
+        # three members weigh the same nine rows; member 1 gives all but one
+        # infinite variance, so it has 2 equations, and member 2 none
+        noisy = make_stack(noise_rng=np.random.default_rng(5))
+        cov = np.stack([noisy.cov_diag] * 3)
+        cov[1, 1:] = np.inf
+        cov[2] = np.inf
+        batch = StackedMeasurements(
+            values=np.stack([noisy.values] * 3), times=noisy.times,
+            radar_xy=noisy.radar_xy, cov_diag=cov, t_fuse=noisy.t_fuse)
+        with pytest.raises(RankDeficiencyError,
+                           match="^2 equations cannot determine 4 state "
+                           "components in batch member 1$") as exc:
+            ils_mle(batch, np.stack([TRUE_STATE] * 3))
+        assert exc.value.member == 1
+        # a member whose finite rows determine the state fuses as it would
+        # with the infinite rows left out
+        cov[1, 1:] = noisy.cov_diag[1:]
+        cov[1, :3] = np.inf
+        both = replace(batch, values=batch.values[:2], cov_diag=cov[:2])
+        cm = ils_mle(both, np.stack([TRUE_STATE] * 2))
+        cut = replace(noisy, values=noisy.values[3:], times=noisy.times[3:],
+                      radar_xy=noisy.radar_xy[3:],
+                      cov_diag=noisy.cov_diag[3:])
+        alone = ils_mle(cut, TRUE_STATE)
+        np.testing.assert_allclose(cm.estimate[1], alone.estimate, rtol=1e-12)
+        np.testing.assert_allclose(cm.covariance[1], alone.covariance,
+                                   rtol=1e-12)
+
     def test_values_and_states_must_pair_up(self):
         # values for three fixes against two initial states, and one fix
         # against three: neither has one fix per state

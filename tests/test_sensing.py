@@ -96,8 +96,9 @@ class TestMeasCov:
                                        rtol=1e-14)
 
     def test_zero_energy_rejected(self):
-        # a radar with zero energy stacks no rows but still consumes its
-        # draws, so every other radar's rows are unchanged
+        # a radar with zero energy fuses none of its rows (they stack at
+        # infinite variance) but still consumes its draws, so every other
+        # radar's rows are unchanged
         sc, lay, z, full, full_ids = _default_stack()
         off = lay.mmr[0]
         z0 = z.copy()

@@ -229,7 +229,7 @@ class TestRunTracking:
                  np.array(plans)[:, k, block(schedule, q, k)[0].radar, q] > 0}
                 for k in range(scenario.grid.num_intervals)
                 for q in range(scenario.n_targets)]
-        assert any(len(masks) > 1 for masks in kept)       # dropped rows
+        assert any(len(masks) > 1 for masks in kept)       # zero-weight rows
         assert any(len(masks) < len(plans) for masks in kept)  # shared rows
         batch = run_tracking(scenario, schedule, plans, seeds)
         for p, scales in enumerate(plans):
@@ -345,12 +345,14 @@ def _uneven_rows(scenario):
     return sc
 
 
-def _per_target_oracle(scenario, schedule, plans, seeds):
+def _per_target_oracle(scenario, schedule, plans, seeds, drop=False):
     """run_tracking one (plan, target, interval) at a time, batched over
     the trials only: per trial the process and measurement draws of the
     two child streams of its seed, in (interval, target) order, then
     kf_predict, _noise_free of its rows from the interval-start truth,
-    _stack_interval, ils_mle and kf_update on a batch of one member."""
+    _stack_interval, ils_mle and kf_update on a batch of one member.  With
+    drop, the stack keeps only the rows of positive weight, as fusion did
+    before zero-weight rows were stacked at infinite variance."""
     grid = scenario.grid
     q_n, k_n, t_n = scenario.n_targets, grid.num_intervals, len(seeds)
     F = transition_matrix(grid.interval_length)
@@ -384,9 +386,17 @@ def _per_target_oracle(scenario, schedule, plans, seeds):
                 b = k * q_n + q
                 track = kf_predict(track, grid.interval_length, gamma)
                 clean = _noise_free(rows, truth[:, q, k, None], t_k)
+                weight = scales[k][rows.radar, q]
                 stack = _stack_interval(
-                    rows, scales[k][rows.radar, q][None], clean,
+                    rows, weight[None], clean,
                     meas[:, bounds[b]:bounds[b + 1]], t_fuse)
+                if drop:
+                    kept = weight > 0
+                    stack = fusion.StackedMeasurements(
+                        values=stack.values[:, :, kept],
+                        times=stack.times[kept],
+                        radar_xy=stack.radar_xy[kept],
+                        cov_diag=stack.cov_diag[:, :, kept], t_fuse=t_fuse)
                 track = kf_update(track, ils_mle(stack, track.mean))
                 means[p, :, q, k] = track.mean[0]
                 covs[p, :, q, k] = track.cov[0]
@@ -395,9 +405,9 @@ def _per_target_oracle(scenario, schedule, plans, seeds):
 
 class TestLengthGroupedFusion:
     def test_matches_per_target_oracle_bytewise(self, scenario):
-        # target 1 keeps fewer rows than target 0 under the uniform plan;
-        # the third plan zeroes radar 0 on target 0 and radar 3 on target 1,
-        # so its two targets keep the same number of rows and share a call
+        # target 1 has fewer rows than target 0 under the uniform plan; the
+        # third plan zeroes radar 0 on target 0 and radar 3 on target 1, so
+        # its two targets give the same number of rows positive weight
         sc = _uneven_rows(scenario)
         sch = build_schedule(sc)
         uniform = np.array(_planned_scales(sc, sch, "uniform"))
@@ -417,6 +427,46 @@ class TestLengthGroupedFusion:
         assert run.truth.tobytes() == truth.tobytes()
         assert run.means.tobytes() == means.tobytes()
         assert run.covs.tobytes() == covs.tobytes()
+
+
+class TestZeroEnergyRows:
+    """A radar given zero energy on a target keeps its rows in the target's
+    fusion call at infinite variance, where it carries no information."""
+
+    @staticmethod
+    @pytest.fixture(scope="class")
+    def plans(scenario, schedule):
+        # the third plan gives radar 0 zero energy on target 0 throughout
+        uniform = np.array(_planned_scales(scenario, schedule, "uniform"))
+        cut = uniform.copy()
+        cut[:, 0, 0] = 0.0
+        return [uniform, np.array(_planned_scales(scenario, schedule,
+                                                  "random", 1)), cut]
+
+    SEEDS = [[4, t] for t in range(3)]
+
+    def test_plan_batch_equals_single_plans_bitwise(self, scenario, schedule,
+                                                    plans):
+        assert all(np.any(block(schedule, 0, k)[0].radar == 0)
+                   for k in range(scenario.grid.num_intervals))
+        batch = run_tracking(scenario, schedule, plans, self.SEEDS)
+        for p, scales in enumerate(plans):
+            alone = run_tracking(scenario, schedule, [scales], self.SEEDS)
+            assert batch.truth.tobytes() == alone.truth.tobytes()
+            for name in ("means", "covs"):
+                assert (getattr(batch, name)[p].tobytes()
+                        == getattr(alone, name)[0].tobytes()), (p, name)
+
+    def test_matches_dropped_row_oracle(self, scenario, schedule, plans):
+        run = run_tracking(scenario, schedule, plans, self.SEEDS)
+        truth, means, covs = _per_target_oracle(scenario, schedule, plans,
+                                                self.SEEDS, drop=True)
+        assert run.truth.tobytes() == truth.tobytes()
+        np.testing.assert_allclose(run.means, means, rtol=1e-12)
+        # each covariance relative to its largest entry
+        scale = np.abs(covs).max(axis=(-2, -1), keepdims=True)
+        np.testing.assert_allclose(run.covs / scale, covs / scale, rtol=0,
+                                   atol=1e-12)
 
 
 def _oracle_stack(scenario, schedule, z, q, k, truth_k, draws):
@@ -488,6 +538,40 @@ class TestStackInterval:
         self._check_all_intervals(scenario, schedule,
                                   zero_radar=AllocationLayout.from_scenario(
                                       scenario).mmr[0])
+
+    def test_zero_weight_rows_are_noise_free_at_infinite_variance(
+            self, scenario, schedule):
+        # members share the block's rows; a member's zero-weight rows take
+        # their noise-free values, and its other rows are those it fuses
+        layout = AllocationLayout.from_scenario(scenario)
+        z = plan_allocations(scenario, schedule, "uniform")[0][0]
+        scale = info_scale(layout, z)
+        t_k, t_fuse = scenario.grid.boundary(0)
+        rows = block(schedule, 0, 0)[0]
+        truth_k = scenario.targets[0].initial_state
+        draws = np.random.default_rng(3).standard_normal((len(rows.times), 2))
+        weight = np.stack([scale[rows.radar, 0]] * 2)
+        weight[1, rows.radar == layout.mmr[0]] = 0.0
+        zero = weight[1] == 0
+        assert np.any(zero) and not np.all(zero)
+        clean = _noise_free(rows, truth_k, t_k)
+        stack = _stack_interval(rows, weight, clean[None], draws[None],
+                                t_fuse)
+        assert stack.values.shape == (2, 1, len(rows.times), 2)
+        assert stack.cov_diag.shape == (2, 1, len(rows.times), 2)
+        assert stack.times.tobytes() == rows.times.tobytes()
+        assert stack.radar_xy.tobytes() == rows.radar_xy.tobytes()
+        assert np.all(np.isinf(stack.cov_diag[1, 0, zero]))
+        assert stack.values[1, 0, zero].tobytes() == clean[zero].tobytes()
+        for g in range(2):
+            alone = stack_alone(rows, weight[g], truth_k, t_k, t_fuse, draws)
+            kept = weight[g] > 0
+            assert (stack.values[g, 0, kept].tobytes()
+                    == alone.values.tobytes())
+            assert (stack.cov_diag[g, 0, kept].tobytes()
+                    == alone.cov_diag.tobytes())
+            np.testing.assert_allclose(fusion.fim(stack, truth_k)[g, 0],
+                                       fusion.fim(alone, truth_k), rtol=1e-12)
 
     def test_target_on_radar_rejected(self, scenario, schedule):
         layout = AllocationLayout.from_scenario(scenario)

@@ -100,6 +100,15 @@ def claim_verdict(workload: str, metric: str, row: dict) -> dict:
                     and abs(chg["median"] - par["median"]) > iqr)}
 
 
+def progress_line(pair: dict) -> str:
+    """The stderr line of one finished pair: each side's ``wall_s`` and
+    ``peak_rss_mb``."""
+    return f"seed {pair['seed']} {pair['workload']}: " + ", ".join(
+        f"{metric} parent {pair['parent'][metric]:{fmt}} change "
+        f"{pair['change'][metric]:{fmt}}"
+        for metric, fmt in (("wall_s", ".4f"), ("peak_rss_mb", ".1f")))
+
+
 def seed_list(text: str) -> list:
     if "-" in text:
         lo, hi = text.split("-")
@@ -141,9 +150,7 @@ def main(argv=None) -> int:
                               **{m: res["metrics"][m]["value"]
                                  for m in metrics}}
             pairs.append(pair)
-            print(f"seed {seed} {workload}: wall_s parent "
-                  f"{pair['parent']['wall_s']:.4f} change "
-                  f"{pair['change']['wall_s']:.4f}", file=sys.stderr)
+            print(progress_line(pair), file=sys.stderr)
 
     end_to_end, failed = {}, {}
     for workload in workloads:
