@@ -79,19 +79,22 @@ def _stack_interval(rows: MeasurementRows, weight: np.ndarray,
                     clean: np.ndarray, noise_draws: np.ndarray,
                     t_fuse: float) -> StackedMeasurements:
     """Stack one target's measurements in one interval for a batch of G
-    members, such as the target under G allocation plans, in T trials.
+    members, such as the target under G allocation plans, in T trials; or
+    Q' targets' measurements, M rows each, for G members per target.
 
     rows hold the times, radar_xy and kernel of the block's M schedule
-    rows, which every member stacks in their order.  weight (G, M) is each
-    row's weight under each member, the info_scale of its radar on the
-    target: a row's covariance is its kernel over its weight, and a row of
-    zero weight (a radar given zero energy) has infinite variance, so
-    Gauss-Newton and fim give it an inverse variance of 0.  clean (T, M, 2)
-    is each row's noise-free value in each trial.  noise_draws (T, M, 2)
-    are pre-drawn standard normals, one pair per row and trial, which every
-    member reads, so noise streams pair across allocation plans; a row of
-    zero weight takes its noise-free value.  The stack's values are
-    (G, T, M, 2), its cov_diag (G, 1, M, 2), and its rows (M,) shared.
+    rows, which every member stacks in their order, or (Q', M) rows, one
+    block per target.  weight (G, M), or (G, Q', M), is each row's weight
+    under each member, the info_scale of its radar on the target: a row's
+    covariance is its kernel over its weight, and a row of zero weight (a
+    radar given zero energy) has infinite variance, so Gauss-Newton and fim
+    give it an inverse variance of 0.  clean (T, M, 2), or (T, Q', M, 2),
+    is each row's noise-free value in each trial.  noise_draws, of the same
+    shape, are pre-drawn standard normals, one pair per row and trial,
+    which every member reads, so noise streams pair across allocation
+    plans; a row of zero weight takes its noise-free value.  The stack's
+    values are (G, T, M, 2), its cov_diag (G, 1, M, 2), and its rows (M,)
+    shared; with targets, (G, T, Q', M, 2), (G, 1, Q', M, 2) and (Q', M).
     """
     cov = np.divide(rows.kernel, weight[..., None],
                     out=np.zeros(weight.shape + (2,)),
@@ -120,10 +123,12 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     value once, so every plan sees the same truth and the same noise, and a
     member's result does not depend on the other plans, targets and trials
     of the batch.  Each interval predicts every track in one step, then
-    fuses and updates each target's plans in one call, targets in order,
-    on all of the target's rows (a radar given zero energy keeps its rows
-    at infinite variance); a plan that gives every row of a target zero
-    weight, as planning does, keeps its prediction there.  Raises the
+    fuses and updates its targets' plans: the targets whose every row every
+    plan gives positive weight in one call per number of rows, in order of
+    their first target, and each other target in a call of its own, on all
+    of its rows (a radar given zero energy keeps its rows at infinite
+    variance); a plan that gives every row of a target zero weight, as
+    planning does, keeps its prediction there.  Raises the
     failure of a fix or a Kalman update as the same exception class,
     naming the plan, the target, the interval and the trial, with the plan
     also kept as the exception's plan attribute: the first failing member
@@ -175,30 +180,42 @@ def run_tracking(scenario: Scenario, schedule: MeasurementSchedule,
     for k in range(k_n):
         t_fuse = grid.boundary(k)[1]
         track = kf_predict(track, grid.interval_length, gammas)
+        # each target's rows and their weight under every plan; targets
+        # whose every row every plan weighs share a call per row count, any
+        # other target has a call of its own
+        weights, calls = [], {}
         for q in range(q_n):
             lo, hi = bounds[k * q_n + q], bounds[k * q_n + q + 1]
-            rows = schedule.rows[lo:hi]
-            weight = scales[:, k, rows.radar, q]
+            weights.append(scales[:, k, schedule.rows.radar[lo:hi], q])
+            key = hi - lo if np.all(weights[q] > 0) else -1 - q
+            calls.setdefault(key, []).append(q)
+        for targets in calls.values():
+            blocks = bounds[k * q_n + np.array(targets)]
+            rows = blocks[:, None] + np.arange(weights[targets[0]].shape[1])
+            weight = np.stack([weights[q] for q in targets], axis=1)
             # a plan that gives every row zero weight keeps its prediction
-            plans = np.flatnonzero((weight > 0).any(axis=-1))
+            plans = np.flatnonzero((weight > 0).any(axis=(1, 2)))
             if not plans.size:
                 continue
-            prior = TrackState(mean=track.mean[plans, :, q],
-                               cov=track.cov[plans, :, q])
-            stack = _stack_interval(rows, weight[plans], clean[:, lo:hi],
-                                    meas_draws[:, lo:hi], t_fuse)
+            at = np.ix_(plans, range(t_n), targets)
+            prior = TrackState(mean=track.mean[at], cov=track.cov[at])
+            stack = _stack_interval(schedule.rows[rows], weight[plans],
+                                    clean[:, rows], meas_draws[:, rows],
+                                    t_fuse)
             try:
                 post = kf_update(prior, ils_mle(stack, prior.mean))
             except (FusionError, np.linalg.LinAlgError) as exc:
-                member, trial = divmod(exc.member, t_n)
+                member, trial, target = np.unravel_index(
+                    exc.member, (len(plans), t_n, len(targets)))
                 plan = int(plans[member])
                 failure = type(exc)(
-                    f"fusion failed for plan {plan} target {q} interval {k} "
-                    f"trial {trial}: {exc.reason}")
+                    f"fusion failed for plan {plan} target "
+                    f"{targets[target]} interval {k} trial {trial}: "
+                    f"{exc.reason}")
                 failure.plan = plan
                 raise failure from exc
-            track.mean[plans, :, q] = post.mean
-            track.cov[plans, :, q] = post.cov
+            track.mean[at] = post.mean
+            track.cov[at] = post.cov
         means[:, :, :, k] = track.mean
         covs[:, :, :, k] = track.cov
 

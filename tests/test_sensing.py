@@ -13,6 +13,7 @@ from hrcn.kinematics import measure, transition_matrix
 from hrcn.scenario import (MeasurementRows, RadarKind, build_schedule,
                            default_scenario_path, load_scenario)
 from hrcn.sensing import const_kernel, info_kernel_D
+from hrcn.tracker import _noise_free, _stack_interval
 
 from conftest import (block, kind_indices, make_mini_scenario,
                       measurement_jacobian, stack_alone)
@@ -96,21 +97,33 @@ class TestMeasCov:
                                        rtol=1e-14)
 
     def test_zero_energy_rejected(self):
-        # a radar with zero energy fuses none of its rows (they stack at
-        # infinite variance) but still consumes its draws, so every other
-        # radar's rows are unchanged
-        sc, lay, z, full, full_ids = _default_stack()
+        # a radar with zero energy keeps its rows in the stack, noise-free
+        # and at infinite variance, so fusion weighs them by 0; they still
+        # consume their draws, so every other radar's rows are unchanged
+        sc = load_scenario(default_scenario_path())
+        sch = build_schedule(sc)
+        lay = AllocationLayout.from_scenario(sc)
+        z = plan_allocations(sc, sch, "uniform")[0][0]
         off = lay.mmr[0]
         z0 = z.copy()
         z0[lay.var[off]] = 0.0
-        *_, cut, cut_ids = _default_stack(z=z0)
-        keep = full_ids != off
-        assert np.any(full_ids > off) and not np.all(keep)
-        assert off not in cut_ids and len(cut) == len(cut_ids)
-        assert not np.any(np.all(cut.radar_xy == sc.radars[off].position,
-                                 axis=-1))
-        np.testing.assert_array_equal(cut.values, full.values[keep])
-        np.testing.assert_array_equal(cut.cov_diag, full.cov_diag[keep])
+        rows = block(sch, 0, 0)[0]
+        clean = _noise_free(rows, sc.targets[0].initial_state,
+                            sc.grid.start_time)
+        draws = np.random.default_rng(11).standard_normal(clean.shape)
+        full, cut = (_stack_interval(
+            rows, info_scale(lay, alloc)[rows.radar, 0][None], clean[None],
+            draws[None], sc.grid.boundary(0)[1]) for alloc in (z, z0))
+        on = rows.radar == off
+        assert np.any(rows.radar > off) and np.any(on)
+        assert cut.values.shape == full.values.shape
+        np.testing.assert_array_equal(cut.values[0, 0, ~on],
+                                      full.values[0, 0, ~on])
+        np.testing.assert_array_equal(cut.cov_diag[0, 0, ~on],
+                                      full.cov_diag[0, 0, ~on])
+        assert np.all(np.isfinite(full.cov_diag))
+        assert np.all(cut.cov_diag[0, 0, on] == np.inf)
+        np.testing.assert_array_equal(cut.values[0, 0, on], clean[on])
 
 
 class TestSimulateMeasurement:

@@ -225,12 +225,14 @@ class TestRunTracking:
         plans = [_planned_scales(scenario, schedule, policy, seed=1)
                  for policy in POLICIES]
         seeds = [[1, t] for t in range(3)]
-        kept = [{mask.tobytes() for mask in
-                 np.array(plans)[:, k, block(schedule, q, k)[0].radar, q] > 0}
-                for k in range(scenario.grid.num_intervals)
-                for q in range(scenario.n_targets)]
-        assert any(len(masks) > 1 for masks in kept)       # zero-weight rows
-        assert any(len(masks) < len(plans) for masks in kept)  # shared rows
+        # per (interval, target), the distinct sets of rows the plans weigh
+        weighed = [{mask.tobytes() for mask in
+                    np.array(plans)[:, k, block(schedule, q, k)[0].radar, q]
+                    > 0}
+                   for k in range(scenario.grid.num_intervals)
+                   for q in range(scenario.n_targets)]
+        assert any(len(masks) > 1 for masks in weighed)    # zero-weight rows
+        assert any(len(masks) < len(plans) for masks in weighed)  # shared
         batch = run_tracking(scenario, schedule, plans, seeds)
         for p, scales in enumerate(plans):
             alone = run_tracking(scenario, schedule, [scales], seeds)
@@ -256,6 +258,22 @@ class TestRunTracking:
             run_tracking(scenario, schedule, [scales, factor * scales],
                          [[7, 0], [7, 1]])
         assert info.value.plan == int(where.split()[1])
+
+    def test_failure_in_a_shared_call_names_its_target(
+            self, scenario, schedule, uniform_scales, monkeypatch):
+        # both targets share interval 0's call, members in (plan, trial,
+        # target) order; plan 1 makes target 1 noisier, and its third trial
+        # is the first to need 8 steps
+        monkeypatch.setattr(fusion, "GN_MAX_ITER", 7)
+        scales = np.array(uniform_scales)
+        noisy = scales.copy()
+        noisy[..., 1] *= 1e-2
+        with pytest.raises(FusionError, match=r"^fusion failed for plan 1 "
+                           r"target 1 interval 0 trial 2: no convergence"
+                           ) as info:
+            run_tracking(scenario, schedule, [scales, noisy],
+                         [[7, t] for t in range(3)])
+        assert info.value.plan == 1
 
     def test_lone_radar_plan_raises_rank_deficiency_naming_it(self, scenario):
         # with the MSR looking at each target once an interval, a plan that
@@ -403,11 +421,60 @@ def _per_target_oracle(scenario, schedule, plans, seeds, drop=False):
     return truth, means, covs
 
 
+def _counted_fusion_calls(monkeypatch):
+    """A list that records the number of members of every ils_mle call
+    run_tracking makes."""
+    calls = []
+
+    def counted(stack, init):
+        calls.append(init[..., 0].size)
+        return ils_mle(stack, init)
+    monkeypatch.setattr(tracker, "ils_mle", counted)
+    return calls
+
+
 class TestLengthGroupedFusion:
+    """Targets whose every row every plan weighs share a fusion call per
+    number of rows; any other target is fused in a call of its own."""
+
+    def test_shared_call_matches_per_target_oracle_bytewise(
+            self, scenario, schedule, monkeypatch):
+        # no radar is given zero energy, and both targets have as many rows
+        # as each other in every interval, so each interval is one call
+        k_n = scenario.grid.num_intervals
+        lengths = np.diff(schedule.bounds).reshape(k_n, 2)
+        assert np.all(lengths[:, 0] == lengths[:, 1])
+        plans = [np.array(_planned_scales(scenario, schedule, policy, 1))
+                 for policy in ("uniform", "random")]
+        assert all(np.all(plan > 0) for plan in plans)
+        seeds = [[2, t] for t in range(3)]
+        calls = _counted_fusion_calls(monkeypatch)
+        run = run_tracking(scenario, schedule, plans, seeds)
+        assert calls == [2 * 2 * 3] * k_n
+        truth, means, covs = _per_target_oracle(scenario, schedule, plans,
+                                                seeds)
+        assert run.truth.tobytes() == truth.tobytes()
+        assert run.means.tobytes() == means.tobytes()
+        assert run.covs.tobytes() == covs.tobytes()
+
+    def test_zero_energy_or_unlike_length_splits_the_call(
+            self, scenario, schedule, monkeypatch):
+        uniform = np.array(_planned_scales(scenario, schedule, "uniform"))
+        cut = uniform.copy()
+        cut[:, 0, 0] = 0.0
+        calls = _counted_fusion_calls(monkeypatch)
+        run_tracking(scenario, schedule, [uniform, cut], [[2, 0]])
+        assert calls == [2] * 2 * scenario.grid.num_intervals
+        calls.clear()
+        sc = _uneven_rows(scenario)
+        run_tracking(sc, build_schedule(sc), [uniform], [[2, 0]])
+        assert calls == [1] * 2 * sc.grid.num_intervals
+
     def test_matches_per_target_oracle_bytewise(self, scenario):
         # target 1 has fewer rows than target 0 under the uniform plan; the
         # third plan zeroes radar 0 on target 0 and radar 3 on target 1, so
-        # its two targets give the same number of rows positive weight
+        # each target is fused in a call of its own, and the third plan's
+        # two targets give the same number of rows positive weight
         sc = _uneven_rows(scenario)
         sch = build_schedule(sc)
         uniform = np.array(_planned_scales(sc, sch, "uniform"))
@@ -415,12 +482,12 @@ class TestLengthGroupedFusion:
         cut[:, 0, 0] = cut[:, 3, 1] = 0.0
         plans = [uniform, np.array(_planned_scales(sc, sch, "random", 1)),
                  cut]
-        kept = np.array([[[np.count_nonzero(
+        weighed = np.array([[[np.count_nonzero(
             plan[k, block(sch, q, k)[0].radar, q])
             for q in range(sc.n_targets)]
             for k in range(sc.grid.num_intervals)] for plan in plans])
-        assert np.all(kept[0, :, 0] > kept[0, :, 1])
-        assert np.all(kept[2, :, 0] == kept[2, :, 1])
+        assert np.all(weighed[0, :, 0] > weighed[0, :, 1])
+        assert np.all(weighed[2, :, 0] == weighed[2, :, 1])
         seeds = [[2, t] for t in range(3)]
         run = run_tracking(sc, sch, plans, seeds)
         truth, means, covs = _per_target_oracle(sc, sch, plans, seeds)
