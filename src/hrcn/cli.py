@@ -2,12 +2,11 @@
 
 Subcommands: ``solve`` (one interval's allocation), ``simulate`` (full
 K-interval tracking run), ``compare`` (policy comparison with Monte-Carlo
-RMSE), ``sweep`` (throughput-floor or budget sweeps).  Output directory
-defaults to $HRCN_OUTPUT_DIR or ./hrcn_out.
+RMSE), ``sweep`` (throughput-floor or budget sweeps).  Output directory:
+``--out``, else $HRCN_OUTPUT_DIR unless it is empty, else ./hrcn_out.
 """
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -19,14 +18,16 @@ from .allocator import (InfeasibleError, IntervalProblem, adam_solve,
                         baseline_uniform, info_scale, objective_g,
                         start_point)
 from .harness import (POLICIES, compare_allocations, plan_allocations,
-                      planning_chain, planning_horizon, save_result)
+                      planning_chain, planning_horizon, save_result,
+                      write_csv)
 from .scenario import (ScenarioError, build_schedule, default_scenario_path,
                        load_scenario, validate)
 from .tracker import run_tracking
 
 
-def _default_outdir() -> str:
-    return os.environ.get("HRCN_OUTPUT_DIR", "hrcn_out")
+def _outdir(args) -> str:
+    """--out, else $HRCN_OUTPUT_DIR unless it is empty, else hrcn_out."""
+    return args.out or os.environ.get("HRCN_OUTPUT_DIR") or "hrcn_out"
 
 
 def _scenario(args):
@@ -85,20 +86,14 @@ def cmd_simulate(args) -> int:
     run = run_tracking(scenario, schedule,
                        [[info_scale(layout, z) for z in allocations]],
                        [[args.seed, 0]])
-    outdir = args.out or _default_outdir()
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "track_history.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "target", "k",
-                         "truth_x", "truth_vx", "truth_y", "truth_vy",
-                         "mean_x", "mean_vx", "mean_y", "mean_vy",
-                         "cov_trace"])
-        for q in range(scenario.n_targets):
-            for k in range(scenario.grid.num_intervals):
-                writer.writerow([0, q, k, *(repr(float(x)) for x in (
-                    *run.truth[0, q, k + 1], *run.means[0, 0, q, k],
-                    np.trace(run.covs[0, 0, q, k])))])
+    path = os.path.join(_outdir(args), "track_history.csv")
+    write_csv(path, ["trial", "target", "k",
+                     "truth_x", "truth_vx", "truth_y", "truth_vy",
+                     "mean_x", "mean_vx", "mean_y", "mean_vy", "cov_trace"],
+              ([0, q, k, *run.truth[0, q, k + 1], *run.means[0, 0, q, k],
+                np.trace(run.covs[0, 0, q, k])]
+               for q in range(scenario.n_targets)
+               for k in range(scenario.grid.num_intervals)))
     print(f"policy {args.policy}: per-interval g = "
           + ", ".join(f"{g:.4g}" for g in g_values))
     print(f"track history written to {path}")
@@ -109,8 +104,7 @@ def cmd_compare(args) -> int:
     scenario = _scenario(args)
     result = compare_allocations(scenario, args.policies, args.trials,
                                  seed=args.seed)
-    outdir = args.out or _default_outdir()
-    manifest, csv_path = save_result(result, outdir)
+    manifest, csv_path = save_result(result, _outdir(args))
     print(f"{'policy':<12}{'avg RMSE (m)':>14}{'avg root-BCRB (m)':>19}")
     for name in args.policies:
         pol = result.policies[name]
@@ -146,14 +140,8 @@ def cmd_sweep(args) -> int:
         g = objective_g(z, problem)
         rows.append((value, g))
         print(f"{args.param} = {value:.6g} -> g = {g:.6g}")
-    outdir = args.out or _default_outdir()
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([args.param, "g_value"])
-        for value, g in rows:
-            writer.writerow([repr(float(value)), repr(float(g))])
+    path = os.path.join(_outdir(args), "sweep.csv")
+    write_csv(path, [args.param, "g_value"], rows)
     print(f"sweep written to {path}")
     return 0
 

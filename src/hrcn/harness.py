@@ -246,27 +246,34 @@ def compare_allocations(scenario: Scenario, policies, n_trials: int,
 # result files
 
 
+def write_csv(path: str, header, rows) -> None:
+    """Write header and rows to the CSV file path, making its directory.
+    Every float cell, Python or numpy, is written as repr(float(x)): this
+    is the one number format of the package's tables."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating))
+                          else x for x in row] for row in rows)
+
+
 def save_result(result: ExperimentResult, outdir: str) -> tuple[str, str]:
-    """Write manifest.json (authoritative, bit-exact round trip) and
-    results.csv (plot-ready per-interval table).  Returns both paths."""
-    os.makedirs(outdir, exist_ok=True)
+    """Write results.csv (plot-ready per-interval table) and manifest.json
+    (authoritative, bit-exact round trip).  Returns (manifest, csv) paths."""
+    csv_path = os.path.join(outdir, "results.csv")
+    n_links = max(len(p.throughput[0]) if p.throughput else 0
+                  for p in result.policies.values())
+    write_csv(csv_path,
+              ["run_id", "policy", "k", "g_value", "rmse", "root_bcrb"]
+              + [f"throughput_j{j + 1}" for j in range(n_links)],
+              ([result.run_id, name, k, g, r, b, *pol.throughput[k]]
+               for name, pol in sorted(result.policies.items())
+               for k, (g, r, b) in enumerate(zip(
+                   pol.g_values, pol.rmse_per_interval, pol.root_bcrb))))
+    # write_csv made outdir
     manifest = os.path.join(outdir, "manifest.json")
     with open(manifest, "w") as fh:
         # the result's dataclasses encode as their attribute dicts, in place
         json.dump(result, fh, indent=1, sort_keys=True, default=vars)
-    csv_path = os.path.join(outdir, "results.csv")
-    n_links = max(len(p.throughput[0]) if p.throughput else 0
-                  for p in result.policies.values())
-    header = (["run_id", "policy", "k", "g_value", "rmse", "root_bcrb"]
-              + [f"throughput_j{j + 1}" for j in range(n_links)])
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for name, pol in sorted(result.policies.items()):
-            for k, (g, r, b) in enumerate(zip(pol.g_values,
-                                              pol.rmse_per_interval,
-                                              pol.root_bcrb)):
-                writer.writerow([result.run_id, name, k, repr(g), repr(r),
-                                 repr(b)]
-                                + [repr(x) for x in pol.throughput[k]])
     return manifest, csv_path

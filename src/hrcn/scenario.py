@@ -276,6 +276,7 @@ def validate(scenario: Scenario) -> None:
 
     q_n = scenario.n_targets
     _require(q_n >= 1, "at least one target required")
+    _require(scenario.n_radars >= 1, "at least one radar required")
 
     kinds = [r.kind for r in scenario.radars]
     _require(kinds == sorted(kinds, key=list(RESOURCE_FIELDS).index),
@@ -285,6 +286,9 @@ def validate(scenario: Scenario) -> None:
         prefix = f"radars[{i}]: "
         _require(r.position.shape == (2,), f"{prefix}position must be (x, y)")
         _check(prefix, "position", r.position)
+        for name in ("initial_time", "revisit_interval"):
+            _require(np.shape(getattr(r, name)) == (q_n,),
+                     f"{prefix}{name} must give one value per target")
         for name in ("bandwidth", "beamwidth", "noise_var", "range_const",
                      "bearing_const", "revisit_interval",
                      *RESOURCE_FIELDS[r.kind]):
@@ -451,6 +455,8 @@ def load_scenario(path) -> Scenario:
     q_n = len(targets_raw)
     radars = [_parse_radar(sec, i, q_n) for i, sec in enumerate(raw["radars"])]
     n = len(radars)
+    # before comm, whose J x 0 gain matrices would fail first
+    _require(n >= 1, "at least one radar required")
 
     c = raw["comm"]
     j_n = _integer("comm.", "num_links", _get(c, "num_links", "comm"))

@@ -357,3 +357,17 @@ class TestSweep:
         monkeypatch.setenv("HRCN_OUTPUT_DIR", outdir)
         assert main(["compare", "--policies", "uniform", "--trials", "1"]) == 0
         assert os.path.exists(os.path.join(outdir, "manifest.json"))
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("argv, name", [
+        (["compare", "--policies", "uniform", "--trials", "1"],
+         "manifest.json"),
+        (["simulate", "--policy", "uniform"], "track_history.csv"),
+        (["sweep", "--values", "1.0"], "sweep.csv")])
+    def test_empty_env_output_dir_counts_as_unset(self, argv, name, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("HRCN_OUTPUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert (tmp_path / "hrcn_out" / name).exists()

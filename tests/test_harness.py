@@ -14,7 +14,7 @@ from hrcn.allocator import (AllocationLayout, InfeasibleError, IntervalProblem,
 from hrcn.fusion import FusionError, fim
 from hrcn.harness import (compare_allocations, plan_allocations,
                           planning_chain, planning_horizon, rmse,
-                          save_result, scenario_fingerprint)
+                          save_result, scenario_fingerprint, write_csv)
 from hrcn.kinematics import process_noise_cov, transition_matrix
 from hrcn.scenario import build_schedule
 from hrcn.tracker import INIT_COV_DIAG
@@ -306,6 +306,12 @@ class TestResultFiles:
                            "root_bcrb", "throughput_j1", "throughput_j2",
                            "throughput_j3"]
         assert len(rows) == 1 + scenario.grid.num_intervals
+
+    def test_write_csv_writes_numpy_floats_as_plain_numbers(self, tmp_path):
+        # numpy 2's repr of a float64 is "np.float64(0.1)"
+        path = tmp_path / "new" / "table.csv"
+        write_csv(str(path), ["x", "n", "s"], [[np.float64(0.1), 3, "a"]])
+        assert path.read_bytes() == b"x,n,s\r\n0.1,3,a\r\n"
 
     def test_fingerprint_stable(self, scenario):
         assert scenario_fingerprint(scenario) == scenario_fingerprint(scenario)

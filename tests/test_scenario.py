@@ -14,7 +14,7 @@ import yaml
 from hrcn.harness import scenario_fingerprint
 from hrcn.scenario import (MeasurementRows, RadarKind, ScenarioError,
                            _load_yaml, build_schedule, default_scenario_path,
-                           load_scenario)
+                           load_scenario, validate)
 from hrcn.sensing import const_kernel
 
 from conftest import block, kind_indices, make_mini_scenario, radar_times
@@ -382,6 +382,14 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="grouped"):
             load_scenario(_mutated_default(tmp_path, mutate))
 
+    def test_no_radars_rejected(self, tmp_path):
+        # refused before the comm gains, whose J x 0 shape would fail first
+        def mutate(raw):
+            raw["radars"] = []
+        with pytest.raises(ScenarioError,
+                           match="^at least one radar required$"):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
     def test_negative_rcs_rejected(self, tmp_path):
         def mutate(raw):
             raw["targets"][0]["rcs"][0] = -1.0
@@ -542,6 +550,27 @@ class TestLoadScenario:
             raw["comm"]["throughput_floor"] = floor
         with pytest.raises(ScenarioError, match="throughput_floor"):
             load_scenario(_mutated_default(tmp_path, mutate))
+
+
+class TestValidate:
+    """A scenario built in code meets the checks a loaded file meets."""
+
+    def test_no_radars_rejected(self, scenario):
+        with pytest.raises(ScenarioError,
+                           match="^at least one radar required$"):
+            validate(dataclasses.replace(scenario, radars=[]))
+
+    # one first look for two targets would index past it in build_schedule,
+    # and a third revisit interval would be dropped unread
+    @pytest.mark.parametrize("name, values", [
+        ("initial_time", [2.0]), ("revisit_interval", [2.0, 2.0, 2.0])])
+    def test_per_target_field_of_wrong_length_rejected(self, scenario, name,
+                                                       values):
+        radars = list(scenario.radars)
+        radars[1] = dataclasses.replace(radars[1], **{name: np.array(values)})
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"radars[1]: {name} must give one value per target")):
+            validate(dataclasses.replace(scenario, radars=radars))
 
 
 class TestBuildSchedule:

@@ -14,6 +14,9 @@ on the path:
 * ``hrcn compare --trials 3 --seed 1`` on the default scenario with
   ``--policies random optimized``, a reordered subset of the policies
   tracked together, and with ``--policies uniform``, a batch of one plan;
+* ``hrcn compare --trials 3 --seed 1 --policies uniform random`` on
+  ``large_net(0)``: no plan switches a radar off, so the three targets of
+  an interval share one fusion call;
 * ``hrcn simulate --seed 1``, a single tracking trial;
 * ``hrcn solve --interval k`` for every interval of every floor variant of
   the ``solve-sweep`` benchmark workload at seeds 0 and 3, and of
@@ -106,6 +109,10 @@ for name, policies in (("compare-subset", ["random", "optimized"]),
                        ("compare-uniform", ["uniform"])):
     run(name, ["compare", "--trials", "3", "--seed", "1",
                "--policies", *policies, "--out", name])
+run("compare-large-net-uniform-random",
+    ["compare", "--trials", "3", "--seed", "1", "--policies", "uniform",
+     "random", "--scenario", "large_net.yaml",
+     "--out", "compare-large-net-uniform-random"])
 run("simulate", ["simulate", "--seed", "1", "--out", "simulate"])
 base = load_scenario(default_scenario_path())
 schedule = build_schedule(base)
