@@ -211,8 +211,7 @@ def _constraint_rows(scenario: Scenario, layout: AllocationLayout,
     opt, cols = layout.opt, layout.cols
     radars = list(layout.mmr + layout.par)  # in the order of their blocks
     alpha = comm.alpha_r_sq
-    floors = comm.throughput_floor
-    gain = np.expm1(floors.T[ks] if floors.ndim == 2 else floors[None])
+    gain = np.expm1(comm.floors(ks))
     A = np.zeros((len(ks), n_links + len(radars) + 1, layout.dim))
     b = np.empty(A.shape[:2])
 
@@ -380,76 +379,49 @@ class ProjectionResult:
     active: list[int]          # indices into the stacked rows [A; -I]
 
 
-@dataclass(frozen=True, eq=False)
-class _Face:
-    """One active set S of the stacked rows [A; -I] of one polyhedron, with
-    everything about it that does not depend on the point projected: the
-    rows S_A of A in S with their right-hand sides b_S, the coordinates Z
-    whose nonnegativity row is in S, A_S with the columns Z cleared, and its
-    Gram matrix."""
-
-    on_a: np.ndarray
-    zero: np.ndarray
-    a_s: np.ndarray
-    b_s: np.ndarray
-    a_free: np.ndarray
-    gram: np.ndarray
-
-
-def _face(faces: dict, A: np.ndarray, b: np.ndarray, rows: list[int]) -> _Face:
-    """The face of the sorted rows: from the cache faces, or factored and
-    added to it."""
-    key = tuple(rows)
-    if key in faces:
-        return faces[key]
+def _eliminate(A: np.ndarray, rows: list[int], x: np.ndarray,
+               b: Optional[np.ndarray] = None):
+    """(S_A, Z, A_S^T m, m) of the sorted rows S of [A; -I]: its rows S_A of
+    A, the coordinates Z of its nonnegativity rows, and m solving
+    (A_SF A_SF^T) m = A_SF x - b_S, with A_SF = A_S with the columns Z
+    cleared and b_S = 0 for b None (no solve without rows of A)."""
     rows = np.asarray(rows, dtype=int)
-    split = np.searchsorted(rows, A.shape[0])
+    split = rows.searchsorted(A.shape[0])
     on_a, zero = rows[:split], rows[split:] - A.shape[0]
     a_s = A[on_a]
     a_free = a_s.copy()
     a_free[:, zero] = 0.0
-    face = faces[key] = _Face(on_a=on_a, zero=zero, a_s=a_s, b_s=b[on_a],
-                              a_free=a_free, gram=a_free @ a_free.T)
-    return face
+    m = a_free @ x if b is None else a_free @ x - b[on_a]
+    if on_a.size:
+        try:
+            m = np.linalg.solve(a_free @ a_free.T, m)
+        except np.linalg.LinAlgError:
+            # singular: a duplicated row, or a row of A with its support in Z
+            m = np.linalg.lstsq(a_free @ a_free.T, m, rcond=None)[0]
+    return on_a, zero, a_s.T @ m, m
 
 
-def _gram_solve(face: _Face, rhs: np.ndarray) -> np.ndarray:
-    """m with (A_SF A_SF^T) m = rhs on the rows S_A of a face."""
-    if not face.on_a.size:
-        return rhs
-    try:
-        return np.linalg.solve(face.gram, rhs)
-    except np.linalg.LinAlgError:
-        # singular: a duplicated row, or a row of A with its support in Z
-        return np.linalg.lstsq(face.gram, rhs, rcond=None)[0]
+def _polish(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
+            rows: list[int]):
+    """Exact projection of z_raw onto the affine set of the sorted rows S of
+    [A; -I]: A_S z = b_S on the rows S_A of A in S, and z_Z = 0 on the
+    coordinates Z whose nonnegativity row is in S.  Only the free coordinates
+    move, so S_A's multipliers m solve _eliminate's Gram system at z_raw
+    (null-space elimination of the active bounds) and Z's are
+    mu_Z = (A_S^T m - z_raw)_Z.  Returns (z = z_raw - A_S^T m with z_Z = 0,
+    the multipliers (m, mu_Z) in the order of S, A z - b, S_A)."""
+    on_a, zero, step, m = _eliminate(A, rows, z_raw, b)
+    z = z_raw - step
+    mult = np.concatenate([m, -z[zero]])
+    z[zero] = 0.0
+    return z, mult, A @ z - b, on_a
 
 
-def _polish(z_raw: np.ndarray, face: _Face, A: np.ndarray, b: np.ndarray):
-    """Exact projection of z_raw onto the affine set of a face S of [A; -I]:
-    A_S z = b_S on the rows S_A of A in S, and z_Z = 0 on the coordinates Z
-    whose nonnegativity row is in S.
-
-    With z_Z fixed at 0 only the free coordinates F move, so the multipliers
-    m of S_A solve the |S_A|-square system (A_SF A_SF^T) m = A_SF z_raw_F - b_S
-    (null-space elimination of the active bounds) and those of Z are
-    mu_Z = (A_S^T m)_Z - z_raw_Z; [A; -I] is never formed.  Returns
-    (z, mult, resid) with z = z_raw - A_S^T m and z_Z exactly 0, the
-    multipliers mult = (m, mu_Z) of S in the order of its sorted rows, and
-    resid = A z - b.
-    """
-    m = _gram_solve(face, face.a_free @ z_raw - face.b_s)
-    z = z_raw - face.a_s.T @ m
-    mult = np.concatenate([m, -z[face.zero]])
-    z[face.zero] = 0.0
-    return z, mult, A @ z - b
-
-
-def _span(face: _Face, g: np.ndarray) -> np.ndarray:
-    """Coefficients r of g on the rows of a face S of [A; -I], in the order
-    of its sorted rows: the least-squares solution of G_S^T r = g, by the
-    same elimination of the rows Z as in _polish."""
-    m = _gram_solve(face, face.a_free @ g)
-    return np.concatenate([m, (face.a_s.T @ m - g)[face.zero]])
+def _span(A: np.ndarray, rows: list[int], g: np.ndarray) -> np.ndarray:
+    """Coefficients r of g on the sorted rows S of [A; -I], in their order:
+    the least-squares solution of G_S^T r = g, eliminated as in _polish."""
+    _, zero, step, m = _eliminate(A, rows, g)
+    return np.concatenate([m, (step - g)[zero]])
 
 
 # project's feasibility tolerance, relative to max(1, |b|)
@@ -472,8 +444,7 @@ def _raise_if_farkas(A: np.ndarray, b: np.ndarray, cols: list[int],
 
 
 def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
-            warm: Optional[list[int]] = None,
-            faces: Optional[dict] = None) -> ProjectionResult:
+            warm: Optional[list[int]] = None) -> ProjectionResult:
     """Euclidean projection onto {z : A z <= b, z >= 0}.
 
     Goldfarb and Idnani's dual active-set method ("A numerically stable dual
@@ -495,8 +466,6 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     polyhedron.  The method starts from it once dual feasible, dropping one
     row per polish: rows of A the polish leaves slack, then the most
     negative multiplier.  Without warm it starts from the empty set at z_raw.
-    faces, optional, caches the factored faces of this A and b across calls
-    (a dict, filled in place).
     """
     z_raw = np.asarray(z_raw, dtype=float)
     excess = A @ z_raw - b
@@ -506,18 +475,15 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
         return ProjectionResult(z=z_raw.copy(), active=[])
     scale = max(1.0, np.abs(excess).max(), np.abs(z_raw).max())
     bound = 1e-9 * scale
-    if faces is None:
-        faces = {}
     n_a, dim = A.shape
 
     rows = sorted(set(map(int, warm or [])))
     while True:
-        face = _face(faces, A, b, rows)
-        z, mult, resid = _polish(z_raw, face, A, b)
+        z, mult, resid, on_a = _polish(z_raw, A, b, rows)
         if not rows:
             break
         unfit = mult.copy()
-        unfit[:face.on_a.size][np.abs(resid[face.on_a]) > bound] = -np.inf
+        unfit[:on_a.size][np.abs(resid[on_a]) > bound] = -np.inf
         if unfit.min() >= 0:
             break
         del rows[int(unfit.argmin())]
@@ -525,7 +491,7 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
     steps, limit = 0, 4 * (n_a + dim)
     while True:
         # rows of S are tight up to rounding, which must not add them again
-        resid[face.on_a] = 0.0
+        resid[on_a] = 0.0
         worst_a, worst_z = resid.argmax(), z.argmin()
         if max(resid[worst_a], -z[worst_z]) <= thresh:
             return ProjectionResult(z=z, active=rows)
@@ -538,9 +504,8 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
                                    f"{limit} steps of the dual method")
             cols = sorted(rows + [p])
             at = cols.index(p)
-            face = _face(faces, A, b, cols)
-            z_new, mult_new, resid_new = _polish(z_raw, face, A, b)
-            primal = (np.abs(resid_new[face.on_a]) <= bound).all()
+            z_new, mult_new, resid_new, on_a = _polish(z_raw, A, b, cols)
+            primal = (np.abs(resid_new[on_a]) <= bound).all()
             if not primal or mult_new.min() < 0:
                 start = np.concatenate((mult[:at], [mult_p], mult[at:]))
                 if primal:
@@ -550,7 +515,7 @@ def project(z_raw: np.ndarray, A: np.ndarray, b: np.ndarray,
                     # p in the span of rows: a dual step, z fixed, the
                     # multipliers along p's coefficients on rows
                     g = A[p] if p < n_a else -np.eye(dim)[p - n_a]
-                    r = _span(_face(faces, A, b, rows), g)
+                    r = _span(A, rows, g)
                     slope = -np.concatenate((r[:at], [-1.0], r[at:]))
                     reach = np.inf
                 falls = np.flatnonzero(slope < 0)
@@ -682,7 +647,6 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
     # B^{-1} at the start point; every later step's is its accepted probe's
     inv, crb, _ = _weighted_crb(bayesian_B(z, problem), lam)
     trace: list[dict] = []
-    faces: dict = {}
     # the first probe's guess: the rows of [A_u; -I] tight at u
     tight = np.abs(A_u @ u - b) <= 1e-9 * np.maximum(1.0, np.abs(b))
     last = [*np.flatnonzero(tight).tolist(),
@@ -690,11 +654,11 @@ def adam_solve(problem: IntervalProblem, z0: Optional[np.ndarray] = None
 
     def probe(eta: float):
         # line-search probes share A_u and b, so each starts from the active
-        # set of the one before and reuses the faces factored so far; the
+        # set of the one before, the first from the rows tight at u; the
         # module-level names keep project and bayesian_B patchable.  Returns
         # the projection and _weighted_crb's (B^{-1}, c, g) there
         nonlocal last
-        res = project(u + eta * direction, A_u, b, warm=last, faces=faces)
+        res = project(u + eta * direction, A_u, b, warm=last)
         last = res.active
         return res, _weighted_crb(bayesian_B(precond * res.z, problem), lam)
 

@@ -76,11 +76,17 @@ class CommSystem:
         """|alpha^c|^2, interference gain downlink -> radar, (N, J)."""
         return np.abs(self.comm_to_radar_gain) ** 2
 
+    def floors(self, ks) -> np.ndarray:
+        """(len(ks), J) throughput floors of every link at the fusion
+        intervals ks, from a (J,) floor for all of them or a (J, K) one."""
+        floor = self.throughput_floor
+        if floor.ndim == 1:
+            return np.broadcast_to(floor, (len(ks), len(floor)))
+        return floor.T[ks]
+
     def floor(self, j: int, k: int) -> float:
         """Throughput floor for link j at fusion interval k."""
-        if self.throughput_floor.ndim == 1:
-            return float(self.throughput_floor[j])
-        return float(self.throughput_floor[j, k])
+        return float(self.floors([k])[0, j])
 
 
 @dataclass
@@ -228,11 +234,7 @@ def _numeric(convert, section: dict, key: str, where: str):
 def _per_target(section: dict, key: str, n_targets: int,
                 where: str) -> np.ndarray:
     arr = np.atleast_1d(_numeric(_floats, section, key, where))
-    if arr.size == 1:
-        arr = np.full(n_targets, arr[0])
-    _require(arr.size == n_targets,
-             f"{where}: expected scalar or {n_targets} per-target values")
-    return arr
+    return np.full(n_targets, arr[0]) if arr.size == 1 else arr
 
 
 def _complex_matrix(arr: np.ndarray, shape: tuple[int, int],

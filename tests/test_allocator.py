@@ -113,16 +113,15 @@ def mini_problem(sc, sch, kernels=None, infos=None):
 
 def record_polishes(monkeypatch) -> list:
     """Route allocator._polish through a recorder; returns the list, filled
-    in call order, of the faces polished, each as its rows of [A; -I]."""
-    faces, polish = [], allocator._polish
+    in call order, of the sets polished, each as its rows of [A; -I]."""
+    polished, polish = [], allocator._polish
 
-    def recorded(z_raw, face, A, b):
-        faces.append(tuple(face.on_a.tolist()
-                           + (face.zero + A.shape[0]).tolist()))
-        return polish(z_raw, face, A, b)
+    def recorded(z_raw, A, b, rows):
+        polished.append(tuple(rows))
+        return polish(z_raw, A, b, rows)
 
     monkeypatch.setattr(allocator, "_polish", recorded)
-    return faces
+    return polished
 
 
 def full_stacked_polish(z_raw, A, b, rows):
@@ -680,6 +679,23 @@ class TestFractionalProgram:
             num = (f_value(fp, hi) - f_value(fp, lo)) / (2 * h)
             assert g[idx] == pytest.approx(num, rel=1e-6, abs=1e-12)
 
+    def test_negative_definite_kernel_weights_are_clamped_with_a_warning(
+            self, scenario, problem):
+        # radar 0's kernel -I on every target makes its weight on target q
+        # -||Lambda^-1 V^q||_F^2 < 0: Q negative weights, each set to 0 with
+        # their count named, while the other radars' weights are unchanged
+        kernels = problem.kernels.copy()
+        kernels[:, 0] = -np.eye(4)
+        v_mats = [np.eye(4) / 4 for _ in range(scenario.n_targets)]
+        with pytest.warns(RuntimeWarning, match=(
+                f"^clamped {scenario.n_targets} negative fractional weights "
+                "to zero$")):
+            fp = assemble_fractional(v_mats, replace(problem, kernels=kernels))
+        assert np.all(fp.w >= 0)
+        np.testing.assert_array_equal(fp.w[0], 0.0)
+        np.testing.assert_array_equal(
+            fp.w[1:], assemble_fractional(v_mats, problem).w[1:])
+
     @pytest.mark.parametrize("solves", ["default_solves", "large_net_solves"])
     def test_slack_update_pins_f_to_g_and_grad_f_to_grad_g(self, solves,
                                                            request):
@@ -878,8 +894,8 @@ class TestProject:
         cold = project(x, A, b)
         polished = record_polishes(monkeypatch)
         spans, span = [], allocator._span
-        monkeypatch.setattr(allocator, "_span",
-                            lambda face, g: spans.append(g) or span(face, g))
+        monkeypatch.setattr(allocator, "_span", lambda A, rows, g:
+                            spans.append(g) or span(A, rows, g))
         res = project(x, A, b, warm=[1, 2])
         np.testing.assert_array_equal(res.z, cold.z)
         np.testing.assert_array_equal(res.z, [0.0, 1.0])
@@ -930,11 +946,18 @@ class TestProject:
     def test_guess_of_nonnegativity_rows_only_skips_lapack(self, capfd,
                                                           monkeypatch):
         # from (-1, 2) under x + y <= 10 only x >= 0 (row 1 of [A; -I]) is
-        # active: its face has no row of A and no Gram matrix to factor
-        # (dgetrf prints an error for a 0x0 one); the guess x >= 0 is
-        # certified by its polish, and from the guess y >= 0 (multiplier -2)
-        # the dual method drops it and adds x >= 0
+        # active: its set has no row of A, so no Gram system is solved (a
+        # LAPACK factorization of a 0x0 matrix can print an error); the guess
+        # x >= 0 is certified by its polish, and from the guess y >= 0
+        # (multiplier -2) the dual method drops it and adds x >= 0
         A, b, x = np.array([[1.0, 1.0]]), np.array([10.0]), np.array([-1.0, 2.0])
+        solves, solve = [0], np.linalg.solve
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
         polished = record_polishes(monkeypatch)
         for guess, faces in (([1], [(1,)]), ([2], [(2,), (), (1,)])):
             del polished[:]
@@ -942,6 +965,7 @@ class TestProject:
             np.testing.assert_array_equal(res.z, [0.0, 2.0])
             assert res.active == [1]
             assert polished == faces
+        assert solves[0] == 0
         assert capfd.readouterr() == ("", "")
 
     def test_duplicated_row_takes_the_lstsq_fallback(self, monkeypatch):
@@ -1028,8 +1052,8 @@ class TestProject:
         # its y^T A = (-1, -1), so neither proves the polyhedron empty
         span = allocator._span
         for factor in (0.5, 2.0):
-            monkeypatch.setattr(allocator, "_span", lambda face, g, f=factor:
-                                f * span(face, g))
+            monkeypatch.setattr(allocator, "_span", lambda A, rows, g,
+                                f=factor: f * span(A, rows, g))
             with pytest.raises(RuntimeError, match="projection failed to "
                                "converge: row 0 cannot be added") as info:
                 project(np.array([0.5, 0.5]),
@@ -1088,11 +1112,11 @@ class TestProject:
         # the other, for ever, until 4 * (rows + dim) = 16 steps
         polish = allocator._polish
 
-        def flipped(z_raw, face, A, b):
-            z, mult, resid = polish(z_raw, face, A, b)
-            if face.on_a.size == 2:
+        def flipped(z_raw, A, b, rows):
+            z, mult, resid, on_a = polish(z_raw, A, b, rows)
+            if on_a.size == 2:
                 mult = -np.abs(mult)
-            return z, mult, resid
+            return z, mult, resid, on_a
 
         monkeypatch.setattr(allocator, "_polish", flipped)
         with pytest.raises(RuntimeError, match="projection failed to "
@@ -1177,6 +1201,18 @@ class TestBaselines:
 
 
 class TestAdamSolve:
+    @pytest.mark.parametrize("field", ["kernels", "prior_infos"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_information_raises(self, problem, field, value):
+        # a non-finite first entry of target 0's kernel of radar 0, or of its
+        # prior, makes B and so the fractional objective non-finite at the
+        # start point
+        data = getattr(problem, field).copy()
+        data.flat[0] = value
+        with pytest.raises(RuntimeError, match="^non-finite objective at "
+                           "iteration 0$"), np.errstate(invalid="ignore"):
+            adam_solve(replace(problem, **{field: data}))
+
     def test_solves_where_the_even_comm_split_misses_a_floor(
             self, schedule, layout, split_missed_problem):
         # the start is the projection of the even split, which exists
@@ -1276,8 +1312,7 @@ class TestAdamSolve:
                                                  "optimized")
         project = allocator.project
         monkeypatch.setattr(allocator, "project",
-                            lambda z, A, b, warm=None, faces=None:
-                            project(z, A, b))
+                            lambda z, A, b, warm=None: project(z, A, b))
         z_cold, _, tr_cold, _ = plan_allocations(scenario, schedule,
                                                  "optimized")
         for zw, zc in zip(z_warm, z_cold, strict=True):

@@ -390,6 +390,26 @@ class TestLoadScenario:
                            match="^at least one radar required$"):
             load_scenario(_mutated_default(tmp_path, mutate))
 
+    def test_no_targets_rejected(self, tmp_path):
+        # refused for the target count, not for the radars' per-target
+        # fields, whose scalars broadcast to no targets
+        def mutate(raw):
+            raw["targets"] = []
+        with pytest.raises(ScenarioError,
+                           match="^at least one target required$"):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
+    @pytest.mark.parametrize("name", ["initial_time", "revisit_interval"])
+    def test_per_target_field_of_wrong_length_named_by_validate(
+            self, tmp_path, name):
+        # the default has 2 targets; a file's list of 3 fails validate's
+        # shape check, the one a scenario built in code meets
+        def mutate(raw):
+            raw["radars"][1][name] = [2.0, 2.0, 2.0]
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"radars[1]: {name} must give one value per target")):
+            load_scenario(_mutated_default(tmp_path, mutate))
+
     def test_negative_rcs_rejected(self, tmp_path):
         def mutate(raw):
             raw["targets"][0]["rcs"][0] = -1.0
@@ -571,6 +591,22 @@ class TestValidate:
         with pytest.raises(ScenarioError, match=re.escape(
                 f"radars[1]: {name} must give one value per target")):
             validate(dataclasses.replace(scenario, radars=radars))
+
+
+class TestCommSystem:
+    def test_floors_of_intervals_in_either_layout(self, scenario):
+        # a (J,) floor holds at every interval, a (J, K) one per interval;
+        # floor(j, k) reads the same value as a float
+        comm = scenario.comm
+        j_n, k_n = comm.num_links, scenario.grid.num_intervals
+        per_interval = np.arange(j_n * k_n, dtype=float).reshape(j_n, k_n)
+        for floor, want in ((comm.throughput_floor,
+                             np.tile(comm.throughput_floor, (2, 1))),
+                            (per_interval, per_interval[:, [3, 7]].T)):
+            comm_k = dataclasses.replace(comm, throughput_floor=floor)
+            np.testing.assert_array_equal(comm_k.floors([3, 7]), want)
+            value = comm_k.floor(1, 7)
+            assert type(value) is float and value == want[1, 1]
 
 
 class TestBuildSchedule:
